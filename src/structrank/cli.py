@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -74,10 +75,7 @@ def _load_structure(request, as_pattern=True):
         except StructrankError as exc:
             raise _InputError(str(exc)) from exc
     elif request.input_path is not None:
-        try:
-            structure = parse_structure(request.input_path, request.fmt)
-        except (ParseError, OSError) as exc:
-            raise _InputError(str(exc)) from exc
+        structure = parse_structure(request.input_path, request.fmt)
     else:
         raise _InputError("no input: pass --dataset NAME or a structure file")
     if as_pattern and isinstance(structure, SystemGraph):
@@ -98,16 +96,10 @@ def _load_system(request):
             return dataset.system, f"dataset {request.dataset} (bundled system)"
         structure = dataset.structure
     elif request.input_path is not None:
-        try:
-            with open(request.input_path, encoding="utf-8") as handle:
-                head = handle.read(2048).lstrip()
-        except OSError as exc:
-            raise _InputError(str(exc)) from exc
+        with open(request.input_path, encoding="utf-8") as handle:
+            head = handle.read(2048).lstrip()
         if head.startswith("{") and '"degree"' in head:
-            try:
-                return parse_system(request.input_path), f"system file {request.input_path}"
-            except (ParseError, OSError) as exc:
-                raise _InputError(str(exc)) from exc
+            return parse_system(request.input_path), f"system file {request.input_path}"
         structure = _load_structure(request)
     else:
         raise _InputError("no input: pass --dataset NAME or a structure/system file")
@@ -118,11 +110,11 @@ def _load_system(request):
     )
 
 
-def _point(request, n, what="--from"):
+def _point(request, n):
     if request.from_point is None:
-        raise _InputError(f"{what} X1,...,X{n} is required for this subcommand")
+        raise _InputError(f"--from X1,...,X{n} is required for this subcommand")
     if len(request.from_point) != n:
-        raise _InputError(f"{what} must have {n} components, got {len(request.from_point)}")
+        raise _InputError(f"--from must have {n} components, got {len(request.from_point)}")
     return np.array(request.from_point, dtype=np.float64)
 
 
@@ -269,9 +261,7 @@ def _cmd_probe(request):
             raise _InputError(
                 f"--delta must have {system.num_equations} components, got {len(request.delta)}"
             )
-        probe = cont.perturbation_probe(
-            system, p, np.array(request.delta), tol=_tolerance(request), seed=request.seed,
-        )
+        probe = cont.perturbation_probe(system, p, np.array(request.delta), seed=request.seed)
         if request.output == "json":
             return _json_text(probe.to_json_dict())
         status = "solved" if probe.solved else "no solution found"
@@ -304,7 +294,7 @@ def _cmd_probe(request):
         if report.rank_drop_found:
             where = ", ".join(f"{v:.4g}" for v in report.drop_point)
             lines.append(f"rank drop found: rank {report.drop_rank} at ({where})")
-        else:
+        elif report.samples_accepted > 0:
             lines.append("rank constant along all samples (manifold evidence)")
     return "\n".join(lines) + "\n"
 
@@ -312,12 +302,9 @@ def _cmd_probe(request):
 def _cmd_matrix_space(request):
     if request.input_path is None:
         raise _InputError("matrix-space needs a JSON file with a 'basis' list")
-    try:
-        basis = parse_basis(request.input_path)
-    except (ParseError, OSError) as exc:
-        raise _InputError(str(exc)) from exc
     report = numrank.matrix_space_rank(
-        basis, trials=request.trials, seed=request.seed, tol=_tolerance(request)
+        parse_basis(request.input_path), trials=request.trials, seed=request.seed,
+        tol=_tolerance(request),
     )
     return _render_certification(report, request, "matrix-subspace generic rank")
 
@@ -391,19 +378,48 @@ def run(request: AnalysisRequest) -> tuple[int, str]:
         return 2, f"error: unknown subcommand {request.subcommand!r}\n"
     try:
         return 0, handler(request)
-    except _InputError as exc:
-        return 2, f"error: {exc}\n"
-    except (ParseError, OSError) as exc:
+    except (_InputError, ParseError, OSError) as exc:
         return 2, f"error: {exc}\n"
     except (StructrankError, ValueError) as exc:
         return 1, f"error: {type(exc).__name__}: {exc}\n"
 
 
-def _csv_floats(text):
+def _finite_floats(text):
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return values
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+# Every subcommand flag, declared once; subcommands pick theirs by name and
+# may override the default.
+_FLAGS = {
+    "--trials": dict(type=_positive_int, default=200),
+    "--seed": dict(type=int, default=0),
+    "--degree": dict(type=int, default=2),
+    "--distribution": dict(choices=["uniform", "normal"], default="uniform"),
+    "--pass-threshold": dict(dest="pass_threshold", type=float, default=0.99),
+    "--from": dict(dest="from_point", type=_finite_floats, required=True,
+                   help="start point, comma separated"),
+    "--samples": dict(type=_positive_int, default=50),
+    "--delta": dict(type=_finite_floats, default=None),
+    "--step": dict(type=float, default=0.05),
+    "--max-points": dict(dest="max_points", type=_positive_int, default=400),
+    "--radius": dict(type=float, default=10.0),
+}
 
 
 def _build_parser():
@@ -414,7 +430,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     default_output = os.environ.get(OUTPUT_ENV_VAR, "text")
 
-    def add(name, help_text, needs_input=True, **extra_flags):
+    def add(name, help_text, flags=(), needs_input=True, **defaults):
         p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("input_path", nargs="?", default=None,
@@ -429,43 +445,25 @@ def _build_parser():
                        help="relative singular-value threshold")
         p.add_argument("--tol-floor", dest="abs_floor", type=float, default=1e-12,
                        help="absolute singular-value floor")
-        for flag, kwargs in extra_flags.items():
+        for flag in flags:
+            kwargs = dict(_FLAGS[flag])
+            dest = kwargs.get("dest", flag[2:])
+            if dest in defaults:
+                kwargs["default"] = defaults[dest]
             p.add_argument(flag, **kwargs)
-        return p
 
     add("rank", "structural (generic) rank of a pattern")
     add("classify", "rank, robust/fragile class, and solution dimension")
     add("knockout", "classify every single-node knockout of a square system")
     add("certify", "Monte Carlo certification that random members attain the structural rank",
-        **{"--trials": dict(type=int, default=1000),
-           "--seed": dict(type=int, default=0),
-           "--degree": dict(type=int, default=2),
-           "--distribution": dict(choices=["uniform", "normal"], default="uniform"),
-           "--pass-threshold": dict(dest="pass_threshold", type=float, default=0.99)})
+        ("--trials", "--seed", "--degree", "--distribution", "--pass-threshold"), trials=1000)
     add("generic-rank", "randomized generic-rank estimate (works for derived variables)",
-        **{"--trials": dict(type=int, default=200),
-           "--seed": dict(type=int, default=0),
-           "--degree": dict(type=int, default=2),
-           "--distribution": dict(choices=["uniform", "normal"], default="uniform")})
+        ("--trials", "--seed", "--degree", "--distribution"))
     add("trace", "trace the 1-dimensional solution curve through a point",
-        **{"--from": dict(dest="from_point", type=_csv_floats, required=True,
-                          help="start point, comma separated"),
-           "--step": dict(type=float, default=0.05),
-           "--max-points": dict(dest="max_points", type=int, default=400),
-           "--seed": dict(type=int, default=0),
-           "--degree": dict(type=int, default=2),
-           "--radius": dict(type=float, default=10.0)})
+        ("--from", "--step", "--max-points", "--seed", "--degree", "--radius"))
     add("probe", "sample the solution set (or try a right-hand-side perturbation with --delta)",
-        **{"--from": dict(dest="from_point", type=_csv_floats, required=True),
-           "--samples": dict(type=int, default=50),
-           "--delta": dict(type=_csv_floats, default=None),
-           "--step": dict(type=float, default=0.2),
-           "--seed": dict(type=int, default=0),
-           "--degree": dict(type=int, default=2),
-           "--radius": dict(type=float, default=10.0)})
-    add("matrix-space", "generic rank of the span of basis matrices",
-        **{"--trials": dict(type=int, default=200),
-           "--seed": dict(type=int, default=0)})
+        ("--from", "--samples", "--delta", "--step", "--seed", "--degree", "--radius"), step=0.2)
+    add("matrix-space", "generic rank of the span of basis matrices", ("--trials", "--seed"))
     add("show", "print a structure (text, json, or dot)")
     add("datasets", "list bundled datasets", needs_input=False)
     return parser

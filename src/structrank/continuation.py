@@ -43,11 +43,7 @@ DEFAULT_DOMAIN_RADIUS = 10.0
 def _svd_analysis(matrix, tol):
     """(numeric rank, orthonormal kernel rows, singular values)."""
     _, sigma, vt = np.linalg.svd(matrix, full_matrices=True)
-    if sigma.size == 0:
-        rank = 0
-    else:
-        cutoff = max(tol.relative_threshold * float(sigma[0]), tol.absolute_floor)
-        rank = int(np.count_nonzero(sigma > cutoff))
+    rank = tol.rank_of(sigma)
     return rank, vt[rank:], sigma
 
 
@@ -89,9 +85,9 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
     iterations = 0
     while rn > residual_tol and iterations < max_iterations:
         iterations += 1
-        jac = system.jacobian(x).matrix
-        r = system.evaluate(x) - target
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        jac = system.jacobian(x)
+        r = jac.residual_target - target
+        step, *_ = np.linalg.lstsq(jac.matrix, -r, rcond=None)
         t = 1.0
         improved = False
         for _ in range(max_backtracks):
@@ -188,14 +184,13 @@ class SolutionBranch:
         }
 
 
-def _trace_direction(system, start, start_tangent, target, rank0, step, budget,
+def _trace_direction(system, start, direction, start_tangent, target, rank0, step, budget,
                      tol, residual_tol, radius, closure_base):
-    """Walk one kernel direction. Returns (points, events, closed)."""
+    """Walk one kernel direction (+1 or -1). Returns (points, events, closed)."""
     points, events = [], []
     x, tangent = start, start_tangent
     h = step
     traveled = 0.0
-    direction = 0  # set by caller in event records
     while len(points) < budget:
         halvings = 0
         accepted = None
@@ -264,12 +259,6 @@ def _trace_direction(system, start, start_tangent, target, rank0, step, budget,
     return points, events, False
 
 
-def _with_direction(events, direction):
-    return [
-        BranchEvent(ev.kind, direction, ev.detail, ev.location) for ev in events
-    ]
-
-
 def trace_curve(
     system: StructuredPolySystem,
     p,
@@ -289,6 +278,8 @@ def trace_curve(
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
+    if max_points < 1:
+        raise ValueError("max_points must be >= 1")
     p = np.asarray(p, dtype=np.float64)
     target = system.evaluate(p)
     jac0 = system.jacobian(p)
@@ -303,20 +294,19 @@ def trace_curve(
         point=p, residual=0.0, rank=rank0, kernel=kernel0,
         tangent=tangent0, step_size=0.0, corrector_iterations=0,
     )
-    forward, f_events, closed = _trace_direction(
-        system, p, tangent0, target, rank0, step, max_points - 1,
+    forward, events, closed = _trace_direction(
+        system, p, +1, tangent0, target, rank0, step, max_points - 1,
         tol, residual_tol, domain_radius, closure_base=p,
     )
-    events = _with_direction(f_events, +1)
     backward = []
     if not closed:
         budget = max_points - 1 - len(forward)
         if budget > 0:
             backward, b_events, _ = _trace_direction(
-                system, p, -tangent0, target, rank0, step, budget,
+                system, p, -1, -tangent0, target, rank0, step, budget,
                 tol, residual_tol, domain_radius, closure_base=None,
             )
-            events += _with_direction(b_events, -1)
+            events += b_events
         else:
             events.append(BranchEvent(
                 kind="max-points", direction=-1,
@@ -416,15 +406,14 @@ def _hunt_rank_drop(system, x0, target, rank0, step, tol, radius, rng,
                 if r < rank0:
                     return cx, r, value
                 if value < current:
-                    x, kernel, current = cx, k, value
+                    x, rank, kernel, current = cx, r, k, value
                     improved = True
                     break
             if improved:
                 break
         if not improved:
             h *= 0.5
-    rank, _, sigma = _svd_analysis(system.jacobian(x).matrix, tol)
-    return x, rank, _sigma_significant(sigma, rank0)
+    return x, rank, current
 
 
 def manifold_probe(
@@ -446,6 +435,8 @@ def manifold_probe(
     evidence that p is exceptional. For dimension 0 the probe checks that
     the corrector returns to p from nearby perturbations (isolated point).
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     p = np.asarray(p, dtype=np.float64)
     target = system.evaluate(p)
     rank0, kernel, sigma0 = _svd_analysis(system.jacobian(p).matrix, tol)
@@ -557,7 +548,6 @@ def perturbation_probe(
     system: StructuredPolySystem,
     p,
     delta,
-    tol: RankTolerance = RankTolerance(),
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     max_newton: int = 50,
     restarts: int = 20,

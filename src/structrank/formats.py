@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 from .errors import ParseError
@@ -43,6 +44,12 @@ def _check_keys(obj, allowed, path, where):
     _expect(not unknown, f"unknown field(s) {unknown}", path, where)
 
 
+def _is_finite_number(value):
+    # JSON numbers such as 1e400 parse to inf, and huge integers overflow a float.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def structure_from_json_dict(data, path=None):
     """Build a structure from the JSON file schema.
 
@@ -73,8 +80,8 @@ def structure_from_json_dict(data, path=None):
         for key, value in coeffs.items():
             _expect(key.isdigit() and int(key) >= 1,
                     f"coefficient key {key!r} must be a 1-based variable index", path, where)
-            _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-                    f"coefficient on x{key} must be a number", path, where)
+            _expect(_is_finite_number(value),
+                    f"coefficient on x{key} must be a finite number", path, where)
             pairs.append((int(key) - 1, float(value)))
         derived_specs.append(DerivedVariableSpec(dv["name"], tuple(pairs)))
     declared = {d.name for d in derived_specs}
@@ -280,13 +287,16 @@ def parse_basis(path):
     _expect(isinstance(basis, list) and basis, "'basis' must be a nonempty list", path, "basis")
     for i, mat in enumerate(basis):
         _expect(isinstance(mat, list) and mat, "matrix must be a nonempty list of rows", path, f"basis[{i}]")
+        _expect(len(mat) == len(basis[0]),
+                f"matrix has {len(mat)} rows, basis[0] has {len(basis[0])}", path, f"basis[{i}]")
         for j, row in enumerate(mat):
             _expect(isinstance(row, list) and row, "matrix row must be a nonempty list", path, f"basis[{i}][{j}]")
+            _expect(len(row) == len(basis[0][0]),
+                    f"row has {len(row)} entries, basis[0][0] has {len(basis[0][0])}",
+                    path, f"basis[{i}][{j}]")
             for k, value in enumerate(row):
-                _expect(
-                    isinstance(value, (int, float)) and not isinstance(value, bool),
-                    "matrix entries must be numbers", path, f"basis[{i}][{j}][{k}]",
-                )
+                _expect(_is_finite_number(value),
+                        "matrix entries must be finite numbers", path, f"basis[{i}][{j}][{k}]")
     return basis
 
 

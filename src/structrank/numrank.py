@@ -51,6 +51,13 @@ class RankTolerance:
             "absolute_floor": self.absolute_floor,
         }
 
+    def rank_of(self, sigma) -> int:
+        """Number of singular values (in descending order) above the cutoff."""
+        if sigma.size == 0:
+            return 0
+        cutoff = max(self.relative_threshold * float(sigma[0]), self.absolute_floor)
+        return int(np.count_nonzero(sigma > cutoff))
+
 
 def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
     """Number of singular values above the tolerance cutoff."""
@@ -59,11 +66,7 @@ def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma.size == 0:
-        return 0
-    cutoff = max(tol.relative_threshold * float(sigma[0]), tol.absolute_floor)
-    return int(np.count_nonzero(sigma > cutoff))
+    return tol.rank_of(np.linalg.svd(a, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
-def _histogram_report(ranks, seed, tol, target_rank=None, pass_threshold=None, **extra):
+def _run_trials(draw, trials, seed, tol, target_rank=None, pass_threshold=None, **extra):
+    """Rank histogram of ``draw(rng)`` over the per-trial streams, as a report."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     histogram = {}
-    for r in ranks:
+    for i in range(trials):
+        r = numeric_rank(draw(_trial_rng(seed, i)), tol)
         histogram[r] = histogram.get(r, 0) + 1
     estimated = max(histogram)
     if target_rank is None:
@@ -128,9 +135,9 @@ def _histogram_report(ranks, seed, tol, target_rank=None, pass_threshold=None, *
         passed = None
     else:
         agreement = histogram.get(target_rank, 0)
-        passed = agreement / len(ranks) >= pass_threshold
+        passed = agreement / trials >= pass_threshold
     return CertificationReport(
-        trials=len(ranks),
+        trials=trials,
         estimated_rank=estimated,
         agreement_count=agreement,
         rank_histogram=histogram,
@@ -141,6 +148,16 @@ def _histogram_report(ranks, seed, tol, target_rank=None, pass_threshold=None, *
         passed=passed,
         **extra,
     )
+
+
+def _member_jacobian(structure, degree, distribution):
+    """Trial draw: Jacobian of a random member at a point uniform on [-1, 1]^N."""
+    def draw(rng):
+        equations = _sample_with_rng(structure, degree, rng, distribution)
+        system = StructuredPolySystem(structure, degree, equations,
+                                      seed=None, distribution=distribution)
+        return system.jacobian(rng.uniform(-1.0, 1.0, structure.num_variables)).matrix
+    return draw
 
 
 def generic_rank_randomized(
@@ -157,21 +174,10 @@ def generic_rank_randomized(
     [-1, 1]^N, then takes the numeric rank of the Jacobian. Works for
     generalized structures, where the matching bound overestimates.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
         raise TypeError(f"expected a structure, got {type(structure).__name__}")
-    n = structure.num_variables
-    ranks = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        equations = _sample_with_rng(structure, degree, rng, distribution)
-        system = StructuredPolySystem(structure, degree, equations,
-                                      seed=None, distribution=distribution)
-        x = rng.uniform(-1.0, 1.0, n)
-        ranks.append(numeric_rank(system.jacobian(x).matrix, tol))
-    return _histogram_report(
-        ranks, seed, tol,
+    return _run_trials(
+        _member_jacobian(structure, degree, distribution), trials, seed, tol,
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
     )
 
@@ -198,20 +204,9 @@ def certify_acr(
             "certification against the matching rank needs a plain pattern; "
             "generalized structures have no exact combinatorial rank"
         )
-    target = structural_rank(pattern)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ranks = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        equations = _sample_with_rng(pattern, degree, rng, distribution)
-        system = StructuredPolySystem(pattern, degree, equations,
-                                      seed=None, distribution=distribution)
-        x = rng.uniform(-1.0, 1.0, pattern.num_variables)
-        ranks.append(numeric_rank(system.jacobian(x).matrix, tol))
-    return _histogram_report(
-        ranks, seed, tol,
-        target_rank=target, pass_threshold=pass_threshold,
+    return _run_trials(
+        _member_jacobian(pattern, degree, distribution), trials, seed, tol,
+        target_rank=structural_rank(pattern), pass_threshold=pass_threshold,
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
     )
 
@@ -234,16 +229,11 @@ def matrix_space_rank(
     shape = mats[0].shape
     if any(m.shape != shape for m in mats) or len(shape) != 2:
         raise ValueError("basis matrices must share one 2-D shape")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     stack = np.stack(mats)
-    ranks = []
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
-        weights = rng.uniform(-1.0, 1.0, len(mats))
-        ranks.append(numeric_rank(np.tensordot(weights, stack, axes=1), tol))
-    return _histogram_report(ranks, seed, tol, distribution="uniform",
-                             point_domain="coefficients uniform[-1,1]")
+    return _run_trials(
+        lambda rng: np.tensordot(rng.uniform(-1.0, 1.0, len(mats)), stack, axes=1),
+        trials, seed, tol, distribution="uniform", point_domain="coefficients uniform[-1,1]",
+    )
 
 
 def rank_maximizer_sweep(

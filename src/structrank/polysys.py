@@ -144,10 +144,6 @@ def equation_symbols(structure, e):
     return tuple(structure.row(e))
 
 
-def _num_equations(structure):
-    return structure.num_equations
-
-
 @dataclass(frozen=True, eq=False)
 class StructuredPolySystem:
     """A concrete polynomial system respecting a structure.
@@ -164,9 +160,9 @@ class StructuredPolySystem:
     distribution: str = "explicit"
 
     def __post_init__(self):
-        if len(self.equations) != _num_equations(self.structure):
+        if len(self.equations) != self.structure.num_equations:
             raise StructureError(
-                f"structure has {_num_equations(self.structure)} equations, "
+                f"structure has {self.structure.num_equations} equations, "
                 f"got {len(self.equations)} polynomials"
             )
         for e, eq in enumerate(self.equations):
@@ -310,7 +306,7 @@ def system_from_terms(
     indices, then derived names).
     """
     equations = []
-    for e in range(_num_equations(structure)):
+    for e in range(structure.num_equations):
         symbols = equation_symbols(structure, e)
         table = _monomial_table(len(symbols), degree)
         index = {tuple(int(k) for k in row): i for i, row in enumerate(table.exponents)}
@@ -339,7 +335,7 @@ def _draw(rng, distribution, size):
 
 def _sample_with_rng(structure, degree, rng, distribution):
     equations = []
-    for e in range(_num_equations(structure)):
+    for e in range(structure.num_equations):
         symbols = equation_symbols(structure, e)
         table = _monomial_table(len(symbols), degree)
         equations.append(PolyEquation(symbols, degree, _draw(rng, distribution, table.size)))

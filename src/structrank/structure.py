@@ -10,6 +10,7 @@ equations may depend on only through z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import StructureError, UnsupportedOperationError
@@ -125,9 +126,10 @@ class DerivedVariableSpec:
         for i, c in coeffs:
             if i < 0:
                 raise StructureError(f"derived variable {self.name!r}: bad index {i}")
-            if c == 0.0 or c != c:
+            if c == 0.0 or not math.isfinite(c):
                 raise StructureError(
-                    f"derived variable {self.name!r}: coefficient on x{i + 1} must be nonzero"
+                    f"derived variable {self.name!r}: coefficient on x{i + 1} "
+                    "must be finite and nonzero"
                 )
 
     @property

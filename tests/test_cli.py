@@ -3,7 +3,7 @@ import json
 import pytest
 
 from structrank import RankReport, classify
-from structrank.cli import AnalysisRequest, main, run
+from structrank.cli import AnalysisRequest, _build_parser, main, run
 from structrank.datasets import get_dataset
 
 
@@ -183,6 +183,22 @@ class TestErrorHandling:
         assert code == 1
         assert "square" in text
 
+    def test_ragged_basis_is_input_error(self, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"basis": [[[1, 0], [0, 1]], [[1, 0], [0]]]}))
+        code, text = run(AnalysisRequest("matrix-space", input_path=str(path)))
+        assert code == 2
+        assert "basis[1][1]" in text
+
+    def test_infinite_derived_coefficient_is_input_error(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"variables": 2, "equations": [{"vars": [1], "derived": ["z"]}],'
+                        ' "derived_vars": [{"name": "z", "coeffs": {"1": 1e400}}]}')
+        for subcommand in ("show", "generic-rank"):
+            code, text = run(AnalysisRequest(subcommand, input_path=str(path)))
+            assert code == 2
+            assert "derived_vars[0]" in text
+
 
 class TestMainEntryPoint:
     def test_classify_via_argv(self, capsys):
@@ -200,6 +216,47 @@ class TestMainEntryPoint:
         monkeypatch.setenv("STRUCTRANK_OUTPUT", "json")
         assert main(["rank", "--dataset", "cep3"]) == 0
         assert json.loads(capsys.readouterr().out)["rank"] == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trace", "--dataset", "eqcep1", "--from", "1,1,1", "--max-points", "0"], "--max-points"),
+        (["certify", "--dataset", "cep3", "--trials", "0"], "--trials"),
+        (["generic-rank", "--dataset", "cep3", "--trials", "-1"], "--trials"),
+        (["probe", "--dataset", "xy", "--from", "1,0", "--samples", "0"], "--samples"),
+        (["probe", "--dataset", "xy", "--from", "1,0", "--samples", "-3"], "--samples"),
+        (["trace", "--dataset", "eqcep1", "--from", "nan,1,1"], "--from"),
+        (["probe", "--dataset", "eqcep1", "--from", "1,1,1", "--delta", "0,inf,0"], "--delta"),
+    ])
+    def test_bad_numeric_flag_is_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_probe_without_accepted_samples_claims_nothing(self, capsys):
+        # The base point lies outside the domain box, so every sample is rejected.
+        assert main(["probe", "--dataset", "xy", "--from", "1,0", "--radius", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "samples accepted: 0/50" in out
+        assert "manifold evidence" not in out
+
+    @pytest.mark.parametrize("argv, own", [
+        (["rank"], {}),
+        (["datasets"], {}),
+        (["certify"], {"trials": 1000, "seed": 0, "degree": 2, "distribution": "uniform",
+                       "pass_threshold": 0.99}),
+        (["generic-rank"], {"trials": 200, "seed": 0, "degree": 2, "distribution": "uniform"}),
+        (["matrix-space"], {"trials": 200, "seed": 0}),
+        (["trace", "--from", "1"], {"from_point": (1.0,), "step": 0.05, "max_points": 400,
+                                    "seed": 0, "degree": 2, "radius": 10.0}),
+        (["probe", "--from", "1"], {"from_point": (1.0,), "samples": 50, "delta": None,
+                                    "step": 0.2, "seed": 0, "degree": 2, "radius": 10.0}),
+    ])
+    def test_subcommand_flags_and_defaults(self, argv, own, monkeypatch):
+        monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
+        common = {"subcommand": argv[0], "output": "text", "rel_tol": 1e-8, "abs_floor": 1e-12}
+        if argv[0] != "datasets":
+            common.update(input_path=None, dataset=None, fmt=None)
+        assert vars(_build_parser().parse_args(argv)) == {**common, **own}
 
     def test_argparse_rejects_conflicting_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:

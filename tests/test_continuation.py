@@ -131,6 +131,10 @@ class TestTraceCurve:
         with pytest.raises(ValueError):
             trace_curve(get_dataset("xy").system, [1.0, 1.0], step=0.0)
 
+    def test_empty_point_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_points"):
+            trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], max_points=0)
+
 
 class TestManifoldProbe:
     def test_parabola_rank_constant(self):
@@ -153,6 +157,11 @@ class TestManifoldProbe:
         assert report.dimension == 0
         assert report.isolated_confirmed
         assert report.returned_count == 20
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sample_count_must_be_positive(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            manifold_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], samples=samples)
 
     def test_surface_walk_on_arm_linkage(self):
         sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=2)

@@ -88,6 +88,15 @@ class TestJsonStructureFiles:
         with pytest.raises(ParseError, match="undeclared"):
             parse_structure(path)
 
+    @pytest.mark.parametrize("weight", ["1e400", "-1e400", "Infinity", "NaN", "1" + "0" * 400],
+                             ids=["1e400", "-1e400", "Infinity", "NaN", "400-digit-int"])
+    def test_non_finite_derived_coefficient_rejected(self, tmp_path, weight):
+        path = tmp_path / "bad.json"
+        path.write_text('{"variables": 2, "equations": [{"derived": ["z"]}],'
+                        ' "derived_vars": [{"name": "z", "coeffs": {"1": %s}}]}' % weight)
+        with pytest.raises(ParseError, match=r"derived_vars\[0\].*finite"):
+            parse_structure(path)
+
     def test_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n "variables": 3,\n]')
@@ -215,6 +224,17 @@ class TestOtherPayloads:
         path = tmp_path / "basis.json"
         path.write_text(json.dumps({"basis": [[["x"]]]}))
         with pytest.raises(ParseError, match=r"basis\[0\]\[0\]\[0\]"):
+            parse_basis(path)
+
+    @pytest.mark.parametrize("basis, where", [
+        ([[[1, 0], [0, 1]], [[1, 0], [0]]], r"basis\[1\]\[1\]: "),
+        ([[[1, 0], [0, 1]], [[1, 0]]], r"basis\[1\]: "),
+        ([[[1, 0, 2], [0, 1]]], r"basis\[0\]\[1\]: "),
+    ])
+    def test_basis_rejects_ragged_shapes(self, tmp_path, basis, where):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"basis": basis}))
+        with pytest.raises(ParseError, match=where):
             parse_basis(path)
 
     def test_system_file_round_trip(self, tmp_path):

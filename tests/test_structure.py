@@ -167,6 +167,11 @@ class TestDerivedVariables:
         with pytest.raises(StructureError):
             DerivedVariableSpec("z", ())
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])
+    def test_spec_rejects_non_finite_weights(self, weight):
+        with pytest.raises(StructureError, match="finite"):
+            DerivedVariableSpec("z", ((0, 1.0), (1, weight)))
+
     def test_duplicate_declaration_rejected(self):
         with pytest.raises(StructureError, match="more than once"):
             GeneralizedStructure(
