@@ -65,15 +65,20 @@ def _tolerance(request):
     return numrank.RankTolerance(request.rel_tol, request.abs_floor)
 
 
+def _dataset(request):
+    """The bundled dataset named by --dataset; an unknown name is an input error."""
+    try:
+        return get_dataset(request.dataset)
+    except StructrankError as exc:
+        raise _InputError(str(exc)) from exc
+
+
 def _load_structure(request, as_pattern=True):
     """Resolve --dataset or the input path to a structure."""
     if request.dataset is not None and request.input_path is not None:
         raise _InputError("give either --dataset or an input file, not both")
     if request.dataset is not None:
-        try:
-            structure = get_dataset(request.dataset).structure
-        except StructrankError as exc:
-            raise _InputError(str(exc)) from exc
+        structure = _dataset(request).structure
     elif request.input_path is not None:
         structure = parse_structure(request.input_path, request.fmt)
     else:
@@ -91,7 +96,7 @@ def _load_system(request):
     the request's (degree, seed, distribution).
     """
     if request.dataset is not None:
-        dataset = get_dataset(request.dataset)
+        dataset = _dataset(request)
         if dataset.system is not None:
             return dataset.system, f"dataset {request.dataset} (bundled system)"
         structure = dataset.structure
@@ -394,6 +399,23 @@ def _finite_floats(text):
     return values
 
 
+def _checked_float(check):
+    """argparse type: a float that ``check`` accepts (it raises ValueError otherwise)."""
+    def parse(text):
+        try:
+            value = float(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
+def _positive(value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"must be finite and > 0, got {value!r}")
+
+
 def _positive_int(text):
     try:
         value = int(text)
@@ -411,14 +433,15 @@ _FLAGS = {
     "--seed": dict(type=int, default=0),
     "--degree": dict(type=int, default=2),
     "--distribution": dict(choices=["uniform", "normal"], default="uniform"),
-    "--pass-threshold": dict(dest="pass_threshold", type=float, default=0.99),
+    "--pass-threshold": dict(dest="pass_threshold",
+                             type=_checked_float(numrank.check_pass_threshold), default=0.99),
     "--from": dict(dest="from_point", type=_finite_floats, required=True,
                    help="start point, comma separated"),
     "--samples": dict(type=_positive_int, default=50),
     "--delta": dict(type=_finite_floats, default=None),
-    "--step": dict(type=float, default=0.05),
+    "--step": dict(type=_checked_float(_positive), default=0.05),
     "--max-points": dict(dest="max_points", type=_positive_int, default=400),
-    "--radius": dict(type=float, default=10.0),
+    "--radius": dict(type=_checked_float(_positive), default=10.0),
 }
 
 
@@ -441,9 +464,11 @@ def _build_parser():
         p.add_argument("-o", "--output", default=default_output,
                        choices=["text", "json", "dot", "csv"],
                        help=f"output format (default from ${OUTPUT_ENV_VAR} or text)")
-        p.add_argument("--tol", dest="rel_tol", type=float, default=1e-8,
+        p.add_argument("--tol", dest="rel_tol", default=1e-8,
+                       type=_checked_float(lambda v: numrank.RankTolerance(relative_threshold=v)),
                        help="relative singular-value threshold")
-        p.add_argument("--tol-floor", dest="abs_floor", type=float, default=1e-12,
+        p.add_argument("--tol-floor", dest="abs_floor", default=1e-12,
+                       type=_checked_float(lambda v: numrank.RankTolerance(absolute_floor=v)),
                        help="absolute singular-value floor")
         for flag in flags:
             kwargs = dict(_FLAGS[flag])

@@ -40,9 +40,14 @@ MAX_STEP_HALVINGS = 10
 DEFAULT_DOMAIN_RADIUS = 10.0
 
 
-def _svd_analysis(matrix, tol):
-    """(numeric rank, orthonormal kernel rows, singular values)."""
-    _, sigma, vt = np.linalg.svd(matrix, full_matrices=True)
+def _check_step(step):
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be finite and positive, got {step!r}")
+
+
+def _svd_analysis(jac, tol):
+    """(numeric rank, orthonormal kernel rows, singular values) of an evaluated DF."""
+    _, sigma, vt = np.linalg.svd(jac.matrix, full_matrices=True)
     rank = tol.rank_of(sigma)
     return rank, vt[rank:], sigma
 
@@ -57,8 +62,7 @@ class LocalDimension:
 
 
 def local_dimension(system: StructuredPolySystem, p, tol: RankTolerance = RankTolerance()) -> LocalDimension:
-    jac = system.jacobian(p)
-    rank, kernel, _ = _svd_analysis(jac.matrix, tol)
+    rank, kernel, _ = _svd_analysis(system.jacobian(p), tol)
     return LocalDimension(dimension=system.num_variables - rank, rank=rank, kernel=kernel)
 
 
@@ -67,42 +71,37 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
 
     Uses minimum-norm Gauss-Newton steps (pseudoinverse), which handle
     rectangular and rank-deficient Jacobians uniformly, with halving
-    backtracks. Returns (best point, iterations, converged, best residual);
-    a stall at a nonzero residual means a local minimum was reached.
+    backtracks. One ``jacobian`` call per point gives its residual and the
+    next step's matrix. Returns (evaluation of the last accepted point, or
+    None if x0 cannot be evaluated; iterations; converged; residual).
+    Accepted steps lower the residual strictly, so that point is the best
+    one seen; a stall at a nonzero residual means a local minimum.
     """
-    x = np.asarray(x0, dtype=np.float64)
-
-    def residual_norm(pt):
+    def evaluation(pt):
         try:
-            return float(np.linalg.norm(system.evaluate(pt) - target))
+            jac = system.jacobian(pt)
         except (ValueError, FloatingPointError):
-            return np.inf
+            return None, np.inf
+        return jac, float(np.linalg.norm(jac.residual_target - target))
 
-    rn = residual_norm(x)
+    jac, rn = evaluation(x0)
     if not np.isfinite(rn):
-        return x, 0, False, np.inf
-    best_x, best_rn = x, rn
+        return jac, 0, False, np.inf
     iterations = 0
     while rn > residual_tol and iterations < max_iterations:
         iterations += 1
-        jac = system.jacobian(x)
         r = jac.residual_target - target
         step, *_ = np.linalg.lstsq(jac.matrix, -r, rcond=None)
         t = 1.0
-        improved = False
         for _ in range(max_backtracks):
-            xn = x + t * step
-            rn_new = residual_norm(xn)
-            if rn_new < rn:
-                improved = True
+            trial, trial_rn = evaluation(jac.point + t * step)
+            if trial_rn < rn:
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-        x, rn = xn, rn_new
-        if rn < best_rn:
-            best_x, best_rn = x, rn
-    return best_x, iterations, best_rn <= residual_tol, best_rn
+        jac, rn = trial, trial_rn
+    return jac, iterations, rn <= residual_tol, rn
 
 
 @dataclass(frozen=True)
@@ -193,16 +192,15 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
     traveled = 0.0
     while len(points) < budget:
         halvings = 0
-        accepted = None
         while True:
             predicted = x + h * tangent
-            cx, iters, ok, rn = _gauss_newton(
+            jac, iters, ok, rn = _gauss_newton(
                 system, predicted, target, CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS
             )
-            advance = float(np.linalg.norm(cx - x))
-            if ok and advance <= step and rn <= residual_tol:
-                accepted = (cx, iters, rn)
-                break
+            if ok and rn <= residual_tol:
+                advance = float(np.linalg.norm(jac.point - x))
+                if advance <= step:
+                    break
             halvings += 1
             if halvings > MAX_STEP_HALVINGS:
                 events.append(BranchEvent(
@@ -213,7 +211,7 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
                 ))
                 return points, events, False
             h *= 0.5
-        cx, iters, rn = accepted
+        cx = jac.point
         if np.abs(cx).max() > radius:
             events.append(BranchEvent(
                 kind="domain-exit",
@@ -222,7 +220,7 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
                 location=cx,
             ))
             return points, events, False
-        rank, kernel, _ = _svd_analysis(system.jacobian(cx).matrix, tol)
+        rank, kernel, _ = _svd_analysis(jac, tol)
         if rank != rank0:
             events.append(BranchEvent(
                 kind="rank-drop",
@@ -276,14 +274,13 @@ def trace_curve(
     satisfies the residual bound, lies within ``step`` of its predecessor,
     and has the same numeric rank as p.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _check_step(step)
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
     p = np.asarray(p, dtype=np.float64)
-    target = system.evaluate(p)
     jac0 = system.jacobian(p)
-    rank0, kernel0, _ = _svd_analysis(jac0.matrix, tol)
+    target = jac0.residual_target
+    rank0, kernel0, _ = _svd_analysis(jac0, tol)
     dim = system.num_variables - rank0
     if dim != 1:
         raise WrongDimensionError(
@@ -367,7 +364,7 @@ def _sigma_significant(sigma, rank0):
     return float(sigma[rank0 - 1])
 
 
-def _hunt_rank_drop(system, x0, target, rank0, step, tol, radius, rng,
+def _hunt_rank_drop(system, start, target, rank0, step, tol, radius, rng,
                     max_corrections=400):
     """Greedy descent of the rank0-th singular value along the solution set.
 
@@ -375,10 +372,10 @@ def _hunt_rank_drop(system, x0, target, rank0, step, tol, radius, rng,
     rank drops; descending the smallest significant singular value finds it
     when it exists (the value decays to zero on approach). Reports a drop
     only if the numeric rank at the refined point, under the standard
-    tolerance, is below rank0.
+    tolerance, is below rank0. ``start`` is the evaluation of the start point.
     """
-    x = np.asarray(x0, dtype=np.float64)
-    rank, kernel, sigma = _svd_analysis(system.jacobian(x).matrix, tol)
+    x = start.point
+    rank, kernel, sigma = _svd_analysis(start, tol)
     current = _sigma_significant(sigma, rank0)
     if rank < rank0:
         return x, rank, current
@@ -394,19 +391,19 @@ def _hunt_rank_drop(system, x0, target, rank0, step, tol, radius, rng,
                 continue
             for sign in (1.0, -1.0):
                 trial = x + (sign * h / norm) * base_dir
-                cx, _, ok, _ = _gauss_newton(
+                jac, _, ok, _ = _gauss_newton(
                     system, trial, target,
                     CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS,
                 )
                 corrections += 1
-                if not ok or np.abs(cx).max() > radius:
+                if not ok or np.abs(jac.point).max() > radius:
                     continue
-                r, k, s = _svd_analysis(system.jacobian(cx).matrix, tol)
+                r, k, s = _svd_analysis(jac, tol)
                 value = _sigma_significant(s, rank0)
                 if r < rank0:
-                    return cx, r, value
+                    return jac.point, r, value
                 if value < current:
-                    x, rank, kernel, current = cx, r, k, value
+                    x, rank, kernel, current = jac.point, r, k, value
                     improved = True
                     break
             if improved:
@@ -437,9 +434,11 @@ def manifold_probe(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    _check_step(step)
     p = np.asarray(p, dtype=np.float64)
-    target = system.evaluate(p)
-    rank0, kernel, sigma0 = _svd_analysis(system.jacobian(p).matrix, tol)
+    jac0 = system.jacobian(p)
+    target = jac0.residual_target
+    rank0, kernel, sigma0 = _svd_analysis(jac0, tol)
     dim = system.num_variables - rank0
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
@@ -450,13 +449,13 @@ def manifold_probe(
         for _ in range(samples):
             eta = rng.standard_normal(p.size)
             eta /= float(np.linalg.norm(eta))
-            cx, _, ok, _ = _gauss_newton(
+            jac, _, ok, _ = _gauss_newton(
                 system, p + probe_radius * eta, target,
                 residual_tol, 2 * MAX_CORRECTOR_ITERATIONS,
             )
             if not ok:
                 failures += 1
-            elif float(np.linalg.norm(cx - p)) <= return_tol:
+            elif float(np.linalg.norm(jac.point - p)) <= return_tol:
                 returned += 1
         return ManifoldProbeReport(
             base_point=p, rank=rank0, dimension=0,
@@ -473,7 +472,7 @@ def manifold_probe(
     accepted = 0
     x = p
     min_sigma = _sigma_significant(sigma0, rank0)
-    argmin_x = p
+    argmin = jac0
     drop_point = None
     drop_rank = None
     for _ in range(samples):
@@ -486,28 +485,28 @@ def manifold_probe(
         moved = False
         for sign in (1.0, -1.0):
             trial = x + sign * step * direction
-            cx, _, ok, rn = _gauss_newton(
+            jac, _, ok, rn = _gauss_newton(
                 system, trial, target, CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS
             )
-            if ok and rn <= residual_tol and np.abs(cx).max() <= domain_radius:
+            if ok and rn <= residual_tol and np.abs(jac.point).max() <= domain_radius:
                 moved = True
                 break
         if not moved:
             failures += 1
             continue
-        rank, k, sigma = _svd_analysis(system.jacobian(cx).matrix, tol)
+        rank, k, sigma = _svd_analysis(jac, tol)
         histogram[rank] = histogram.get(rank, 0) + 1
         accepted += 1
         value = _sigma_significant(sigma, rank0)
         if value < min_sigma:
-            min_sigma, argmin_x = value, cx
+            min_sigma, argmin = value, jac
         if rank < rank0:
-            drop_point, drop_rank = cx, rank
+            drop_point, drop_rank = jac.point, rank
             break
-        x, kernel = cx, k
+        x, kernel = jac.point, k
     if drop_point is None and accepted > 0:
         hx, hrank, hsigma = _hunt_rank_drop(
-            system, argmin_x, target, rank0, step, tol, domain_radius, rng
+            system, argmin, target, rank0, step, tol, domain_radius, rng
         )
         min_sigma = min(min_sigma, hsigma)
         if hrank < rank0:
@@ -576,10 +575,10 @@ def perturbation_probe(
     tried = 0
     for x0 in starts:
         tried += 1
-        cx, _, ok, rn = _gauss_newton(system, x0, target, residual_tol, max_newton)
+        jac, _, ok, rn = _gauss_newton(system, x0, target, residual_tol, max_newton)
         if ok:
             return PerturbationProbe(
-                delta=delta, solved=True, solution=cx,
+                delta=delta, solved=True, solution=jac.point,
                 residual_floor=rn, starts_tried=tried,
             )
         best_rn = min(best_rn, rn)

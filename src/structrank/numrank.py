@@ -182,6 +182,12 @@ def generic_rank_randomized(
     )
 
 
+def check_pass_threshold(value):
+    """Raise ValueError unless the PASS threshold lies in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"pass_threshold must lie in (0, 1], got {value!r}")
+
+
 def certify_acr(
     pattern: StructurePattern,
     trials: int = 1000,
@@ -199,6 +205,7 @@ def certify_acr(
     systems and points form null sets, so disagreements should be rare and
     tolerance-induced.
     """
+    check_pass_threshold(pass_threshold)
     if isinstance(pattern, GeneralizedStructure):
         raise StructureError(
             "certification against the matching rank needs a plain pattern; "

@@ -230,14 +230,7 @@ class StructuredPolySystem:
 
     def evaluate(self, x) -> np.ndarray:
         """F(x), with derived variables substituted first."""
-        x = self._check_point(x)
-        derived_values = self._derived_values(x)
-        return np.array(
-            [
-                eq.value(self._symbol_values(e, x, derived_values))
-                for e, eq in enumerate(self.equations)
-            ]
-        )
+        return self.jacobian(x).residual_target
 
     def jacobian(self, x) -> JacobianEvaluation:
         """Exact Jacobian at ``x``; entries outside the effective pattern are zero.

@@ -154,9 +154,10 @@ class TestErrorHandling:
         assert code == 2
 
     def test_unknown_dataset_is_input_error(self):
-        code, text = run(AnalysisRequest("classify", dataset="nope"))
-        assert code == 2
-        assert "available" in text
+        for subcommand in ("classify", "trace", "probe"):
+            code, text = run(AnalysisRequest(subcommand, dataset="nope", from_point=(1.0,)))
+            assert code == 2, subcommand
+            assert "available" in text
 
     def test_rank_of_generalized_structure_is_analysis_error(self):
         code, text = run(AnalysisRequest("rank", dataset="example5"))
@@ -225,6 +226,17 @@ class TestMainEntryPoint:
         (["probe", "--dataset", "xy", "--from", "1,0", "--samples", "-3"], "--samples"),
         (["trace", "--dataset", "eqcep1", "--from", "nan,1,1"], "--from"),
         (["probe", "--dataset", "eqcep1", "--from", "1,1,1", "--delta", "0,inf,0"], "--delta"),
+        (["trace", "--dataset", "eqcep1", "--from", "1,1,1", "--step", "nan"], "--step"),
+        (["trace", "--dataset", "eqcep1", "--from", "1,1,1", "--step", "0"], "--step"),
+        (["trace", "--dataset", "eqcep1", "--from", "1,1,1", "--radius", "-1"], "--radius"),
+        (["probe", "--dataset", "xy", "--from", "1,0", "--step", "-1"], "--step"),
+        (["probe", "--dataset", "xy", "--from", "1,0", "--radius", "inf"], "--radius"),
+        (["certify", "--dataset", "cep3", "--tol", "2"], "--tol"),
+        (["certify", "--dataset", "cep3", "--tol", "nan"], "--tol"),
+        (["rank", "--dataset", "cep3", "--tol-floor", "-1"], "--tol-floor"),
+        (["certify", "--dataset", "cep3", "--pass-threshold", "7"], "--pass-threshold"),
+        (["certify", "--dataset", "cep3", "--pass-threshold", "0"], "--pass-threshold"),
+        (["certify", "--dataset", "cep3", "--pass-threshold", "nan"], "--pass-threshold"),
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

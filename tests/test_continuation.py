@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from structrank import (
+    StructuredPolySystem,
     StructurePattern,
     WrongDimensionError,
     local_dimension,
@@ -128,8 +129,9 @@ class TestTraceCurve:
             trace_curve(arm, np.zeros(6) + 0.3)
 
     def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            trace_curve(get_dataset("xy").system, [1.0, 1.0], step=0.0)
+        for step in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="step"):
+                trace_curve(get_dataset("xy").system, [1.0, 1.0], step=step)
 
     def test_empty_point_budget_rejected(self):
         with pytest.raises(ValueError, match="max_points"):
@@ -163,12 +165,49 @@ class TestManifoldProbe:
         with pytest.raises(ValueError, match="samples"):
             manifold_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], samples=samples)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match="step"):
+            manifold_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], step=step)
+
     def test_surface_walk_on_arm_linkage(self):
         sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=2)
         p = np.array([0.3, -0.1, 0.4, 0.2, -0.3, 0.5])
         report = manifold_probe(sys, p, samples=30, seed=0)
         assert report.dimension == 3
         assert not report.rank_drop_found
+
+
+class TestEvaluationReuse:
+    """Continuation evaluates every point once, through ``jacobian``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"evaluate": 0, "jacobian": []}
+        jacobian, evaluate = StructuredPolySystem.jacobian, StructuredPolySystem.evaluate
+
+        def counted_jacobian(system, x):
+            calls["jacobian"].append(np.asarray(x, dtype=np.float64).tobytes())
+            return jacobian(system, x)
+
+        def counted_evaluate(system, x):
+            calls["evaluate"] += 1
+            return evaluate(system, x)
+
+        monkeypatch.setattr(StructuredPolySystem, "jacobian", counted_jacobian)
+        monkeypatch.setattr(StructuredPolySystem, "evaluate", counted_evaluate)
+        return calls
+
+    def test_trace_curve(self, calls):
+        trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], step=0.05)
+        assert calls["evaluate"] == 0
+        assert len(calls["jacobian"]) == len(set(calls["jacobian"]))
+
+    def test_manifold_probe(self, calls):
+        sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=2)
+        manifold_probe(sys, [0.3, -0.1, 0.4, 0.2, -0.3, 0.5], samples=30, seed=0)
+        assert calls["evaluate"] == 0
+        assert len(calls["jacobian"]) == len(set(calls["jacobian"]))
 
 
 class TestPerturbationProbe:

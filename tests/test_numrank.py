@@ -156,6 +156,11 @@ class TestCertifyAcr:
         with pytest.raises(StructureError):
             certify_acr(example5_structure(), trials=10)
 
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, 7.0, np.nan, np.inf])
+    def test_pass_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="pass_threshold"):
+            certify_acr(get_dataset("cep3").structure, trials=10, pass_threshold=threshold)
+
     def test_report_is_reproducible(self):
         p = get_dataset("twogene").structure
         a = certify_acr(p, trials=50, seed=9)
