@@ -66,7 +66,12 @@ def _tolerance(request):
 
 
 def _dataset(request):
-    """The bundled dataset named by --dataset; an unknown name is an input error."""
+    """The bundled dataset named by --dataset.
+
+    An unknown name, or an input file given as well, is an input error.
+    """
+    if request.input_path is not None:
+        raise _InputError("give either --dataset or an input file, not both")
     try:
         return get_dataset(request.dataset)
     except StructrankError as exc:
@@ -75,8 +80,6 @@ def _dataset(request):
 
 def _load_structure(request, as_pattern=True):
     """Resolve --dataset or the input path to a structure."""
-    if request.dataset is not None and request.input_path is not None:
-        raise _InputError("give either --dataset or an input file, not both")
     if request.dataset is not None:
         structure = _dataset(request).structure
     elif request.input_path is not None:
@@ -431,7 +434,7 @@ def _positive_int(text):
 _FLAGS = {
     "--trials": dict(type=_positive_int, default=200),
     "--seed": dict(type=int, default=0),
-    "--degree": dict(type=int, default=2),
+    "--degree": dict(type=_positive_int, default=2),
     "--distribution": dict(choices=["uniform", "normal"], default="uniform"),
     "--pass-threshold": dict(dest="pass_threshold",
                              type=_checked_float(numrank.check_pass_threshold), default=0.99),

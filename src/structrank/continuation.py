@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import WrongDimensionError
 from .numrank import RankTolerance
-from .polysys import StructuredPolySystem
+from .polysys import JacobianEvaluation, StructuredPolySystem
 
 __all__ = [
     "LocalDimension",
@@ -72,14 +72,16 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
     Uses minimum-norm Gauss-Newton steps (pseudoinverse), which handle
     rectangular and rank-deficient Jacobians uniformly, with halving
     backtracks. One ``jacobian`` call per point gives its residual and the
-    next step's matrix. Returns (evaluation of the last accepted point, or
-    None if x0 cannot be evaluated; iterations; converged; residual).
+    next step's matrix; x0 may be passed as its evaluation instead. A zero
+    step ends the descent, as every backtrack trial would be x itself.
+    Returns (evaluation of the last accepted point, or None if x0 cannot be
+    evaluated; iterations; converged; residual).
     Accepted steps lower the residual strictly, so that point is the best
     one seen; a stall at a nonzero residual means a local minimum.
     """
     def evaluation(pt):
         try:
-            jac = system.jacobian(pt)
+            jac = pt if isinstance(pt, JacobianEvaluation) else system.jacobian(pt)
         except (ValueError, FloatingPointError):
             return None, np.inf
         return jac, float(np.linalg.norm(jac.residual_target - target))
@@ -92,6 +94,8 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
         iterations += 1
         r = jac.residual_target - target
         step, *_ = np.linalg.lstsq(jac.matrix, -r, rcond=None)
+        if not step.any():
+            break
         t = 1.0
         for _ in range(max_backtracks):
             trial, trial_rn = evaluation(jac.point + t * step)
@@ -566,9 +570,10 @@ def perturbation_probe(
         raise ValueError(
             f"delta must perturb the {system.num_equations} right-hand sides, got {delta.shape}"
         )
-    target = system.evaluate(p) + delta
+    at_p = system.jacobian(p)
+    target = at_p.residual_target + delta
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    starts = [p] + [
+    starts = [at_p] + [
         p + rng.uniform(-restart_scale, restart_scale, p.size) for _ in range(restarts)
     ]
     best_rn = np.inf

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .polysys import StructuredPolySystem, _sample_with_rng
+from .polysys import StructuredPolySystem, _draw, check_degree, member_plan, stacked_jacobians
 from .structural import structural_rank
 from .structure import GeneralizedStructure, StructurePattern
 
@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 DEFAULT_PASS_THRESHOLD = 0.99
+
+# Trials are drawn and decomposed in chunks whose float64 stack stays under
+# this many bytes.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,9 +68,14 @@ def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
+    return tol.rank_of(_singular_values(a))
+
+
+def _singular_values(a):
+    """Descending singular values of a matrix, or of each matrix in a stack."""
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    return tol.rank_of(np.linalg.svd(a, compute_uv=False))
+    return np.linalg.svd(a, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -121,14 +130,23 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
-def _run_trials(draw, trials, seed, tol, target_rank=None, pass_threshold=None, **extra):
-    """Rank histogram of ``draw(rng)`` over the per-trial streams, as a report."""
+def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_threshold=None,
+                **extra):
+    """Rank histogram of the drawn matrices over the per-trial streams, as a report.
+
+    ``draw(rngs)`` returns one matrix per generator, stacked, and ``entries``
+    bounds the float64 values one trial occupies. Trials run in chunks sized
+    to CHUNK_BYTES, with one SVD call per chunk.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     histogram = {}
-    for i in range(trials):
-        r = numeric_rank(draw(_trial_rng(seed, i)), tol)
-        histogram[r] = histogram.get(r, 0) + 1
+    for start in range(0, trials, per_chunk):
+        rngs = [_trial_rng(seed, i) for i in range(start, min(start + per_chunk, trials))]
+        for sigma in _singular_values(draw(rngs)):
+            r = tol.rank_of(sigma)
+            histogram[r] = histogram.get(r, 0) + 1
     estimated = max(histogram)
     if target_rank is None:
         agreement = histogram[estimated]
@@ -150,14 +168,25 @@ def _run_trials(draw, trials, seed, tol, target_rank=None, pass_threshold=None, 
     )
 
 
-def _member_jacobian(structure, degree, distribution):
-    """Trial draw: Jacobian of a random member at a point uniform on [-1, 1]^N."""
-    def draw(rng):
-        equations = _sample_with_rng(structure, degree, rng, distribution)
-        system = StructuredPolySystem(structure, degree, equations,
-                                      seed=None, distribution=distribution)
-        return system.jacobian(rng.uniform(-1.0, 1.0, structure.num_variables)).matrix
-    return draw
+def _member_jacobians(structure, degree, distribution):
+    """Trial draw: Jacobians of random members at points uniform on [-1, 1]^N.
+
+    Each generator draws all of its member's coefficients in one call, then
+    its point; one call yields the same values as the per-equation draws of
+    ``_sample_with_rng``. Returns the draw and the entries one trial occupies.
+    """
+    check_degree(degree)
+    plan = member_plan(structure, degree)
+    n = structure.num_variables
+
+    def draw(rngs):
+        coefficients = np.empty((len(rngs), plan.num_coefficients))
+        points = np.empty((len(rngs), n))
+        for t, rng in enumerate(rngs):
+            coefficients[t] = _draw(rng, distribution, plan.num_coefficients)
+            points[t] = rng.uniform(-1.0, 1.0, n)
+        return stacked_jacobians(plan, coefficients, points)
+    return draw, plan.entries
 
 
 def generic_rank_randomized(
@@ -177,7 +206,7 @@ def generic_rank_randomized(
     if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
         raise TypeError(f"expected a structure, got {type(structure).__name__}")
     return _run_trials(
-        _member_jacobian(structure, degree, distribution), trials, seed, tol,
+        *_member_jacobians(structure, degree, distribution), trials, seed, tol,
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
     )
 
@@ -212,7 +241,7 @@ def certify_acr(
             "generalized structures have no exact combinatorial rank"
         )
     return _run_trials(
-        _member_jacobian(pattern, degree, distribution), trials, seed, tol,
+        *_member_jacobians(pattern, degree, distribution), trials, seed, tol,
         target_rank=structural_rank(pattern), pass_threshold=pass_threshold,
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
     )
@@ -238,8 +267,11 @@ def matrix_space_rank(
         raise ValueError("basis matrices must share one 2-D shape")
     stack = np.stack(mats)
     return _run_trials(
-        lambda rng: np.tensordot(rng.uniform(-1.0, 1.0, len(mats)), stack, axes=1),
-        trials, seed, tol, distribution="uniform", point_domain="coefficients uniform[-1,1]",
+        lambda rngs: np.stack([
+            np.tensordot(rng.uniform(-1.0, 1.0, len(mats)), stack, axes=1) for rng in rngs
+        ]),
+        stack[0].size, trials, seed, tol,
+        distribution="uniform", point_domain="coefficients uniform[-1,1]",
     )
 
 

@@ -144,6 +144,36 @@ def equation_symbols(structure, e):
     return tuple(structure.row(e))
 
 
+def _scatter_layout(structure):
+    """Where each equation's symbol values come from and its partials go.
+
+    Returns, per equation, (symbols, slots holding original variables,
+    their variable indices, (slot, derived name) pairs), and per derived
+    name its (support, weights).
+    """
+    layout = []
+    for e in range(structure.num_equations):
+        symbols = equation_symbols(structure, e)
+        slots = [s for s, sym in enumerate(symbols) if isinstance(sym, int)]
+        layout.append((
+            symbols,
+            np.array(slots, dtype=np.intp),
+            np.array([symbols[s] for s in slots], dtype=np.intp),
+            tuple((s, sym) for s, sym in enumerate(symbols) if isinstance(sym, str)),
+        ))
+    derived = (
+        structure.derived_by_name if isinstance(structure, GeneralizedStructure) else {}
+    )
+    derived_support = {
+        name: (
+            np.array(spec.support, dtype=np.intp),
+            np.array([c for _, c in spec.coefficients]),
+        )
+        for name, spec in derived.items()
+    }
+    return tuple(layout), derived_support
+
+
 @dataclass(frozen=True, eq=False)
 class StructuredPolySystem:
     """A concrete polynomial system respecting a structure.
@@ -165,36 +195,15 @@ class StructuredPolySystem:
                 f"structure has {self.structure.num_equations} equations, "
                 f"got {len(self.equations)} polynomials"
             )
-        for e, eq in enumerate(self.equations):
-            if eq.symbols != equation_symbols(self.structure, e):
+        layout, derived_support = _scatter_layout(self.structure)
+        for e, (eq, (symbols, *_)) in enumerate(zip(self.equations, layout)):
+            if eq.symbols != symbols:
                 raise StructureError(f"equation {e + 1} does not match its structure row")
-        # Per-equation scatter plans, computed once.
-        var_slots, var_idx, derived_slots = [], [], []
-        derived = (
-            self.structure.derived_by_name
-            if isinstance(self.structure, GeneralizedStructure)
-            else {}
-        )
-        for eq in self.equations:
-            slots = [s for s, sym in enumerate(eq.symbols) if isinstance(sym, int)]
-            var_slots.append(np.array(slots, dtype=np.intp))
-            var_idx.append(
-                np.array([eq.symbols[s] for s in slots], dtype=np.intp)
-            )
-            derived_slots.append(
-                tuple((s, eq.symbols[s]) for s in range(len(eq.symbols)) if isinstance(eq.symbols[s], str))
-            )
-        dsupport = {
-            name: (
-                np.array(spec.support, dtype=np.intp),
-                np.array([c for _, c in spec.coefficients]),
-            )
-            for name, spec in derived.items()
-        }
-        object.__setattr__(self, "_var_slots", tuple(var_slots))
-        object.__setattr__(self, "_var_idx", tuple(var_idx))
-        object.__setattr__(self, "_derived_slots", tuple(derived_slots))
-        object.__setattr__(self, "_derived_support", dsupport)
+        _, var_slots, var_idx, derived_slots = zip(*layout)
+        object.__setattr__(self, "_var_slots", var_slots)
+        object.__setattr__(self, "_var_idx", var_idx)
+        object.__setattr__(self, "_derived_slots", derived_slots)
+        object.__setattr__(self, "_derived_support", derived_support)
 
     @property
     def num_equations(self):
@@ -335,6 +344,19 @@ def _sample_with_rng(structure, degree, rng, distribution):
     return tuple(equations)
 
 
+def check_degree(degree, allow_constant=False):
+    """Raise ValueError unless degree >= 1, or >= 0 when constants are allowed.
+
+    Degree 0 means constant equations, whose Jacobian rows are identically zero.
+    """
+    least = 0 if allow_constant else 1
+    if degree < least:
+        raise ValueError(
+            f"degree must be >= {least}, got {degree}: degree 0 means constant "
+            "equations with identically zero Jacobian rows"
+        )
+
+
 def sample_system(
     structure,
     degree: int = 2,
@@ -349,16 +371,88 @@ def sample_system(
     (structure, degree, seed, distribution); the generator is PCG64, which is
     platform independent.
     """
-    if degree < 0 or (degree == 0 and not allow_constant):
-        raise ValueError(
-            "degree 0 means constant equations with identically zero Jacobian rows; "
-            "pass allow_constant=True if that is intended"
-        )
+    check_degree(degree, allow_constant)
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     equations = _sample_with_rng(structure, degree, rng, distribution)
     return StructuredPolySystem(structure, degree, equations, seed=seed, distribution=distribution)
+
+
+@dataclass(frozen=True, eq=False)
+class _MemberPlan:
+    """Scatter layout of every member of a structured space at one degree.
+
+    A member is one flat coefficient vector: the equations' vectors, each
+    aligned with its monomial table, concatenated at ``equations[e][1]``.
+    ``entries`` bounds the float64 values one member occupies in
+    ``stacked_jacobians``: its Jacobian, its coefficients or its largest
+    table of powers.
+    """
+
+    num_variables: int
+    equations: tuple  # per equation: (table, offset, var slots, var indices, derived slots)
+    derived_support: dict
+    num_coefficients: int
+    entries: int
+
+
+def member_plan(structure, degree) -> _MemberPlan:
+    """The layout ``stacked_jacobians`` needs, computed once per structure and degree."""
+    layout, derived_support = _scatter_layout(structure)
+    equations, offset, widest = [], 0, 0
+    for symbols, var_slots, var_idx, derived_slots in layout:
+        table = _monomial_table(len(symbols), degree)
+        equations.append((table, offset, var_slots, var_idx, derived_slots))
+        offset += table.size
+        widest = max(widest, table.exponents.size)
+    num_variables = structure.num_variables
+    return _MemberPlan(
+        num_variables, tuple(equations), derived_support, offset,
+        max(len(layout) * num_variables, offset, widest),
+    )
+
+
+def _rowwise_dot(a, b):
+    """``a[t] @ b[t]`` for every row t, through the BLAS dot a 1-D ``@`` uses.
+
+    Both operands are made C-contiguous: on strided rows matmul leaves the
+    dot path and the sums can differ from the 1-D ones in the last ulp.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def stacked_jacobians(plan, coefficients, points) -> np.ndarray:
+    """Jacobians of T members, member t at ``points[t]``.
+
+    Takes (T, K) coefficients laid out by ``plan`` and (T, N) points and
+    returns (T, M, N). The arithmetic is that of
+    ``StructuredPolySystem.jacobian`` in the same order over a leading trial
+    axis, so each matrix equals the per-point one bit for bit.
+    """
+    count = len(points)
+    derived_values = {
+        name: _rowwise_dot(np.broadcast_to(weights, (count, idx.size)), points[:, idx])
+        for name, (idx, weights) in plan.derived_support.items()
+    }
+    J = np.zeros((count, len(plan.equations), plan.num_variables))
+    for e, (table, offset, var_slots, var_idx, derived_slots) in enumerate(plan.equations):
+        sym_vals = np.empty((count, table.exponents.shape[1]))
+        sym_vals[:, var_slots] = points[:, var_idx]
+        for slot, name in derived_slots:
+            sym_vals[:, slot] = derived_values[name]
+        grad = np.zeros(sym_vals.shape)
+        for s, (rows, mult, dexp) in enumerate(table.derivative):
+            if rows.size == 0:
+                continue
+            powers = sym_vals[:, np.newaxis, :] ** dexp
+            grad[:, s] = _rowwise_dot(coefficients[:, offset + rows] * mult, powers.prod(axis=2))
+        J[:, e, var_idx] += grad[:, var_slots]
+        for slot, name in derived_slots:
+            idx, weights = plan.derived_support[name]
+            J[:, e, idx] += weights * grad[:, slot, np.newaxis]
+    return J
 
 
 def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem) -> StructuredPolySystem:

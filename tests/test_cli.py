@@ -170,6 +170,14 @@ class TestErrorHandling:
         code, _ = run(AnalysisRequest("classify", dataset="cep3", input_path=str(path)))
         assert code == 2
 
+    @pytest.mark.parametrize("subcommand", ["trace", "probe"])
+    def test_dataset_and_path_conflict_on_system_subcommands(self, subcommand, tmp_path):
+        request = AnalysisRequest(subcommand, dataset="eqcep1", from_point=(1.0, 1.0, 1.0),
+                                  input_path=str(tmp_path / "missing.json"))
+        code, text = run(request)
+        assert code == 2
+        assert "either --dataset or an input file" in text
+
     def test_missing_input_reported(self):
         code, text = run(AnalysisRequest("classify"))
         assert code == 2
@@ -237,6 +245,11 @@ class TestMainEntryPoint:
         (["certify", "--dataset", "cep3", "--pass-threshold", "7"], "--pass-threshold"),
         (["certify", "--dataset", "cep3", "--pass-threshold", "0"], "--pass-threshold"),
         (["certify", "--dataset", "cep3", "--pass-threshold", "nan"], "--pass-threshold"),
+        (["certify", "--dataset", "sole26", "--trials", "5", "--degree", "0"], "--degree"),
+        (["certify", "--dataset", "sole26", "--trials", "5", "--degree", "-1"], "--degree"),
+        (["generic-rank", "--dataset", "example5", "--degree", "0"], "--degree"),
+        (["trace", "--dataset", "cep3", "--degree", "0", "--from", "1,1,1"], "--degree"),
+        (["probe", "--dataset", "cep3", "--degree", "0", "--from", "1,1,1"], "--degree"),
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

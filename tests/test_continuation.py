@@ -209,6 +209,14 @@ class TestEvaluationReuse:
         assert calls["evaluate"] == 0
         assert len(calls["jacobian"]) == len(set(calls["jacobian"]))
 
+    def test_zero_corrector_step(self, calls):
+        # DF(0, 0) of x1*x2 is zero while F misses the target, so the
+        # least-squares step is zero and no backtrack trial can move.
+        probe = perturbation_probe(get_dataset("xy").system, [0.0, 0.0], [1.0], restarts=0)
+        assert not probe.solved
+        assert calls["evaluate"] == 0
+        assert len(calls["jacobian"]) == len(set(calls["jacobian"]))
+
 
 class TestPerturbationProbe:
     def test_inconsistent_perturbation_of_quartic(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,7 +18,10 @@ from structrank import (
     structural_rank,
     system_from_terms,
 )
+from structrank import numrank
 from structrank.datasets import get_dataset
+from structrank.numrank import _member_jacobians, _trial_rng
+from structrank.polysys import StructuredPolySystem, _sample_with_rng, member_plan
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
 
@@ -138,6 +143,11 @@ class TestGenericRankRandomized:
         with pytest.raises(ValueError):
             generic_rank_randomized(get_dataset("cep3").structure, trials=0)
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_constant_members_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            generic_rank_randomized(example5_structure(), trials=5, degree=degree)
+
 
 class TestCertifyAcr:
     def test_cep_pattern_certifies(self):
@@ -151,6 +161,11 @@ class TestCertifyAcr:
         report = certify_acr(p, trials=100, seed=0)
         assert report.agreement_count == 100
         assert report.estimated_rank == 0
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_constant_members_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            certify_acr(get_dataset("sole26").structure, trials=5, degree=degree)
 
     def test_generalized_structure_rejected(self):
         with pytest.raises(StructureError):
@@ -196,6 +211,65 @@ class TestMatrixSpaceRank:
     def test_empty_basis(self):
         with pytest.raises(ValueError):
             matrix_space_rank([], trials=5)
+
+
+class TestStackedTrials:
+    """The chunked trial engine against the per-member, per-trial path."""
+
+    @pytest.mark.parametrize("name", ["sole26", "example5"])
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("distribution", ["uniform", "normal"])
+    def test_jacobians_bit_exact(self, name, degree, distribution):
+        structure = get_dataset(name).structure
+        draw, _ = _member_jacobians(structure, degree, distribution)
+        stacked = draw([_trial_rng(5, i) for i in range(12)])
+        for i, matrix in enumerate(stacked):
+            rng = _trial_rng(5, i)
+            equations = _sample_with_rng(structure, degree, rng, distribution)
+            system = StructuredPolySystem(structure, degree, equations)
+            x = rng.uniform(-1.0, 1.0, structure.num_variables)
+            assert np.array_equal(matrix, system.jacobian(x).matrix)
+
+    @staticmethod
+    def _runs():
+        """(entries per trial, 40-trial run) for each caller of the trial loop."""
+        sole26, example5 = get_dataset("sole26").structure, get_dataset("example5").structure
+        basis = [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]]
+        return [
+            (member_plan(sole26, 2).entries, lambda: certify_acr(sole26, trials=40, seed=3)),
+            (member_plan(example5, 3).entries,
+             lambda: generic_rank_randomized(example5, trials=40, degree=3, seed=3,
+                                             distribution="normal")),
+            (6, lambda: matrix_space_rank(basis, trials=40, seed=3)),
+        ]
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_chunk_size_does_not_change_reports(self, per_chunk, monkeypatch):
+        for entries, run in self._runs():
+            expected = run()
+            monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * per_chunk)
+            assert run() == expected
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("per_chunk", [None, 7])
+    def test_one_svd_call_per_chunk(self, per_chunk, monkeypatch):
+        svd, shapes = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for entries, run in self._runs():
+            if per_chunk is None:
+                chunk = numrank.CHUNK_BYTES // (8 * entries)
+            else:
+                chunk = per_chunk
+                monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * per_chunk)
+            shapes.clear()
+            run()
+            assert len(shapes) == math.ceil(40 / chunk)
+            assert sum(shape[0] for shape in shapes) == 40
 
 
 class TestRankMaximizerSweep:
