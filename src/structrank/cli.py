@@ -302,8 +302,12 @@ def _cmd_probe(request):
         if report.rank_drop_found:
             where = ", ".join(f"{v:.4g}" for v in report.drop_point)
             lines.append(f"rank drop found: rank {report.drop_rank} at ({where})")
-        elif report.samples_accepted > 0:
+        elif set(report.rank_histogram) == {report.rank}:
             lines.append("rank constant along all samples (manifold evidence)")
+        elif report.samples_accepted > 0:
+            ranks = ", ".join(str(r) for r in sorted(report.rank_histogram))
+            lines.append(f"rank changed near the base point: samples at rank {ranks}, "
+                         f"base rank {report.rank}")
     return "\n".join(lines) + "\n"
 
 

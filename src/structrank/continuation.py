@@ -507,7 +507,10 @@ def manifold_probe(
         if rank < rank0:
             drop_point, drop_rank = jac.point, rank
             break
-        x, kernel = jac.point, k
+        if rank == rank0:
+            # The walk steps along the base kernel's dimension; a sample
+            # at a higher rank (p exceptional) is counted, not walked from.
+            x, kernel = jac.point, k
     if drop_point is None and accepted > 0:
         hx, hrank, hsigma = _hunt_rank_drop(
             system, argmin, target, rank0, step, tol, domain_radius, rng

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -47,13 +48,16 @@ class _MonomialTable:
     """All exponent vectors of total degree <= degree, graded order.
 
     Graded ordering makes lower-degree tables prefixes of higher-degree ones,
-    so coefficient vectors embed by zero-padding. ``derivative`` holds, per
-    symbol s, the row indices with a positive exponent on s, the exponent
-    multipliers, and the decremented exponent rows.
+    so coefficient vectors embed by zero-padding. By symmetry every symbol s
+    has the same number R of rows with a positive exponent on s:
+    ``rows[s]`` holds them, ``multipliers[s]`` their exponents on s and
+    ``dexponents[s]`` the rows with that exponent decremented.
     """
 
     exponents: np.ndarray  # (K, S)
-    derivative: tuple  # per symbol: (rows, multipliers, dexponents)
+    rows: np.ndarray  # (S, R)
+    multipliers: np.ndarray  # (S, R)
+    dexponents: np.ndarray  # (S, R, S)
 
     @property
     def size(self):
@@ -66,14 +70,15 @@ def _monomial_table(num_symbols: int, degree: int) -> _MonomialTable:
         v for total in range(degree + 1) for v in _sum_vectors(num_symbols, total)
     ]
     expts = np.array(vectors, dtype=np.int64).reshape(len(vectors), num_symbols)
-    deriv = []
-    for s in range(num_symbols):
-        rows = np.flatnonzero(expts[:, s] > 0)
-        mult = expts[rows, s].astype(np.float64)
-        dexp = expts[rows].copy()
-        dexp[:, s] -= 1
-        deriv.append((rows, mult, dexp))
-    return _MonomialTable(expts, tuple(deriv))
+    width = int(np.count_nonzero(expts[:, 0])) if num_symbols else 0
+    rows = np.array(
+        [np.flatnonzero(expts[:, s]) for s in range(num_symbols)], dtype=np.intp
+    ).reshape(num_symbols, width)
+    symbols = np.arange(num_symbols)
+    mult = expts[rows, symbols[:, None]].astype(np.float64)
+    dexp = expts[rows]
+    dexp[symbols, :, symbols] -= 1
+    return _MonomialTable(expts, rows, mult, dexp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,12 +116,11 @@ class PolyEquation:
 
     def gradient(self, symbol_values: np.ndarray) -> np.ndarray:
         """Exact partials with respect to each symbol."""
+        table = self.table
         out = np.zeros(len(self.symbols))
-        for s, (rows, mult, dexp) in enumerate(self.table.derivative):
-            if rows.size == 0:
-                continue
-            powers = symbol_values[np.newaxis, :] ** dexp
-            out[s] = (self.coefficients[rows] * mult) @ powers.prod(axis=1)
+        for s in range(len(self.symbols)):
+            powers = symbol_values[np.newaxis, :] ** table.dexponents[s]
+            out[s] = (self.coefficients[table.rows[s]] * table.multipliers[s]) @ powers.prod(axis=1)
         return out
 
     def term_dict(self):
@@ -137,41 +141,177 @@ class JacobianEvaluation:
     residual_target: np.ndarray
 
 
-def equation_symbols(structure, e):
-    """Symbol tuple for equation ``e``: sorted variables, then derived names."""
+def _symbol_rows(structure):
+    """Per equation, its symbol tuple: sorted variables, then derived names."""
     if isinstance(structure, GeneralizedStructure):
-        return structure.equation_symbols(e)
-    return tuple(structure.row(e))
+        return tuple(structure.equation_symbols(e) for e in range(structure.num_equations))
+    return tuple(tuple(row) for row in structure.rows())
 
 
-def _scatter_layout(structure):
-    """Where each equation's symbol values come from and its partials go.
+@dataclass(frozen=True, eq=False)
+class _Bucket:
+    """The equations over S symbols, which share one monomial table.
 
-    Returns, per equation, (symbols, slots holding original variables,
-    their variable indices, (slot, derived name) pairs), and per derived
-    name its (support, weights).
+    Column arrays index a member's flat coefficient vector; power arrays
+    index the kernel's flat table of powers, one entry per monomial factor.
+    ``slots`` locates the bucket's partials in the kernel's array of them.
     """
-    layout = []
-    for e in range(structure.num_equations):
-        symbols = equation_symbols(structure, e)
-        slots = [s for s, sym in enumerate(symbols) if isinstance(sym, int)]
-        layout.append((
-            symbols,
-            np.array(slots, dtype=np.intp),
-            np.array([symbols[s] for s in slots], dtype=np.intp),
-            tuple((s, sym) for s, sym in enumerate(symbols) if isinstance(sym, str)),
-        ))
-    derived = (
-        structure.derived_by_name if isinstance(structure, GeneralizedStructure) else {}
+
+    table: _MonomialTable
+    equations: np.ndarray  # (G,)
+    value_columns: np.ndarray  # (G, K)
+    partial_columns: np.ndarray  # (G, S, R)
+    value_powers: np.ndarray  # (G, K, S)
+    partial_powers: np.ndarray  # (G, S, R, S)
+    slots: slice  # G*S partials, equation-major
+
+    def value_coefficients(self, coefficients):
+        """(..., G, K) coefficient rows of one member (K_total,) or a stack (T, K_total)."""
+        return coefficients[..., self.value_columns]
+
+    def partial_coefficients(self, coefficients):
+        """(..., G, S, R) coefficients times exponents, one row per partial."""
+        return coefficients[..., self.partial_columns] * self.table.multipliers
+
+
+@dataclass(frozen=True, eq=False)
+class _MemberPlan:
+    """Evaluation layout of every member of a structured space at one degree.
+
+    A member is one flat coefficient vector: the equations' vectors, each
+    aligned with its monomial table, concatenated in equation order. A point
+    is extended by the values of the derived variables its equations use,
+    whose (support, weights) ``derived`` lists in name order. The kernel
+    raises every extended coordinate to the powers 0..degree once; the
+    buckets index that table. Each ``scatter`` layer adds weighted partials
+    onto the flat Jacobian: layer 0 every variable partial (weight 1), layer
+    k the chain-rule terms of every equation's k-th derived symbol.
+    ``entries`` bounds the float64 values one member occupies in
+    ``stacked_jacobians``: its Jacobian, its coefficients, its table of
+    powers or its largest bucket of monomial factors.
+    """
+
+    symbols: tuple  # per equation, its symbol tuple
+    num_variables: int
+    powers: np.ndarray  # 0..degree
+    derived: tuple  # per derived name: (support, weights)
+    buckets: tuple[_Bucket, ...]
+    num_slots: int
+    scatter: tuple  # per layer: (flat Jacobian targets, partial slots, weights)
+    num_coefficients: int
+    entries: int
+
+
+def member_plan(structure, degree) -> _MemberPlan:
+    """The kernel layout, computed once per structure and degree."""
+    n = structure.num_variables
+    rows = _symbol_rows(structure)
+    specs = structure.derived_by_name if isinstance(structure, GeneralizedStructure) else {}
+    used = sorted({sym for row in rows for sym in row if isinstance(sym, str)})
+    column = {name: n + i for i, name in enumerate(used)}
+    derived = tuple(
+        (np.array(specs[name].support, dtype=np.intp),
+         np.array([c for _, c in specs[name].coefficients]))
+        for name in used
     )
-    derived_support = {
-        name: (
-            np.array(spec.support, dtype=np.intp),
-            np.array([c for _, c in spec.coefficients]),
-        )
-        for name, spec in derived.items()
-    }
-    return tuple(layout), derived_support
+    offsets = np.cumsum([0] + [_monomial_table(len(row), degree).size for row in rows])
+    buckets, layers = [], {}
+    slot = entries = 0
+    for width in sorted({len(row) for row in rows}):
+        members = [e for e, row in enumerate(rows) if len(row) == width]
+        table = _monomial_table(width, degree)
+        first = offsets[members][:, np.newaxis]
+        base = (degree + 1) * np.array(
+            [[column.get(sym, sym) for sym in rows[e]] for e in members], dtype=np.intp
+        ).reshape(len(members), width)
+        buckets.append(_Bucket(
+            table,
+            equations=np.array(members, dtype=np.intp),
+            value_columns=first + np.arange(table.size),
+            partial_columns=first[:, :, np.newaxis] + table.rows,
+            value_powers=base[:, np.newaxis, :] + table.exponents,
+            partial_powers=base[:, np.newaxis, np.newaxis, :] + table.dexponents,
+            slots=slice(slot, slot + len(members) * width),
+        ))
+        for e in members:
+            k = 0
+            for sym in rows[e]:
+                if isinstance(sym, int):
+                    terms = ((sym, 1.0),)
+                else:
+                    terms, k = specs[sym].coefficients, k + 1
+                layer = layers.setdefault(k, ([], [], []))
+                for i, weight in terms:
+                    layer[0].append(e * n + i)
+                    layer[1].append(slot)
+                    layer[2].append(weight)
+                slot += 1
+        entries = max(entries, len(members) * width * max(table.rows.size, table.size))
+    num_coefficients = int(offsets[-1])
+    return _MemberPlan(
+        symbols=rows,
+        num_variables=n,
+        powers=np.arange(degree + 1),
+        derived=derived,
+        buckets=tuple(buckets),
+        num_slots=slot,
+        scatter=tuple(
+            (np.array(t, dtype=np.intp), np.array(src, dtype=np.intp), np.array(w))
+            for t, src, w in (layers[k] for k in sorted(layers))
+        ),
+        num_coefficients=num_coefficients,
+        entries=max(entries, len(rows) * n, num_coefficients,
+                    (n + len(used)) * (degree + 1), slot),
+    )
+
+
+def _rowwise_dot(a, b):
+    """``a[..., :] @ b[..., :]`` for every row, broadcasting the leading axes.
+
+    Each row goes through the BLAS dot a 1-D ``@`` uses. Both operands are
+    made C-contiguous: on strided rows matmul leaves that dot path and the
+    sums can differ from the 1-D ones in the last ulp.
+    """
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
+
+
+def _evaluate(plan, points, partial_coefficients, value_coefficients=None):
+    """Jacobians (T, M, N) of T members at ``points`` (T, N), and their values.
+
+    ``partial_coefficients`` yields each bucket's partial coefficient rows
+    (``_Bucket.partial_coefficients``) in plan order; ``value_coefficients``
+    does the same for values (``_Bucket.value_coefficients``), or is None to
+    skip them. Each bucket is one pass: gather its monomial factors from
+    the table of powers, multiply them over the symbols and take one
+    row-wise dot per kind. Every number is the same sum of the same products
+    as in ``PolyEquation.value``/``gradient``. Jacobian entries are sums onto
+    zeros, so a -0.0 chain-rule term reads +0.0 as it does there.
+    """
+    count, n = points.shape
+    extended = points
+    if plan.derived:
+        extended = np.empty((count, n + len(plan.derived)))
+        extended[:, :n] = points
+        for column, (support, weights) in enumerate(plan.derived, start=n):
+            extended[:, column] = _rowwise_dot(weights, points[:, support])
+    powers = (extended[:, :, np.newaxis] ** plan.powers).reshape(count, -1)
+    partials = np.empty((count, plan.num_slots))
+    values = None if value_coefficients is None else np.empty((count, len(plan.symbols)))
+    for bucket, partial_rows, value_rows in zip(
+        plan.buckets, partial_coefficients, value_coefficients or repeat(None)
+    ):
+        if values is not None:
+            values[:, bucket.equations] = _rowwise_dot(
+                value_rows, np.multiply.reduce(powers.take(bucket.value_powers, axis=1), axis=-1)
+            )
+        partials[:, bucket.slots] = _rowwise_dot(
+            partial_rows, np.multiply.reduce(powers.take(bucket.partial_powers, axis=1), axis=-1)
+        ).reshape(count, -1)
+    J = np.zeros((count, len(plan.symbols) * n))
+    for targets, sources, weights in plan.scatter:
+        J[:, targets] += weights * partials[:, sources]
+    return J.reshape(count, len(plan.symbols), n), values
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,15 +335,22 @@ class StructuredPolySystem:
                 f"structure has {self.structure.num_equations} equations, "
                 f"got {len(self.equations)} polynomials"
             )
-        layout, derived_support = _scatter_layout(self.structure)
-        for e, (eq, (symbols, *_)) in enumerate(zip(self.equations, layout)):
+        plan = member_plan(self.structure, self.degree)
+        for e, (eq, symbols) in enumerate(zip(self.equations, plan.symbols)):
             if eq.symbols != symbols:
                 raise StructureError(f"equation {e + 1} does not match its structure row")
-        _, var_slots, var_idx, derived_slots = zip(*layout)
-        object.__setattr__(self, "_var_slots", var_slots)
-        object.__setattr__(self, "_var_idx", var_idx)
-        object.__setattr__(self, "_derived_slots", derived_slots)
-        object.__setattr__(self, "_derived_support", derived_support)
+            if eq.degree != self.degree:
+                raise StructureError(
+                    f"equation {e + 1} has degree {eq.degree}, the system {self.degree}"
+                )
+        coefficients = np.concatenate([eq.coefficients for eq in self.equations])
+        object.__setattr__(self, "_plan", plan)
+        object.__setattr__(self, "_partial_coefficients", tuple(
+            b.partial_coefficients(coefficients) for b in plan.buckets
+        ))
+        object.__setattr__(self, "_value_coefficients", tuple(
+            b.value_coefficients(coefficients) for b in plan.buckets
+        ))
 
     @property
     def num_equations(self):
@@ -223,20 +370,6 @@ class StructuredPolySystem:
             raise ValueError("point has non-finite components")
         return x
 
-    def _symbol_values(self, e, x, derived_values):
-        eq = self.equations[e]
-        vals = np.empty(len(eq.symbols))
-        vals[self._var_slots[e]] = x[self._var_idx[e]]
-        for slot, name in self._derived_slots[e]:
-            vals[slot] = derived_values[name]
-        return vals
-
-    def _derived_values(self, x):
-        return {
-            name: float(coeffs @ x[idx])
-            for name, (idx, coeffs) in self._derived_support.items()
-        }
-
     def evaluate(self, x) -> np.ndarray:
         """F(x), with derived variables substituted first."""
         return self.jacobian(x).residual_target
@@ -249,18 +382,10 @@ class StructuredPolySystem:
         proportional on its support.
         """
         x = self._check_point(x)
-        derived_values = self._derived_values(x)
-        J = np.zeros((self.num_equations, self.num_variables))
-        values = np.empty(self.num_equations)
-        for e, eq in enumerate(self.equations):
-            sym_vals = self._symbol_values(e, x, derived_values)
-            values[e] = eq.value(sym_vals)
-            grad = eq.gradient(sym_vals)
-            J[e, self._var_idx[e]] += grad[self._var_slots[e]]
-            for slot, name in self._derived_slots[e]:
-                idx, coeffs = self._derived_support[name]
-                J[e, idx] += coeffs * grad[slot]
-        return JacobianEvaluation(point=x, matrix=J, residual_target=values)
+        J, values = _evaluate(
+            self._plan, x[np.newaxis], self._partial_coefficients, self._value_coefficients
+        )
+        return JacobianEvaluation(point=x, matrix=J[0], residual_target=values[0])
 
     def to_json_dict(self):
         from .formats import structure_to_json_dict
@@ -308,8 +433,7 @@ def system_from_terms(
     indices, then derived names).
     """
     equations = []
-    for e in range(structure.num_equations):
-        symbols = equation_symbols(structure, e)
+    for e, symbols in enumerate(_symbol_rows(structure)):
         table = _monomial_table(len(symbols), degree)
         index = {tuple(int(k) for k in row): i for i, row in enumerate(table.exponents)}
         coeffs = np.zeros(table.size)
@@ -337,8 +461,7 @@ def _draw(rng, distribution, size):
 
 def _sample_with_rng(structure, degree, rng, distribution):
     equations = []
-    for e in range(structure.num_equations):
-        symbols = equation_symbols(structure, e)
+    for symbols in _symbol_rows(structure):
         table = _monomial_table(len(symbols), degree)
         equations.append(PolyEquation(symbols, degree, _draw(rng, distribution, table.size)))
     return tuple(equations)
@@ -379,80 +502,17 @@ def sample_system(
     return StructuredPolySystem(structure, degree, equations, seed=seed, distribution=distribution)
 
 
-@dataclass(frozen=True, eq=False)
-class _MemberPlan:
-    """Scatter layout of every member of a structured space at one degree.
-
-    A member is one flat coefficient vector: the equations' vectors, each
-    aligned with its monomial table, concatenated at ``equations[e][1]``.
-    ``entries`` bounds the float64 values one member occupies in
-    ``stacked_jacobians``: its Jacobian, its coefficients or its largest
-    table of powers.
-    """
-
-    num_variables: int
-    equations: tuple  # per equation: (table, offset, var slots, var indices, derived slots)
-    derived_support: dict
-    num_coefficients: int
-    entries: int
-
-
-def member_plan(structure, degree) -> _MemberPlan:
-    """The layout ``stacked_jacobians`` needs, computed once per structure and degree."""
-    layout, derived_support = _scatter_layout(structure)
-    equations, offset, widest = [], 0, 0
-    for symbols, var_slots, var_idx, derived_slots in layout:
-        table = _monomial_table(len(symbols), degree)
-        equations.append((table, offset, var_slots, var_idx, derived_slots))
-        offset += table.size
-        widest = max(widest, table.exponents.size)
-    num_variables = structure.num_variables
-    return _MemberPlan(
-        num_variables, tuple(equations), derived_support, offset,
-        max(len(layout) * num_variables, offset, widest),
-    )
-
-
-def _rowwise_dot(a, b):
-    """``a[t] @ b[t]`` for every row t, through the BLAS dot a 1-D ``@`` uses.
-
-    Both operands are made C-contiguous: on strided rows matmul leaves the
-    dot path and the sums can differ from the 1-D ones in the last ulp.
-    """
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
 def stacked_jacobians(plan, coefficients, points) -> np.ndarray:
     """Jacobians of T members, member t at ``points[t]``.
 
     Takes (T, K) coefficients laid out by ``plan`` and (T, N) points and
-    returns (T, M, N). The arithmetic is that of
-    ``StructuredPolySystem.jacobian`` in the same order over a leading trial
-    axis, so each matrix equals the per-point one bit for bit.
+    returns (T, M, N). It is the kernel of ``StructuredPolySystem.jacobian``
+    with T members instead of one and no values, so each matrix equals the
+    per-point one bit for bit.
     """
-    count = len(points)
-    derived_values = {
-        name: _rowwise_dot(np.broadcast_to(weights, (count, idx.size)), points[:, idx])
-        for name, (idx, weights) in plan.derived_support.items()
-    }
-    J = np.zeros((count, len(plan.equations), plan.num_variables))
-    for e, (table, offset, var_slots, var_idx, derived_slots) in enumerate(plan.equations):
-        sym_vals = np.empty((count, table.exponents.shape[1]))
-        sym_vals[:, var_slots] = points[:, var_idx]
-        for slot, name in derived_slots:
-            sym_vals[:, slot] = derived_values[name]
-        grad = np.zeros(sym_vals.shape)
-        for s, (rows, mult, dexp) in enumerate(table.derivative):
-            if rows.size == 0:
-                continue
-            powers = sym_vals[:, np.newaxis, :] ** dexp
-            grad[:, s] = _rowwise_dot(coefficients[:, offset + rows] * mult, powers.prod(axis=2))
-        J[:, e, var_idx] += grad[:, var_slots]
-        for slot, name in derived_slots:
-            idx, weights = plan.derived_support[name]
-            J[:, e, idx] += weights * grad[:, slot, np.newaxis]
-    return J
+    return _evaluate(
+        plan, points, (b.partial_coefficients(coefficients) for b in plan.buckets)
+    )[0]
 
 
 def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem) -> StructuredPolySystem:

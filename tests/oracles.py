@@ -48,3 +48,32 @@ def hausdorff_distance(a, b):
     b = np.asarray(b)
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def reference_evaluation(structure, equations, x):
+    """(Jacobian, values) of one member, one equation at a time.
+
+    Uses ``PolyEquation.value``/``gradient`` and adds each equation's
+    variable partials onto a zero row, then its chain-rule terms in slot
+    order: the arithmetic the batched kernel must reproduce bit for bit.
+    """
+    derived = getattr(structure, "derived_by_name", {})
+    derived_values = {
+        name: float(np.array([c for _, c in spec.coefficients]) @ x[list(spec.support)])
+        for name, spec in derived.items()
+    }
+    J = np.zeros((len(equations), structure.num_variables))
+    values = np.empty(len(equations))
+    for e, eq in enumerate(equations):
+        sym_vals = np.array([
+            derived_values[sym] if isinstance(sym, str) else x[sym] for sym in eq.symbols
+        ], dtype=np.float64)
+        values[e] = eq.value(sym_vals)
+        grad = eq.gradient(sym_vals)
+        slots = [s for s, sym in enumerate(eq.symbols) if isinstance(sym, int)]
+        J[e, [eq.symbols[s] for s in slots]] += grad[slots]
+        for slot, sym in enumerate(eq.symbols):
+            if isinstance(sym, str):
+                spec = derived[sym]
+                J[e, list(spec.support)] += np.array([c for _, c in spec.coefficients]) * grad[slot]
+    return J, values

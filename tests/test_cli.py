@@ -264,6 +264,15 @@ class TestMainEntryPoint:
         assert "samples accepted: 0/50" in out
         assert "manifold evidence" not in out
 
+    @pytest.mark.parametrize("samples", ["1", "5"])
+    def test_probe_at_exceptional_point_reports_rank_change(self, samples, capsys):
+        # Every sample off the origin has rank 1; the base rank is 0.
+        assert main(["probe", "--dataset", "xy", "--from", "0,0", "--samples", samples]) == 0
+        out = capsys.readouterr().out
+        assert f"samples accepted: {samples}/{samples}" in out
+        assert "rank changed near the base point: samples at rank 1, base rank 0" in out
+        assert "manifold evidence" not in out
+
     @pytest.mark.parametrize("argv, own", [
         (["rank"], {}),
         (["datasets"], {}),

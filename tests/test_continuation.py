@@ -154,6 +154,15 @@ class TestManifoldProbe:
         assert report.drop_rank == 0
         assert np.abs(report.drop_point).max() <= 10.0
 
+    def test_exceptional_base_point_walks_with_base_kernel(self):
+        # DF(0, 0) of x1*x2 is zero, so the base kernel is 2-D while every
+        # sample off the origin has rank 1 and a 1-D kernel.
+        report = manifold_probe(get_dataset("xy").system, [0.0, 0.0], samples=10, seed=0)
+        assert (report.rank, report.dimension) == (0, 2)
+        assert report.samples_accepted == 10
+        assert report.rank_histogram == {1: 10}
+        assert not report.rank_drop_found
+
     def test_identity_isolated_point(self):
         report = manifold_probe(identity_system(), [0.3, -0.2, 0.7], samples=20, seed=1)
         assert report.dimension == 0

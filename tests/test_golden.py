@@ -40,6 +40,10 @@ CASES = {
     "trace-eqcep1": ["trace", "--dataset", "eqcep1", "--from", "1,1,1"],
     "trace-eqcep1-json": ["trace", "--dataset", "eqcep1", "--from", "1,1,1", "-o", "json"],
     "trace-eqcep1-csv": ["trace", "--dataset", "eqcep1", "--from", "1,1,1", "-o", "csv"],
+    "trace-example5-json": ["trace", "--dataset", "example5", "--from", "0.3,0.2,0.1,0.4",
+                            "-o", "json"],
+    "probe-sole26-json": ["probe", "--dataset", "sole26", "--from", ",".join(["0.1"] * 26),
+                          "--samples", "5", "-o", "json"],
     "probe-xy": ["probe", "--dataset", "xy", "--from", "1,0"],
     "probe-xy-json": ["probe", "--dataset", "xy", "--from", "1,0", "-o", "json"],
     "probe-robotarm": ["probe", "--dataset", "robotarm", "--from", "0.1,0.2,0.3,0.4,0.5,0.6",

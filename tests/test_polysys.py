@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from structrank import (
+    StructuredPolySystem,
     StructureError,
     StructurePattern,
     combine,
@@ -11,8 +12,11 @@ from structrank import (
     system_from_terms,
 )
 from structrank.datasets import get_dataset
-from structrank.polysys import _monomial_table
+from structrank import polysys
+from structrank.polysys import _monomial_table, member_plan, stacked_jacobians
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
+
+from oracles import reference_evaluation
 
 
 def example5_structure(a=1.0, b=2.0):
@@ -163,6 +167,106 @@ class TestJacobian:
             assert np.abs(fd - jac).max() <= 1e-5 * (1.0 + np.abs(jac).max())
 
 
+def random_derived_structure(seed=7):
+    """Six equations over five variables and three derived variables, with empty rows."""
+    rng = np.random.default_rng(seed)
+    specs = tuple(
+        DerivedVariableSpec(name, tuple(
+            (int(i), float(rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))))
+            for i in rng.choice(5, size, replace=False)
+        ))
+        for name, size in (("u", 1), ("v", 2), ("w", 3))
+    )
+    deps = [frozenset()] + [
+        frozenset(rng.choice(5, int(rng.integers(0, 4)), replace=False).tolist())
+        | {name for name in ("u", "v", "w") if rng.random() < 0.5}
+        for _ in range(5)
+    ]
+    return GeneralizedStructure(5, tuple(deps), specs)
+
+
+KERNEL_CASES = ["sole26", "eqcep1", "robotarm", "example5", "random-derived"]
+
+
+def kernel_structure(name):
+    return random_derived_structure() if name == "random-derived" else get_dataset(name).structure
+
+
+class TestKernelAgainstReference:
+    """The bucketed kernel reproduces the per-equation arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("distribution", ["uniform", "normal"])
+    def test_jacobian_and_stacked_bit_exact(self, name, degree, distribution):
+        structure = kernel_structure(name)
+        n = structure.num_variables
+        rng = np.random.default_rng(degree)
+        points = rng.uniform(-1.0, 1.0, (6, n))
+        points[0] = 0.0
+        points[1, ::2] = -0.0
+        points[2] *= 3.0
+        systems = [
+            sample_system(structure, degree, seed=seed, distribution=distribution,
+                          allow_constant=True)
+            for seed in range(len(points))
+        ]
+        expected = [reference_evaluation(structure, s.equations, x)
+                    for s, x in zip(systems, points)]
+        for system, x, (J, values) in zip(systems, points, expected):
+            jac = system.jacobian(x)
+            assert jac.matrix.tobytes() == J.tobytes()
+            assert jac.residual_target.tobytes() == values.tobytes()
+        coefficients = np.array([
+            np.concatenate([eq.coefficients for eq in s.equations]) for s in systems
+        ])
+        stacked = stacked_jacobians(member_plan(structure, degree), coefficients, points)
+        assert stacked.tobytes() == np.array([J for J, _ in expected]).tobytes()
+
+    def test_negative_zero_terms_read_positive_zero(self):
+        # F = z^2 with z = -x1 + x2: at z = 0 the chain-rule term on x1 is
+        # -1 * 0.0 = -0.0, which is added onto a zero entry.
+        structure = GeneralizedStructure(
+            2, (frozenset({"z"}),), (DerivedVariableSpec("z", ((0, -1.0), (1, 1.0))),)
+        )
+        sys = system_from_terms(structure, 2, [{(2,): 1.0}])
+        matrix = sys.jacobian([0.5, 0.5]).matrix
+        assert (matrix == 0.0).all()
+        assert not np.signbit(matrix).any()
+
+
+class TestVectorizedKernel:
+    """One row-wise dot per kind and bucket, never one per equation or symbol."""
+
+    @pytest.fixture
+    def dots(self, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append(np.shape(b))
+            return rowwise_dot(a, b)
+
+        rowwise_dot = polysys._rowwise_dot
+        monkeypatch.setattr(polysys, "_rowwise_dot", spy)
+        return calls
+
+    def test_jacobian_dots_per_row_width(self, dots):
+        structure = get_dataset("sole26").structure
+        widths = {len(row) for row in structure.rows()}
+        system = sample_system(structure, degree=2, seed=1)
+        dots.clear()
+        system.jacobian(np.linspace(-1.0, 1.0, 26))
+        assert len(widths) <= len(dots) <= 2 * len(widths)
+
+    def test_stacked_chunk_dots_per_bucket(self, dots):
+        structure = get_dataset("sole26").structure
+        plan = member_plan(structure, 2)
+        rng = np.random.default_rng(0)
+        stacked_jacobians(plan, rng.uniform(-1.0, 1.0, (9, plan.num_coefficients)),
+                          rng.uniform(-1.0, 1.0, (9, 26)))
+        assert 1 <= len(dots) <= len({len(row) for row in structure.rows()})
+
+
 class TestLinearStructure:
     def test_combination_evaluates_linearly(self):
         p = get_dataset("twogene").structure
@@ -231,3 +335,9 @@ class TestSerialization:
         p = get_dataset("xy").structure
         with pytest.raises(StructureError, match="monomial"):
             system_from_terms(p, 1, [{(1, 1): 1.0}])
+
+    def test_equation_degree_must_match_system(self):
+        p = get_dataset("cep3").structure
+        equations = sample_system(p, degree=2, seed=0).equations
+        with pytest.raises(StructureError, match="degree 2, the system 3"):
+            StructuredPolySystem(p, 3, equations)
