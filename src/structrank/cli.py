@@ -19,8 +19,8 @@ from . import continuation as cont
 from . import numrank
 from .datasets import DATASETS, get_dataset
 from .errors import ParseError, StructrankError
-from .formats import parse_basis, parse_structure, parse_system, structure_to_json_dict, to_dot
-from .polysys import sample_system
+from .formats import parse_basis, parse_input, structure_to_json_dict, to_dot
+from .polysys import StructuredPolySystem, sample_system
 from .structural import classify, knockout_sweep, maximum_matching
 from .structure import GeneralizedStructure, SystemGraph, pattern_from_graph
 
@@ -31,24 +31,28 @@ OUTPUT_ENV_VAR = "STRUCTRANK_OUTPUT"
 
 @dataclass
 class AnalysisRequest:
-    """One validated invocation of a subcommand."""
+    """One validated invocation of a subcommand.
+
+    An analysis field left at None was not given: the library function it
+    goes to applies its own default.
+    """
 
     subcommand: str
     input_path: str | None = None
     dataset: str | None = None
     fmt: str | None = None
     output: str = "text"
-    trials: int = 1000
+    trials: int | None = None
     seed: int = 0
-    degree: int = 2
-    distribution: str = "uniform"
-    rel_tol: float = 1e-8
-    abs_floor: float = 1e-12
-    pass_threshold: float = 0.99
-    step: float = 0.05
-    max_points: int = 400
-    samples: int = 50
-    radius: float = 10.0
+    degree: int | None = None
+    distribution: str | None = None
+    rel_tol: float | None = None
+    abs_floor: float | None = None
+    pass_threshold: float | None = None
+    step: float | None = None
+    max_points: int | None = None
+    samples: int | None = None
+    radius: float | None = None
     from_point: tuple[float, ...] | None = None
     delta: tuple[float, ...] | None = None
 
@@ -61,61 +65,61 @@ def _json_text(payload):
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
+# Request fields that library functions take under another name.
+_KEYWORDS = {"rel_tol": "relative_threshold", "abs_floor": "absolute_floor",
+             "radius": "domain_radius"}
+
+
+def _given(request, *fields):
+    """Keyword arguments for those of ``fields`` that the request gives."""
+    return {_KEYWORDS.get(f, f): getattr(request, f)
+            for f in fields if getattr(request, f) is not None}
+
+
 def _tolerance(request):
-    return numrank.RankTolerance(request.rel_tol, request.abs_floor)
+    return numrank.RankTolerance(**_given(request, "rel_tol", "abs_floor"))
 
 
-def _dataset(request):
-    """The bundled dataset named by --dataset.
+def _input(request, as_pattern=True):
+    """Resolve --dataset or the input file to (structure, system, origin).
 
-    An unknown name, or an input file given as well, is an input error.
-    """
-    if request.input_path is not None:
-        raise _InputError("give either --dataset or an input file, not both")
-    try:
-        return get_dataset(request.dataset)
-    except StructrankError as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _load_structure(request, as_pattern=True):
-    """Resolve --dataset or the input path to a structure."""
-    if request.dataset is not None:
-        structure = _dataset(request).structure
-    elif request.input_path is not None:
-        structure = parse_structure(request.input_path, request.fmt)
-    else:
-        raise _InputError("no input: pass --dataset NAME or a structure file")
-    if as_pattern and isinstance(structure, SystemGraph):
-        structure = pattern_from_graph(structure)
-    return structure
-
-
-def _load_system(request):
-    """Resolve the polynomial system to analyze.
-
-    Bundled datasets with a concrete system use it; a system JSON file is
-    loaded as-is; otherwise a random member of the structure is sampled with
-    the request's (degree, seed, distribution).
+    ``system`` is the bundled or serialized system, or None when the input is
+    only a structure; ``origin`` names where the system came from. A
+    SystemGraph becomes its pattern unless ``as_pattern`` is false.
     """
     if request.dataset is not None:
-        dataset = _dataset(request)
-        if dataset.system is not None:
-            return dataset.system, f"dataset {request.dataset} (bundled system)"
-        structure = dataset.structure
+        if request.input_path is not None:
+            raise _InputError("give either --dataset or an input file, not both")
+        try:
+            dataset = get_dataset(request.dataset)
+        except StructrankError as exc:
+            raise _InputError(str(exc)) from exc
+        structure, system = dataset.structure, dataset.system
+        origin = f"dataset {request.dataset} (bundled system)"
     elif request.input_path is not None:
-        with open(request.input_path, encoding="utf-8") as handle:
-            head = handle.read(2048).lstrip()
-        if head.startswith("{") and '"degree"' in head:
-            return parse_system(request.input_path), f"system file {request.input_path}"
-        structure = _load_structure(request)
+        loaded = parse_input(request.input_path, request.fmt)
+        system = loaded if isinstance(loaded, StructuredPolySystem) else None
+        structure = loaded if system is None else system.structure
+        origin = f"system file {request.input_path}"
     else:
         raise _InputError("no input: pass --dataset NAME or a structure/system file")
-    system = sample_system(structure, request.degree, request.seed, request.distribution)
-    return system, (
-        f"random member (degree={request.degree}, seed={request.seed}, "
-        f"distribution={request.distribution})"
-    )
+    if as_pattern and isinstance(structure, SystemGraph):
+        structure = pattern_from_graph(structure)
+    return structure, system, origin
+
+
+def _system(request):
+    """The polynomial system to analyze, and a line naming its origin.
+
+    Without a bundled or serialized system, a random member of the structure
+    is sampled with the request's degree and seed.
+    """
+    structure, system, origin = _input(request)
+    if system is None:
+        system = sample_system(structure, **_given(request, "degree", "seed"))
+        origin = (f"random member (degree={system.degree}, seed={system.seed}, "
+                  f"distribution={system.distribution})")
+    return system, origin
 
 
 def _point(request, n):
@@ -145,7 +149,7 @@ def _render_report(report, request):
 
 
 def _cmd_rank(request):
-    pattern = _load_structure(request)
+    pattern, _, _ = _input(request)
     matching = maximum_matching(pattern)
     payload = {
         "rank": len(matching),
@@ -159,12 +163,12 @@ def _cmd_rank(request):
 
 
 def _cmd_classify(request):
-    pattern = _load_structure(request)
+    pattern, _, _ = _input(request)
     return _render_report(classify(pattern), request)
 
 
 def _cmd_knockout(request):
-    pattern = _load_structure(request)
+    pattern, _, _ = _input(request)
     entries = knockout_sweep(pattern)
     flips = [en.node + 1 for en in entries if en.flips_to_robust]
     if request.output == "json":
@@ -217,34 +221,28 @@ def _render_certification(report, request, heading):
 
 
 def _cmd_certify(request):
-    pattern = _load_structure(request)
-    if isinstance(pattern, GeneralizedStructure):
-        raise StructrankError(
-            "certify needs a plain pattern; use generic-rank for derived-variable systems"
-        )
+    pattern, _, _ = _input(request)
     report = numrank.certify_acr(
-        pattern, trials=request.trials, degree=request.degree, seed=request.seed,
-        tol=_tolerance(request), distribution=request.distribution,
-        pass_threshold=request.pass_threshold,
+        pattern, tol=_tolerance(request),
+        **_given(request, "trials", "degree", "seed", "distribution", "pass_threshold"),
     )
     return _render_certification(report, request, "almost-constant-rank certification")
 
 
 def _cmd_generic_rank(request):
-    structure = _load_structure(request)
+    structure, _, _ = _input(request)
     report = numrank.generic_rank_randomized(
-        structure, trials=request.trials, degree=request.degree, seed=request.seed,
-        tol=_tolerance(request), distribution=request.distribution,
+        structure, tol=_tolerance(request),
+        **_given(request, "trials", "degree", "seed", "distribution"),
     )
     return _render_certification(report, request, "randomized generic-rank estimate")
 
 
 def _cmd_trace(request):
-    system, origin = _load_system(request)
+    system, origin = _system(request)
     p = _point(request, system.num_variables)
     branch = cont.trace_curve(
-        system, p, step=request.step, max_points=request.max_points,
-        tol=_tolerance(request), domain_radius=request.radius,
+        system, p, tol=_tolerance(request), **_given(request, "step", "max_points", "radius"),
     )
     if request.output == "json":
         return _json_text(branch.to_json_dict())
@@ -262,14 +260,15 @@ def _cmd_trace(request):
 
 
 def _cmd_probe(request):
-    system, origin = _load_system(request)
+    system, origin = _system(request)
     p = _point(request, system.num_variables)
     if request.delta is not None:
         if len(request.delta) != system.num_equations:
             raise _InputError(
                 f"--delta must have {system.num_equations} components, got {len(request.delta)}"
             )
-        probe = cont.perturbation_probe(system, p, np.array(request.delta), seed=request.seed)
+        probe = cont.perturbation_probe(system, p, np.array(request.delta),
+                                        **_given(request, "seed"))
         if request.output == "json":
             return _json_text(probe.to_json_dict())
         status = "solved" if probe.solved else "no solution found"
@@ -279,8 +278,8 @@ def _cmd_probe(request):
             f"({probe.starts_tried} starts, seed {request.seed})\n"
         )
     report = cont.manifold_probe(
-        system, p, samples=request.samples, tol=_tolerance(request),
-        step=request.step, seed=request.seed, domain_radius=request.radius,
+        system, p, tol=_tolerance(request),
+        **_given(request, "samples", "step", "seed", "radius"),
     )
     if request.output == "json":
         return _json_text(report.to_json_dict())
@@ -315,14 +314,14 @@ def _cmd_matrix_space(request):
     if request.input_path is None:
         raise _InputError("matrix-space needs a JSON file with a 'basis' list")
     report = numrank.matrix_space_rank(
-        parse_basis(request.input_path), trials=request.trials, seed=request.seed,
-        tol=_tolerance(request),
+        parse_basis(request.input_path), tol=_tolerance(request),
+        **_given(request, "trials", "seed"),
     )
     return _render_certification(report, request, "matrix-subspace generic rank")
 
 
 def _cmd_show(request):
-    structure = _load_structure(request, as_pattern=False)
+    structure, _, _ = _input(request, as_pattern=False)
     if request.output == "dot":
         return to_dot(structure)
     if isinstance(structure, SystemGraph):
@@ -433,22 +432,22 @@ def _positive_int(text):
     return value
 
 
-# Every subcommand flag, declared once; subcommands pick theirs by name and
-# may override the default.
+# Every subcommand flag, declared once; subcommands pick theirs by name. No
+# flag has a default: one left out takes the library function's default.
 _FLAGS = {
-    "--trials": dict(type=_positive_int, default=200),
-    "--seed": dict(type=int, default=0),
-    "--degree": dict(type=_positive_int, default=2),
-    "--distribution": dict(choices=["uniform", "normal"], default="uniform"),
+    "--trials": dict(type=_positive_int),
+    "--seed": dict(type=int),
+    "--degree": dict(type=_positive_int),
+    "--distribution": dict(choices=["uniform", "normal"]),
     "--pass-threshold": dict(dest="pass_threshold",
-                             type=_checked_float(numrank.check_pass_threshold), default=0.99),
+                             type=_checked_float(numrank.check_pass_threshold)),
     "--from": dict(dest="from_point", type=_finite_floats, required=True,
                    help="start point, comma separated"),
-    "--samples": dict(type=_positive_int, default=50),
-    "--delta": dict(type=_finite_floats, default=None),
-    "--step": dict(type=_checked_float(_positive), default=0.05),
-    "--max-points": dict(dest="max_points", type=_positive_int, default=400),
-    "--radius": dict(type=_checked_float(_positive), default=10.0),
+    "--samples": dict(type=_positive_int),
+    "--delta": dict(type=_finite_floats),
+    "--step": dict(type=_checked_float(_positive)),
+    "--max-points": dict(dest="max_points", type=_positive_int),
+    "--radius": dict(type=_checked_float(_positive)),
 }
 
 
@@ -460,7 +459,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     default_output = os.environ.get(OUTPUT_ENV_VAR, "text")
 
-    def add(name, help_text, flags=(), needs_input=True, **defaults):
+    def add(name, help_text, flags=(), needs_input=True):
         p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("input_path", nargs="?", default=None,
@@ -471,30 +470,26 @@ def _build_parser():
         p.add_argument("-o", "--output", default=default_output,
                        choices=["text", "json", "dot", "csv"],
                        help=f"output format (default from ${OUTPUT_ENV_VAR} or text)")
-        p.add_argument("--tol", dest="rel_tol", default=1e-8,
+        p.add_argument("--tol", dest="rel_tol",
                        type=_checked_float(lambda v: numrank.RankTolerance(relative_threshold=v)),
                        help="relative singular-value threshold")
-        p.add_argument("--tol-floor", dest="abs_floor", default=1e-12,
+        p.add_argument("--tol-floor", dest="abs_floor",
                        type=_checked_float(lambda v: numrank.RankTolerance(absolute_floor=v)),
                        help="absolute singular-value floor")
         for flag in flags:
-            kwargs = dict(_FLAGS[flag])
-            dest = kwargs.get("dest", flag[2:])
-            if dest in defaults:
-                kwargs["default"] = defaults[dest]
-            p.add_argument(flag, **kwargs)
+            p.add_argument(flag, **_FLAGS[flag])
 
     add("rank", "structural (generic) rank of a pattern")
     add("classify", "rank, robust/fragile class, and solution dimension")
     add("knockout", "classify every single-node knockout of a square system")
     add("certify", "Monte Carlo certification that random members attain the structural rank",
-        ("--trials", "--seed", "--degree", "--distribution", "--pass-threshold"), trials=1000)
+        ("--trials", "--seed", "--degree", "--distribution", "--pass-threshold"))
     add("generic-rank", "randomized generic-rank estimate (works for derived variables)",
         ("--trials", "--seed", "--degree", "--distribution"))
     add("trace", "trace the 1-dimensional solution curve through a point",
         ("--from", "--step", "--max-points", "--seed", "--degree", "--radius"))
     add("probe", "sample the solution set (or try a right-hand-side perturbation with --delta)",
-        ("--from", "--samples", "--delta", "--step", "--seed", "--degree", "--radius"), step=0.2)
+        ("--from", "--samples", "--delta", "--step", "--seed", "--degree", "--radius"))
     add("matrix-space", "generic rank of the span of basis matrices", ("--trials", "--seed"))
     add("show", "print a structure (text, json, or dot)")
     add("datasets", "list bundled datasets", needs_input=False)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import WrongDimensionError
 from .numrank import RankTolerance
-from .polysys import JacobianEvaluation, StructuredPolySystem
+from .polysys import JacobianEvaluation, StructuredPolySystem, seeded_rng
 
 __all__ = [
     "LocalDimension",
@@ -444,7 +444,7 @@ def manifold_probe(
     target = jac0.residual_target
     rank0, kernel, sigma0 = _svd_analysis(jac0, tol)
     dim = system.num_variables - rank0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
 
     if dim == 0:
         returned = 0
@@ -511,7 +511,8 @@ def manifold_probe(
             # The walk steps along the base kernel's dimension; a sample
             # at a higher rank (p exceptional) is counted, not walked from.
             x, kernel = jac.point, k
-    if drop_point is None and accepted > 0:
+    # No rank lies below 0, so a base rank of 0 leaves nothing to hunt.
+    if drop_point is None and accepted > 0 and rank0 > 0:
         hx, hrank, hsigma = _hunt_rank_drop(
             system, argmin, target, rank0, step, tol, domain_radius, rng
         )
@@ -575,7 +576,7 @@ def perturbation_probe(
         )
     at_p = system.jacobian(p)
     target = at_p.residual_target + delta
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = seeded_rng(seed)
     starts = [at_p] + [
         p + rng.uniform(-restart_scale, restart_scale, p.size) for _ in range(restarts)
     ]

@@ -22,6 +22,7 @@ from .structure import (
 )
 
 __all__ = [
+    "parse_input",
     "parse_structure",
     "parse_basis",
     "parse_system",
@@ -44,6 +45,11 @@ def _check_keys(obj, allowed, path, where):
     _expect(not unknown, f"unknown field(s) {unknown}", path, where)
 
 
+def _is_int(value):
+    # JSON true/false parse to bool, which is an int subclass.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_number(value):
     # JSON numbers such as 1e400 parse to inf, and huge integers overflow a float.
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -62,7 +68,7 @@ def structure_from_json_dict(data, path=None):
     _expect("variables" in data, "missing field 'variables'", path, "$")
     _expect("equations" in data, "missing field 'equations'", path, "$")
     n = data["variables"]
-    _expect(isinstance(n, int) and n >= 1, "'variables' must be a positive integer", path, "variables")
+    _expect(_is_int(n) and n >= 1, "'variables' must be a positive integer", path, "variables")
     equations = data["equations"]
     _expect(isinstance(equations, list) and equations, "'equations' must be a nonempty list", path, "equations")
     self_loops = data.get("self_loops", False)
@@ -96,8 +102,9 @@ def structure_from_json_dict(data, path=None):
         _expect(isinstance(vars_1, list), "'vars' must be a list", path, where)
         dep = set()
         for j, v in enumerate(vars_1):
-            _expect(isinstance(v, int) and 1 <= v <= n,
-                    f"variable index {v!r} outside 1..{n}", path, f"{where}.vars[{j}]")
+            _expect(_is_int(v), f"variable index must be an integer, got {v!r}",
+                    path, f"{where}.vars[{j}]")
+            _expect(1 <= v <= n, f"variable index {v} outside 1..{n}", path, f"{where}.vars[{j}]")
             dep.add(v - 1)
         for j, name in enumerate(eq.get("derived", [])):
             _expect(isinstance(name, str), "derived reference must be a name", path, f"{where}.derived[{j}]")
@@ -278,6 +285,22 @@ def parse_structure(path, fmt: str | None = None):
     raise ParseError(f"unknown format {fmt!r} (expected json, edges, or pattern)", path=path)
 
 
+def parse_input(path, fmt: str | None = None):
+    """Load a structure file, or a serialized polynomial system.
+
+    A JSON file whose top-level object has a "structure" key holds a system
+    and comes back as a StructuredPolySystem; any other file is a structure,
+    read as by ``parse_structure``. JSON is parsed once either way.
+    """
+    fmt = fmt or _detect_format(path)
+    if fmt != "json":
+        return parse_structure(path, fmt)
+    data = _parse_json_file(path)
+    if isinstance(data, dict) and "structure" in data:
+        return _system_from_json_dict(data, path)
+    return structure_from_json_dict(data, path=path)
+
+
 def parse_basis(path):
     """Load a matrix basis: JSON {"basis": [matrix, matrix, ...]}."""
     data = _parse_json_file(path)
@@ -300,16 +323,19 @@ def parse_basis(path):
     return basis
 
 
-def parse_system(path):
-    """Load a serialized polynomial system (JSON)."""
+def _system_from_json_dict(data, path):
     from .polysys import StructuredPolySystem
 
-    data = _parse_json_file(path)
     _expect(isinstance(data, dict), "top level must be an object", path, "$")
     _check_keys(data, {"structure", "degree", "seed", "distribution", "equations"}, path, "$")
     for key in ("structure", "degree", "equations"):
         _expect(key in data, f"missing field {key!r}", path, "$")
     return StructuredPolySystem.from_json_dict(data)
+
+
+def parse_system(path):
+    """Load a serialized polynomial system (JSON)."""
+    return _system_from_json_dict(_parse_json_file(path), path)
 
 
 def to_dot(structure) -> str:

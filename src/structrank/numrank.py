@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructureError
-from .polysys import StructuredPolySystem, _draw, check_degree, member_plan, stacked_jacobians
+from .polysys import (
+    StructuredPolySystem, _draw, check_degree, member_plan, seeded_rng, stacked_jacobians,
+)
 from .structural import structural_rank
 from .structure import GeneralizedStructure, StructurePattern
 
@@ -28,8 +30,6 @@ __all__ = [
     "matrix_space_rank",
     "rank_maximizer_sweep",
 ]
-
-DEFAULT_PASS_THRESHOLD = 0.99
 
 # Trials are drawn and decomposed in chunks whose float64 stack stays under
 # this many bytes.
@@ -122,14 +122,6 @@ class CertificationReport:
         return d
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Trial randomness derives from (seed, trial) so concurrent and
-    # sequential schedules produce identical reports.
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
-    )
-
-
 def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_threshold=None,
                 **extra):
     """Rank histogram of the drawn matrices over the per-trial streams, as a report.
@@ -143,7 +135,8 @@ def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_thresho
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     histogram = {}
     for start in range(0, trials, per_chunk):
-        rngs = [_trial_rng(seed, i) for i in range(start, min(start + per_chunk, trials))]
+        # Trial i draws from stream (seed, i), so chunking cannot change a report.
+        rngs = [seeded_rng(seed, i) for i in range(start, min(start + per_chunk, trials))]
         for sigma in _singular_values(draw(rngs)):
             r = tol.rank_of(sigma)
             histogram[r] = histogram.get(r, 0) + 1
@@ -224,7 +217,7 @@ def certify_acr(
     seed: int = 0,
     tol: RankTolerance = RankTolerance(),
     distribution: str = "uniform",
-    pass_threshold: float = DEFAULT_PASS_THRESHOLD,
+    pass_threshold: float = 0.99,
 ) -> CertificationReport:
     """Certify that random members attain the combinatorial rank almost surely.
 
@@ -238,7 +231,8 @@ def certify_acr(
     if isinstance(pattern, GeneralizedStructure):
         raise StructureError(
             "certification against the matching rank needs a plain pattern; "
-            "generalized structures have no exact combinatorial rank"
+            "generalized structures have no exact combinatorial rank, so use "
+            "generic-rank (generic_rank_randomized) for derived-variable systems"
         )
     return _run_trials(
         *_member_jacobians(pattern, degree, distribution), trials, seed, tol,

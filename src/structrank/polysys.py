@@ -33,6 +33,11 @@ __all__ = [
 DISTRIBUTIONS = ("uniform", "normal")
 
 
+def seeded_rng(seed, *spawn_key) -> np.random.Generator:
+    """The platform-independent PCG64 stream of ``seed``, or of its child ``spawn_key``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+
+
 def _sum_vectors(num_symbols, total):
     if num_symbols == 0:
         if total == 0:
@@ -497,8 +502,7 @@ def sample_system(
     check_degree(degree, allow_constant)
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    equations = _sample_with_rng(structure, degree, rng, distribution)
+    equations = _sample_with_rng(structure, degree, seeded_rng(seed), distribution)
     return StructuredPolySystem(structure, degree, equations, seed=seed, distribution=distribution)
 
 

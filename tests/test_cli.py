@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from structrank import RankReport, classify
-from structrank.cli import AnalysisRequest, _build_parser, main, run
+from structrank import RankReport, classify, sample_system
+from structrank.cli import _COMMANDS, AnalysisRequest, _build_parser, main, run
 from structrank.datasets import get_dataset
+
+BASIS = str(Path(__file__).parent / "golden" / "basis.json")
 
 
 def run_ok(request):
@@ -208,6 +211,18 @@ class TestErrorHandling:
             assert code == 2
             assert "derived_vars[0]" in text
 
+    @pytest.mark.parametrize("data, where", [
+        ({"variables": True, "equations": [{"vars": [True]}]}, "variables"),
+        ({"variables": 1, "equations": [{"vars": [True]}]}, "equations[0].vars[0]"),
+    ])
+    def test_boolean_count_is_input_error(self, data, where, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(data))
+        assert main(["rank", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert where in captured.err
+
 
 class TestMainEntryPoint:
     def test_classify_via_argv(self, capsys):
@@ -276,18 +291,22 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize("argv, own", [
         (["rank"], {}),
         (["datasets"], {}),
-        (["certify"], {"trials": 1000, "seed": 0, "degree": 2, "distribution": "uniform",
-                       "pass_threshold": 0.99}),
-        (["generic-rank"], {"trials": 200, "seed": 0, "degree": 2, "distribution": "uniform"}),
-        (["matrix-space"], {"trials": 200, "seed": 0}),
-        (["trace", "--from", "1"], {"from_point": (1.0,), "step": 0.05, "max_points": 400,
-                                    "seed": 0, "degree": 2, "radius": 10.0}),
-        (["probe", "--from", "1"], {"from_point": (1.0,), "samples": 50, "delta": None,
-                                    "step": 0.2, "seed": 0, "degree": 2, "radius": 10.0}),
+        (["certify"], {"trials": None, "seed": None, "degree": None, "distribution": None,
+                       "pass_threshold": None}),
+        (["generic-rank"], {"trials": None, "seed": None, "degree": None,
+                            "distribution": None}),
+        (["matrix-space"], {"trials": None, "seed": None}),
+        (["trace", "--from", "1"], {"from_point": (1.0,), "step": None, "max_points": None,
+                                    "seed": None, "degree": None, "radius": None}),
+        (["probe", "--from", "1"], {"from_point": (1.0,), "samples": None, "delta": None,
+                                    "step": None, "seed": None, "degree": None,
+                                    "radius": None}),
     ])
     def test_subcommand_flags_and_defaults(self, argv, own, monkeypatch):
+        # Each subcommand accepts exactly its own flags, and a flag left out
+        # reads None: the library function it goes to supplies the default.
         monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
-        common = {"subcommand": argv[0], "output": "text", "rel_tol": 1e-8, "abs_floor": 1e-12}
+        common = {"subcommand": argv[0], "output": "text", "rel_tol": None, "abs_floor": None}
         if argv[0] != "datasets":
             common.update(input_path=None, dataset=None, fmt=None)
         assert vars(_build_parser().parse_args(argv)) == {**common, **own}
@@ -296,3 +315,68 @@ class TestMainEntryPoint:
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--dataset", "cep3", "-o", "yaml"])
         assert exc.value.code == 2
+
+
+class TestOneRequestPath:
+    """``run(AnalysisRequest(...))`` and ``main([...])`` make the same request."""
+
+    def test_run_prints_what_main_prints(self, capsys, monkeypatch):
+        # Only the required fields: every default comes from the library.
+        monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
+        cases = [
+            (["rank", "--dataset", "cep3"], AnalysisRequest("rank", dataset="cep3")),
+            (["classify", "--dataset", "cep3"], AnalysisRequest("classify", dataset="cep3")),
+            (["knockout", "--dataset", "trophic5"],
+             AnalysisRequest("knockout", dataset="trophic5")),
+            (["certify", "--dataset", "cep3", "-o", "json"],
+             AnalysisRequest("certify", dataset="cep3", output="json")),
+            (["generic-rank", "--dataset", "example5", "-o", "json"],
+             AnalysisRequest("generic-rank", dataset="example5", output="json")),
+            (["trace", "--dataset", "trophic5", "--from", "0.1,0.2,0.3,0.4,0.5"],
+             AnalysisRequest("trace", dataset="trophic5", from_point=(0.1, 0.2, 0.3, 0.4, 0.5))),
+            (["probe", "--dataset", "xy", "--from", "1,2", "-o", "json"],
+             AnalysisRequest("probe", dataset="xy", from_point=(1.0, 2.0), output="json")),
+            (["probe", "--dataset", "eqcep1", "--from", "1,1,1", "--delta", "0,0.1,0"],
+             AnalysisRequest("probe", dataset="eqcep1", from_point=(1.0, 1.0, 1.0),
+                             delta=(0.0, 0.1, 0.0))),
+            (["matrix-space", BASIS, "-o", "json"],
+             AnalysisRequest("matrix-space", input_path=BASIS, output="json")),
+            (["show", "--dataset", "example5"], AnalysisRequest("show", dataset="example5")),
+            (["datasets"], AnalysisRequest("datasets")),
+        ]
+        assert {argv[0] for argv, _ in cases} == set(_COMMANDS)
+        differ = []
+        for argv, request in cases:
+            assert main(argv) == 0, argv
+            if run(request) != (0, capsys.readouterr().out):
+                differ.append(" ".join(argv))
+        assert differ == []
+
+    @pytest.mark.parametrize("subcommand", ["trace", "probe"])
+    def test_derived_variable_named_degree(self, subcommand, tmp_path, capsys):
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps({
+            "variables": 2,
+            "equations": [{"vars": [1], "derived": ["degree"]}],
+            "derived_vars": [{"name": "degree", "coeffs": {"1": 1.0, "2": 2.0}}],
+        }))
+        assert main([subcommand, str(path), "--from", "0.3,0.2"]) == 0, capsys.readouterr().err
+        assert "system: random member (degree=2, seed=0" in capsys.readouterr().out
+
+    def test_system_file_with_degree_after_two_kib(self, tmp_path, capsys):
+        system = sample_system(get_dataset("trophic5").structure, degree=2, seed=0)
+        data = system.to_json_dict()
+        degree = data.pop("degree")
+        text = json.dumps({**data, "degree": degree}, indent=4)
+        assert text.index('"degree"') > 2048
+        path = tmp_path / "system.json"
+        path.write_text(text)
+        argv = ["trace", str(path), "--from", "0.1,0.2,0.3,0.4,0.5", "--max-points", "5"]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert f"system: system file {path}" in capsys.readouterr().out
+
+    def test_structure_subcommands_read_a_system_file(self, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(get_dataset("eqcep1").system.to_json_dict()))
+        assert run(AnalysisRequest("rank", input_path=str(path))) == \
+            run(AnalysisRequest("rank", dataset="eqcep1"))

@@ -226,6 +226,15 @@ class TestEvaluationReuse:
         assert calls["evaluate"] == 0
         assert len(calls["jacobian"]) == len(set(calls["jacobian"]))
 
+    def test_no_rank_drop_hunt_at_base_rank_zero(self, calls):
+        # No rank lies below the base rank 0 of x1*x2 at the origin, so the
+        # hunt could only spend calls: it made 538 of the 765 here.
+        report = manifold_probe(get_dataset("xy").system, [0.0, 0.0], samples=50, seed=0)
+        assert (report.rank, report.rank_histogram) == (0, {1: 50})
+        assert not report.rank_drop_found
+        assert report.min_significant_sigma == 0.0
+        assert len(calls["jacobian"]) <= 227
+
 
 class TestPerturbationProbe:
     def test_inconsistent_perturbation_of_quartic(self):

@@ -14,7 +14,7 @@ from structrank import (
     to_dot,
 )
 from structrank.datasets import get_dataset
-from structrank.formats import parse_basis, parse_system
+from structrank.formats import parse_basis, parse_input, parse_system
 
 
 CEP_JSON = {
@@ -79,6 +79,18 @@ class TestJsonStructureFiles:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match=r"equations\[0\].vars\[0\]"):
+            parse_structure(path)
+
+    @pytest.mark.parametrize("data, where", [
+        ({"variables": True, "equations": [{"vars": [1]}]}, "variables"),
+        ({"variables": 1, "equations": [{"vars": [True]}]}, r"equations\[0\].vars\[0\]"),
+        ({"variables": 2, "equations": [{"vars": [1]}, {"vars": [2, False]}]},
+         r"equations\[1\].vars\[1\]"),
+    ])
+    def test_boolean_is_not_an_integer(self, tmp_path, data, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=where):
             parse_structure(path)
 
     def test_undeclared_derived_name(self, tmp_path):
@@ -244,6 +256,14 @@ class TestOtherPayloads:
         back = parse_system(path)
         assert back.structure == sys.structure
         assert back.degree == sys.degree
+
+    def test_input_holding_a_system_or_a_structure(self, tmp_path):
+        system = get_dataset("eqcep1").system
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(system.to_json_dict()))
+        assert parse_input(path).to_json_dict() == system.to_json_dict()
+        path.write_text(json.dumps(CEP_JSON))
+        assert parse_input(path) == parse_structure(path)
 
     def test_system_file_requires_degree(self, tmp_path):
         path = tmp_path / "system.json"

@@ -46,6 +46,7 @@ CASES = {
                           "--samples", "5", "-o", "json"],
     "probe-xy": ["probe", "--dataset", "xy", "--from", "1,0"],
     "probe-xy-json": ["probe", "--dataset", "xy", "--from", "1,0", "-o", "json"],
+    "probe-xy-origin-json": ["probe", "--dataset", "xy", "--from", "0,0", "-o", "json"],
     "probe-robotarm": ["probe", "--dataset", "robotarm", "--from", "0.1,0.2,0.3,0.4,0.5,0.6",
                        "--samples", "10"],
     "probe-eqcep1-delta": ["probe", "--dataset", "eqcep1", "--from", "1,1,1",

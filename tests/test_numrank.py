@@ -20,8 +20,8 @@ from structrank import (
 )
 from structrank import numrank
 from structrank.datasets import get_dataset
-from structrank.numrank import _member_jacobians, _trial_rng
-from structrank.polysys import _sample_with_rng, member_plan
+from structrank.numrank import _member_jacobians
+from structrank.polysys import _sample_with_rng, member_plan, seeded_rng
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
 from oracles import reference_evaluation
@@ -170,7 +170,7 @@ class TestCertifyAcr:
             certify_acr(get_dataset("sole26").structure, trials=5, degree=degree)
 
     def test_generalized_structure_rejected(self):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="use generic-rank"):
             certify_acr(example5_structure(), trials=10)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, 7.0, np.nan, np.inf])
@@ -224,9 +224,9 @@ class TestStackedTrials:
     def test_jacobians_bit_exact(self, name, degree, distribution):
         structure = get_dataset(name).structure
         draw, _ = _member_jacobians(structure, degree, distribution)
-        stacked = draw([_trial_rng(5, i) for i in range(12)])
+        stacked = draw([seeded_rng(5, i) for i in range(12)])
         for i, matrix in enumerate(stacked):
-            rng = _trial_rng(5, i)
+            rng = seeded_rng(5, i)
             equations = _sample_with_rng(structure, degree, rng, distribution)
             x = rng.uniform(-1.0, 1.0, structure.num_variables)
             expected, _ = reference_evaluation(structure, equations, x)
