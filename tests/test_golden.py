@@ -42,6 +42,7 @@ CASES = {
     "trace-eqcep1-csv": ["trace", "--dataset", "eqcep1", "--from", "1,1,1", "-o", "csv"],
     "trace-example5-json": ["trace", "--dataset", "example5", "--from", "0.3,0.2,0.1,0.4",
                             "-o", "json"],
+    "trace-system-example5-json": ["trace", "{system}", "--from", "0.3,0.2,0.1,0.4", "-o", "json"],
     "probe-sole26-json": ["probe", "--dataset", "sole26", "--from", ",".join(["0.1"] * 26),
                           "--samples", "5", "-o", "json"],
     "probe-xy": ["probe", "--dataset", "xy", "--from", "1,0"],
@@ -49,6 +50,9 @@ CASES = {
     "probe-xy-origin-json": ["probe", "--dataset", "xy", "--from", "0,0", "-o", "json"],
     "probe-robotarm": ["probe", "--dataset", "robotarm", "--from", "0.1,0.2,0.3,0.4,0.5,0.6",
                        "--samples", "10"],
+    "probe-robotarm-degree3-json": ["probe", "--dataset", "robotarm",
+                                    "--from", "0.1,0.2,0.3,0.4,0.5,0.6",
+                                    "--degree", "3", "--seed", "4", "-o", "json"],
     "probe-eqcep1-delta": ["probe", "--dataset", "eqcep1", "--from", "1,1,1",
                            "--delta", "0,0.1,0"],
     "probe-eqcep1-delta-json": ["probe", "--dataset", "eqcep1", "--from", "1,1,1",
@@ -59,7 +63,10 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_golden(case, capsys, monkeypatch):
     monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
-    argv = [a.format(basis=GOLDEN / "basis.json") for a in CASES[case]]
+    argv = [
+        a.format(basis=GOLDEN / "basis.json", system=GOLDEN / "system-example5.json")
+        for a in CASES[case]
+    ]
     assert main(argv) == 0
     expected = (GOLDEN / f"{case}.out").read_bytes().decode("utf-8")
     assert capsys.readouterr().out == expected
