@@ -12,7 +12,8 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, StructureError
+from .polysys import check_degree, system_from_terms
 from .structure import (
     DerivedVariableSpec,
     GeneralizedStructure,
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*(<->|->)\s*(\d+)\s*$")
+_EXPONENTS_RE = re.compile(r"([0-9]+(,[0-9]+)*)?")
 _HEADER_RE = re.compile(r"^\s*(selfloops|nodes)\s*:\s*(\S+)\s*$", re.IGNORECASE)
 
 
@@ -129,32 +131,26 @@ def structure_from_json_dict(data, path=None):
 
 
 def structure_to_json_dict(structure):
-    """Inverse of ``structure_from_json_dict`` (1-based, schema-stable)."""
-    if isinstance(structure, GeneralizedStructure):
-        return {
-            "variables": structure.num_variables,
-            "equations": [
-                {
-                    "name": f"f{e + 1}",
-                    "vars": [i + 1 for i in sorted(d for d in dep if isinstance(d, int))],
-                    "derived": sorted(d for d in dep if isinstance(d, str)),
-                }
-                for e, dep in enumerate(structure.dependencies)
-            ],
-            "derived_vars": [
-                {"name": spec.name, "coeffs": {str(i + 1): c for i, c in spec.coefficients}}
-                for spec in structure.derived
-            ],
-            "self_loops": False,
-        }
-    rows = structure.rows()
+    """Inverse of ``structure_from_json_dict`` (1-based, schema-stable).
+
+    A pattern is written as a structure with no derived variables.
+    """
+    generalized = isinstance(structure, GeneralizedStructure)
+    dependencies = structure.dependencies if generalized else structure.rows()
     return {
         "variables": structure.num_variables,
         "equations": [
-            {"name": f"f{e + 1}", "vars": [v + 1 for v in row], "derived": []}
-            for e, row in enumerate(rows)
+            {
+                "name": f"f{e + 1}",
+                "vars": [i + 1 for i in sorted(d for d in dep if isinstance(d, int))],
+                "derived": sorted(d for d in dep if isinstance(d, str)),
+            }
+            for e, dep in enumerate(dependencies)
         ],
-        "derived_vars": [],
+        "derived_vars": [
+            {"name": spec.name, "coeffs": {str(i + 1): c for i, c in spec.coefficients}}
+            for spec in (structure.derived if generalized else ())
+        ],
         "self_loops": False,
     }
 
@@ -323,14 +319,51 @@ def parse_basis(path):
     return basis
 
 
-def _system_from_json_dict(data, path):
-    from .polysys import StructuredPolySystem
+def _system_from_json_dict(data, path=None):
+    """Build a polynomial system from the system file schema.
 
+    Schema: {"structure": <structure schema>, "degree": D, "equations":
+    [{"e1,...,eS": c}], "seed": int or null, "distribution": str}. There is
+    one equation object per structure equation; its keys are exponent
+    vectors over the equation's symbols (sorted variables, then derived
+    names), "" for the constant term, and its values finite coefficients.
+    """
     _expect(isinstance(data, dict), "top level must be an object", path, "$")
     _check_keys(data, {"structure", "degree", "seed", "distribution", "equations"}, path, "$")
     for key in ("structure", "degree", "equations"):
         _expect(key in data, f"missing field {key!r}", path, "$")
-    return StructuredPolySystem.from_json_dict(data)
+    structure = structure_from_json_dict(data["structure"], path=path)
+    degree = data["degree"]
+    _expect(_is_int(degree), "'degree' must be an integer", path, "degree")
+    try:
+        check_degree(degree, allow_constant=True)
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path, where="degree") from None
+    equations = data["equations"]
+    m = structure.num_equations
+    _expect(isinstance(equations, list) and len(equations) == m,
+            f"'equations' must be a list of {m} objects, one per structure equation",
+            path, "equations")
+    terms = []
+    for e, eq in enumerate(equations):
+        where = f"equations[{e}]"
+        _expect(isinstance(eq, dict), "equation must be an object", path, where)
+        for key, value in eq.items():
+            _expect(_EXPONENTS_RE.fullmatch(key),
+                    f"exponent key {key!r} must be '' or comma-separated integers", path, where)
+            _expect(_is_finite_number(value),
+                    f"coefficient of {key!r} must be a finite number", path, where)
+        terms.append({tuple(map(int, key.split(","))) if key else (): float(value)
+                      for key, value in eq.items()})
+    seed = data.get("seed")
+    _expect(seed is None or _is_int(seed), "'seed' must be an integer or null", path, "seed")
+    distribution = data.get("distribution", "explicit")
+    _expect(isinstance(distribution, str), "'distribution' must be a string", path,
+            "distribution")
+    try:
+        return system_from_terms(structure, degree, terms, seed, distribution)
+    except StructureError as exc:
+        raise ParseError(str(exc), path=path, where="equations") from None
 
 
 def parse_system(path):

@@ -164,9 +164,8 @@ def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_thresho
 def _member_jacobians(structure, degree, distribution):
     """Trial draw: Jacobians of random members at points uniform on [-1, 1]^N.
 
-    Each generator draws all of its member's coefficients in one call, then
-    its point; one call yields the same values as the per-equation draws of
-    ``_sample_with_rng``. Returns the draw and the entries one trial occupies.
+    Each generator draws its member's coefficients as ``sample_system`` does,
+    then its point. Returns the draw and the entries one trial occupies.
     """
     check_degree(degree)
     plan = member_plan(structure, degree)

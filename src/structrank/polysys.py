@@ -30,9 +30,6 @@ __all__ = [
     "combine",
 ]
 
-DISTRIBUTIONS = ("uniform", "normal")
-
-
 def seeded_rng(seed, *spawn_key) -> np.random.Generator:
     """The platform-independent PCG64 stream of ``seed``, or of its child ``spawn_key``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
@@ -146,13 +143,6 @@ class JacobianEvaluation:
     residual_target: np.ndarray
 
 
-def _symbol_rows(structure):
-    """Per equation, its symbol tuple: sorted variables, then derived names."""
-    if isinstance(structure, GeneralizedStructure):
-        return tuple(structure.equation_symbols(e) for e in range(structure.num_equations))
-    return tuple(tuple(row) for row in structure.rows())
-
-
 @dataclass(frozen=True, eq=False)
 class _Bucket:
     """The equations over S symbols, which share one monomial table.
@@ -184,7 +174,8 @@ class _MemberPlan:
     """Evaluation layout of every member of a structured space at one degree.
 
     A member is one flat coefficient vector: the equations' vectors, each
-    aligned with its monomial table, concatenated in equation order. A point
+    aligned with its monomial table, concatenated in equation order;
+    equation e owns ``offsets[e]:offsets[e + 1]``. A point
     is extended by the values of the derived variables its equations use,
     whose (support, weights) ``derived`` lists in name order. The kernel
     raises every extended coordinate to the powers 0..degree once; the
@@ -196,7 +187,8 @@ class _MemberPlan:
     powers or its largest bucket of monomial factors.
     """
 
-    symbols: tuple  # per equation, its symbol tuple
+    symbols: tuple  # per equation: sorted variables, then derived names
+    offsets: np.ndarray  # (M + 1,)
     num_variables: int
     powers: np.ndarray  # 0..degree
     derived: tuple  # per derived name: (support, weights)
@@ -207,11 +199,18 @@ class _MemberPlan:
     entries: int
 
 
+@lru_cache(maxsize=32)
 def member_plan(structure, degree) -> _MemberPlan:
-    """The kernel layout, computed once per structure and degree."""
+    """The layout of every member at ``degree``, built once and shared by all of them.
+
+    The plan is cached per (structure, degree); callers must not modify it.
+    """
     n = structure.num_variables
-    rows = _symbol_rows(structure)
-    specs = structure.derived_by_name if isinstance(structure, GeneralizedStructure) else {}
+    if isinstance(structure, GeneralizedStructure):
+        rows = tuple(map(structure.equation_symbols, range(structure.num_equations)))
+        specs = structure.derived_by_name
+    else:
+        rows, specs = tuple(map(tuple, structure.rows())), {}
     used = sorted({sym for row in rows for sym in row if isinstance(sym, str)})
     column = {name: n + i for i, name in enumerate(used)}
     derived = tuple(
@@ -255,6 +254,7 @@ def member_plan(structure, degree) -> _MemberPlan:
     num_coefficients = int(offsets[-1])
     return _MemberPlan(
         symbols=rows,
+        offsets=offsets,
         num_variables=n,
         powers=np.arange(degree + 1),
         derived=derived,
@@ -411,22 +411,20 @@ class StructuredPolySystem:
 
     @classmethod
     def from_json_dict(cls, d):
-        from .formats import structure_from_json_dict
+        """Inverse of ``to_json_dict``, with the checks of a system file."""
+        from .formats import _system_from_json_dict
 
-        structure = structure_from_json_dict(d["structure"])
-        degree = int(d["degree"])
-        terms = [
-            {tuple(int(p) for p in key.split(",")) if key else (): float(c) for key, c in eq.items()}
-            for eq in d["equations"]
-        ]
-        seed = d.get("seed")
-        return system_from_terms(
-            structure,
-            degree,
-            terms,
-            seed=None if seed is None else int(seed),
-            distribution=str(d.get("distribution", "explicit")),
-        )
+        return _system_from_json_dict(d)
+
+
+def _member(structure, degree, flat, seed=None, distribution="explicit"):
+    """The member whose coefficients ``flat`` are laid out by ``member_plan``."""
+    plan = member_plan(structure, degree)
+    equations = tuple(
+        PolyEquation(symbols, degree, flat[start:stop])
+        for symbols, start, stop in zip(plan.symbols, plan.offsets[:-1], plan.offsets[1:])
+    )
+    return StructuredPolySystem(structure, degree, equations, seed=seed, distribution=distribution)
 
 
 def system_from_terms(
@@ -437,23 +435,24 @@ def system_from_terms(
     Exponent tuples align with each equation's symbol order (sorted variable
     indices, then derived names).
     """
-    equations = []
-    for e, symbols in enumerate(_symbol_rows(structure)):
+    plan = member_plan(structure, degree)
+    if len(terms) != len(plan.symbols):
+        raise StructureError(
+            f"structure has {len(plan.symbols)} equations, got {len(terms)} term maps"
+        )
+    flat = np.zeros(plan.num_coefficients)
+    for e, (symbols, start, row) in enumerate(zip(plan.symbols, plan.offsets, terms)):
         table = _monomial_table(len(symbols), degree)
-        index = {tuple(int(k) for k in row): i for i, row in enumerate(table.exponents)}
-        coeffs = np.zeros(table.size)
-        for exps, c in terms[e].items():
+        index = {exps: i for i, exps in enumerate(map(tuple, table.exponents.tolist()))}
+        for exps, c in row.items():
             exps = tuple(int(k) for k in exps)
             if exps not in index:
                 raise StructureError(
                     f"equation {e + 1}: exponent vector {exps} is not a monomial "
                     f"of degree <= {degree} over its {len(symbols)} symbols"
                 )
-            coeffs[index[exps]] = float(c)
-        equations.append(PolyEquation(symbols, degree, coeffs))
-    return StructuredPolySystem(
-        structure, degree, tuple(equations), seed=seed, distribution=distribution
-    )
+            flat[start + index[exps]] = float(c)
+    return _member(structure, degree, flat, seed, distribution)
 
 
 def _draw(rng, distribution, size):
@@ -461,15 +460,7 @@ def _draw(rng, distribution, size):
         return rng.uniform(-1.0, 1.0, size)
     if distribution == "normal":
         return rng.standard_normal(size)
-    raise ValueError(f"unknown coefficient distribution {distribution!r}")
-
-
-def _sample_with_rng(structure, degree, rng, distribution):
-    equations = []
-    for symbols in _symbol_rows(structure):
-        table = _monomial_table(len(symbols), degree)
-        equations.append(PolyEquation(symbols, degree, _draw(rng, distribution, table.size)))
-    return tuple(equations)
+    raise ValueError(f"distribution must be 'uniform' or 'normal', got {distribution!r}")
 
 
 def check_degree(degree, allow_constant=False):
@@ -500,10 +491,8 @@ def sample_system(
     platform independent.
     """
     check_degree(degree, allow_constant)
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-    equations = _sample_with_rng(structure, degree, seeded_rng(seed), distribution)
-    return StructuredPolySystem(structure, degree, equations, seed=seed, distribution=distribution)
+    flat = _draw(seeded_rng(seed), distribution, member_plan(structure, degree).num_coefficients)
+    return _member(structure, degree, flat, seed, distribution)
 
 
 def stacked_jacobians(plan, coefficients, points) -> np.ndarray:
@@ -529,16 +518,9 @@ def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem
     if f.structure != g.structure:
         raise StructureError("cannot combine systems with different structures")
     degree = max(f.degree, g.degree)
-    equations = []
-    for e in range(f.num_equations):
-        symbols = f.equations[e].symbols
-        table = _monomial_table(len(symbols), degree)
-        coeffs = np.zeros(table.size)
-        fc = f.equations[e].coefficients
-        gc = g.equations[e].coefficients
-        coeffs[: fc.size] += a * fc
-        coeffs[: gc.size] += b * gc
-        equations.append(PolyEquation(symbols, degree, coeffs))
-    return StructuredPolySystem(
-        f.structure, degree, tuple(equations), seed=None, distribution="combination"
-    )
+    plan = member_plan(f.structure, degree)
+    flat = np.zeros(plan.num_coefficients)
+    for start, fe, ge in zip(plan.offsets, f.equations, g.equations):
+        flat[start:start + fe.coefficients.size] += a * fe.coefficients
+        flat[start:start + ge.coefficients.size] += b * ge.coefficients
+    return _member(f.structure, degree, flat, distribution="combination")

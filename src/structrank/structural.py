@@ -95,9 +95,7 @@ def maximum_matching(p: StructurePattern) -> tuple[tuple[int, int], ...]:
     """
     _require_pattern(p)
     m = p.num_equations
-    adj = [[] for _ in range(m)]
-    for e, v in sorted(p.allowed):
-        adj[e].append(v)
+    adj = p.rows()
 
     match_eq = [_INF] * m
     match_var = {}

@@ -1,8 +1,12 @@
 """Independent brute-force oracles used to cross-check the implementations."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
+
+from structrank.polysys import PolyEquation
+from structrank.structure import GeneralizedStructure
 
 
 def brute_matching_size(pattern):
@@ -48,6 +52,28 @@ def hausdorff_distance(a, b):
     b = np.asarray(b)
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def reference_draw(structure, degree, rng, distribution):
+    """A member's equations, drawn one equation at a time from ``rng``.
+
+    Equation e gets comb(S + degree, degree) coefficients over its S symbols
+    (sorted variables, then derived names), uniform on [-1, 1] or standard
+    normal: the per-equation draws a single flat draw must reproduce.
+    """
+    equations = []
+    for e in range(structure.num_equations):
+        if isinstance(structure, GeneralizedStructure):
+            symbols = structure.equation_symbols(e)
+        else:
+            symbols = tuple(structure.row(e))
+        size = comb(len(symbols) + degree, degree)
+        if distribution == "uniform":
+            coefficients = rng.uniform(-1.0, 1.0, size)
+        else:
+            coefficients = rng.standard_normal(size)
+        equations.append(PolyEquation(symbols, degree, coefficients))
+    return equations
 
 
 def reference_evaluation(structure, equations, x):

@@ -13,8 +13,10 @@ from structrank import (
     structure_to_json_dict,
     to_dot,
 )
+from structrank.cli import main
 from structrank.datasets import get_dataset
 from structrank.formats import parse_basis, parse_input, parse_system
+from structrank.polysys import StructuredPolySystem
 
 
 CEP_JSON = {
@@ -270,3 +272,50 @@ class TestOtherPayloads:
         path.write_text(json.dumps({"structure": CEP_JSON, "equations": []}))
         with pytest.raises(ParseError, match="degree"):
             parse_system(path)
+
+
+# One equation over x1, x2 at degree 1: the base that each bad file alters.
+LINE_SYSTEM = {
+    "structure": {"variables": 2, "equations": [{"vars": [1, 2]}]},
+    "degree": 1,
+    "seed": None,
+    "distribution": "explicit",
+    "equations": [{"1,0": 1.0, "0,1": -1.0}],
+}
+
+
+class TestSystemFiles:
+    """Each malformed system file exits 2 from the CLI, naming the bad field."""
+
+    @pytest.mark.parametrize("change, where", [
+        ({"equations": 5}, "equations"),
+        ({"equations": []}, "equations"),
+        ({"equations": [{"1,0": 1.0}, {"0,1": 1.0}]}, "equations"),
+        ({"equations": [[1.0]]}, "equations[0]"),
+        ({"degree": True}, "degree"),
+        ({"degree": -1}, "degree"),
+        ({"degree": 1.0}, "degree"),
+        ({"equations": [{"1,a": 1.0}]}, "equations[0]"),
+        ({"equations": [{" 1,0": 1.0}]}, "equations[0]"),
+        ({"equations": [{"1,0": "x"}]}, "equations[0]"),
+        ({"equations": [{"1,0": 1e400}]}, "equations[0]"),
+        ({"equations": [{"1,1": 1.0}]}, "equations"),
+        ({"seed": "abc"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"distribution": 5}, "distribution"),
+    ])
+    def test_bad_field_is_input_error(self, change, where, tmp_path, capsys):
+        data = {**LINE_SYSTEM, **change}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        assert main(["trace", str(path), "--from", "1,1"]) == 2
+        assert f"{path}: {where}: " in capsys.readouterr().err
+        with pytest.raises(ParseError) as raised:
+            StructuredPolySystem.from_json_dict(data)
+        assert raised.value.where == where
+
+    def test_constant_system_file_is_accepted(self, tmp_path):
+        data = {**LINE_SYSTEM, "degree": 0, "equations": [{"0,0": 2.5}]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        assert parse_system(path).evaluate([0.3, 0.4]).tolist() == [2.5]

@@ -21,10 +21,10 @@ from structrank import (
 from structrank import numrank
 from structrank.datasets import get_dataset
 from structrank.numrank import _member_jacobians
-from structrank.polysys import _sample_with_rng, member_plan, seeded_rng
+from structrank.polysys import member_plan, seeded_rng
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
-from oracles import reference_evaluation
+from oracles import reference_draw, reference_evaluation
 
 
 class TestRankTolerance:
@@ -227,7 +227,7 @@ class TestStackedTrials:
         stacked = draw([seeded_rng(5, i) for i in range(12)])
         for i, matrix in enumerate(stacked):
             rng = seeded_rng(5, i)
-            equations = _sample_with_rng(structure, degree, rng, distribution)
+            equations = reference_draw(structure, degree, rng, distribution)
             x = rng.uniform(-1.0, 1.0, structure.num_variables)
             expected, _ = reference_evaluation(structure, equations, x)
             assert matrix.tobytes() == expected.tobytes()

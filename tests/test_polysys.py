@@ -13,10 +13,10 @@ from structrank import (
 )
 from structrank.datasets import get_dataset
 from structrank import polysys
-from structrank.polysys import _monomial_table, member_plan, stacked_jacobians
+from structrank.polysys import _monomial_table, member_plan, seeded_rng, stacked_jacobians
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
-from oracles import reference_evaluation
+from oracles import reference_draw, reference_evaluation
 
 
 def example5_structure(a=1.0, b=2.0):
@@ -80,6 +80,24 @@ class TestSampling:
             sample_system(p, degree=0)
         sys = sample_system(p, degree=0, allow_constant=True)
         assert (sys.jacobian(np.zeros(3)).matrix == 0).all()
+
+    @pytest.mark.parametrize("name", ["cep3", "example5", "sole26"])
+    @pytest.mark.parametrize("distribution", ["uniform", "normal"])
+    def test_flat_draw_equals_per_equation_draws(self, name, distribution):
+        structure = get_dataset(name).structure
+        system = sample_system(structure, degree=3, seed=11, distribution=distribution)
+        expected = reference_draw(structure, 3, seeded_rng(11), distribution)
+        for eq, ref in zip(system.equations, expected, strict=True):
+            assert eq.symbols == ref.symbols
+            assert eq.coefficients.tobytes() == ref.coefficients.tobytes()
+
+    def test_members_share_one_plan(self):
+        structure = get_dataset("jakstat").structure
+        assert member_plan(structure, 2) is member_plan(structure, 2)
+        a = sample_system(structure, degree=2, seed=1)
+        b = sample_system(structure, degree=2, seed=2, distribution="normal")
+        assert a._plan is b._plan is member_plan(structure, 2)
+        assert combine(1.0, a, 1.0, b)._plan is a._plan
 
     def test_normal_distribution_supported(self):
         sys = sample_system(get_dataset("cep3").structure, degree=2, seed=0,
