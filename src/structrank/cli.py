@@ -13,16 +13,14 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import continuation as cont
-from . import numrank
-from .datasets import DATASETS, get_dataset
+from .datasets import DATASETS, Dataset, get_dataset
 from .errors import ParseError, StructrankError
 from .formats import parse_basis, parse_input, structure_to_json_dict, to_dot
-from .polysys import StructuredPolySystem, sample_system
 from .structural import classify, knockout_sweep, maximum_matching
-from .structure import GeneralizedStructure, SystemGraph, pattern_from_graph
+from .structure import GeneralizedStructure, StructurePattern, SystemGraph, pattern_from_graph
+
+# The numeric modules (numrank, polysys, continuation) import numpy, so the
+# handlers that need them import them; the structural subcommands never do.
 
 __all__ = ["AnalysisRequest", "run", "main"]
 
@@ -77,35 +75,36 @@ def _given(request, *fields):
 
 
 def _tolerance(request):
-    return numrank.RankTolerance(**_given(request, "rel_tol", "abs_floor"))
+    from .numrank import RankTolerance
+
+    return RankTolerance(**_given(request, "rel_tol", "abs_floor"))
+
+
+_STRUCTURES = (StructurePattern, GeneralizedStructure, SystemGraph)
 
 
 def _input(request, as_pattern=True):
-    """Resolve --dataset or the input file to (structure, system, origin).
+    """Resolve --dataset or the input file to (structure, source).
 
-    ``system`` is the bundled or serialized system, or None when the input is
-    only a structure; ``origin`` names where the system came from. A
-    SystemGraph becomes its pattern unless ``as_pattern`` is false.
+    ``source`` is the Dataset, or what the file holds: a structure or a
+    serialized system. A SystemGraph becomes its pattern unless
+    ``as_pattern`` is false.
     """
     if request.dataset is not None:
         if request.input_path is not None:
             raise _InputError("give either --dataset or an input file, not both")
         try:
-            dataset = get_dataset(request.dataset)
+            source = get_dataset(request.dataset)
         except StructrankError as exc:
             raise _InputError(str(exc)) from exc
-        structure, system = dataset.structure, dataset.system
-        origin = f"dataset {request.dataset} (bundled system)"
     elif request.input_path is not None:
-        loaded = parse_input(request.input_path, request.fmt)
-        system = loaded if isinstance(loaded, StructuredPolySystem) else None
-        structure = loaded if system is None else system.structure
-        origin = f"system file {request.input_path}"
+        source = parse_input(request.input_path, request.fmt)
     else:
         raise _InputError("no input: pass --dataset NAME or a structure/system file")
+    structure = source if isinstance(source, _STRUCTURES) else source.structure
     if as_pattern and isinstance(structure, SystemGraph):
         structure = pattern_from_graph(structure)
-    return structure, system, origin
+    return structure, source
 
 
 def _system(request):
@@ -114,8 +113,16 @@ def _system(request):
     Without a bundled or serialized system, a random member of the structure
     is sampled with the request's degree and seed.
     """
-    structure, system, origin = _input(request)
+    structure, source = _input(request)
+    if isinstance(source, Dataset):
+        system, origin = source.system, f"dataset {request.dataset} (bundled system)"
+    elif isinstance(source, _STRUCTURES):
+        system = None
+    else:
+        system, origin = source, f"system file {request.input_path}"
     if system is None:
+        from .polysys import sample_system
+
         system = sample_system(structure, **_given(request, "degree", "seed"))
         origin = (f"random member (degree={system.degree}, seed={system.seed}, "
                   f"distribution={system.distribution})")
@@ -127,7 +134,7 @@ def _point(request, n):
         raise _InputError(f"--from X1,...,X{n} is required for this subcommand")
     if len(request.from_point) != n:
         raise _InputError(f"--from must have {n} components, got {len(request.from_point)}")
-    return np.array(request.from_point, dtype=np.float64)
+    return request.from_point
 
 
 def _render_report(report, request):
@@ -149,7 +156,7 @@ def _render_report(report, request):
 
 
 def _cmd_rank(request):
-    pattern, _, _ = _input(request)
+    pattern, _ = _input(request)
     matching = maximum_matching(pattern)
     payload = {
         "rank": len(matching),
@@ -163,12 +170,12 @@ def _cmd_rank(request):
 
 
 def _cmd_classify(request):
-    pattern, _, _ = _input(request)
+    pattern, _ = _input(request)
     return _render_report(classify(pattern), request)
 
 
 def _cmd_knockout(request):
-    pattern, _, _ = _input(request)
+    pattern, _ = _input(request)
     entries = knockout_sweep(pattern)
     flips = [en.node + 1 for en in entries if en.flips_to_robust]
     if request.output == "json":
@@ -221,8 +228,10 @@ def _render_certification(report, request, heading):
 
 
 def _cmd_certify(request):
-    pattern, _, _ = _input(request)
-    report = numrank.certify_acr(
+    from .numrank import certify_acr
+
+    pattern, _ = _input(request)
+    report = certify_acr(
         pattern, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution", "pass_threshold"),
     )
@@ -230,8 +239,10 @@ def _cmd_certify(request):
 
 
 def _cmd_generic_rank(request):
-    structure, _, _ = _input(request)
-    report = numrank.generic_rank_randomized(
+    from .numrank import generic_rank_randomized
+
+    structure, _ = _input(request)
+    report = generic_rank_randomized(
         structure, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution"),
     )
@@ -239,6 +250,8 @@ def _cmd_generic_rank(request):
 
 
 def _cmd_trace(request):
+    from . import continuation as cont
+
     system, origin = _system(request)
     p = _point(request, system.num_variables)
     branch = cont.trace_curve(
@@ -260,6 +273,8 @@ def _cmd_trace(request):
 
 
 def _cmd_probe(request):
+    from . import continuation as cont
+
     system, origin = _system(request)
     p = _point(request, system.num_variables)
     if request.delta is not None:
@@ -267,8 +282,7 @@ def _cmd_probe(request):
             raise _InputError(
                 f"--delta must have {system.num_equations} components, got {len(request.delta)}"
             )
-        probe = cont.perturbation_probe(system, p, np.array(request.delta),
-                                        **_given(request, "seed"))
+        probe = cont.perturbation_probe(system, p, request.delta, **_given(request, "seed"))
         if request.output == "json":
             return _json_text(probe.to_json_dict())
         status = "solved" if probe.solved else "no solution found"
@@ -313,7 +327,9 @@ def _cmd_probe(request):
 def _cmd_matrix_space(request):
     if request.input_path is None:
         raise _InputError("matrix-space needs a JSON file with a 'basis' list")
-    report = numrank.matrix_space_rank(
+    from .numrank import matrix_space_rank
+
+    report = matrix_space_rank(
         parse_basis(request.input_path), tol=_tolerance(request),
         **_given(request, "trials", "seed"),
     )
@@ -321,7 +337,7 @@ def _cmd_matrix_space(request):
 
 
 def _cmd_show(request):
-    structure, _, _ = _input(request, as_pattern=False)
+    structure, _ = _input(request, as_pattern=False)
     if request.output == "dot":
         return to_dot(structure)
     if isinstance(structure, SystemGraph):
@@ -355,7 +371,7 @@ def _cmd_datasets(request):
                 "N": d.structure.num_variables,
                 "self_loops": d.self_loops,
                 "expected_rank": d.expected_rank,
-                "has_system": d.system is not None,
+                "has_system": d.has_system,
             }
             for name, d in DATASETS.items()
         })
@@ -417,6 +433,21 @@ def _checked_float(check):
     return parse
 
 
+# The checks below reach numrank, and so numpy, only when their flag is given.
+def _pass_threshold(value):
+    from .numrank import check_pass_threshold
+
+    check_pass_threshold(value)
+
+
+def _tolerance_field(field):
+    def check(value):
+        from .numrank import RankTolerance
+
+        RankTolerance(**{field: value})
+    return check
+
+
 def _positive(value):
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"must be finite and > 0, got {value!r}")
@@ -440,7 +471,7 @@ _FLAGS = {
     "--degree": dict(type=_positive_int),
     "--distribution": dict(choices=["uniform", "normal"]),
     "--pass-threshold": dict(dest="pass_threshold",
-                             type=_checked_float(numrank.check_pass_threshold)),
+                             type=_checked_float(_pass_threshold)),
     "--from": dict(dest="from_point", type=_finite_floats, required=True,
                    help="start point, comma separated"),
     "--samples": dict(type=_positive_int),
@@ -471,10 +502,10 @@ def _build_parser():
                        choices=["text", "json", "dot", "csv"],
                        help=f"output format (default from ${OUTPUT_ENV_VAR} or text)")
         p.add_argument("--tol", dest="rel_tol",
-                       type=_checked_float(lambda v: numrank.RankTolerance(relative_threshold=v)),
+                       type=_checked_float(_tolerance_field("relative_threshold")),
                        help="relative singular-value threshold")
         p.add_argument("--tol-floor", dest="abs_floor",
-                       type=_checked_float(lambda v: numrank.RankTolerance(absolute_floor=v)),
+                       type=_checked_float(_tolerance_field("absolute_floor")),
                        help="absolute singular-value floor")
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])

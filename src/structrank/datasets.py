@@ -8,9 +8,9 @@ transcriptions against the published numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import StructrankError
-from .polysys import StructuredPolySystem, system_from_terms
 from .structure import DerivedVariableSpec, GeneralizedStructure, StructurePattern
 
 __all__ = ["Dataset", "DATASETS", "get_dataset", "dataset_names"]
@@ -18,7 +18,12 @@ __all__ = ["Dataset", "DATASETS", "get_dataset", "dataset_names"]
 
 @dataclass(frozen=True)
 class Dataset:
-    """A named structure (optionally with a concrete system) plus provenance."""
+    """A named structure (optionally with a concrete system) plus provenance.
+
+    A concrete system is stored as ``system_terms``, (degree, one tuple of
+    (exponents, coefficient) pairs per equation), and ``system`` builds it on
+    its first read, so a dataset that is only listed or ranked loads no numpy.
+    """
 
     name: str
     title: str
@@ -28,7 +33,21 @@ class Dataset:
     expected_rank: int | None = None
     expected_class: str | None = None
     expected_dimension: int | None = None
-    system: StructuredPolySystem | None = None
+    system_terms: tuple | None = None
+
+    @property
+    def has_system(self) -> bool:
+        return self.system_terms is not None
+
+    @cached_property
+    def system(self):
+        """The bundled StructuredPolySystem (None without one), built once."""
+        if self.system_terms is None:
+            return None
+        from .polysys import system_from_terms
+
+        degree, terms = self.system_terms
+        return system_from_terms(self.structure, degree, [dict(eq) for eq in terms])
 
 
 def _rows(rows_1based, num_variables=None):
@@ -47,19 +66,20 @@ def _undirected(n, pairs_1based):
 
 _CEP3 = _rows([[3], [3], [1, 2, 3]])
 
-_EQCEP1 = system_from_terms(
-    _CEP3,
-    degree=4,
-    terms=[
-        {(2,): 1.0},                                  # x3^2
-        {(4,): 1.0, (0,): 1.0},                       # x3^4 + 1
-        {(2, 0, 0): 1.0, (0, 1, 0): -1.0, (0, 0, 4): 1.0},  # x1^2 - x2 + x3^4
-    ],
+def _terms(degree, *equations):
+    return degree, tuple(tuple(eq.items()) for eq in equations)
+
+
+_EQCEP1 = _terms(
+    4,
+    {(2,): 1.0},                                  # x3^2
+    {(4,): 1.0, (0,): 1.0},                       # x3^4 + 1
+    {(2, 0, 0): 1.0, (0, 1, 0): -1.0, (0, 0, 4): 1.0},  # x1^2 - x2 + x3^4
 )
 
 _XY_PATTERN = _rows([[1, 2]])
 
-_XY = system_from_terms(_XY_PATTERN, degree=2, terms=[{(1, 1): 1.0}])
+_XY = _terms(2, {(1, 1): 1.0})
 
 _EXAMPLE5 = GeneralizedStructure(
     num_variables=4,
@@ -129,7 +149,7 @@ def _build():
             expected_rank=2,
             expected_class="fragile",
             expected_dimension=1,
-            system=_EQCEP1,
+            system_terms=_EQCEP1,
         ),
         Dataset(
             name="robotarm",
@@ -221,7 +241,7 @@ def _build():
             expected_rank=1,
             expected_class="robust",
             expected_dimension=1,
-            system=_XY,
+            system_terms=_XY,
         ),
     ]
     return {d.name: d for d in datasets}

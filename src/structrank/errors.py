@@ -26,10 +26,11 @@ class ParseError(StructrankError):
 
     Carries enough position information to point at the offending spot:
     ``line`` is 1-based when known, ``where`` is a JSON-path-like locator
-    for structured files.
+    for structured files, and ``message`` is the text without them.
     """
 
     def __init__(self, message, path=None, line=None, where=None):
+        self.message = message
         self.path = path
         self.line = line
         self.where = where

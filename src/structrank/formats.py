@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError, StructureError
-from .polysys import check_degree, system_from_terms
 from .structure import (
     DerivedVariableSpec,
     GeneralizedStructure,
@@ -84,14 +83,17 @@ def structure_from_json_dict(data, path=None):
         _expect(isinstance(dv.get("name"), str) and dv["name"], "missing derived name", path, where)
         coeffs = dv.get("coeffs")
         _expect(isinstance(coeffs, dict) and coeffs, "'coeffs' must be a nonempty object", path, where)
-        pairs = []
+        pairs = {}
         for key, value in coeffs.items():
             _expect(key.isdigit() and int(key) >= 1,
                     f"coefficient key {key!r} must be a 1-based variable index", path, where)
             _expect(_is_finite_number(value),
                     f"coefficient on x{key} must be a finite number", path, where)
-            pairs.append((int(key) - 1, float(value)))
-        derived_specs.append(DerivedVariableSpec(dv["name"], tuple(pairs)))
+            index = int(key) - 1
+            _expect(index not in pairs,
+                    f"coefficient key {key!r} names x{index + 1} again", path, where)
+            pairs[index] = float(value)
+        derived_specs.append(DerivedVariableSpec(dv["name"], tuple(pairs.items())))
     declared = {d.name for d in derived_specs}
 
     dependencies = []
@@ -156,11 +158,15 @@ def structure_to_json_dict(structure):
 
 
 def _parse_json_file(path):
+    """The one JSON reader for structure, system and basis files."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
+    except RecursionError:
+        # The decoder recurses once per nesting level, up to the recursion limit.
+        raise ParseError("JSON nested too deeply", path=path) from None
 
 
 def _parse_edge_list(path):
@@ -328,11 +334,20 @@ def _system_from_json_dict(data, path=None):
     vectors over the equation's symbols (sorted variables, then derived
     names), "" for the constant term, and its values finite coefficients.
     """
+    from .polysys import check_degree, system_from_terms  # numpy: only for system files
+
     _expect(isinstance(data, dict), "top level must be an object", path, "$")
     _check_keys(data, {"structure", "degree", "seed", "distribution", "equations"}, path, "$")
     for key in ("structure", "degree", "equations"):
         _expect(key in data, f"missing field {key!r}", path, "$")
-    structure = structure_from_json_dict(data["structure"], path=path)
+    _expect(isinstance(data["structure"], dict), "'structure' must be an object", path,
+            "structure")
+    try:
+        structure = structure_from_json_dict(data["structure"], path=path)
+    except ParseError as exc:
+        # Locate the nested structure's fields from the system file's top level.
+        where = "structure" if exc.where == "$" else f"structure.{exc.where}"
+        raise ParseError(exc.message, path=path, where=where) from None
     degree = data["degree"]
     _expect(_is_int(degree), "'degree' must be an integer", path, "degree")
     try:
@@ -348,13 +363,18 @@ def _system_from_json_dict(data, path=None):
     for e, eq in enumerate(equations):
         where = f"equations[{e}]"
         _expect(isinstance(eq, dict), "equation must be an object", path, where)
+        spelled = {}
         for key, value in eq.items():
             _expect(_EXPONENTS_RE.fullmatch(key),
                     f"exponent key {key!r} must be '' or comma-separated integers", path, where)
             _expect(_is_finite_number(value),
                     f"coefficient of {key!r} must be a finite number", path, where)
-        terms.append({tuple(map(int, key.split(","))) if key else (): float(value)
-                      for key, value in eq.items()})
+            exponents = tuple(map(int, key.split(","))) if key else ()
+            _expect(exponents not in spelled,
+                    f"exponent keys {spelled.get(exponents)!r} and {key!r} spell the same "
+                    "exponent vector", path, where)
+            spelled[exponents] = key
+        terms.append({exponents: float(eq[key]) for exponents, key in spelled.items()})
     seed = data.get("seed")
     _expect(seed is None or _is_int(seed), "'seed' must be an integer or null", path, "seed")
     distribution = data.get("distribution", "explicit")

@@ -224,6 +224,14 @@ class TestErrorHandling:
         assert where in captured.err
 
 
+    @pytest.mark.parametrize("argv", [["rank"], ["trace", "--from", "1"], ["matrix-space"]])
+    def test_deeply_nested_json_is_input_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"variables": ' + "[" * 5000 + "]" * 5000 + "}")
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+
 class TestMainEntryPoint:
     def test_classify_via_argv(self, capsys):
         assert main(["classify", "--dataset", "jakstat", "-o", "json"]) == 0

@@ -111,6 +111,15 @@ class TestJsonStructureFiles:
         with pytest.raises(ParseError, match=r"derived_vars\[0\].*finite"):
             parse_structure(path)
 
+    def test_two_keys_naming_one_derived_coefficient(self, tmp_path):
+        data = {"variables": 2, "equations": [{"vars": [1], "derived": ["z"]}],
+                "derived_vars": [{"name": "z", "coeffs": {"1": 1.0, "01": 2.0}}]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match="'01' names x1 again") as raised:
+            parse_structure(path)
+        assert raised.value.where == "derived_vars[0]"
+
     def test_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n "variables": 3,\n]')
@@ -303,6 +312,15 @@ class TestSystemFiles:
         ({"seed": "abc"}, "seed"),
         ({"seed": True}, "seed"),
         ({"distribution": 5}, "distribution"),
+        ({"equations": [{"1,0": 1.0, "01,0": 2.0, "0,1": 1.0}]}, "equations[0]"),
+        ({"structure": [1]}, "structure"),
+        ({"structure": {"variables": 2}}, "structure"),
+        ({"structure": {"variables": True, "equations": [{"vars": [1, 2]}]}},
+         "structure.variables"),
+        ({"structure": {"variables": 2, "equations": [{"vars": [1, 5]}]}},
+         "structure.equations[0].vars[1]"),
+        ({"structure": {"variables": 2, "equations": [{"vars": [1, 2]}], "derived_vars": [5]}},
+         "structure.derived_vars[0]"),
     ])
     def test_bad_field_is_input_error(self, change, where, tmp_path, capsys):
         data = {**LINE_SYSTEM, **change}
@@ -313,6 +331,13 @@ class TestSystemFiles:
         with pytest.raises(ParseError) as raised:
             StructuredPolySystem.from_json_dict(data)
         assert raised.value.where == where
+
+    def test_exponent_keys_spelling_one_vector_are_named(self, tmp_path, capsys):
+        data = {**LINE_SYSTEM, "equations": [{"1,0": 1.0, "01,0": 2.0, "0,1": 1.0}]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        assert main(["trace", str(path), "--from", "1,1"]) == 2
+        assert "equations[0]: exponent keys '1,0' and '01,0'" in capsys.readouterr().err
 
     def test_constant_system_file_is_accepted(self, tmp_path):
         data = {**LINE_SYSTEM, "degree": 0, "equations": [{"0,0": 2.5}]}
