@@ -11,12 +11,13 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .datasets import DATASETS, Dataset, get_dataset
 from .errors import ParseError, StructrankError
 from .formats import parse_basis, parse_input, structure_to_json_dict, to_dot
-from .structural import classify, knockout_sweep, maximum_matching
+from .structural import classify, knockout_sweep
 from .structure import GeneralizedStructure, StructurePattern, SystemGraph, pattern_from_graph
 
 # The numeric modules (numrank, polysys, continuation) import numpy, so the
@@ -126,6 +127,9 @@ def _system(request):
         system = sample_system(structure, **_given(request, "degree", "seed"))
         origin = (f"random member (degree={system.degree}, seed={system.seed}, "
                   f"distribution={system.distribution})")
+    elif request.degree is not None:
+        raise _InputError(f"--degree is unused: {origin} is a system of its own "
+                          f"(degree {system.degree}), not a sampled member")
     return system, origin
 
 
@@ -157,15 +161,9 @@ def _render_report(report, request):
 
 def _cmd_rank(request):
     pattern, _ = _input(request)
-    matching = maximum_matching(pattern)
-    payload = {
-        "rank": len(matching),
-        "M": pattern.num_equations,
-        "N": pattern.num_variables,
-        "matching": [[e + 1, v + 1] for e, v in matching],
-    }
+    payload = classify(pattern).to_json_dict()
     if request.output == "json":
-        return _json_text(payload)
+        return _json_text({key: payload[key] for key in ("rank", "M", "N", "matching")})
     return f"structural rank: {payload['rank']} (M={payload['M']}, N={payload['N']})\n"
 
 
@@ -278,6 +276,12 @@ def _cmd_probe(request):
     system, origin = _system(request)
     p = _point(request, system.num_variables)
     if request.delta is not None:
+        unused = [flag for flag, value in (
+            ("--samples", request.samples), ("--step", request.step), ("--radius", request.radius),
+            ("--tol", request.rel_tol), ("--tol-floor", request.abs_floor)) if value is not None]
+        if unused:
+            raise _InputError(f"--delta runs the perturbation probe, which does not use "
+                              f"{', '.join(unused)}")
         if len(request.delta) != system.num_equations:
             raise _InputError(
                 f"--delta must have {system.num_equations} components, got {len(request.delta)}"
@@ -384,27 +388,47 @@ def _cmd_datasets(request):
     return "\n".join(lines) + "\n"
 
 
+# flags are keys of _FLAGS; outputs are the -o formats the handler renders.
+_Command = namedtuple("_Command", "handler help flags outputs", defaults=((), ("text", "json")))
+_INPUT = ("input_path", "--dataset", "--format")
+_TOL = ("--tol", "--tol-floor")
+_SAMPLED = (*_INPUT, "--trials", "--seed", "--degree", "--distribution")
+_AT_POINT = (*_INPUT, "--from", "--step", "--seed", "--degree", "--radius")
+
+# Every subcommand, declared once. The parser and run() both read this table,
+# so a subcommand accepts exactly the flags and output formats it uses.
 _COMMANDS = {
-    "rank": _cmd_rank,
-    "classify": _cmd_classify,
-    "knockout": _cmd_knockout,
-    "certify": _cmd_certify,
-    "generic-rank": _cmd_generic_rank,
-    "trace": _cmd_trace,
-    "probe": _cmd_probe,
-    "matrix-space": _cmd_matrix_space,
-    "show": _cmd_show,
-    "datasets": _cmd_datasets,
+    "rank": _Command(_cmd_rank, "structural (generic) rank of a pattern", _INPUT),
+    "classify": _Command(_cmd_classify, "rank, robust/fragile class, and solution dimension",
+                         _INPUT),
+    "knockout": _Command(_cmd_knockout, "classify every single-node knockout of a square system",
+                         _INPUT),
+    "certify": _Command(_cmd_certify, "Monte Carlo certification that random members attain "
+                        "the structural rank", (*_SAMPLED, "--pass-threshold", *_TOL)),
+    "generic-rank": _Command(_cmd_generic_rank, "randomized generic-rank estimate (works for "
+                             "derived variables)", (*_SAMPLED, *_TOL)),
+    "trace": _Command(_cmd_trace, "trace the 1-dimensional solution curve through a point",
+                      (*_AT_POINT, "--max-points", *_TOL), ("text", "json", "csv")),
+    "probe": _Command(_cmd_probe, "sample the solution set (or try a right-hand-side "
+                      "perturbation with --delta)", (*_AT_POINT, "--samples", "--delta", *_TOL)),
+    "matrix-space": _Command(_cmd_matrix_space, "generic rank of the span of basis matrices",
+                             ("input_path", "--trials", "--seed", *_TOL)),
+    "show": _Command(_cmd_show, "print a structure (text, json, or dot)", _INPUT,
+                     ("text", "json", "dot")),
+    "datasets": _Command(_cmd_datasets, "list bundled datasets"),
 }
 
 
 def run(request: AnalysisRequest) -> tuple[int, str]:
     """Dispatch a request; returns (exit code, rendered report or error text)."""
-    handler = _COMMANDS.get(request.subcommand)
-    if handler is None:
+    command = _COMMANDS.get(request.subcommand)
+    if command is None:
         return 2, f"error: unknown subcommand {request.subcommand!r}\n"
+    if request.output not in command.outputs:
+        return 2, (f"error: {request.subcommand} has no output format {request.output!r} "
+                   f"(from ${OUTPUT_ENV_VAR} or the request); use {', '.join(command.outputs)}\n")
     try:
-        return 0, handler(request)
+        return 0, command.handler(request)
     except (_InputError, ParseError, OSError) as exc:
         return 2, f"error: {exc}\n"
     except (StructrankError, ValueError) as exc:
@@ -463,21 +487,28 @@ def _positive_int(text):
     return value
 
 
-# Every subcommand flag, declared once; subcommands pick theirs by name. No
-# flag has a default: one left out takes the library function's default.
+# Every subcommand flag, declared once; _COMMANDS picks each subcommand's by
+# name. No flag has a default: one left out takes the library function's default.
 _FLAGS = {
+    "input_path": dict(nargs="?", help="structure or system file; matrix-space: basis file"),
+    "--dataset": dict(help="bundled dataset name"),
+    "--format": dict(dest="fmt", choices=["json", "edges", "pattern"],
+                     help="override input format detection"),
+    "--tol": dict(dest="rel_tol", type=_checked_float(_tolerance_field("relative_threshold")),
+                  help="relative singular-value threshold"),
+    "--tol-floor": dict(dest="abs_floor", type=_checked_float(_tolerance_field("absolute_floor")),
+                        help="absolute singular-value floor"),
     "--trials": dict(type=_positive_int),
     "--seed": dict(type=int),
     "--degree": dict(type=_positive_int),
     "--distribution": dict(choices=["uniform", "normal"]),
-    "--pass-threshold": dict(dest="pass_threshold",
-                             type=_checked_float(_pass_threshold)),
+    "--pass-threshold": dict(type=_checked_float(_pass_threshold)),
     "--from": dict(dest="from_point", type=_finite_floats, required=True,
                    help="start point, comma separated"),
     "--samples": dict(type=_positive_int),
     "--delta": dict(type=_finite_floats),
     "--step": dict(type=_checked_float(_positive)),
-    "--max-points": dict(dest="max_points", type=_positive_int),
+    "--max-points": dict(type=_positive_int),
     "--radius": dict(type=_checked_float(_positive)),
 }
 
@@ -489,52 +520,20 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     default_output = os.environ.get(OUTPUT_ENV_VAR, "text")
-
-    def add(name, help_text, flags=(), needs_input=True):
-        p = sub.add_parser(name, help=help_text)
-        if needs_input:
-            p.add_argument("input_path", nargs="?", default=None,
-                           help="structure/system file (or use --dataset)")
-            p.add_argument("--dataset", help="bundled dataset name")
-            p.add_argument("--format", dest="fmt", choices=["json", "edges", "pattern"],
-                           help="override input format detection")
-        p.add_argument("-o", "--output", default=default_output,
-                       choices=["text", "json", "dot", "csv"],
-                       help=f"output format (default from ${OUTPUT_ENV_VAR} or text)")
-        p.add_argument("--tol", dest="rel_tol",
-                       type=_checked_float(_tolerance_field("relative_threshold")),
-                       help="relative singular-value threshold")
-        p.add_argument("--tol-floor", dest="abs_floor",
-                       type=_checked_float(_tolerance_field("absolute_floor")),
-                       help="absolute singular-value floor")
-        for flag in flags:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
             p.add_argument(flag, **_FLAGS[flag])
-
-    add("rank", "structural (generic) rank of a pattern")
-    add("classify", "rank, robust/fragile class, and solution dimension")
-    add("knockout", "classify every single-node knockout of a square system")
-    add("certify", "Monte Carlo certification that random members attain the structural rank",
-        ("--trials", "--seed", "--degree", "--distribution", "--pass-threshold"))
-    add("generic-rank", "randomized generic-rank estimate (works for derived variables)",
-        ("--trials", "--seed", "--degree", "--distribution"))
-    add("trace", "trace the 1-dimensional solution curve through a point",
-        ("--from", "--step", "--max-points", "--seed", "--degree", "--radius"))
-    add("probe", "sample the solution set (or try a right-hand-side perturbation with --delta)",
-        ("--from", "--samples", "--delta", "--step", "--seed", "--degree", "--radius"))
-    add("matrix-space", "generic rank of the span of basis matrices", ("--trials", "--seed"))
-    add("show", "print a structure (text, json, or dot)")
-    add("datasets", "list bundled datasets", needs_input=False)
+        p.add_argument("-o", "--output", default=default_output, choices=command.outputs,
+                       help=f"output format (default from ${OUTPUT_ENV_VAR} or text)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    namespace = parser.parse_args(argv)
-    fields = {f for f in AnalysisRequest.__dataclass_fields__}
-    request = AnalysisRequest(**{
-        k: v for k, v in vars(namespace).items() if k in fields and v is not None
-    })
-    code, text = run(request)
+    namespace = _build_parser().parse_args(argv)
+    # Every parser dest is an AnalysisRequest field.
+    code, text = run(AnalysisRequest(**{k: v for k, v in vars(namespace).items()
+                                        if v is not None}))
     stream = sys.stdout if code == 0 else sys.stderr
     stream.write(text)
     return code

@@ -81,14 +81,16 @@ def structure_from_json_dict(data, path=None):
         _expect(isinstance(dv, dict), "derived variable must be an object", path, where)
         _check_keys(dv, {"name", "coeffs"}, path, where)
         _expect(isinstance(dv.get("name"), str) and dv["name"], "missing derived name", path, where)
+        _expect(all(d.name != dv["name"] for d in derived_specs),
+                f"derived variable {dv['name']!r} is declared twice", path, where)
         coeffs = dv.get("coeffs")
         _expect(isinstance(coeffs, dict) and coeffs, "'coeffs' must be a nonempty object", path, where)
         pairs = {}
         for key, value in coeffs.items():
-            _expect(key.isdigit() and int(key) >= 1,
-                    f"coefficient key {key!r} must be a 1-based variable index", path, where)
-            _expect(_is_finite_number(value),
-                    f"coefficient on x{key} must be a finite number", path, where)
+            _expect(key.isdecimal() and 1 <= int(key) <= n,
+                    f"coefficient key {key!r} must be a variable index in 1..{n}", path, where)
+            _expect(_is_finite_number(value) and value != 0,
+                    f"coefficient on x{key} must be a finite nonzero number", path, where)
             index = int(key) - 1
             _expect(index not in pairs,
                     f"coefficient key {key!r} names x{index + 1} again", path, where)
@@ -160,8 +162,17 @@ def structure_to_json_dict(structure):
 def _parse_json_file(path):
     """The one JSON reader for structure, system and basis files."""
     text = Path(path).read_text(encoding="utf-8")
+
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            keys = [key for key, _ in pairs]
+            raise ParseError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}",
+                             path=path)
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from exc
     except RecursionError:
@@ -322,6 +333,12 @@ def parse_basis(path):
             for k, value in enumerate(row):
                 _expect(_is_finite_number(value),
                         "matrix entries must be finite numbers", path, f"basis[{i}][{j}][{k}]")
+    # Combinations take coefficients in [-1, 1], so no entry of one can exceed
+    # the sum of absolute values at its position.
+    entries = zip(*([abs(v) for row in mat for v in row] for mat in basis))
+    _expect(all(sum(column) <= sys.float_info.max for column in entries),
+            "entries at one position sum past the largest float in absolute value; "
+            "scale the basis down", path, "basis")
     return basis
 
 

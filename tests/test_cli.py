@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,9 @@ from structrank.cli import _COMMANDS, AnalysisRequest, _build_parser, main, run
 from structrank.datasets import get_dataset
 
 BASIS = str(Path(__file__).parent / "golden" / "basis.json")
+SYSTEM = str(Path(__file__).parent / "golden" / "system-example5.json")
+INPUT = {"input_path": None, "dataset": None, "fmt": None}
+TOL = {"rel_tol": None, "abs_floor": None}
 
 
 def run_ok(request):
@@ -224,6 +228,48 @@ class TestErrorHandling:
         assert where in captured.err
 
 
+    def test_duplicate_key_is_input_error(self, tmp_path, capsys):
+        # json keeps the last of two equal keys; the file is rejected instead.
+        path = tmp_path / "dup.json"
+        path.write_text('{"variables": 2, "equations": [{"vars": [1]}], "variables": 3}')
+        assert main(["rank", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: duplicate key 'variables'\n"
+
+    @pytest.mark.parametrize("derived_vars, where, message", [
+        ([{"name": "z", "coeffs": {"1": 1}}, {"name": "z", "coeffs": {"2": 1}}],
+         "derived_vars[1]", "derived variable 'z' is declared twice"),
+        ([{"name": "z", "coeffs": {"3": 1}}],
+         "derived_vars[0]", "coefficient key '3' must be a variable index in 1..2"),
+        ([{"name": "z", "coeffs": {"1": 0}}],
+         "derived_vars[0]", "coefficient on x1 must be a finite nonzero number"),
+        ([{"name": "z", "coeffs": {"\u00b2": 1}}],
+         "derived_vars[0]", "coefficient key '\u00b2' must be a variable index in 1..2"),
+    ], ids=["name-twice", "key-beyond-variables", "zero", "superscript-key"])
+    def test_bad_derived_variable_is_input_error(self, derived_vars, where, message, tmp_path,
+                                                 capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"variables": 2, "derived_vars": derived_vars,
+                                    "equations": [{"vars": [1], "derived": ["z"]}]}))
+        assert main(["show", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {where}: {message}\n"
+
+    def test_basis_that_can_overflow_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"basis": [[[1e308, 1e308]], [[1e308, 1e308]]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["matrix-space", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: basis: entries at one "
+                                                  "position sum past the largest float")
+
+    def test_basis_near_the_largest_float_runs(self, tmp_path, capsys):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"basis": [[[1e308, 0.0]], [[7e307, 1.0]]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["matrix-space", str(path), "--trials", "20"]) == 0
+        assert "estimated rank (max observed): 1" in capsys.readouterr().out
+
     @pytest.mark.parametrize("argv", [["rank"], ["trace", "--from", "1"], ["matrix-space"]])
     def test_deeply_nested_json_is_input_error(self, argv, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -264,7 +310,7 @@ class TestMainEntryPoint:
         (["probe", "--dataset", "xy", "--from", "1,0", "--radius", "inf"], "--radius"),
         (["certify", "--dataset", "cep3", "--tol", "2"], "--tol"),
         (["certify", "--dataset", "cep3", "--tol", "nan"], "--tol"),
-        (["rank", "--dataset", "cep3", "--tol-floor", "-1"], "--tol-floor"),
+        (["generic-rank", "--dataset", "cep3", "--tol-floor", "-1"], "--tol-floor"),
         (["certify", "--dataset", "cep3", "--pass-threshold", "7"], "--pass-threshold"),
         (["certify", "--dataset", "cep3", "--pass-threshold", "0"], "--pass-threshold"),
         (["certify", "--dataset", "cep3", "--pass-threshold", "nan"], "--pass-threshold"),
@@ -297,26 +343,25 @@ class TestMainEntryPoint:
         assert "manifold evidence" not in out
 
     @pytest.mark.parametrize("argv, own", [
-        (["rank"], {}),
+        (["rank"], INPUT),
         (["datasets"], {}),
-        (["certify"], {"trials": None, "seed": None, "degree": None, "distribution": None,
-                       "pass_threshold": None}),
-        (["generic-rank"], {"trials": None, "seed": None, "degree": None,
+        (["certify"], {**INPUT, **TOL, "trials": None, "seed": None, "degree": None,
+                       "distribution": None, "pass_threshold": None}),
+        (["generic-rank"], {**INPUT, **TOL, "trials": None, "seed": None, "degree": None,
                             "distribution": None}),
-        (["matrix-space"], {"trials": None, "seed": None}),
-        (["trace", "--from", "1"], {"from_point": (1.0,), "step": None, "max_points": None,
-                                    "seed": None, "degree": None, "radius": None}),
-        (["probe", "--from", "1"], {"from_point": (1.0,), "samples": None, "delta": None,
-                                    "step": None, "seed": None, "degree": None,
+        (["matrix-space"], {"input_path": None, **TOL, "trials": None, "seed": None}),
+        (["trace", "--from", "1"], {**INPUT, **TOL, "from_point": (1.0,), "step": None,
+                                    "max_points": None, "seed": None, "degree": None,
+                                    "radius": None}),
+        (["probe", "--from", "1"], {**INPUT, **TOL, "from_point": (1.0,), "samples": None,
+                                    "delta": None, "step": None, "seed": None, "degree": None,
                                     "radius": None}),
     ])
     def test_subcommand_flags_and_defaults(self, argv, own, monkeypatch):
         # Each subcommand accepts exactly its own flags, and a flag left out
         # reads None: the library function it goes to supplies the default.
         monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
-        common = {"subcommand": argv[0], "output": "text", "rel_tol": None, "abs_floor": None}
-        if argv[0] != "datasets":
-            common.update(input_path=None, dataset=None, fmt=None)
+        common = {"subcommand": argv[0], "output": "text"}
         assert vars(_build_parser().parse_args(argv)) == {**common, **own}
 
     def test_argparse_rejects_conflicting_choice(self, capsys):
@@ -388,3 +433,108 @@ class TestOneRequestPath:
         path.write_text(json.dumps(get_dataset("eqcep1").system.to_json_dict()))
         assert run(AnalysisRequest("rank", input_path=str(path))) == \
             run(AnalysisRequest("rank", dataset="eqcep1"))
+
+
+# A working invocation of each subcommand, small enough to run in a test.
+WORKING = {
+    "rank": ["--dataset", "cep3"],
+    "classify": ["--dataset", "cep3"],
+    "knockout": ["--dataset", "trophic5"],
+    "certify": ["--dataset", "cep3", "--trials", "5"],
+    "generic-rank": ["--dataset", "example5", "--trials", "5"],
+    "trace": ["--dataset", "eqcep1", "--from", "1,1,1", "--max-points", "5"],
+    "probe": ["--dataset", "xy", "--from", "1,0", "--samples", "2"],
+    "matrix-space": [BASIS, "--trials", "5"],
+    "show": ["--dataset", "cep3"],
+    "datasets": [],
+}
+# (subcommand, arguments) pairs that no handler reads: the parser rejects them.
+UNUSED = (
+    [(name, [flag, value]) for name in ("rank", "classify", "knockout", "show", "datasets")
+     for flag, value in (("--tol", "0.5"), ("--tol-floor", "0.1"))]
+    + [(name, ["-o", "dot"]) for name in WORKING if name != "show"]
+    + [(name, ["-o", "csv"]) for name in WORKING if name != "trace"]
+    + [("matrix-space", ["--dataset", "cep3"]), ("matrix-space", ["--format", "json"])]
+)
+
+
+class TestDeclaredFlagsAndFormats:
+    """Each subcommand accepts only the flags and output formats it uses."""
+
+    def test_every_subcommand_has_a_working_invocation(self, monkeypatch, capsys):
+        monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
+        assert set(WORKING) == set(_COMMANDS)
+        for name, argv in WORKING.items():
+            assert main([name, *argv]) == 0, capsys.readouterr().err
+
+    def test_thirty_unused_values_are_counted(self):
+        assert len(UNUSED) == 30
+
+    @pytest.mark.parametrize("name, extra", UNUSED,
+                             ids=[f"{n} {' '.join(e)}" for n, e in UNUSED])
+    def test_unused_flag_or_format_is_usage_error(self, name, extra, monkeypatch, capsys):
+        monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main([name, *WORKING[name], *extra])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {extra[0]}" in err or \
+            f"argument -o/--output: invalid choice: '{extra[1]}'" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--samples", "7"], ["--step", "0.3"], ["--radius", "2"], ["--tol", "0.5"],
+        ["--tol-floor", "0.1"], ["--samples", "7", "--step", "0.3", "--tol", "0.5"],
+    ])
+    def test_delta_with_a_manifold_probe_flag_is_input_error(self, extra, capsys):
+        argv = ["probe", "--dataset", "eqcep1", "--from", "1,1,1", "--delta", "0,0.1,0"]
+        assert main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        flags = ", ".join(a for a in extra if a.startswith("--"))
+        assert captured.err == ("error: --delta runs the perturbation probe, which does not "
+                                f"use {flags}\n")
+
+    @pytest.mark.parametrize("subcommand", ["trace", "probe"])
+    @pytest.mark.parametrize("source, origin", [
+        (["--dataset", "eqcep1", "--from", "1,1,1"], "dataset eqcep1 (bundled system)"),
+        (["--dataset", "xy", "--from", "1,0"], "dataset xy (bundled system)"),
+        ([SYSTEM, "--from", "0.3,0.2,0.1,0.4"], f"system file {SYSTEM}"),
+    ])
+    def test_degree_on_an_input_with_its_own_system_is_input_error(
+            self, subcommand, source, origin, capsys):
+        assert main([subcommand, *source, "--degree", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --degree is unused: {origin} is a system")
+
+    def test_delta_still_samples_a_member_of_a_structure(self, capsys):
+        argv = ["probe", "--dataset", "cep3", "--from", "1,1,1", "--delta", "0,0.1,0"]
+        assert main([*argv, "--degree", "3", "--seed", "2"]) == 0, capsys.readouterr().err
+        assert "random member (degree=3, seed=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value, name", [("yaml", "rank"), ("dot", "trace"),
+                                             ("csv", "show")])
+    def test_output_env_the_subcommand_does_not_render(self, value, name, monkeypatch, capsys):
+        monkeypatch.setenv("STRUCTRANK_OUTPUT", value)
+        assert main([name, *WORKING[name]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} has no output format {value!r}" in captured.err
+
+    def test_output_env_is_a_default_that_o_overrides(self, monkeypatch, capsys):
+        monkeypatch.setenv("STRUCTRANK_OUTPUT", "dot")
+        assert main(["show", "--dataset", "cep3"]) == 0
+        assert capsys.readouterr().out.startswith("digraph system {")
+        assert main(["rank", "--dataset", "cep3", "-o", "text"]) == 0
+        assert capsys.readouterr().out == "structural rank: 2 (M=3, N=3)\n"
+
+    @pytest.mark.parametrize("analysis", [
+        AnalysisRequest("rank", dataset="cep3", output="dot"),
+        AnalysisRequest("trace", dataset="eqcep1", from_point=(1.0, 1.0, 1.0), output="yaml"),
+        AnalysisRequest("datasets", output="csv"),
+    ], ids=["rank-dot", "trace-yaml", "datasets-csv"])
+    def test_request_output_the_subcommand_does_not_render(self, analysis):
+        code, text = run(analysis)
+        assert code == 2
+        assert text.startswith(f"error: {analysis.subcommand} has no output format "
+                               f"{analysis.output!r}")

@@ -120,6 +120,30 @@ class TestJsonStructureFiles:
             parse_structure(path)
         assert raised.value.where == "derived_vars[0]"
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"variables": 2, "equations": [{"vars": [1]}], "variables": 3}', "variables"),
+        ('{"variables": 2, "equations": [{"vars": [1], "vars": [2]}]}', "vars"),
+        ('{"variables": 2, "equations": [{"derived": ["z"]}],'
+         ' "derived_vars": [{"name": "z", "coeffs": {"1": 1, "1": 2}}]}', "1"),
+    ], ids=["top-level", "equation", "coeffs"])
+    def test_duplicate_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "dup.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"duplicate key '{key}'") as raised:
+            parse_structure(path)
+        assert raised.value.path == path
+
+    def test_constructor_errors_are_parse_errors(self, tmp_path):
+        # Every structure the schema accepts is one the constructors accept.
+        base = {"variables": 2, "equations": [{"vars": [1], "derived": ["z"]}]}
+        z1, z2 = {"name": "z", "coeffs": {"1": 1}}, {"name": "z", "coeffs": {"2": 1}}
+        for derived_vars in ([z1, z2], [{"name": "z", "coeffs": {"3": 1}}],
+                             [{"name": "z", "coeffs": {"2": -0.0}}]):
+            path = tmp_path / "s.json"
+            path.write_text(json.dumps({**base, "derived_vars": derived_vars}))
+            with pytest.raises(ParseError, match=r"derived_vars\[\d\]"):
+                parse_structure(path)
+
     def test_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{\n "variables": 3,\n]')
@@ -247,6 +271,17 @@ class TestOtherPayloads:
         path = tmp_path / "basis.json"
         path.write_text(json.dumps({"basis": [[["x"]]]}))
         with pytest.raises(ParseError, match=r"basis\[0\]\[0\]\[0\]"):
+            parse_basis(path)
+
+    @pytest.mark.parametrize("basis", [
+        [[[1e308, 1e308]], [[1e308, 1e308]]],
+        [[[1.0, 0.0], [0.0, 1e308]], [[0.0, 0.0], [0.0, -9e307]]],
+        [[[10 ** 308]], [[10 ** 308]]],
+    ], ids=["floats", "one-entry-with-signs", "integers"])
+    def test_basis_whose_combinations_can_overflow(self, tmp_path, basis):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"basis": basis}))
+        with pytest.raises(ParseError, match="basis: entries at one position sum past"):
             parse_basis(path)
 
     @pytest.mark.parametrize("basis, where", [
