@@ -12,7 +12,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .datasets import DATASETS, Dataset, get_dataset
 from .errors import ParseError, StructrankError
@@ -33,7 +33,8 @@ class AnalysisRequest:
     """One validated invocation of a subcommand.
 
     An analysis field left at None was not given: the library function it
-    goes to applies its own default.
+    goes to applies its own default. A subcommand accepts only the fields of
+    its own flags.
     """
 
     subcommand: str
@@ -42,7 +43,7 @@ class AnalysisRequest:
     fmt: str | None = None
     output: str = "text"
     trials: int | None = None
-    seed: int = 0
+    seed: int | None = None
     degree: int | None = None
     distribution: str | None = None
     rel_tol: float | None = None
@@ -108,11 +109,13 @@ def _input(request, as_pattern=True):
     return structure, source
 
 
-def _system(request):
+def _system(request, uses_seed):
     """The polynomial system to analyze, and a line naming its origin.
 
     Without a bundled or serialized system, a random member of the structure
-    is sampled with the request's degree and seed.
+    is sampled with the request's degree and seed. ``uses_seed`` says whether
+    the analysis itself draws from the seed, so that a system of its own
+    still has a use for one.
     """
     structure, source = _input(request)
     if isinstance(source, Dataset):
@@ -130,6 +133,9 @@ def _system(request):
     elif request.degree is not None:
         raise _InputError(f"--degree is unused: {origin} is a system of its own "
                           f"(degree {system.degree}), not a sampled member")
+    elif request.seed is not None and not uses_seed:
+        raise _InputError(f"--seed is unused: {origin} is a system of its own, "
+                          f"not a sampled member, and {request.subcommand} draws nothing")
     return system, origin
 
 
@@ -250,7 +256,7 @@ def _cmd_generic_rank(request):
 def _cmd_trace(request):
     from . import continuation as cont
 
-    system, origin = _system(request)
+    system, origin = _system(request, uses_seed=False)
     p = _point(request, system.num_variables)
     branch = cont.trace_curve(
         system, p, tol=_tolerance(request), **_given(request, "step", "max_points", "radius"),
@@ -273,7 +279,7 @@ def _cmd_trace(request):
 def _cmd_probe(request):
     from . import continuation as cont
 
-    system, origin = _system(request)
+    system, origin = _system(request, uses_seed=True)
     p = _point(request, system.num_variables)
     if request.delta is not None:
         unused = [flag for flag, value in (
@@ -293,7 +299,7 @@ def _cmd_probe(request):
         return (
             f"system: {origin}\nperturbation probe: {status}\n"
             f"residual floor: {probe.residual_floor:.6g} "
-            f"({probe.starts_tried} starts, seed {request.seed})\n"
+            f"({probe.starts_tried} starts, seed {request.seed or 0})\n"
         )
     report = cont.manifold_probe(
         system, p, tol=_tolerance(request),
@@ -314,7 +320,7 @@ def _cmd_probe(request):
     else:
         lines.append(
             f"samples accepted: {report.samples_accepted}/{report.samples_requested}"
-            f" (seed {request.seed})"
+            f" (seed {request.seed or 0})"
         )
         if report.rank_drop_found:
             where = ", ".join(f"{v:.4g}" for v in report.drop_point)
@@ -427,6 +433,14 @@ def run(request: AnalysisRequest) -> tuple[int, str]:
     if request.output not in command.outputs:
         return 2, (f"error: {request.subcommand} has no output format {request.output!r} "
                    f"(from ${OUTPUT_ENV_VAR} or the request); use {', '.join(command.outputs)}\n")
+    # A field is given when it is not None; the fields of other flags must not be.
+    own = {"subcommand", "output", *(_FLAGS[flag].get("dest", flag.lstrip("-").replace("-", "_"))
+                                     for flag in command.flags)}
+    unused = [f.name for f in fields(request)
+              if f.name not in own and getattr(request, f.name) is not None]
+    if unused:
+        return 2, (f"error: {request.subcommand} does not use the request field(s) "
+                   f"{', '.join(unused)}\n")
     try:
         return 0, command.handler(request)
     except (_InputError, ParseError, OSError) as exc:

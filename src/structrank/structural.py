@@ -11,11 +11,10 @@ solvability and the system is fragile.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import UnsupportedOperationError
-from .structure import GeneralizedStructure, StructurePattern, knockout
+from .errors import StructureError, UnsupportedOperationError
+from .structure import GeneralizedStructure, StructurePattern
 
 __all__ = [
     "RankReport",
@@ -86,6 +85,83 @@ def _require_pattern(p):
     return p
 
 
+def _hopcroft_karp(adj, num_variables):
+    """Maximum matching of rows to columns given per-row sorted column lists.
+
+    Hopcroft-Karp: each phase finds a maximal set of shortest augmenting
+    paths. In the first phase every row is free at layer 0, so it reduces to
+    a greedy pass in which each row takes its first free column. The depth
+    first search keeps an explicit stack, so path length is not bounded by
+    the recursion limit; a row entered again scans its columns from the
+    start, as a recursive call would. Rows and columns are scanned in
+    ascending order, which makes the witness deterministic.
+    """
+    m = len(adj)
+    match_eq = [_INF] * m
+    match_var = [_INF] * num_variables
+    for e, row in enumerate(adj):
+        for v in row:
+            if match_var[v] == _INF:
+                match_eq[e] = v
+                match_var[v] = e
+                break
+
+    while True:
+        # Layer the rows by alternating distance from the free rows. Rows
+        # leave the queue in layer order, so stop past the first layer that
+        # reaches a free column: the shortest augmenting paths end there.
+        free = [e for e, v in enumerate(match_eq) if v == _INF]
+        dist = [_INF] * m
+        for e in free:
+            dist[e] = 0
+        found = m + 1
+        queue = free[:]
+        for e in queue:
+            layer = dist[e] + 1
+            if layer > found:
+                break
+            for v in adj[e]:
+                other = match_var[v]
+                if other == _INF:
+                    found = layer
+                elif dist[other] == _INF:
+                    dist[other] = layer
+                    queue.append(other)
+        if found > m:
+            break
+
+        # From each free row, augment along rows one layer deeper each step.
+        # ``path`` holds a (row, column scan) frame per row, ``cols`` the
+        # columns taken between them.
+        for root in free:
+            path = [(root, iter(adj[root]))]
+            cols = []
+            while path:
+                e, scan = path[-1]
+                layer = dist[e] + 1
+                for v in scan:
+                    other = match_var[v]
+                    if other == _INF or dist[other] == layer:
+                        break
+                else:
+                    # No augmenting path runs through e in this phase.
+                    dist[e] = _INF
+                    path.pop()
+                    if cols:
+                        cols.pop()
+                    continue
+                cols.append(v)
+                if other != _INF:
+                    path.append((other, iter(adj[other])))
+                    continue
+                for (r, _), c in zip(path, cols):
+                    match_eq[r] = c
+                    match_var[c] = r
+                break
+
+    return tuple((e, v) for e, v in enumerate(match_eq) if v != _INF)
+
+
 def maximum_matching(p: StructurePattern) -> tuple[tuple[int, int], ...]:
     """Maximum-cardinality matching over allowed entries (Hopcroft-Karp).
 
@@ -94,56 +170,7 @@ def maximum_matching(p: StructurePattern) -> tuple[tuple[int, int], ...]:
     order, so the witness is deterministic for a given pattern.
     """
     _require_pattern(p)
-    m = p.num_equations
-    adj = p.rows()
-
-    match_eq = [_INF] * m
-    match_var = {}
-    dist = [0] * m
-
-    def bfs():
-        q = deque()
-        for e in range(m):
-            if match_eq[e] == _INF:
-                dist[e] = 0
-                q.append(e)
-            else:
-                dist[e] = _INF
-        found = _INF
-        while q:
-            e = q.popleft()
-            if found != _INF and dist[e] >= found:
-                continue
-            for v in adj[e]:
-                other = match_var.get(v, _INF)
-                if other == _INF:
-                    if found == _INF:
-                        found = dist[e] + 1
-                elif dist[other] == _INF:
-                    dist[other] = dist[e] + 1
-                    q.append(other)
-        return found != _INF
-
-    def dfs(e):
-        for v in adj[e]:
-            other = match_var.get(v, _INF)
-            if other == _INF:
-                match_eq[e] = v
-                match_var[v] = e
-                return True
-            if dist[other] == dist[e] + 1 and dfs(other):
-                match_eq[e] = v
-                match_var[v] = e
-                return True
-        dist[e] = _INF
-        return False
-
-    while bfs():
-        for e in range(m):
-            if match_eq[e] == _INF:
-                dfs(e)
-
-    return tuple((e, match_eq[e]) for e in range(m) if match_eq[e] != _INF)
+    return _hopcroft_karp(p.rows(), p.num_variables)
 
 
 def structural_rank(p: StructurePattern) -> int:
@@ -151,37 +178,47 @@ def structural_rank(p: StructurePattern) -> int:
     return len(maximum_matching(p))
 
 
-def classify(p: StructurePattern) -> RankReport:
-    """Full rank report: robust iff rank == M, solution dimension N - rank."""
-    matching = maximum_matching(p)
+def _report(matching, num_equations, num_variables):
     rank = len(matching)
-    robust = rank == p.num_equations
     return RankReport(
         structural_rank=rank,
-        num_equations=p.num_equations,
-        num_variables=p.num_variables,
-        classification=ROBUST if robust else FRAGILE,
-        solution_dimension=p.num_variables - rank,
+        num_equations=num_equations,
+        num_variables=num_variables,
+        classification=ROBUST if rank == num_equations else FRAGILE,
+        solution_dimension=num_variables - rank,
         matching=matching,
     )
+
+
+def classify(p: StructurePattern) -> RankReport:
+    """Full rank report: robust iff rank == M, solution dimension N - rank."""
+    return _report(maximum_matching(p), p.num_equations, p.num_variables)
 
 
 def knockout_sweep(p: StructurePattern) -> list[KnockoutEntry]:
     """Classify every single-node knockout of a square pattern.
 
-    Entries whose removal turns a fragile base system robust carry
-    ``flips_to_robust``. Nodes are evaluated independently; the result does
-    not depend on evaluation order.
+    Knocking out node k drops row k and column k and shifts larger indices
+    down by one, as ``structure.knockout`` does; each knockout's rows are
+    derived from the base rows and stay sorted. Entries whose removal turns
+    a fragile base system robust carry ``flips_to_robust``. Nodes are
+    evaluated independently; the result does not depend on evaluation order.
     """
     _require_pattern(p)
     if not p.is_square():
         raise UnsupportedOperationError(
             f"knockout sweep requires a square pattern, got {p.num_equations}x{p.num_variables}"
         )
-    base_fragile = classify(p).classification == FRAGILE
+    n = p.num_equations
+    if n == 1:
+        raise StructureError("knockout of a 1x1 system would leave an empty system")
+    adj = p.rows()
+    base_fragile = len(_hopcroft_karp(adj, n)) < n
     entries = []
-    for node in range(p.num_equations):
-        report = classify(knockout(p, node))
+    for node in range(n):
+        rows = [[v - (v > node) for v in row if v != node]
+                for e, row in enumerate(adj) if e != node]
+        report = _report(_hopcroft_karp(rows, n - 1), n - 1, n - 1)
         entries.append(
             KnockoutEntry(
                 node=node,

@@ -67,8 +67,10 @@ class StructurePattern:
     def rows(self):
         """Per-equation sorted variable lists."""
         out = [[] for _ in range(self.num_equations)]
-        for e, v in sorted(self.allowed):
+        for e, v in self.allowed:
             out[e].append(v)
+        for row in out:
+            row.sort()
         return out
 
     @property

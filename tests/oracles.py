@@ -1,5 +1,6 @@
 """Independent brute-force oracles used to cross-check the implementations."""
 
+from collections import deque
 from itertools import combinations
 from math import comb
 
@@ -28,6 +29,68 @@ def brute_matching_size(pattern):
 
     rec(0, frozenset())
     return best
+
+
+_INF = -1
+
+
+def reference_matching(p):
+    """The recursive, dict-based Hopcroft-Karp that ``maximum_matching`` replaced.
+
+    Kept verbatim as the witness reference: the kernel must return the same
+    tuple. Its depth-first search recurses once per path row, so long paths
+    need a raised recursion limit.
+    """
+    m = p.num_equations
+    adj = p.rows()
+
+    match_eq = [_INF] * m
+    match_var = {}
+    dist = [0] * m
+
+    def bfs():
+        q = deque()
+        for e in range(m):
+            if match_eq[e] == _INF:
+                dist[e] = 0
+                q.append(e)
+            else:
+                dist[e] = _INF
+        found = _INF
+        while q:
+            e = q.popleft()
+            if found != _INF and dist[e] >= found:
+                continue
+            for v in adj[e]:
+                other = match_var.get(v, _INF)
+                if other == _INF:
+                    if found == _INF:
+                        found = dist[e] + 1
+                elif dist[other] == _INF:
+                    dist[other] = dist[e] + 1
+                    q.append(other)
+        return found != _INF
+
+    def dfs(e):
+        for v in adj[e]:
+            other = match_var.get(v, _INF)
+            if other == _INF:
+                match_eq[e] = v
+                match_var[v] = e
+                return True
+            if dist[other] == dist[e] + 1 and dfs(other):
+                match_eq[e] = v
+                match_var[v] = e
+                return True
+        dist[e] = _INF
+        return False
+
+    while bfs():
+        for e in range(m):
+            if match_eq[e] == _INF:
+                dfs(e)
+
+    return tuple((e, match_eq[e]) for e in range(m) if match_eq[e] != _INF)
 
 
 def brute_min_vertex_cover(pattern):

@@ -161,8 +161,11 @@ class TestErrorHandling:
         assert code == 2
 
     def test_unknown_dataset_is_input_error(self):
-        for subcommand in ("classify", "trace", "probe"):
-            code, text = run(AnalysisRequest(subcommand, dataset="nope", from_point=(1.0,)))
+        for request in (AnalysisRequest("classify", dataset="nope"),
+                        AnalysisRequest("trace", dataset="nope", from_point=(1.0,)),
+                        AnalysisRequest("probe", dataset="nope", from_point=(1.0,))):
+            subcommand = request.subcommand
+            code, text = run(request)
             assert code == 2, subcommand
             assert "available" in text
 
@@ -198,6 +201,15 @@ class TestErrorHandling:
         code, text = run(AnalysisRequest("knockout", dataset="robotarm"))
         assert code == 1
         assert "square" in text
+
+    def test_knockout_of_a_one_node_system_is_analysis_error(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"variables": 1, "equations": [{"vars": [1]}]}))
+        assert main(["knockout", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: StructureError: knockout of a 1x1 system would "
+                                "leave an empty system\n")
 
     def test_ragged_basis_is_input_error(self, tmp_path):
         path = tmp_path / "basis.json"
@@ -506,6 +518,46 @@ class TestDeclaredFlagsAndFormats:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: --degree is unused: {origin} is a system")
+
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    @pytest.mark.parametrize("source, origin", [
+        (["--dataset", "eqcep1", "--from", "1,1,1"], "dataset eqcep1 (bundled system)"),
+        ([SYSTEM, "--from", "0.3,0.2,0.1,0.4"], f"system file {SYSTEM}"),
+    ], ids=["dataset", "system-file"])
+    def test_seed_on_a_trace_of_a_system_of_its_own_is_input_error(
+            self, source, origin, seed, capsys):
+        assert main(["trace", *source, "--max-points", "5", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --seed is unused: {origin} is a system")
+
+    @pytest.mark.parametrize("argv", [
+        ["--samples", "3"], ["--delta", "0,0.1,0"]], ids=["manifold", "perturbation"])
+    def test_probe_of_a_system_of_its_own_uses_the_seed(self, argv, capsys):
+        outputs = []
+        for seed in ("0", "5"):
+            command = ["probe", "--dataset", "eqcep1", "--from", "1,1,1", *argv, "--seed", seed]
+            assert main(command) == 0, capsys.readouterr().err
+            outputs.append(capsys.readouterr().out)
+        assert "seed 0" in outputs[0] and "seed 5" in outputs[1]
+
+    def test_trace_samples_a_member_of_a_structure_with_the_seed(self, capsys):
+        argv = ["trace", "--dataset", "cep3", "--from", "1,1,1", "--max-points", "5"]
+        assert main([*argv, "--seed", "4"]) == 0, capsys.readouterr().err
+        assert "random member (degree=2, seed=4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("request_, unused", [
+        (AnalysisRequest("rank", dataset="cep3", rel_tol=0.5, samples=3), "rel_tol, samples"),
+        (AnalysisRequest("rank", dataset="cep3", seed=0), "seed"),
+        (AnalysisRequest("matrix-space", dataset="cep3", input_path=BASIS), "dataset"),
+        (AnalysisRequest("datasets", fmt="json"), "fmt"),
+        (AnalysisRequest("trace", dataset="eqcep1", from_point=(1.0, 1.0, 1.0), trials=3),
+         "trials"),
+    ], ids=["rank-tol-samples", "rank-seed", "matrix-space-dataset", "datasets-format",
+            "trace-trials"])
+    def test_request_field_the_subcommand_does_not_use(self, request_, unused):
+        assert run(request_) == (2, f"error: {request_.subcommand} does not use the "
+                                    f"request field(s) {unused}\n")
 
     def test_delta_still_samples_a_member_of_a_structure(self, capsys):
         argv = ["probe", "--dataset", "cep3", "--from", "1,1,1", "--delta", "0,0.1,0"]

@@ -1,3 +1,6 @@
+import random
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +8,21 @@ from hypothesis import strategies as st
 
 from structrank import (
     RankReport,
+    StructureError,
     StructurePattern,
+    SystemGraph,
     UnsupportedOperationError,
     classify,
     knockout,
     knockout_sweep,
     maximum_matching,
+    pattern_from_graph,
     structural_rank,
 )
 from structrank.datasets import get_dataset
 from structrank.structure import GeneralizedStructure, DerivedVariableSpec
 
-from oracles import brute_matching_size, brute_min_vertex_cover
+from oracles import brute_matching_size, brute_min_vertex_cover, reference_matching
 
 
 def rows(spec_1based, n=None):
@@ -32,6 +38,13 @@ def patterns(draw, max_eq=6, max_var=6):
     pool = [(e, v) for e in range(m) for v in range(n)]
     allowed = draw(st.frozensets(st.sampled_from(pool)))
     return StructurePattern(m, n, frozenset(allowed))
+
+
+@st.composite
+def square_patterns(draw, max_n=12):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pool = [(e, v) for e in range(n) for v in range(n)]
+    return StructurePattern(n, n, draw(st.frozensets(st.sampled_from(pool))))
 
 
 class TestStructuralRank:
@@ -187,3 +200,71 @@ class TestKnockoutSweep:
         base = structural_rank(p)
         for en in knockout_sweep(p):
             assert base - 2 <= en.report.structural_rank <= base
+
+
+class TestKnockoutOfOneNode:
+    def test_sweep_of_a_one_by_one_pattern_is_refused(self):
+        with pytest.raises(StructureError) as exc:
+            knockout_sweep(StructurePattern(1, 1, frozenset({(0, 0)})))
+        assert str(exc.value) == "knockout of a 1x1 system would leave an empty system"
+
+
+def chain(length):
+    """Rows {i, i+1} and a last row {0}: one augmenting path through every row."""
+    return StructurePattern.from_rows([{i, i + 1} for i in range(length - 1)] + [{0}])
+
+
+@pytest.fixture(params=[None, 200], ids=["default-limit", "limit-200"])
+def recursion_limit(request):
+    """Run a test under the interpreter's limit or a lowered one, restored afterwards."""
+    saved = sys.getrecursionlimit()
+    if request.param is not None:
+        sys.setrecursionlimit(request.param)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+class TestLongAugmentingPaths:
+    """Path length is not bounded by the interpreter's recursion limit."""
+
+    def test_five_thousand_long_chain(self, recursion_limit):
+        p = chain(5000)
+        report = classify(p)
+        rank = structural_rank(p)
+        assert (report.structural_rank, rank) == (5000, 5000)
+        assert (report.classification, report.solution_dimension) == ("robust", 0)
+        assert set(report.matching) <= p.allowed
+        assert len({e for e, _ in report.matching}) == len({v for _, v in report.matching}) == 5000
+
+
+def web(n, seed):
+    """Food-web-like square pattern with about 1.5 n random bidirectional links."""
+    rng = random.Random(seed)
+    edges = set()
+    for _ in range(round(1.5 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            edges.update({(a, b), (b, a)})
+    return pattern_from_graph(SystemGraph(n, frozenset(edges)))
+
+
+class TestWitnessIdentity:
+    """The iterative kernel returns the witness of the recursive reference."""
+
+    @given(patterns(max_eq=12, max_var=12))
+    @settings(max_examples=60)
+    def test_matching_equals_reference(self, p):
+        assert maximum_matching(p) == reference_matching(p)
+
+    @given(square_patterns())
+    @settings(max_examples=25)
+    def test_knockout_matchings_equal_reference(self, p):
+        for en in knockout_sweep(p):
+            assert en.report.matching == reference_matching(knockout(p, en.node))
+
+    def test_web_of_three_hundred_nodes(self):
+        p = web(300, seed=3)
+        assert maximum_matching(p) == reference_matching(p)
+        entries = knockout_sweep(p)
+        assert [en.report.matching for en in entries] == \
+            [reference_matching(knockout(p, k)) for k in range(300)]
