@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from .datasets import DATASETS, Dataset, get_dataset
 from .errors import ParseError, StructrankError
 from .formats import parse_basis, parse_input, structure_to_json_dict, to_dot
-from .structural import classify, knockout_sweep
+from .structural import _knockout_sweep, classify
 from .structure import GeneralizedStructure, StructurePattern, SystemGraph, pattern_from_graph
 
 # The numeric modules (numrank, polysys, continuation) import numpy, so the
@@ -26,6 +26,8 @@ from .structure import GeneralizedStructure, StructurePattern, SystemGraph, patt
 __all__ = ["AnalysisRequest", "run", "main"]
 
 OUTPUT_ENV_VAR = "STRUCTRANK_OUTPUT"
+# Set to 1, an unexpected exception propagates with its traceback.
+DEBUG_ENV_VAR = "STRUCTRANK_DEBUG"
 
 
 @dataclass
@@ -180,11 +182,11 @@ def _cmd_classify(request):
 
 def _cmd_knockout(request):
     pattern, _ = _input(request)
-    entries = knockout_sweep(pattern)
+    base, entries = _knockout_sweep(pattern)
     flips = [en.node + 1 for en in entries if en.flips_to_robust]
     if request.output == "json":
         return _json_text({
-            "base": classify(pattern).to_json_dict(),
+            "base": base.to_json_dict(),
             "knockouts": [
                 {"node": en.node + 1, "flips_to_robust": en.flips_to_robust,
                  **en.report.to_json_dict()}
@@ -447,6 +449,10 @@ def run(request: AnalysisRequest) -> tuple[int, str]:
         return 2, f"error: {exc}\n"
     except (StructrankError, ValueError) as exc:
         return 1, f"error: {type(exc).__name__}: {exc}\n"
+    except Exception as exc:
+        if os.environ.get(DEBUG_ENV_VAR) == "1":
+            raise
+        return 1, f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
 
 
 def _finite_floats(text):

@@ -31,6 +31,10 @@ __all__ = [
     "to_dot",
 ]
 
+# The most variables (or graph nodes) a structure file may declare. Matching
+# allocates per variable, so a larger count is refused before anything is built.
+MAX_VARIABLES = 1_000_000
+
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*(<->|->)\s*(\d+)\s*$")
 _EXPONENTS_RE = re.compile(r"([0-9]+(,[0-9]+)*)?")
 _HEADER_RE = re.compile(r"^\s*(selfloops|nodes)\s*:\s*(\S+)\s*$", re.IGNORECASE)
@@ -70,6 +74,7 @@ def structure_from_json_dict(data, path=None):
     _expect("equations" in data, "missing field 'equations'", path, "$")
     n = data["variables"]
     _expect(_is_int(n) and n >= 1, "'variables' must be a positive integer", path, "variables")
+    _expect(n <= MAX_VARIABLES, f"'variables' must be at most {MAX_VARIABLES}", path, "variables")
     equations = data["equations"]
     _expect(isinstance(equations, list) and equations, "'equations' must be a nonempty list", path, "equations")
     self_loops = data.get("self_loops", False)
@@ -215,6 +220,8 @@ def _parse_edge_list(path):
                 edges.add((b - 1, a - 1))
     if num_nodes == 0:
         raise ParseError("no edges or 'nodes:' header found", path=path)
+    if num_nodes > MAX_VARIABLES:
+        raise ParseError(f"{num_nodes} nodes exceed the bound of {MAX_VARIABLES}", path=path)
     return SystemGraph(num_nodes, frozenset(edges), include_diagonal)
 
 

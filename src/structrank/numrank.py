@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, _draw, check_degree, member_plan, seeded_rng, stacked_jacobians,
+    StructuredPolySystem, _draw, check_degree, member_plan, seeded_streams, stacked_jacobians,
 )
 from .structural import structural_rank
 from .structure import GeneralizedStructure, StructurePattern
@@ -55,8 +55,15 @@ class RankTolerance:
             "absolute_floor": self.absolute_floor,
         }
 
-    def rank_of(self, sigma) -> int:
-        """Number of singular values (in descending order) above the cutoff."""
+    def rank_of(self, sigma):
+        """Number of singular values above the cutoff, descending along the last axis.
+
+        One vector gives an int; a stack (..., k) gives an integer array of
+        one rank per vector, decided in one comparison.
+        """
+        if sigma.ndim > 1:
+            cutoff = np.maximum(self.relative_threshold * sigma[..., :1], self.absolute_floor)
+            return np.count_nonzero(sigma > cutoff, axis=-1)
         if sigma.size == 0:
             return 0
         cutoff = max(self.relative_threshold * float(sigma[0]), self.absolute_floor)
@@ -126,19 +133,21 @@ def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_thresho
                 **extra):
     """Rank histogram of the drawn matrices over the per-trial streams, as a report.
 
-    ``draw(rngs)`` returns one matrix per generator, stacked, and ``entries``
-    bounds the float64 values one trial occupies. Trials run in chunks sized
-    to CHUNK_BYTES, with one SVD call per chunk.
+    ``draw(rngs, count)`` takes ``count`` streams, one at a time, and returns
+    one matrix per stream, stacked; ``entries`` bounds the float64 values one
+    trial occupies. Trials run in chunks sized to CHUNK_BYTES, with one
+    bulk seeding, one SVD call and one rank comparison per chunk.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     histogram = {}
     for start in range(0, trials, per_chunk):
+        stop = min(start + per_chunk, trials)
         # Trial i draws from stream (seed, i), so chunking cannot change a report.
-        rngs = [seeded_rng(seed, i) for i in range(start, min(start + per_chunk, trials))]
-        for sigma in _singular_values(draw(rngs)):
-            r = tol.rank_of(sigma)
+        # The chunk's matrices are freed before the next chunk is drawn.
+        ranks = tol.rank_of(_singular_values(draw(seeded_streams(seed, start, stop), stop - start)))
+        for r in ranks.tolist():
             histogram[r] = histogram.get(r, 0) + 1
     estimated = max(histogram)
     if target_rank is None:
@@ -171,9 +180,9 @@ def _member_jacobians(structure, degree, distribution):
     plan = member_plan(structure, degree)
     n = structure.num_variables
 
-    def draw(rngs):
-        coefficients = np.empty((len(rngs), plan.num_coefficients))
-        points = np.empty((len(rngs), n))
+    def draw(rngs, count):
+        coefficients = np.empty((count, plan.num_coefficients))
+        points = np.empty((count, n))
         for t, rng in enumerate(rngs):
             coefficients[t] = _draw(rng, distribution, plan.num_coefficients)
             points[t] = rng.uniform(-1.0, 1.0, n)
@@ -258,12 +267,15 @@ def matrix_space_rank(
     shape = mats[0].shape
     if any(m.shape != shape for m in mats) or len(shape) != 2:
         raise ValueError("basis matrices must share one 2-D shape")
-    stack = np.stack(mats)
+    # One (1, count) x (count, entries) product per trial: the BLAS call
+    # np.tensordot makes, without its reshaping around it.
+    flat = np.stack(mats).reshape(len(mats), -1)
     return _run_trials(
-        lambda rngs: np.stack([
-            np.tensordot(rng.uniform(-1.0, 1.0, len(mats)), stack, axes=1) for rng in rngs
+        lambda rngs, count: np.stack([
+            np.dot(rng.uniform(-1.0, 1.0, len(mats))[np.newaxis, :], flat).reshape(shape)
+            for rng in rngs
         ]),
-        stack[0].size, trials, seed, tol,
+        flat.shape[1], trials, seed, tol,
         distribution="uniform", point_domain="coefficients uniform[-1,1]",
     )
 

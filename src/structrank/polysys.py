@@ -35,6 +35,67 @@ def seeded_rng(seed, *spawn_key) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
+# numpy's SeedSequence hash constants (4-word pool, 16-bit xorshift) and
+# PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init, mult, first, count):
+    """(xor, multiply) constants of hash calls first..first+count-1, as (count, 1) columns."""
+    consts = [init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(first, first + count + 1)]
+    return (np.array(consts[:-1], dtype=np.uint32)[:, np.newaxis],
+            np.array(consts[1:], dtype=np.uint32)[:, np.newaxis])
+
+
+# generate_state(4, uint64) hashes the pool twice round into 8 words.
+_OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(_INIT_B, _MULT_B, 0, 8)
+
+
+def seeded_streams(seed, start, stop):
+    """The streams ``seeded_rng(seed, i)`` for i in range(start, stop), seeded in bulk.
+
+    Yields one Generator, re-seeded for each i, so each stream must be drawn
+    from before the next is taken. ``SeedSequence(seed)`` gives the pool
+    that the run entropy leaves; mixing in the spawn key (i,), one 32-bit
+    word below 2**32 and two from there (stop <= 2**64), and hashing out the
+    PCG64 seed words run as uint32 arithmetic over all i at once. PCG64's
+    two-step seeding runs in Python integers, so every draw is byte for
+    byte that of ``seeded_rng(seed, i)``.
+    """
+    sequence = np.random.SeedSequence(seed)
+    words = max(1, -(-int(sequence.entropy).bit_length() // 32))
+    # Hash calls made so far: 4 to fill the pool, 12 to cross-mix it, and 4
+    # for each run-entropy word past the pool size.
+    calls = 16 + 4 * max(0, words - 4)
+    index = np.arange(start, stop, dtype=np.uint64)
+    pool = np.repeat(sequence.pool[:, np.newaxis], len(index), axis=1)
+    for k in range(1 + (stop > 1 << 32)):
+        rows = slice(None) if k == 0 else index >= 1 << 32
+        word = (index[rows] >> (32 * k)).astype(np.uint32)
+        xor, mult = _hash_constants(_INIT_A, _MULT_A, calls + 4 * k, 4)
+        value = (word ^ xor) * mult
+        value ^= value >> 16
+        mixed = _MIX_MULT_L * pool[:, rows] - _MIX_MULT_R * value
+        pool[:, rows] = mixed ^ (mixed >> 16)
+    out = (np.tile(pool, (2, 1)) ^ _OUTPUT_XOR) * _OUTPUT_MULT
+    out ^= out >> 16
+    # Little-endian word pairs make the uint64s (seed high, seed low, inc high, inc low).
+    halves = out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << 32)
+    generator = np.random.Generator(np.random.PCG64(sequence))
+    bit_generator = generator.bit_generator
+    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves.tolist()):
+        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield generator
+
+
 def _sum_vectors(num_symbols, total):
     if num_symbols == 0:
         if total == 0:
@@ -111,19 +172,6 @@ class PolyEquation:
     @property
     def table(self):
         return _monomial_table(len(self.symbols), self.degree)
-
-    def value(self, symbol_values: np.ndarray) -> float:
-        powers = symbol_values[np.newaxis, :] ** self.table.exponents
-        return float(self.coefficients @ powers.prod(axis=1))
-
-    def gradient(self, symbol_values: np.ndarray) -> np.ndarray:
-        """Exact partials with respect to each symbol."""
-        table = self.table
-        out = np.zeros(len(self.symbols))
-        for s in range(len(self.symbols)):
-            powers = symbol_values[np.newaxis, :] ** table.dexponents[s]
-            out[s] = (self.coefficients[table.rows[s]] * table.multipliers[s]) @ powers.prod(axis=1)
-        return out
 
     def term_dict(self):
         """Nonzero terms keyed by exponent tuple."""
@@ -290,8 +338,9 @@ def _evaluate(plan, points, partial_coefficients, value_coefficients=None):
     skip them. Each bucket is one pass: gather its monomial factors from
     the table of powers, multiply them over the symbols and take one
     row-wise dot per kind. Every number is the same sum of the same products
-    as in ``PolyEquation.value``/``gradient``. Jacobian entries are sums onto
-    zeros, so a -0.0 chain-rule term reads +0.0 as it does there.
+    as in a per-equation evaluation (the tests keep one as the reference).
+    Jacobian entries are sums onto zeros, so a -0.0 chain-rule term reads
+    +0.0 as it does there.
     """
     count, n = points.shape
     extended = points

@@ -204,6 +204,11 @@ def knockout_sweep(p: StructurePattern) -> list[KnockoutEntry]:
     a fragile base system robust carry ``flips_to_robust``. Nodes are
     evaluated independently; the result does not depend on evaluation order.
     """
+    return _knockout_sweep(p)[1]
+
+
+def _knockout_sweep(p):
+    """(base report, knockout entries): the sweep, with the base it matched."""
     _require_pattern(p)
     if not p.is_square():
         raise UnsupportedOperationError(
@@ -213,7 +218,8 @@ def knockout_sweep(p: StructurePattern) -> list[KnockoutEntry]:
     if n == 1:
         raise StructureError("knockout of a 1x1 system would leave an empty system")
     adj = p.rows()
-    base_fragile = len(_hopcroft_karp(adj, n)) < n
+    base = _report(_hopcroft_karp(adj, n), n, n)
+    base_fragile = base.classification == FRAGILE
     entries = []
     for node in range(n):
         rows = [[v - (v > node) for v in row if v != node]
@@ -226,4 +232,4 @@ def knockout_sweep(p: StructurePattern) -> list[KnockoutEntry]:
                 flips_to_robust=base_fragile and report.classification == ROBUST,
             )
         )
-    return entries
+    return base, entries

@@ -139,10 +139,31 @@ def reference_draw(structure, degree, rng, distribution):
     return equations
 
 
+def reference_stream(seed, i):
+    """Trial i's stream, built the documented way: SeedSequence(seed, spawn_key=(i,)) -> PCG64."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+
+
+def equation_value(eq, symbol_values):
+    """One equation's value: its coefficients dotted with its monomials."""
+    powers = symbol_values[np.newaxis, :] ** eq.table.exponents
+    return float(eq.coefficients @ powers.prod(axis=1))
+
+
+def equation_gradient(eq, symbol_values):
+    """Exact partials of one equation with respect to each of its symbols."""
+    table = eq.table
+    out = np.zeros(len(eq.symbols))
+    for s in range(len(eq.symbols)):
+        powers = symbol_values[np.newaxis, :] ** table.dexponents[s]
+        out[s] = (eq.coefficients[table.rows[s]] * table.multipliers[s]) @ powers.prod(axis=1)
+    return out
+
+
 def reference_evaluation(structure, equations, x):
     """(Jacobian, values) of one member, one equation at a time.
 
-    Uses ``PolyEquation.value``/``gradient`` and adds each equation's
+    Uses ``equation_value``/``equation_gradient`` and adds each equation's
     variable partials onto a zero row, then its chain-rule terms in slot
     order: the arithmetic the batched kernel must reproduce bit for bit.
     """
@@ -157,8 +178,8 @@ def reference_evaluation(structure, equations, x):
         sym_vals = np.array([
             derived_values[sym] if isinstance(sym, str) else x[sym] for sym in eq.symbols
         ], dtype=np.float64)
-        values[e] = eq.value(sym_vals)
-        grad = eq.gradient(sym_vals)
+        values[e] = equation_value(eq, sym_vals)
+        grad = equation_gradient(eq, sym_vals)
         slots = [s for s, sym in enumerate(eq.symbols) if isinstance(sym, int)]
         J[e, [eq.symbols[s] for s in slots]] += grad[slots]
         for slot, sym in enumerate(eq.symbols):

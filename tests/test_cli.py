@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from structrank import RankReport, classify, sample_system
+from structrank import RankReport, classify, cli, formats, sample_system, structural
 from structrank.cli import _COMMANDS, AnalysisRequest, _build_parser, main, run
 from structrank.datasets import get_dataset
 
@@ -63,6 +63,20 @@ class TestKnockoutCommand:
     def test_text_output_lists_flip(self):
         text = run_ok(AnalysisRequest("knockout", dataset="jakstat"))
         assert "fragile -> robust knockouts: 12" in text
+
+    def test_json_matches_the_base_once(self, monkeypatch, capsys):
+        # The sweep's own base matching is the report's base: 1 + 12 kernel calls.
+        base = classify(get_dataset("jakstat").structure).to_json_dict()
+        kernel, calls = structural._hopcroft_karp, []
+
+        def counting(adj, num_variables):
+            calls.append(num_variables)
+            return kernel(adj, num_variables)
+
+        monkeypatch.setattr(structural, "_hopcroft_karp", counting)
+        assert main(["knockout", "--dataset", "jakstat", "-o", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["base"] == base
+        assert len(calls) == 13
 
 
 class TestRandomizedCommands:
@@ -281,6 +295,54 @@ class TestErrorHandling:
             warnings.simplefilter("error")
             assert main(["matrix-space", str(path), "--trials", "20"]) == 0
         assert "estimated rank (max observed): 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"variables": 11, "equations": [{"vars": [1]}]}',
+         "variables: 'variables' must be at most 10"),
+        ('{"structure": {"variables": 11, "equations": [{"vars": [1]}]}, "degree": 1,'
+         ' "equations": [{}]}', "structure.variables: 'variables' must be at most 10"),
+        ("nodes: 11\n1 -> 2\n", "11 nodes exceed the bound of 10"),
+        ("1 -> 11\n", "11 nodes exceed the bound of 10"),
+    ], ids=["structure", "system", "edges-header", "edges-index"])
+    def test_dimension_beyond_the_bound_is_input_error(self, text, message, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(formats, "MAX_VARIABLES", 10)
+        path = tmp_path / ("wide.edges" if "->" in text else "wide.json")
+        path.write_text(text)
+        assert main(["rank", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        path.write_text(text.replace("11", "10"))
+        assert main(["rank", str(path)]) == 0
+
+    def test_huge_variable_count_is_refused_before_matching(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def refuse(adj, num_variables):
+            raise AssertionError(f"matching ran on {num_variables} columns")
+
+        monkeypatch.setattr(structural, "_hopcroft_karp", refuse)
+        path = tmp_path / "huge.json"
+        path.write_text('{"variables": 100000000000, "equations": [{"vars": [1]}]}')
+        assert main(["rank", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: variables: 'variables' must be at most {formats.MAX_VARIABLES}\n")
+
+    def test_uncaught_exception_is_one_line_internal_error(self, monkeypatch, capsys):
+        def exhausted(pattern):
+            raise MemoryError("cannot allocate\nthe match")
+
+        monkeypatch.setattr(cli, "classify", exhausted)
+        assert main(["classify", "--dataset", "cep3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: MemoryError: cannot allocate the match\n"
+        monkeypatch.setenv("STRUCTRANK_DEBUG", "1")
+        with pytest.raises(MemoryError):
+            main(["classify", "--dataset", "cep3"])
+
+    @pytest.mark.parametrize("subcommand", ["certify", "generic-rank"])
+    def test_negative_seed_is_analysis_error(self, subcommand, capsys):
+        assert main([subcommand, "--dataset", "cep3", "--seed", "-1", "--trials", "3"]) == 1
+        assert capsys.readouterr().err == "error: ValueError: expected non-negative integer\n"
 
     @pytest.mark.parametrize("argv", [["rank"], ["trace", "--from", "1"], ["matrix-space"]])
     def test_deeply_nested_json_is_input_error(self, argv, tmp_path, capsys):

@@ -21,10 +21,10 @@ from structrank import (
 from structrank import numrank
 from structrank.datasets import get_dataset
 from structrank.numrank import _member_jacobians
-from structrank.polysys import member_plan, seeded_rng
+from structrank.polysys import member_plan, seeded_rng, seeded_streams
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
-from oracles import reference_draw, reference_evaluation
+from oracles import reference_draw, reference_evaluation, reference_stream
 
 
 class TestRankTolerance:
@@ -224,9 +224,9 @@ class TestStackedTrials:
     def test_jacobians_bit_exact(self, name, degree, distribution):
         structure = get_dataset(name).structure
         draw, _ = _member_jacobians(structure, degree, distribution)
-        stacked = draw([seeded_rng(5, i) for i in range(12)])
+        stacked = draw(seeded_streams(5, 0, 12), 12)
         for i, matrix in enumerate(stacked):
-            rng = seeded_rng(5, i)
+            rng = reference_stream(5, i)
             equations = reference_draw(structure, degree, rng, distribution)
             x = rng.uniform(-1.0, 1.0, structure.num_variables)
             expected, _ = reference_evaluation(structure, equations, x)
@@ -252,6 +252,27 @@ class TestStackedTrials:
             monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * per_chunk)
             assert run() == expected
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("per_chunk", [None, 1, 7])
+    def test_bulk_seeding_matches_per_trial_generators(self, per_chunk, monkeypatch):
+        # The per-trial path: a fresh generator for each trial's stream.
+        def per_trial(seed, start, stop):
+            return (seeded_rng(seed, i) for i in range(start, stop))
+
+        for entries, run in self._runs():
+            if per_chunk is not None:
+                monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * per_chunk)
+            bulk = run()
+            monkeypatch.setattr(numrank, "seeded_streams", per_trial)
+            assert run() == bulk
+            monkeypatch.undo()
+
+    def test_stacked_rank_decisions_match_one_at_a_time(self):
+        tol = RankTolerance(relative_threshold=1e-3, absolute_floor=1e-6)
+        at_cutoff = 1e-3 * 3.0  # a value on the cutoff is not above it
+        sigma = np.array([[2.0, 2.5e-3, 1e-3], [1e-7, 5e-8, 0.0], [3.0, 3.1e-3, at_cutoff]])
+        assert tol.rank_of(sigma).tolist() == [tol.rank_of(row) for row in sigma] == [2, 0, 2]
+        assert tol.rank_of(np.zeros((2, 0))).tolist() == [0, 0]
 
     @pytest.mark.parametrize("per_chunk", [None, 7])
     def test_one_svd_call_per_chunk(self, per_chunk, monkeypatch):

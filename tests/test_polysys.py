@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from structrank import (
@@ -13,10 +15,12 @@ from structrank import (
 )
 from structrank.datasets import get_dataset
 from structrank import polysys
-from structrank.polysys import _monomial_table, member_plan, seeded_rng, stacked_jacobians
+from structrank.polysys import (
+    _monomial_table, member_plan, seeded_rng, seeded_streams, stacked_jacobians,
+)
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
-from oracles import reference_draw, reference_evaluation
+from oracles import reference_draw, reference_evaluation, reference_stream
 
 
 def example5_structure(a=1.0, b=2.0):
@@ -105,6 +109,41 @@ class TestSampling:
         assert sys.distribution == "normal"
         with pytest.raises(ValueError):
             sample_system(get_dataset("cep3").structure, distribution="cauchy")
+
+
+def _draws(rng):
+    return rng.uniform(-1.0, 1.0, 5).tobytes() + rng.standard_normal(5).tobytes()
+
+
+class TestSeededStreams:
+    """Trial streams seeded in bulk against SeedSequence(seed, spawn_key=(i,)) -> PCG64."""
+
+    def test_first_doubles_pinned(self):
+        # A numpy change to SeedSequence or PCG64 fails here, not in the goldens.
+        rng = seeded_rng(0, 0)
+        assert rng.uniform(-1.0, 1.0, 2).tolist() == [0.8858751057657588, -0.3673256952290038]
+        assert rng.standard_normal(2).tolist() == [0.735955670177038, 0.005877040405094311]
+        assert seeded_rng(0).uniform(-1.0, 1.0, 2).tolist() == [
+            0.2739233746429086, -0.4604265724722594]
+        assert _draws(next(seeded_streams(0, 0, 1))) == _draws(reference_stream(0, 0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.sampled_from([0, 7, 2**32 - 1, 2**32, 2**64, 2**128 + 1, True,
+                              np.int64(2**40 + 3)]) | st.integers(0, 2**200),
+        # Spawn keys of 2**32 and above take two 32-bit words.
+        base=st.sampled_from([0, 2**32 - 6, 2**40]),
+        start=st.integers(0, 8),
+        lengths=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    )
+    def test_bulk_streams_are_byte_identical(self, seed, base, start, lengths):
+        # Two consecutive chunks, as the trial loop seeds them.
+        first = base + start
+        middle = first + lengths[0]
+        stop = middle + lengths[1]
+        drawn = [_draws(rng) for rng in seeded_streams(seed, first, middle)]
+        drawn += [_draws(rng) for rng in seeded_streams(seed, middle, stop)]
+        assert drawn == [_draws(reference_stream(seed, i)) for i in range(first, stop)]
 
 
 class TestEvaluate:
