@@ -26,8 +26,6 @@ from .structure import GeneralizedStructure, StructurePattern, SystemGraph, patt
 __all__ = ["AnalysisRequest", "run", "main"]
 
 OUTPUT_ENV_VAR = "STRUCTRANK_OUTPUT"
-# Set to 1, an unexpected exception propagates with its traceback.
-DEBUG_ENV_VAR = "STRUCTRANK_DEBUG"
 
 
 @dataclass
@@ -450,8 +448,6 @@ def run(request: AnalysisRequest) -> tuple[int, str]:
     except (StructrankError, ValueError) as exc:
         return 1, f"error: {type(exc).__name__}: {exc}\n"
     except Exception as exc:
-        if os.environ.get(DEBUG_ENV_VAR) == "1":
-            raise
         return 1, f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
 
 

@@ -11,6 +11,7 @@ absolutely continuous sample is the right estimator of the generic rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -135,18 +136,20 @@ def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_thresho
 
     ``draw(rngs, count)`` takes ``count`` streams, one at a time, and returns
     one matrix per stream, stacked; ``entries`` bounds the float64 values one
-    trial occupies. Trials run in chunks sized to CHUNK_BYTES, with one
-    bulk seeding, one SVD call and one rank comparison per chunk.
+    trial occupies. The streams are seeded in bulk once for the run; trials
+    run in chunks sized to CHUNK_BYTES, with one SVD call and one rank
+    comparison per chunk.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
+    streams = seeded_streams(seed, 0, trials)
     histogram = {}
     for start in range(0, trials, per_chunk):
-        stop = min(start + per_chunk, trials)
+        count = min(per_chunk, trials - start)
         # Trial i draws from stream (seed, i), so chunking cannot change a report.
         # The chunk's matrices are freed before the next chunk is drawn.
-        ranks = tol.rank_of(_singular_values(draw(seeded_streams(seed, start, stop), stop - start)))
+        ranks = tol.rank_of(_singular_values(draw(islice(streams, count), count)))
         for r in ranks.tolist():
             histogram[r] = histogram.get(r, 0) + 1
     estimated = max(histogram)

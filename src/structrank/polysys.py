@@ -30,9 +30,9 @@ __all__ = [
     "combine",
 ]
 
-def seeded_rng(seed, *spawn_key) -> np.random.Generator:
-    """The platform-independent PCG64 stream of ``seed``, or of its child ``spawn_key``."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+def seeded_rng(seed) -> np.random.Generator:
+    """The platform-independent PCG64 stream of ``seed``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 # numpy's SeedSequence hash constants (4-word pool, 16-bit xorshift) and
@@ -42,6 +42,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+# Trial streams whose seed words one vectorized pass derives.
+_SEED_BLOCK = 1024
 
 
 @lru_cache(maxsize=None)
@@ -56,24 +58,25 @@ def _hash_constants(init, mult, first, count):
 _OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(_INIT_B, _MULT_B, 0, 8)
 
 
-def seeded_streams(seed, start, stop):
-    """The streams ``seeded_rng(seed, i)`` for i in range(start, stop), seeded in bulk.
+def _entropy_words(entropy):
+    """The number of 32-bit words SeedSequence makes of ``entropy``: an int or nested ints."""
+    if isinstance(entropy, np.ndarray) and entropy.dtype == np.uint32:
+        return entropy.size
+    if isinstance(entropy, (int, np.integer)):
+        return max(1, -(-int(entropy).bit_length() // 32))
+    return sum(_entropy_words(v) for v in entropy)
 
-    Yields one Generator, re-seeded for each i, so each stream must be drawn
-    from before the next is taken. ``SeedSequence(seed)`` gives the pool
-    that the run entropy leaves; mixing in the spawn key (i,), one 32-bit
-    word below 2**32 and two from there (stop <= 2**64), and hashing out the
-    PCG64 seed words run as uint32 arithmetic over all i at once. PCG64's
-    two-step seeding runs in Python integers, so every draw is byte for
-    byte that of ``seeded_rng(seed, i)``.
+
+def _seed_words(pool, calls, start, stop):
+    """PCG64 seed words (seed high, seed low, inc high, inc low) of spawn keys start..stop-1.
+
+    ``pool`` is the pool the run entropy leaves after ``calls`` hash calls.
+    Mixing in the spawn key (i,), one 32-bit word below 2**32 and two from
+    there (stop <= 2**64), and hashing out the seed words run as uint32
+    arithmetic over all i at once.
     """
-    sequence = np.random.SeedSequence(seed)
-    words = max(1, -(-int(sequence.entropy).bit_length() // 32))
-    # Hash calls made so far: 4 to fill the pool, 12 to cross-mix it, and 4
-    # for each run-entropy word past the pool size.
-    calls = 16 + 4 * max(0, words - 4)
     index = np.arange(start, stop, dtype=np.uint64)
-    pool = np.repeat(sequence.pool[:, np.newaxis], len(index), axis=1)
+    pool = np.repeat(pool[:, np.newaxis], len(index), axis=1)
     for k in range(1 + (stop > 1 << 32)):
         rows = slice(None) if k == 0 else index >= 1 << 32
         word = (index[rows] >> (32 * k)).astype(np.uint32)
@@ -84,16 +87,34 @@ def seeded_streams(seed, start, stop):
         pool[:, rows] = mixed ^ (mixed >> 16)
     out = (np.tile(pool, (2, 1)) ^ _OUTPUT_XOR) * _OUTPUT_MULT
     out ^= out >> 16
-    # Little-endian word pairs make the uint64s (seed high, seed low, inc high, inc low).
-    halves = out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << 32)
+    # Little-endian word pairs make the uint64s.
+    return (out[0::2].astype(np.uint64) | (out[1::2].astype(np.uint64) << 32)).tolist()
+
+
+def seeded_streams(seed, start, stop):
+    """Trial i's stream, SeedSequence(seed, spawn_key=(i,)) -> PCG64, for i in range(start, stop).
+
+    Yields one Generator, re-seeded for each i, so each stream must be drawn
+    from before the next is taken. ``SeedSequence(seed)`` gives the pool
+    that the run entropy leaves; the seed words of up to _SEED_BLOCK spawn
+    keys come from one vectorized pass, and PCG64's two-step seeding runs
+    in Python integers, so every draw is byte for byte that of a generator
+    built for the one stream.
+    """
+    sequence = np.random.SeedSequence(seed)
+    # Hash calls made so far: 4 to fill the pool, 12 to cross-mix it, and 4
+    # for each run-entropy word past the pool size.
+    calls = 16 + 4 * max(0, _entropy_words(sequence.entropy) - 4)
     generator = np.random.Generator(np.random.PCG64(sequence))
     bit_generator = generator.bit_generator
-    for seed_hi, seed_lo, inc_hi, inc_lo in zip(*halves.tolist()):
-        inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
-        state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield generator
+    for block in range(start, stop, _SEED_BLOCK):
+        words = _seed_words(sequence.pool, calls, block, min(block + _SEED_BLOCK, stop))
+        for seed_hi, seed_lo, inc_hi, inc_lo in zip(*words):
+            inc = ((inc_hi << 65) | (inc_lo << 1) | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+            yield generator
 
 
 def _sum_vectors(num_symbols, total):

@@ -21,7 +21,7 @@ from structrank import (
 from structrank import numrank
 from structrank.datasets import get_dataset
 from structrank.numrank import _member_jacobians
-from structrank.polysys import member_plan, seeded_rng, seeded_streams
+from structrank.polysys import member_plan, seeded_streams
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
 from oracles import reference_draw, reference_evaluation, reference_stream
@@ -233,16 +233,16 @@ class TestStackedTrials:
             assert matrix.tobytes() == expected.tobytes()
 
     @staticmethod
-    def _runs():
+    def _runs(seed=3):
         """(entries per trial, 40-trial run) for each caller of the trial loop."""
         sole26, example5 = get_dataset("sole26").structure, get_dataset("example5").structure
         basis = [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]]
         return [
-            (member_plan(sole26, 2).entries, lambda: certify_acr(sole26, trials=40, seed=3)),
+            (member_plan(sole26, 2).entries, lambda: certify_acr(sole26, trials=40, seed=seed)),
             (member_plan(example5, 3).entries,
-             lambda: generic_rank_randomized(example5, trials=40, degree=3, seed=3,
+             lambda: generic_rank_randomized(example5, trials=40, degree=3, seed=seed,
                                              distribution="normal")),
-            (6, lambda: matrix_space_rank(basis, trials=40, seed=3)),
+            (6, lambda: matrix_space_rank(basis, trials=40, seed=seed)),
         ]
 
     @pytest.mark.parametrize("per_chunk", [1, 7])
@@ -253,19 +253,35 @@ class TestStackedTrials:
             assert run() == expected
             monkeypatch.undo()
 
+    # A sequence seed, as SeedSequence takes it, is one of the run's inputs.
+    @pytest.mark.parametrize("seed", [3, [1, 2**40]])
     @pytest.mark.parametrize("per_chunk", [None, 1, 7])
-    def test_bulk_seeding_matches_per_trial_generators(self, per_chunk, monkeypatch):
+    def test_bulk_seeding_matches_per_trial_generators(self, per_chunk, seed, monkeypatch):
         # The per-trial path: a fresh generator for each trial's stream.
         def per_trial(seed, start, stop):
-            return (seeded_rng(seed, i) for i in range(start, stop))
+            return (reference_stream(seed, i) for i in range(start, stop))
 
-        for entries, run in self._runs():
+        for entries, run in self._runs(seed):
             if per_chunk is not None:
                 monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * per_chunk)
             bulk = run()
             monkeypatch.setattr(numrank, "seeded_streams", per_trial)
             assert run() == bulk
             monkeypatch.undo()
+
+    def test_streams_seeded_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(seed, start, stop):
+            calls.append((start, stop))
+            return seeded_streams(seed, start, stop)
+
+        monkeypatch.setattr(numrank, "seeded_streams", counted)
+        for entries, run in self._runs():
+            monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries)
+            calls.clear()
+            assert run().trials == 40
+            assert calls == [(0, 40)]
 
     def test_stacked_rank_decisions_match_one_at_a_time(self):
         tol = RankTolerance(relative_threshold=1e-3, absolute_floor=1e-6)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,29 +122,33 @@ class TestSeededStreams:
 
     def test_first_doubles_pinned(self):
         # A numpy change to SeedSequence or PCG64 fails here, not in the goldens.
-        rng = seeded_rng(0, 0)
+        rng = reference_stream(0, 0)
         assert rng.uniform(-1.0, 1.0, 2).tolist() == [0.8858751057657588, -0.3673256952290038]
         assert rng.standard_normal(2).tolist() == [0.735955670177038, 0.005877040405094311]
         assert seeded_rng(0).uniform(-1.0, 1.0, 2).tolist() == [
             0.2739233746429086, -0.4604265724722594]
         assert _draws(next(seeded_streams(0, 0, 1))) == _draws(reference_stream(0, 0))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
         seed=st.sampled_from([0, 7, 2**32 - 1, 2**32, 2**64, 2**128 + 1, True,
-                              np.int64(2**40 + 3)]) | st.integers(0, 2**200),
+                              np.int64(2**40 + 3), [1, 2**40], (0, 0, 0, 0, 5), [[3], [2**130]],
+                              np.array([1, 2], dtype=np.uint32), []])
+        | st.integers(0, 2**200) | st.lists(st.integers(0, 2**70), max_size=6),
         # Spawn keys of 2**32 and above take two 32-bit words.
         base=st.sampled_from([0, 2**32 - 6, 2**40]),
         start=st.integers(0, 8),
         lengths=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        block=st.sampled_from([1, 3, polysys._SEED_BLOCK]),
     )
-    def test_bulk_streams_are_byte_identical(self, seed, base, start, lengths):
-        # Two consecutive chunks, as the trial loop seeds them.
+    def test_bulk_streams_are_byte_identical(self, seed, base, start, lengths, block):
+        # Two consecutive ranges, each seeded in blocks of ``block`` streams.
         first = base + start
         middle = first + lengths[0]
         stop = middle + lengths[1]
-        drawn = [_draws(rng) for rng in seeded_streams(seed, first, middle)]
-        drawn += [_draws(rng) for rng in seeded_streams(seed, middle, stop)]
+        with mock.patch.object(polysys, "_SEED_BLOCK", block):
+            drawn = [_draws(rng) for rng in seeded_streams(seed, first, middle)]
+            drawn += [_draws(rng) for rng in seeded_streams(seed, middle, stop)]
         assert drawn == [_draws(reference_stream(seed, i)) for i in range(first, stop)]
 
 
