@@ -35,6 +35,9 @@ CASES = {
     "certify-sole26-json": ["certify", "--dataset", "sole26", "--trials", "200", "-o", "json"],
     "generic-rank-example5": ["generic-rank", "--dataset", "example5"],
     "generic-rank-example5-json": ["generic-rank", "--dataset", "example5", "-o", "json"],
+    "generic-rank-example5-degree3-json": ["generic-rank", "--dataset", "example5",
+                                           "--degree", "3", "-o", "json"],
+    "certify-empty-row-degree3-json": ["certify", "{empty_row}", "--degree", "3", "-o", "json"],
     "matrix-space": ["matrix-space", "{basis}"],
     "matrix-space-json": ["matrix-space", "{basis}", "-o", "json"],
     "trace-eqcep1": ["trace", "--dataset", "eqcep1", "--from", "1,1,1"],
@@ -64,7 +67,8 @@ CASES = {
 def test_output_matches_golden(case, capsys, monkeypatch):
     monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
     argv = [
-        a.format(basis=GOLDEN / "basis.json", system=GOLDEN / "system-example5.json")
+        a.format(basis=GOLDEN / "basis.json", system=GOLDEN / "system-example5.json",
+                 empty_row=GOLDEN / "empty-row.json")
         for a in CASES[case]
     ]
     assert main(argv) == 0
