@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 from .datasets import DATASETS, Dataset, get_dataset
 from .errors import ParseError, StructrankError
-from .formats import parse_basis, parse_input, structure_to_json_dict, to_dot
+from .formats import check_jacobian_size, parse_basis, parse_input, structure_to_json_dict, to_dot
 from .structural import _knockout_sweep, classify
 from .structure import GeneralizedStructure, StructurePattern, SystemGraph, pattern_from_graph
 
@@ -109,6 +109,13 @@ def _input(request, as_pattern=True):
     return structure, source
 
 
+def _numeric_input(request):
+    """``_input`` for a subcommand that builds dense Jacobians: refuses one over their bound."""
+    structure, source = _input(request)
+    check_jacobian_size(structure, request.input_path)
+    return structure, source
+
+
 def _system(request, uses_seed):
     """The polynomial system to analyze, and a line naming its origin.
 
@@ -117,7 +124,7 @@ def _system(request, uses_seed):
     the analysis itself draws from the seed, so that a system of its own
     still has a use for one.
     """
-    structure, source = _input(request)
+    structure, source = _numeric_input(request)
     if isinstance(source, Dataset):
         system, origin = source.system, f"dataset {request.dataset} (bundled system)"
     elif isinstance(source, _STRUCTURES):
@@ -234,7 +241,7 @@ def _render_certification(report, request, heading):
 def _cmd_certify(request):
     from .numrank import certify_acr
 
-    pattern, _ = _input(request)
+    pattern, _ = _numeric_input(request)
     report = certify_acr(
         pattern, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution", "pass_threshold"),
@@ -245,7 +252,7 @@ def _cmd_certify(request):
 def _cmd_generic_rank(request):
     from .numrank import generic_rank_randomized
 
-    structure, _ = _input(request)
+    structure, _ = _numeric_input(request)
     report = generic_rank_randomized(
         structure, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution"),

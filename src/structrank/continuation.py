@@ -12,6 +12,7 @@ perturbing the right-hand side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,12 @@ def _check_step(step):
         raise ValueError(f"step must be finite and positive, got {step!r}")
 
 
+def _norm(v):
+    """``float(np.linalg.norm(v))`` of a real vector: sqrt(v . v) on its C-contiguous ravel."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
 def _svd_analysis(jac, tol):
     """(numeric rank, orthonormal kernel rows, singular values) of an evaluated DF."""
     _, sigma, vt = np.linalg.svd(jac.matrix, full_matrices=True)
@@ -71,9 +78,11 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
 
     Uses minimum-norm Gauss-Newton steps (pseudoinverse), which handle
     rectangular and rank-deficient Jacobians uniformly, with halving
-    backtracks. One ``jacobian`` call per point gives its residual and the
-    next step's matrix; x0 may be passed as its evaluation instead. A zero
-    step ends the descent, as every backtrack trial would be x itself.
+    backtracks. One ``jacobian`` call per point gives its residual vector
+    (its norm decides acceptance, and it is the next step's right-hand
+    side) and the next step's matrix; x0 may be passed as its evaluation
+    instead. A zero step ends the descent, as every backtrack trial would
+    be x itself.
     Returns (evaluation of the last accepted point, or None if x0 cannot be
     evaluated; iterations; converged; residual).
     Accepted steps lower the residual strictly, so that point is the best
@@ -83,28 +92,28 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
         try:
             jac = pt if isinstance(pt, JacobianEvaluation) else system.jacobian(pt)
         except (ValueError, FloatingPointError):
-            return None, np.inf
-        return jac, float(np.linalg.norm(jac.residual_target - target))
+            return None, None, math.inf
+        r = jac.residual_target - target
+        return jac, r, _norm(r)
 
-    jac, rn = evaluation(x0)
-    if not np.isfinite(rn):
-        return jac, 0, False, np.inf
+    jac, r, rn = evaluation(x0)
+    if not math.isfinite(rn):
+        return jac, 0, False, math.inf
     iterations = 0
     while rn > residual_tol and iterations < max_iterations:
         iterations += 1
-        r = jac.residual_target - target
         step, *_ = np.linalg.lstsq(jac.matrix, -r, rcond=None)
         if not step.any():
             break
         t = 1.0
         for _ in range(max_backtracks):
-            trial, trial_rn = evaluation(jac.point + t * step)
+            trial, trial_r, trial_rn = evaluation(jac.point + t * step)
             if trial_rn < rn:
                 break
             t *= 0.5
         else:
             break
-        jac, rn = trial, trial_rn
+        jac, r, rn = trial, trial_r, trial_rn
     return jac, iterations, rn <= residual_tol, rn
 
 
@@ -202,7 +211,7 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
                 system, predicted, target, CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS
             )
             if ok and rn <= residual_tol:
-                advance = float(np.linalg.norm(jac.point - x))
+                advance = _norm(jac.point - x)
                 if advance <= step:
                     break
             halvings += 1
@@ -244,7 +253,7 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
         x, tangent = cx, new_tangent
         h = min(step, 2.0 * h)
         if (closure_base is not None and traveled >= 4.0 * step
-                and float(np.linalg.norm(cx - closure_base)) < 0.5 * step):
+                and _norm(cx - closure_base) < 0.5 * step):
             events.append(BranchEvent(
                 kind="closed",
                 direction=direction,
@@ -390,7 +399,7 @@ def _hunt_rank_drop(system, start, target, rank0, step, tol, radius, rng,
         candidates = list(kernel) + [rng.standard_normal(dim) @ kernel for _ in range(2)]
         improved = False
         for base_dir in candidates:
-            norm = float(np.linalg.norm(base_dir))
+            norm = _norm(base_dir)
             if norm == 0.0:
                 continue
             for sign in (1.0, -1.0):
@@ -452,14 +461,14 @@ def manifold_probe(
         return_tol = max(1e-6, 10.0 * residual_tol)
         for _ in range(samples):
             eta = rng.standard_normal(p.size)
-            eta /= float(np.linalg.norm(eta))
+            eta /= _norm(eta)
             jac, _, ok, _ = _gauss_newton(
                 system, p + probe_radius * eta, target,
                 residual_tol, 2 * MAX_CORRECTOR_ITERATIONS,
             )
             if not ok:
                 failures += 1
-            elif float(np.linalg.norm(jac.point - p)) <= return_tol:
+            elif _norm(jac.point - p) <= return_tol:
                 returned += 1
         return ManifoldProbeReport(
             base_point=p, rank=rank0, dimension=0,
@@ -481,7 +490,7 @@ def manifold_probe(
     drop_rank = None
     for _ in range(samples):
         direction = rng.standard_normal(dim) @ kernel
-        norm = float(np.linalg.norm(direction))
+        norm = _norm(direction)
         if norm == 0.0:
             failures += 1
             continue

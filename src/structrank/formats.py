@@ -34,6 +34,11 @@ __all__ = [
 # The most variables (or graph nodes) a structure file may declare. Matching
 # allocates per variable, so a larger count is refused before anything is built.
 MAX_VARIABLES = 1_000_000
+# The most Jacobian entries (equations times variables) a numeric analysis
+# takes on. certify, generic-rank, trace and probe build dense M x N
+# Jacobians, 8 bytes an entry, so a larger structure, or a system file over
+# one, is refused before any member is built.
+MAX_JACOBIAN_ENTRIES = 10_000_000
 
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*(<->|->)\s*(\d+)\s*$")
 _EXPONENTS_RE = re.compile(r"([0-9]+(,[0-9]+)*)?")
@@ -59,6 +64,14 @@ def _is_finite_number(value):
     # JSON numbers such as 1e400 parse to inf, and huge integers overflow a float.
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def check_jacobian_size(structure, path=None, where=None):
+    """Raise ParseError when the M x N Jacobians of ``structure`` exceed MAX_JACOBIAN_ENTRIES."""
+    m, n = structure.num_equations, structure.num_variables
+    _expect(m * n <= MAX_JACOBIAN_ENTRIES,
+            f"{m} equations x {n} variables make {m * n} Jacobian entries, more than the "
+            f"bound of {MAX_JACOBIAN_ENTRIES} (formats.MAX_JACOBIAN_ENTRIES)", path, where)
 
 
 def structure_from_json_dict(data, path=None):
@@ -372,6 +385,7 @@ def _system_from_json_dict(data, path=None):
         # Locate the nested structure's fields from the system file's top level.
         where = "structure" if exc.where == "$" else f"structure.{exc.where}"
         raise ParseError(exc.message, path=path, where=where) from None
+    check_jacobian_size(structure, path, "structure")
     degree = data["degree"]
     _expect(_is_int(degree), "'degree' must be an integer", path, "degree")
     try:

@@ -216,17 +216,20 @@ class JacobianEvaluation:
 class _Bucket:
     """The equations over S symbols, which share one monomial table.
 
-    Column arrays index a member's flat coefficient vector; power arrays
-    index the kernel's flat table of powers, one entry per monomial factor.
-    ``slots`` locates the bucket's partials in the kernel's array of them.
+    Column arrays index a member's flat coefficient vector. ``factors``
+    indexes the kernel's flat table of powers, symbol-major: column j holds
+    the S factors of monomial j, one per symbol in symbol order. Its G*S*R
+    partial monomials (equation, symbol, row) come first, then its G*K value
+    monomials (equation, row), so the stacked kernel gathers only the
+    prefix. ``slots`` locates the bucket's partials in the kernel's array of
+    them.
     """
 
     table: _MonomialTable
     equations: np.ndarray  # (G,)
     value_columns: np.ndarray  # (G, K)
     partial_columns: np.ndarray  # (G, S, R)
-    value_powers: np.ndarray  # (G, K, S)
-    partial_powers: np.ndarray  # (G, S, R, S)
+    factors: np.ndarray  # (S, G*S*R + G*K)
     slots: slice  # G*S partials, equation-major
 
     def value_coefficients(self, coefficients):
@@ -248,12 +251,13 @@ class _MemberPlan:
     is extended by the values of the derived variables its equations use,
     whose (support, weights) ``derived`` lists in name order. The kernel
     raises every extended coordinate to the powers 0..degree once; the
-    buckets index that table. Each ``scatter`` layer adds weighted partials
-    onto the flat Jacobian: layer 0 every variable partial (weight 1), layer
-    k the chain-rule terms of every equation's k-th derived symbol.
-    ``entries`` bounds the float64 values one member occupies in
-    ``stacked_jacobians``: its Jacobian, its coefficients, its table of
-    powers or its largest bucket of monomial factors.
+    buckets index that table. ``variables`` writes every variable partial
+    onto the flat Jacobian (weight 1, each target once); each ``chain``
+    layer k then adds the weighted chain-rule terms of every equation's
+    k-th derived symbol. ``entries`` bounds the float64 values one member
+    occupies in ``stacked_jacobians``: its Jacobian, its coefficients, its
+    table of powers or its largest gather of partial monomial factors
+    (S*G*S*R).
     """
 
     symbols: tuple  # per equation: sorted variables, then derived names
@@ -263,7 +267,8 @@ class _MemberPlan:
     derived: tuple  # per derived name: (support, weights)
     buckets: tuple[_Bucket, ...]
     num_slots: int
-    scatter: tuple  # per layer: (flat Jacobian targets, partial slots, weights)
+    variables: tuple  # (flat Jacobian targets, partial slots)
+    chain: tuple  # per derived layer: (flat Jacobian targets, partial slots, weights)
     num_coefficients: int
     entries: int
 
@@ -288,7 +293,7 @@ def member_plan(structure, degree) -> _MemberPlan:
         for name in used
     )
     offsets = np.cumsum([0] + [_monomial_table(len(row), degree).size for row in rows])
-    buckets, layers = [], {}
+    buckets, variables, layers = [], ([], []), {}
     slot = entries = 0
     for width in sorted({len(row) for row in rows}):
         members = [e for e, row in enumerate(rows) if len(row) == width]
@@ -297,27 +302,34 @@ def member_plan(structure, degree) -> _MemberPlan:
         base = (degree + 1) * np.array(
             [[column.get(sym, sym) for sym in rows[e]] for e in members], dtype=np.intp
         ).reshape(len(members), width)
+        # One row of factor indices per monomial, partials then values; the
+        # sizes are explicit because a bucket of constant equations has width 0.
+        factors = np.concatenate([
+            (base[:, np.newaxis, np.newaxis, :] + table.dexponents).reshape(
+                len(members) * table.rows.size, width),
+            (base[:, np.newaxis, :] + table.exponents).reshape(len(members) * table.size, width),
+        ])
         buckets.append(_Bucket(
             table,
             equations=np.array(members, dtype=np.intp),
             value_columns=first + np.arange(table.size),
             partial_columns=first[:, :, np.newaxis] + table.rows,
-            value_powers=base[:, np.newaxis, :] + table.exponents,
-            partial_powers=base[:, np.newaxis, np.newaxis, :] + table.dexponents,
+            factors=np.ascontiguousarray(factors.T),
             slots=slice(slot, slot + len(members) * width),
         ))
         for e in members:
             k = 0
             for sym in rows[e]:
                 if isinstance(sym, int):
-                    terms = ((sym, 1.0),)
+                    variables[0].append(e * n + sym)
+                    variables[1].append(slot)
                 else:
-                    terms, k = specs[sym].coefficients, k + 1
-                layer = layers.setdefault(k, ([], [], []))
-                for i, weight in terms:
-                    layer[0].append(e * n + i)
-                    layer[1].append(slot)
-                    layer[2].append(weight)
+                    k += 1
+                    layer = layers.setdefault(k, ([], [], []))
+                    for i, weight in specs[sym].coefficients:
+                        layer[0].append(e * n + i)
+                        layer[1].append(slot)
+                        layer[2].append(weight)
                 slot += 1
         entries = max(entries, len(members) * width * max(table.rows.size, table.size))
     num_coefficients = int(offsets[-1])
@@ -329,7 +341,8 @@ def member_plan(structure, degree) -> _MemberPlan:
         derived=derived,
         buckets=tuple(buckets),
         num_slots=slot,
-        scatter=tuple(
+        variables=tuple(np.array(a, dtype=np.intp) for a in variables),
+        chain=tuple(
             (np.array(t, dtype=np.intp), np.array(src, dtype=np.intp), np.array(w))
             for t, src, w in (layers[k] for k in sorted(layers))
         ),
@@ -356,12 +369,14 @@ def _evaluate(plan, points, partial_coefficients, value_coefficients=None):
     ``partial_coefficients`` yields each bucket's partial coefficient rows
     (``_Bucket.partial_coefficients``) in plan order; ``value_coefficients``
     does the same for values (``_Bucket.value_coefficients``), or is None to
-    skip them. Each bucket is one pass: gather its monomial factors from
-    the table of powers, multiply them over the symbols and take one
-    row-wise dot per kind. Every number is the same sum of the same products
-    as in a per-equation evaluation (the tests keep one as the reference).
-    Jacobian entries are sums onto zeros, so a -0.0 chain-rule term reads
-    +0.0 as it does there.
+    skip them. Each bucket is one gather and one product: take its
+    symbol-major factors from the table of powers, (T, S, W), and multiply
+    the S rows together in symbol order, which leaves one row of W
+    monomials per member; without values only the partial prefix is
+    gathered. One row-wise dot per kind follows. Every number is the same
+    sum of the same products as in a per-equation evaluation (the tests
+    keep one as the reference). Jacobian entries are sums onto zeros, so a
+    -0.0 partial or chain-rule term reads +0.0 as it does there.
     """
     count, n = points.shape
     extended = points
@@ -376,15 +391,21 @@ def _evaluate(plan, points, partial_coefficients, value_coefficients=None):
     for bucket, partial_rows, value_rows in zip(
         plan.buckets, partial_coefficients, value_coefficients or repeat(None)
     ):
+        g, s, r = bucket.partial_columns.shape
+        split = g * s * r
+        factors = bucket.factors if values is not None else bucket.factors[:, :split]
+        monomials = np.multiply.reduce(powers.take(factors, axis=1), axis=1)
         if values is not None:
             values[:, bucket.equations] = _rowwise_dot(
-                value_rows, np.multiply.reduce(powers.take(bucket.value_powers, axis=1), axis=-1)
+                value_rows, monomials[:, split:].reshape(count, g, bucket.table.size)
             )
         partials[:, bucket.slots] = _rowwise_dot(
-            partial_rows, np.multiply.reduce(powers.take(bucket.partial_powers, axis=1), axis=-1)
-        ).reshape(count, -1)
+            partial_rows, monomials[:, :split].reshape(count, g, s, r)
+        ).reshape(count, g * s)
     J = np.zeros((count, len(plan.symbols) * n))
-    for targets, sources, weights in plan.scatter:
+    targets, sources = plan.variables
+    J[:, targets] = partials[:, sources] + 0.0
+    for targets, sources, weights in plan.chain:
         J[:, targets] += weights * partials[:, sources]
     return J.reshape(count, len(plan.symbols), n), values
 

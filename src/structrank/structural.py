@@ -53,17 +53,6 @@ class RankReport:
             "matching": [[e + 1, v + 1] for (e, v) in self.matching],
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
-        return cls(
-            structural_rank=int(d["rank"]),
-            num_equations=int(d["M"]),
-            num_variables=int(d["N"]),
-            classification=str(d["class"]),
-            solution_dimension=int(d["dim"]),
-            matching=tuple((e - 1, v - 1) for e, v in d["matching"]),
-        )
-
 
 @dataclass(frozen=True)
 class KnockoutEntry:

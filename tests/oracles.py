@@ -6,7 +6,8 @@ from math import comb
 
 import numpy as np
 
-from structrank.polysys import PolyEquation
+from structrank.polysys import JacobianEvaluation, PolyEquation
+from structrank.structural import RankReport
 from structrank.structure import GeneralizedStructure
 
 
@@ -91,6 +92,18 @@ def reference_matching(p):
                 dfs(e)
 
     return tuple((e, match_eq[e]) for e in range(m) if match_eq[e] != _INF)
+
+
+def report_from_json_dict(d):
+    """The RankReport a ``RankReport.to_json_dict`` payload describes (1-based indices)."""
+    return RankReport(
+        structural_rank=int(d["rank"]),
+        num_equations=int(d["M"]),
+        num_variables=int(d["N"]),
+        classification=str(d["class"]),
+        solution_dimension=int(d["dim"]),
+        matching=tuple((e - 1, v - 1) for e, v in d["matching"]),
+    )
 
 
 def brute_min_vertex_cover(pattern):
@@ -187,3 +200,39 @@ def reference_evaluation(structure, equations, x):
                 spec = derived[sym]
                 J[e, list(spec.support)] += np.array([c for _, c in spec.coefficients]) * grad[slot]
     return J, values
+
+
+def reference_gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtracks=12):
+    """The Gauss-Newton corrector that recomputed each iterate's residual for its step.
+
+    Kept as the reference ``continuation._gauss_newton`` must match bit for
+    bit: its norms are ``np.linalg.norm`` and the least-squares right-hand
+    side is formed again from the evaluation.
+    """
+    def evaluation(pt):
+        try:
+            jac = pt if isinstance(pt, JacobianEvaluation) else system.jacobian(pt)
+        except (ValueError, FloatingPointError):
+            return None, np.inf
+        return jac, float(np.linalg.norm(jac.residual_target - target))
+
+    jac, rn = evaluation(x0)
+    if not np.isfinite(rn):
+        return jac, 0, False, np.inf
+    iterations = 0
+    while rn > residual_tol and iterations < max_iterations:
+        iterations += 1
+        r = jac.residual_target - target
+        step, *_ = np.linalg.lstsq(jac.matrix, -r, rcond=None)
+        if not step.any():
+            break
+        t = 1.0
+        for _ in range(max_backtracks):
+            trial, trial_rn = evaluation(jac.point + t * step)
+            if trial_rn < rn:
+                break
+            t *= 0.5
+        else:
+            break
+        jac, rn = trial, trial_rn
+    return jac, iterations, rn <= residual_tol, rn

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from structrank import RankReport, classify, cli, formats, sample_system, structural
+from structrank import classify, cli, formats, numrank, polysys, sample_system, structural
 from structrank.cli import _COMMANDS, AnalysisRequest, _build_parser, main, run
 from structrank.datasets import get_dataset
+
+from oracles import report_from_json_dict
 
 BASIS = str(Path(__file__).parent / "golden" / "basis.json")
 SYSTEM = str(Path(__file__).parent / "golden" / "system-example5.json")
@@ -42,7 +44,7 @@ class TestClassifyCommand:
 
     def test_report_round_trips_through_json(self):
         text = run_ok(AnalysisRequest("classify", dataset="twogene", output="json"))
-        report = RankReport.from_json_dict(json.loads(text))
+        report = report_from_json_dict(json.loads(text))
         assert report == classify(get_dataset("twogene").structure)
 
     def test_classify_from_file(self, tmp_path):
@@ -325,6 +327,41 @@ class TestErrorHandling:
         assert main(["rank", str(path)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: variables: 'variables' must be at most {formats.MAX_VARIABLES}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "{path}"],
+        ["generic-rank", "{path}"],
+        ["trace", "{path}", "--from", "0,0,0,0"],
+        ["probe", "{path}", "--from", "0,0,0,0"],
+        ["trace", "{system}", "--from", "0,0,0,0"],
+        ["show", "{system}"],
+    ], ids=["certify", "generic-rank", "trace", "probe", "trace-system", "show-system"])
+    def test_jacobian_beyond_the_bound_is_refused_before_any_plan(self, argv, tmp_path, capsys,
+                                                                  monkeypatch):
+        def refuse(structure, degree):
+            raise AssertionError("a member plan was built")
+
+        monkeypatch.setattr(polysys, "member_plan", refuse)
+        monkeypatch.setattr(numrank, "member_plan", refuse)
+        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 11)
+        structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
+        path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
+        path.write_text(json.dumps(structure))
+        system.write_text(json.dumps({"structure": structure, "degree": 1,
+                                      "equations": [{}, {}, {}]}))
+        assert main([a.format(path=path, system=system) for a in argv]) == 2
+        where = f"{system}: structure" if "{system}" in argv else str(path)
+        assert capsys.readouterr().err == (
+            f"error: {where}: 3 equations x 4 variables make 12 Jacobian entries, more than "
+            "the bound of 11 (formats.MAX_JACOBIAN_ENTRIES)\n")
+
+    def test_jacobian_at_the_bound_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 12)
+        path = tmp_path / "wide.json"
+        path.write_text('{"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]},'
+                        ' {"vars": [4]}]}')
+        assert main(["certify", str(path), "--trials", "5"]) == 0
+        assert "result: PASS" in capsys.readouterr().out
 
     def test_uncaught_exception_is_one_line_internal_error(self, monkeypatch, capsys):
         def exhausted(pattern):

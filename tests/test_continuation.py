@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from structrank import (
@@ -14,9 +16,10 @@ from structrank import (
     system_from_terms,
     trace_curve,
 )
+from structrank.continuation import _gauss_newton
 from structrank.datasets import get_dataset
 
-from oracles import hausdorff_distance
+from oracles import hausdorff_distance, reference_gauss_newton
 
 
 def ellipse_system():
@@ -234,6 +237,46 @@ class TestEvaluationReuse:
         assert not report.rank_drop_found
         assert report.min_significant_sigma == 0.0
         assert len(calls["jacobian"]) <= 227
+
+
+class TestGaussNewtonAgainstReference:
+    """The corrector that keeps each point's residual vector matches the one that recomputed it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["eqcep1", "trophic5", "robotarm"]),
+        seed=st.integers(0, 2**32 - 1),
+        degree=st.integers(1, 3),
+        scale=st.sampled_from([0.01, 0.3, 3.0]),
+        shift=st.sampled_from([0.0, 0.1, 10.0]),
+        max_iterations=st.integers(0, 25),
+        evaluated_start=st.booleans(),
+    )
+    def test_bit_identical(self, name, seed, degree, scale, shift, max_iterations,
+                           evaluated_start):
+        # Starts far from p, targets shifted off F(p) (no solution for the
+        # fragile trophic5) and small iteration budgets make runs that stall,
+        # backtrack to nothing or run out, as well as runs that converge.
+        system = sample_system(get_dataset(name).structure, degree=degree, seed=seed)
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(-1.0, 1.0, system.num_variables)
+        target = system.evaluate(p) + shift * rng.standard_normal(system.num_equations)
+        x0 = p + scale * rng.standard_normal(p.size)
+        if evaluated_start:
+            x0 = system.jacobian(x0)
+        got = _gauss_newton(system, x0, target, 1e-10, max_iterations)
+        expected = reference_gauss_newton(system, x0, target, 1e-10, max_iterations)
+        assert got[0].point.tobytes() == expected[0].point.tobytes()
+        assert got[0].matrix.tobytes() == expected[0].matrix.tobytes()
+        assert got[1:3] == expected[1:3]
+        assert np.float64(got[3]).tobytes() == np.float64(expected[3]).tobytes()
+
+    def test_unevaluable_start(self):
+        system = get_dataset("eqcep1").system
+        start = np.array([np.nan, 0.0, 0.0])
+        assert _gauss_newton(system, start, np.zeros(3), 1e-10, 5) == (None, 0, False, np.inf)
+        assert reference_gauss_newton(system, start, np.zeros(3), 1e-10, 5) == (
+            None, 0, False, np.inf)
 
 
 class TestPerturbationProbe:

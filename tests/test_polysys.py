@@ -286,6 +286,18 @@ class TestKernelAgainstReference:
         stacked = stacked_jacobians(member_plan(structure, degree), coefficients, points)
         assert stacked.tobytes() == np.array([J for J, _ in expected]).tobytes()
 
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_stacked_gather_fits_the_entries_bound(self, name, degree):
+        # Trial chunks are sized by plan.entries, so the largest array the
+        # stacked kernel builds, a bucket's gather of partial factors
+        # (S, G*S*R) per member, must fit in it.
+        plan = member_plan(kernel_structure(name), degree)
+        for bucket in plan.buckets:
+            g, s, r = bucket.partial_columns.shape
+            assert bucket.factors.shape == (s, g * s * r + g * bucket.table.size)
+            assert s * g * s * r <= plan.entries
+
     def test_negative_zero_terms_read_positive_zero(self):
         # F = z^2 with z = -x1 + x2: at z = 0 the chain-rule term on x1 is
         # -1 * 0.0 = -0.0, which is added onto a zero entry.

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structrank import (
-    RankReport,
     StructureError,
     StructurePattern,
     SystemGraph,
@@ -22,7 +21,9 @@ from structrank import (
 from structrank.datasets import get_dataset
 from structrank.structure import GeneralizedStructure, DerivedVariableSpec
 
-from oracles import brute_matching_size, brute_min_vertex_cover, reference_matching
+from oracles import (
+    brute_matching_size, brute_min_vertex_cover, reference_matching, report_from_json_dict,
+)
 
 
 def rows(spec_1based, n=None):
@@ -142,7 +143,7 @@ class TestClassify:
 
     def test_json_round_trip(self):
         rep = classify(get_dataset("jakstat").structure)
-        assert RankReport.from_json_dict(rep.to_json_dict()) == rep
+        assert report_from_json_dict(rep.to_json_dict()) == rep
 
     @given(patterns())
     def test_report_invariants(self, p):
