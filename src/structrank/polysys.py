@@ -375,8 +375,9 @@ def _evaluate(plan, points, partial_coefficients, value_coefficients=None):
     monomials per member; without values only the partial prefix is
     gathered. One row-wise dot per kind follows. Every number is the same
     sum of the same products as in a per-equation evaluation (the tests
-    keep one as the reference). Jacobian entries are sums onto zeros, so a
-    -0.0 partial or chain-rule term reads +0.0 as it does there.
+    keep one as the reference). A variable partial p is written as p + 0.0
+    and chain-rule terms are added onto it or onto zero, so a -0.0 term
+    reads +0.0 as it does there, where every entry is a sum onto zero.
     """
     count, n = points.shape
     extended = points
