@@ -16,7 +16,9 @@ from dataclasses import dataclass, fields
 
 from .datasets import DATASETS, Dataset, get_dataset
 from .errors import ParseError, StructrankError
-from .formats import check_jacobian_size, parse_basis, parse_input, structure_to_json_dict, to_dot
+from .formats import (
+    check_basis_size, check_jacobian_size, parse_basis, parse_input, structure_to_json_dict, to_dot,
+)
 from .structural import _knockout_sweep, classify
 from .structure import GeneralizedStructure, StructurePattern, SystemGraph, pattern_from_graph
 
@@ -264,6 +266,7 @@ def _cmd_trace(request):
     from . import continuation as cont
 
     system, origin = _system(request, uses_seed=False)
+    check_basis_size(system.num_variables, request.input_path)
     p = _point(request, system.num_variables)
     branch = cont.trace_curve(
         system, p, tol=_tolerance(request), **_given(request, "step", "max_points", "radius"),
@@ -308,6 +311,7 @@ def _cmd_probe(request):
             f"residual floor: {probe.residual_floor:.6g} "
             f"({probe.starts_tried} starts, seed {request.seed or 0})\n"
         )
+    check_basis_size(system.num_variables, request.input_path)
     report = cont.manifold_probe(
         system, p, tol=_tolerance(request),
         **_given(request, "samples", "step", "seed", "radius"),
@@ -450,7 +454,12 @@ def run(request: AnalysisRequest) -> tuple[int, str]:
                    f"{', '.join(unused)}\n")
     try:
         return 0, command.handler(request)
-    except (_InputError, ParseError, OSError) as exc:
+    except ParseError as exc:
+        if exc.path is None:
+            # A bound the library checks as it builds, such as polysys.MAX_PLAN_ENTRIES.
+            exc = ParseError(exc.message, request.input_path, exc.line, exc.where)
+        return 2, f"error: {exc}\n"
+    except (_InputError, OSError) as exc:
         return 2, f"error: {exc}\n"
     except (StructrankError, ValueError) as exc:
         return 1, f"error: {type(exc).__name__}: {exc}\n"

@@ -22,7 +22,7 @@ class WrongDimensionError(StructrankError):
 
 
 class ParseError(StructrankError):
-    """An input file could not be parsed.
+    """An input file could not be parsed, or its input exceeds a size bound.
 
     Carries enough position information to point at the offending spot:
     ``line`` is 1-based when known, ``where`` is a JSON-path-like locator

@@ -74,6 +74,13 @@ def check_jacobian_size(structure, path=None, where=None):
             f"bound of {MAX_JACOBIAN_ENTRIES} (formats.MAX_JACOBIAN_ENTRIES)", path, where)
 
 
+def check_basis_size(n, path=None):
+    """Raise ParseError when a full SVD's N x N basis, N = ``n``, exceeds MAX_JACOBIAN_ENTRIES."""
+    _expect(n * n <= MAX_JACOBIAN_ENTRIES,
+            f"{n} variables make {n * n} entries in the N x N basis of a full SVD, more than "
+            f"the bound of {MAX_JACOBIAN_ENTRIES} (formats.MAX_JACOBIAN_ENTRIES)", path)
+
+
 def structure_from_json_dict(data, path=None):
     """Build a structure from the JSON file schema.
 
@@ -371,7 +378,8 @@ def _system_from_json_dict(data, path=None):
     vectors over the equation's symbols (sorted variables, then derived
     names), "" for the constant term, and its values finite coefficients.
     """
-    from .polysys import check_degree, system_from_terms  # numpy: only for system files
+    # numpy: only for system files
+    from .polysys import check_degree, check_plan_size, system_from_terms
 
     _expect(isinstance(data, dict), "top level must be an object", path, "$")
     _check_keys(data, {"structure", "degree", "seed", "distribution", "equations"}, path, "$")
@@ -392,6 +400,7 @@ def _system_from_json_dict(data, path=None):
         check_degree(degree, allow_constant=True)
     except ValueError as exc:
         raise ParseError(str(exc), path=path, where="degree") from None
+    check_plan_size(structure, degree, path, "degree")
     equations = data["equations"]
     m = structure.num_equations
     _expect(isinstance(equations, list) and len(equations) == m,

@@ -12,13 +12,14 @@ machine precision.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from math import comb
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ParseError, StructureError
 from .structure import GeneralizedStructure, StructurePattern
 
 __all__ = [
@@ -29,6 +30,13 @@ __all__ = [
     "system_from_terms",
     "combine",
 ]
+
+# The most monomial-factor entries a member plan takes: its index, S x W for
+# the widest row's S symbols and W monomials (with partials) over all rows,
+# plus the largest gather one stacked trial makes from it. Both grow as
+# S^(d+2) for dense rows of S symbols at degree d, where M x N grows as S^2,
+# so a plan over the bound is refused before its index is built.
+MAX_PLAN_ENTRIES = 10_000_000
 
 def seeded_rng(seed) -> np.random.Generator:
     """The platform-independent PCG64 stream of ``seed``."""
@@ -216,29 +224,36 @@ class JacobianEvaluation:
 class _Bucket:
     """The equations over S symbols, which share one monomial table.
 
-    Column arrays index a member's flat coefficient vector. ``factors``
-    indexes the kernel's flat table of powers, symbol-major: column j holds
-    the S factors of monomial j, one per symbol in symbol order. Its G*S*R
-    partial monomials (equation, symbol, row) come first, then its G*K value
-    monomials (equation, row), so the stacked kernel gathers only the
-    prefix. ``slots`` locates the bucket's partials in the kernel's array of
-    them.
+    Column arrays index a member's flat coefficient vector. ``factors`` is
+    the bucket's block of the plan's index into the kernel's flat table of
+    powers, symbol-major: column j holds the S factors of monomial j, one
+    per symbol in symbol order. Its G*S*R partial monomials (equation,
+    symbol, row) come first, then its G*K value monomials (equation, row),
+    so the stacked kernel gathers only the prefix. ``partials`` and
+    ``values`` locate those columns in the plan's index, and so in the
+    one-member gather; ``slots`` locates the bucket's partials in the
+    kernel's array of them, and ``value_slots`` its values in bucket order.
     """
 
     table: _MonomialTable
     equations: np.ndarray  # (G,)
     value_columns: np.ndarray  # (G, K)
     partial_columns: np.ndarray  # (G, S, R)
-    factors: np.ndarray  # (S, G*S*R + G*K)
+    factors: np.ndarray  # (S, G*S*R + G*K), a view of the plan's index
+    partials: slice  # G*S*R columns of the plan's index
+    values: slice  # G*K columns of the plan's index
     slots: slice  # G*S partials, equation-major
-
-    def value_coefficients(self, coefficients):
-        """(..., G, K) coefficient rows of one member (K_total,) or a stack (T, K_total)."""
-        return coefficients[..., self.value_columns]
+    value_slots: slice  # G values, in bucket order
 
     def partial_coefficients(self, coefficients):
         """(..., G, S, R) coefficients times exponents, one row per partial."""
         return coefficients[..., self.partial_columns] * self.table.multipliers
+
+    def operands(self, coefficients):
+        """One member's partial rows (G*S, R) and value rows (G, K), C-contiguous."""
+        g, s, r = self.partial_columns.shape
+        partial_rows = self.partial_coefficients(coefficients).reshape(g * s, r)
+        return partial_rows, coefficients[self.value_columns]
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,21 +266,27 @@ class _MemberPlan:
     is extended by the values of the derived variables its equations use,
     whose (support, weights) ``derived`` lists in name order. The kernel
     raises every extended coordinate to the powers 0..degree once; the
-    buckets index that table. ``variables`` writes every variable partial
-    onto the flat Jacobian (weight 1, each target once); each ``chain``
-    layer k then adds the weighted chain-rule terms of every equation's
-    k-th derived symbol. ``entries`` bounds the float64 values one member
-    occupies in ``stacked_jacobians``: its Jacobian, its coefficients, its
-    table of powers or its largest gather of partial monomial factors
-    (S*G*S*R).
+    buckets index that table. ``factors`` holds every bucket's block side
+    by side, each padded below its S rows with index 0, the first
+    coordinate's power 0, which is exactly 1.0: one gather over it leaves
+    every monomial of one member, and ``order`` puts values computed
+    bucket by bucket back in equation order. ``variables`` writes every
+    variable partial onto the flat Jacobian (weight 1, each target once);
+    each ``chain`` layer k then adds the weighted chain-rule terms of
+    every equation's k-th derived symbol. ``entries`` bounds the float64
+    values one member occupies in ``stacked_jacobians``: its Jacobian, its
+    coefficients, its table of powers or its largest gather of partial
+    monomial factors (S*G*S*R).
     """
 
     symbols: tuple  # per equation: sorted variables, then derived names
     offsets: np.ndarray  # (M + 1,)
     num_variables: int
-    powers: np.ndarray  # 0..degree
+    powers: np.ndarray  # 0.0..degree
     derived: tuple  # per derived name: (support, weights)
+    factors: np.ndarray  # (widest S, sum of G*S*R + G*K)
     buckets: tuple[_Bucket, ...]
+    order: np.ndarray  # (M,) position of equation e's value in bucket order
     num_slots: int
     variables: tuple  # (flat Jacobian targets, partial slots)
     chain: tuple  # per derived layer: (flat Jacobian targets, partial slots, weights)
@@ -273,12 +294,47 @@ class _MemberPlan:
     entries: int
 
 
+def plan_entries(structure, degree):
+    """The entries MAX_PLAN_ENTRIES bounds for the member plan of ``structure`` at ``degree``.
+
+    Counted from the row widths alone: rows of S symbols share a table of
+    K = C(S + d, d) monomials, R = C(S + d - 1, d - 1) of them with a
+    positive exponent on a given symbol, and G such rows take G*S*R partial
+    and G*K value columns in the index, S*G*S*R entries in a stacked gather.
+    """
+    if isinstance(structure, GeneralizedStructure):
+        widths = list(map(len, structure.dependencies))
+    else:
+        widths = [0] * structure.num_equations
+        for e, _ in structure.allowed:
+            widths[e] += 1
+    columns = gather = 0
+    for s, g in Counter(widths).items():
+        k = comb(s + degree, degree) if degree >= 0 else 0
+        r = comb(s + degree - 1, degree - 1) if degree > 0 else 0
+        columns += g * (s * r + k)
+        gather = max(gather, s * g * s * r)
+    return max(widths) * columns + gather
+
+
+def check_plan_size(structure, degree, path=None, where=None):
+    """Raise ParseError when ``plan_entries(structure, degree)`` exceeds MAX_PLAN_ENTRIES."""
+    entries = plan_entries(structure, degree)
+    if entries > MAX_PLAN_ENTRIES:
+        raise ParseError(
+            f"{structure.num_equations} equations at degree {degree} make a member plan of "
+            f"{entries} monomial-factor entries, more than the bound of {MAX_PLAN_ENTRIES} "
+            f"(polysys.MAX_PLAN_ENTRIES)", path=path, where=where)
+
+
 @lru_cache(maxsize=32)
 def member_plan(structure, degree) -> _MemberPlan:
     """The layout of every member at ``degree``, built once and shared by all of them.
 
     The plan is cached per (structure, degree); callers must not modify it.
+    A plan over MAX_PLAN_ENTRIES raises ParseError before anything is built.
     """
+    check_plan_size(structure, degree)
     n = structure.num_variables
     if isinstance(structure, GeneralizedStructure):
         rows = tuple(map(structure.equation_symbols, range(structure.num_equations)))
@@ -293,30 +349,41 @@ def member_plan(structure, degree) -> _MemberPlan:
         for name in used
     )
     offsets = np.cumsum([0] + [_monomial_table(len(row), degree).size for row in rows])
+    widths = sorted({len(row) for row in rows})
+    groups = [[e for e, row in enumerate(rows) if len(row) == width] for width in widths]
+    tables = [_monomial_table(width, degree) for width in widths]
+    # Index 0 pads the narrower buckets' columns.
+    factors = np.zeros((widths[-1], sum(len(members) * (table.rows.size + table.size)
+                                        for members, table in zip(groups, tables))),
+                       dtype=np.intp)
     buckets, variables, layers = [], ([], []), {}
-    slot = entries = 0
-    for width in sorted({len(row) for row in rows}):
-        members = [e for e, row in enumerate(rows) if len(row) == width]
-        table = _monomial_table(width, degree)
+    start = placed = slot = entries = 0
+    for width, members, table in zip(widths, groups, tables):
         first = offsets[members][:, np.newaxis]
         base = (degree + 1) * np.array(
             [[column.get(sym, sym) for sym in rows[e]] for e in members], dtype=np.intp
         ).reshape(len(members), width)
         # One row of factor indices per monomial, partials then values; the
         # sizes are explicit because a bucket of constant equations has width 0.
-        factors = np.concatenate([
+        block = np.concatenate([
             (base[:, np.newaxis, np.newaxis, :] + table.dexponents).reshape(
                 len(members) * table.rows.size, width),
             (base[:, np.newaxis, :] + table.exponents).reshape(len(members) * table.size, width),
         ])
+        split, stop = start + len(members) * table.rows.size, start + len(block)
+        factors[:width, start:stop] = block.T
         buckets.append(_Bucket(
             table,
             equations=np.array(members, dtype=np.intp),
             value_columns=first + np.arange(table.size),
             partial_columns=first[:, :, np.newaxis] + table.rows,
-            factors=np.ascontiguousarray(factors.T),
+            factors=factors[:width, start:stop],
+            partials=slice(start, split),
+            values=slice(split, stop),
             slots=slice(slot, slot + len(members) * width),
+            value_slots=slice(placed, placed + len(members)),
         ))
+        start, placed = stop, placed + len(members)
         for e in members:
             k = 0
             for sym in rows[e]:
@@ -337,9 +404,11 @@ def member_plan(structure, degree) -> _MemberPlan:
         symbols=rows,
         offsets=offsets,
         num_variables=n,
-        powers=np.arange(degree + 1),
+        powers=np.arange(degree + 1, dtype=np.float64),
         derived=derived,
+        factors=factors,
         buckets=tuple(buckets),
+        order=np.argsort(np.concatenate([b.equations for b in buckets])),
         num_slots=slot,
         variables=tuple(np.array(a, dtype=np.intp) for a in variables),
         chain=tuple(
@@ -352,32 +421,82 @@ def member_plan(structure, degree) -> _MemberPlan:
     )
 
 
+def _monomials(powers, factors):
+    """Every column's monomial: its factors (S, W) taken from ``powers`` (..., P), multiplied.
+
+    The gather gives (..., S, W) and the product runs over S, so whole rows
+    are multiplied together in symbol order and (..., W) is left.
+    """
+    return np.multiply.reduce(powers.take(factors, axis=-1), axis=-2)
+
+
 def _rowwise_dot(a, b):
     """``a[..., :] @ b[..., :]`` for every row, broadcasting the leading axes.
 
-    Each row goes through the BLAS dot a 1-D ``@`` uses. Both operands are
-    made C-contiguous: on strided rows matmul leaves that dot path and the
-    sums can differ from the 1-D ones in the last ulp.
+    ``vecdot`` runs each row through the BLAS dot a 1-D ``@`` uses. Both
+    operands are made C-contiguous: on strided rows the dot takes another
+    path and the sums can differ from the 1-D ones in the last ulp.
     """
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
+    return np.vecdot(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
-def _evaluate(plan, points, partial_coefficients, value_coefficients=None):
-    """Jacobians (T, M, N) of T members at ``points`` (T, N), and their values.
+def _prepared_dot(rows, monomials, out):
+    """``out[i] = rows[i] @ monomials[i*W:(i + 1)*W]`` for prepared rows (n, W).
+
+    ``rows`` is laid out C-contiguous once, by the system, and ``monomials``
+    is a slice of one contiguous gather, so ``vecdot`` runs each row through
+    the BLAS dot of ``_rowwise_dot`` with no copy and no new axes.
+    """
+    np.vecdot(rows, monomials.reshape(rows.shape), out=out)
+
+
+def _scatter(plan, partials):
+    """Jacobians (..., M, N) from the partials (..., slots) of one member or a stack of them.
+
+    A variable partial p is written as p + 0.0 and chain-rule terms are
+    added onto it or onto zero, so a -0.0 term reads +0.0 as it does in a
+    per-equation evaluation, where every entry is a sum onto zero.
+    """
+    lead = partials.shape[:-1]
+    J = np.zeros(lead + (len(plan.symbols) * plan.num_variables,))
+    # Indexing the transposes' first axis keeps one member's indexing plain 1-D.
+    targets, sources = plan.variables
+    J.T[targets] = partials.T[sources] + 0.0
+    for targets, sources, weights in plan.chain:
+        J.T[targets] += (weights * partials.take(sources, axis=-1)).T
+    return J.reshape(lead + (len(plan.symbols), plan.num_variables))
+
+
+def _evaluate_member(plan, x, operands):
+    """Jacobian (M, N) and values (M,) of one member at ``x`` (N,): the one-member path.
+
+    ``operands`` holds each bucket's prepared rows (``_Bucket.operands``).
+    One gather and one product over the plan's padded index leave every
+    monomial of every bucket; a pad is an exact 1.0 multiplied in after a
+    bucket's own S factors, so each monomial keeps its bits. One row-wise
+    dot per kind and bucket follows. Every number is the same sum of the
+    same products as in a per-equation evaluation (the tests keep one as
+    the reference) and as in the stacked path.
+    """
+    if plan.derived:
+        x = np.concatenate([x, [weights @ x[support] for support, weights in plan.derived]])
+    monomials = _monomials((x[:, np.newaxis] ** plan.powers).ravel(), plan.factors)
+    partials = np.empty(plan.num_slots)
+    values = np.empty(len(plan.symbols))
+    for bucket, (partial_rows, value_rows) in zip(plan.buckets, operands):
+        _prepared_dot(partial_rows, monomials[bucket.partials], partials[bucket.slots])
+        _prepared_dot(value_rows, monomials[bucket.values], values[bucket.value_slots])
+    return _scatter(plan, partials), values[plan.order]
+
+
+def _evaluate(plan, points, partial_coefficients):
+    """Jacobians (T, M, N) of T members at ``points`` (T, N): the stacked path, partials only.
 
     ``partial_coefficients`` yields each bucket's partial coefficient rows
-    (``_Bucket.partial_coefficients``) in plan order; ``value_coefficients``
-    does the same for values (``_Bucket.value_coefficients``), or is None to
-    skip them. Each bucket is one gather and one product: take its
-    symbol-major factors from the table of powers, (T, S, W), and multiply
-    the S rows together in symbol order, which leaves one row of W
-    monomials per member; without values only the partial prefix is
-    gathered. One row-wise dot per kind follows. Every number is the same
-    sum of the same products as in a per-equation evaluation (the tests
-    keep one as the reference). A variable partial p is written as p + 0.0
-    and chain-rule terms are added onto it or onto zero, so a -0.0 term
-    reads +0.0 as it does there, where every entry is a sum onto zero.
+    (``_Bucket.partial_coefficients``) in plan order. Each bucket is one
+    gather of the partial prefix of its factors from the table of powers,
+    (T, S, G*S*R), and one product over S; one row-wise dot follows. Every
+    Jacobian equals the one-member path's bit for bit.
     """
     count, n = points.shape
     extended = points
@@ -388,27 +507,13 @@ def _evaluate(plan, points, partial_coefficients, value_coefficients=None):
             extended[:, column] = _rowwise_dot(weights, points[:, support])
     powers = (extended[:, :, np.newaxis] ** plan.powers).reshape(count, -1)
     partials = np.empty((count, plan.num_slots))
-    values = None if value_coefficients is None else np.empty((count, len(plan.symbols)))
-    for bucket, partial_rows, value_rows in zip(
-        plan.buckets, partial_coefficients, value_coefficients or repeat(None)
-    ):
+    for bucket, partial_rows in zip(plan.buckets, partial_coefficients):
         g, s, r = bucket.partial_columns.shape
-        split = g * s * r
-        factors = bucket.factors if values is not None else bucket.factors[:, :split]
-        monomials = np.multiply.reduce(powers.take(factors, axis=1), axis=1)
-        if values is not None:
-            values[:, bucket.equations] = _rowwise_dot(
-                value_rows, monomials[:, split:].reshape(count, g, bucket.table.size)
-            )
+        monomials = _monomials(powers, bucket.factors[:, :g * s * r])
         partials[:, bucket.slots] = _rowwise_dot(
-            partial_rows, monomials[:, :split].reshape(count, g, s, r)
+            partial_rows, monomials.reshape(count, g, s, r)
         ).reshape(count, g * s)
-    J = np.zeros((count, len(plan.symbols) * n))
-    targets, sources = plan.variables
-    J[:, targets] = partials[:, sources] + 0.0
-    for targets, sources, weights in plan.chain:
-        J[:, targets] += weights * partials[:, sources]
-    return J.reshape(count, len(plan.symbols), n), values
+    return _scatter(plan, partials)
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,12 +547,7 @@ class StructuredPolySystem:
                 )
         coefficients = np.concatenate([eq.coefficients for eq in self.equations])
         object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_partial_coefficients", tuple(
-            b.partial_coefficients(coefficients) for b in plan.buckets
-        ))
-        object.__setattr__(self, "_value_coefficients", tuple(
-            b.value_coefficients(coefficients) for b in plan.buckets
-        ))
+        object.__setattr__(self, "_operands", tuple(b.operands(coefficients) for b in plan.buckets))
 
     @property
     def num_equations(self):
@@ -479,10 +579,8 @@ class StructuredPolySystem:
         proportional on its support.
         """
         x = self._check_point(x)
-        J, values = _evaluate(
-            self._plan, x[np.newaxis], self._partial_coefficients, self._value_coefficients
-        )
-        return JacobianEvaluation(point=x, matrix=J[0], residual_target=values[0])
+        J, values = _evaluate_member(self._plan, x, self._operands)
+        return JacobianEvaluation(point=x, matrix=J, residual_target=values)
 
     def to_json_dict(self):
         from .formats import structure_to_json_dict
@@ -591,13 +689,11 @@ def stacked_jacobians(plan, coefficients, points) -> np.ndarray:
     """Jacobians of T members, member t at ``points[t]``.
 
     Takes (T, K) coefficients laid out by ``plan`` and (T, N) points and
-    returns (T, M, N). It is the kernel of ``StructuredPolySystem.jacobian``
-    with T members instead of one and no values, so each matrix equals the
-    per-point one bit for bit.
+    returns (T, M, N). Each matrix equals the one
+    ``StructuredPolySystem.jacobian`` gives for the member at its point, bit
+    for bit.
     """
-    return _evaluate(
-        plan, points, (b.partial_coefficients(coefficients) for b in plan.buckets)
-    )[0]
+    return _evaluate(plan, points, (b.partial_coefficients(coefficients) for b in plan.buckets))
 
 
 def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem) -> StructuredPolySystem:

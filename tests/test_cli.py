@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from structrank import classify, cli, formats, numrank, polysys, sample_system, structural
+from structrank import (
+    classify, cli, continuation, formats, numrank, polysys, sample_system, structural,
+)
 from structrank.cli import _COMMANDS, AnalysisRequest, _build_parser, main, run
 from structrank.datasets import get_dataset
 
@@ -362,6 +364,65 @@ class TestErrorHandling:
                         ' {"vars": [4]}]}')
         assert main(["certify", str(path), "--trials", "5"]) == 0
         assert "result: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, where", [
+        (["certify", "{path}", "--degree", "3"], "{path}"),
+        (["generic-rank", "{path}", "--degree", "3"], "{path}"),
+        (["trace", "{path}", "--degree", "3", "--from", "0,0,0,0"], "{path}"),
+        (["probe", "{path}", "--degree", "3", "--from", "0,0,0,0"], "{path}"),
+        (["show", "{system}"], "{system}: degree"),
+    ], ids=["certify", "generic-rank", "trace", "probe", "show-system"])
+    def test_plan_beyond_the_bound_is_input_error(self, argv, where, tmp_path, capsys,
+                                                  monkeypatch):
+        # Rows of 2, 1 and 1 symbols at degree 3: an index of 2 x 36 entries
+        # (2 symbols by 2 * 6 + 10 columns, then 2 * (3 + 4)) and a gather of 24.
+        # Plans are cached, and a cached plan met the bound when it was built.
+        polysys.member_plan.cache_clear()
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 95)
+        structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
+        path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
+        path.write_text(json.dumps(structure))
+        system.write_text(json.dumps({"structure": structure, "degree": 3,
+                                      "equations": [{}, {}, {}]}))
+        assert main([a.format(path=path, system=system) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {where.format(path=path, system=system)}: 3 equations at degree 3 make a "
+            "member plan of 96 monomial-factor entries, more than the bound of 95 "
+            "(polysys.MAX_PLAN_ENTRIES)\n")
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 96)
+        assert main(["certify", str(path), "--degree", "3", "--trials", "5"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "{path}", "--from", "0.1,0.2,0.3,0.4,0.5,0.6"],
+        ["probe", "{path}", "--from", "0.1,0.2,0.3,0.4,0.5,0.6"],
+    ], ids=["trace", "probe"])
+    def test_svd_basis_beyond_the_bound_is_refused_before_any_svd(self, argv, tmp_path,
+                                                                   capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken")
+
+        # 3 x 6 Jacobians fit a bound of 20 entries; their 6 x 6 SVD basis does not.
+        monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
+        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        path = tmp_path / "arm.json"
+        path.write_text(json.dumps(formats.structure_to_json_dict(
+            get_dataset("robotarm").structure)))
+        assert main([a.format(path=path) for a in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 6 variables make 36 entries in the N x N basis of a full SVD, "
+            "more than the bound of 20 (formats.MAX_JACOBIAN_ENTRIES)\n")
+
+    def test_perturbation_probe_takes_no_svd_and_no_basis_bound(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken")
+
+        monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
+        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        path = tmp_path / "arm.json"
+        path.write_text(json.dumps(formats.structure_to_json_dict(
+            get_dataset("robotarm").structure)))
+        assert main(["probe", str(path), "--from", "0.1,0.2,0.3,0.4,0.5,0.6",
+                     "--delta", "0.01,0,0"]) == 0
 
     def test_uncaught_exception_is_one_line_internal_error(self, monkeypatch, capsys):
         def exhausted(pattern):

@@ -9,18 +9,18 @@ from numpy.testing import assert_allclose
 from structrank import (
     StructuredPolySystem,
     StructureError,
-    StructurePattern,
     combine,
     numeric_rank,
     sample_system,
     system_from_terms,
 )
-from structrank.datasets import get_dataset
+from structrank.datasets import DATASETS, get_dataset
 from structrank import polysys
+from structrank.errors import ParseError
 from structrank.polysys import (
     _monomial_table, member_plan, seeded_rng, seeded_streams, stacked_jacobians,
 )
-from structrank.structure import DerivedVariableSpec, GeneralizedStructure
+from structrank.structure import DerivedVariableSpec, GeneralizedStructure, StructurePattern
 
 from oracles import reference_draw, reference_evaluation, reference_stream
 
@@ -310,28 +310,123 @@ class TestKernelAgainstReference:
         assert not np.signbit(matrix).any()
 
 
+# Signed zeros, magnitudes whose monomials overflow to inf at degree 2 and
+# above (and whose sums may then read nan), and values whose products round;
+# mixed magnitudes let one monomial's rounding show in its sum.
+COORDINATES = (st.sampled_from([0.0, -0.0, 1e160, -1e160, 1e300])
+               | st.floats(-4.0, 4.0) | st.floats(-1e6, 1e6))
+
+
+@st.composite
+def kernel_members(draw):
+    """A sampled member at degree 0-4 of a generated structure, and 1-3 points.
+
+    Rows hold 0 to 8 symbols, so some are empty and widths mix; up to three
+    derived variables, several to a row, make chain-rule layers.
+    """
+    n = draw(st.integers(1, 6))
+    names = [f"d{i}" for i in range(draw(st.integers(0, 3)))]
+    specs = tuple(
+        DerivedVariableSpec(name, tuple(
+            (i, draw(st.sampled_from([-2.0, -1.0, 0.5, 3.0])))
+            for i in sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        ))
+        for name in names
+    )
+    rows = draw(st.lists(st.sets(st.sampled_from([*range(n), *names]), max_size=8),
+                         min_size=1, max_size=4))
+    structure = (GeneralizedStructure(n, tuple(rows), specs) if names
+                 else StructurePattern.from_rows(rows, n))
+    system = sample_system(structure, draw(st.integers(0, 4)), seed=draw(st.integers(0, 2**32)),
+                           distribution=draw(st.sampled_from(["uniform", "normal"])),
+                           allow_constant=True)
+    points = draw(st.lists(st.lists(COORDINATES, min_size=n, max_size=n), min_size=1, max_size=3))
+    return system, np.array(points)
+
+
+class TestKernelProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_members())
+    def test_one_member_path_is_bit_exact(self, member):
+        system, points = member
+        coefficients = np.concatenate([eq.coefficients for eq in system.equations])
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = stacked_jacobians(system._plan, np.tile(coefficients, (len(points), 1)),
+                                        points)
+            for x, row in zip(points, stacked, strict=True):
+                J, values = reference_evaluation(system.structure, system.equations, x)
+                jac = system.jacobian(x)
+                assert jac.matrix.tobytes() == J.tobytes()
+                assert jac.residual_target.tobytes() == values.tobytes()
+                assert row.tobytes() == J.tobytes()
+
+
+class TestPlanSize:
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_counts_the_index_and_the_largest_gather(self, name, degree):
+        structure = kernel_structure(name)
+        plan = member_plan(structure, degree)
+        gathers = [s * g * s * r for g, s, r in (b.partial_columns.shape for b in plan.buckets)]
+        assert polysys.plan_entries(structure, degree) == plan.factors.size + max(gathers)
+
+    def test_dense_plan_is_refused_before_anything_is_built(self, monkeypatch):
+        # At degree 3 a dense 30 x 30 pattern would take a 146 MB index.
+        def refuse(num_symbols, degree):
+            raise AssertionError("a monomial table was built")
+
+        monkeypatch.setattr(polysys, "_monomial_table", refuse)
+        dense = StructurePattern.from_rows([range(30)] * 30)
+        message = (r"^30 equations at degree 3 make a member plan of 31694400 monomial-factor "
+                   r"entries, more than the bound of 10000000 \(polysys.MAX_PLAN_ENTRIES\)$")
+        with pytest.raises(ParseError, match=message):
+            member_plan(dense, 3)
+        with pytest.raises(ParseError, match=message):
+            sample_system(dense, degree=3)
+
+    def test_every_dataset_fits(self):
+        for name in DATASETS:
+            structure = get_dataset(name).structure
+            for degree in range(5):
+                assert polysys.plan_entries(structure, degree) <= polysys.MAX_PLAN_ENTRIES
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments of every call to ``polysys.<name>``."""
+    calls = []
+    real = getattr(polysys, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polysys, name, spy)
+    return calls
+
+
 class TestVectorizedKernel:
-    """One row-wise dot per kind and bucket, never one per equation or symbol."""
+    """One dot per kind and bucket, never one per equation or symbol."""
 
     @pytest.fixture
     def dots(self, monkeypatch):
-        calls = []
+        return _spy(monkeypatch, "_rowwise_dot")
 
-        def spy(a, b):
-            calls.append(np.shape(b))
-            return rowwise_dot(a, b)
-
-        rowwise_dot = polysys._rowwise_dot
-        monkeypatch.setattr(polysys, "_rowwise_dot", spy)
-        return calls
-
-    def test_jacobian_dots_per_row_width(self, dots):
+    def test_jacobian_dots_per_row_width(self, monkeypatch):
         structure = get_dataset("sole26").structure
         widths = {len(row) for row in structure.rows()}
         system = sample_system(structure, degree=2, seed=1)
-        dots.clear()
+        dots = _spy(monkeypatch, "_prepared_dot")
         system.jacobian(np.linspace(-1.0, 1.0, 26))
         assert len(widths) <= len(dots) <= 2 * len(widths)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_jacobian_gathers_once(self, monkeypatch, name):
+        structure = kernel_structure(name)
+        system = sample_system(structure, degree=3, seed=2)
+        gathers = _spy(monkeypatch, "_monomials")
+        system.jacobian(np.linspace(-1.0, 1.0, structure.num_variables))
+        assert len(gathers) == 1
+        assert gathers[0][1] is system._plan.factors
 
     def test_stacked_chunk_dots_per_bucket(self, dots):
         structure = get_dataset("sole26").structure
