@@ -118,6 +118,20 @@ def _numeric_input(request):
     return structure, source
 
 
+def _check_plan_size(request, structure):
+    """Refuse to sample members of ``structure`` whose plan exceeds its bound, naming the file.
+
+    Members are sampled at the request's degree, or at degree 2, the default
+    of ``sample_system``, ``certify_acr`` and ``generic_rank_randomized``.
+    """
+    from .polysys import check_plan_size
+
+    try:
+        check_plan_size(structure, 2 if request.degree is None else request.degree)
+    except ValueError as exc:
+        raise ParseError(str(exc), request.input_path) from None
+
+
 def _system(request, uses_seed):
     """The polynomial system to analyze, and a line naming its origin.
 
@@ -136,6 +150,7 @@ def _system(request, uses_seed):
     if system is None:
         from .polysys import sample_system
 
+        _check_plan_size(request, structure)
         system = sample_system(structure, **_given(request, "degree", "seed"))
         origin = (f"random member (degree={system.degree}, seed={system.seed}, "
                   f"distribution={system.distribution})")
@@ -244,6 +259,7 @@ def _cmd_certify(request):
     from .numrank import certify_acr
 
     pattern, _ = _numeric_input(request)
+    _check_plan_size(request, pattern)
     report = certify_acr(
         pattern, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution", "pass_threshold"),
@@ -255,6 +271,7 @@ def _cmd_generic_rank(request):
     from .numrank import generic_rank_randomized
 
     structure, _ = _numeric_input(request)
+    _check_plan_size(request, structure)
     report = generic_rank_randomized(
         structure, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution"),
@@ -454,12 +471,7 @@ def run(request: AnalysisRequest) -> tuple[int, str]:
                    f"{', '.join(unused)}\n")
     try:
         return 0, command.handler(request)
-    except ParseError as exc:
-        if exc.path is None:
-            # A bound the library checks as it builds, such as polysys.MAX_PLAN_ENTRIES.
-            exc = ParseError(exc.message, request.input_path, exc.line, exc.where)
-        return 2, f"error: {exc}\n"
-    except (_InputError, OSError) as exc:
+    except (_InputError, ParseError, OSError) as exc:
         return 2, f"error: {exc}\n"
     except (StructrankError, ValueError) as exc:
         return 1, f"error: {type(exc).__name__}: {exc}\n"

@@ -398,9 +398,9 @@ def _system_from_json_dict(data, path=None):
     _expect(_is_int(degree), "'degree' must be an integer", path, "degree")
     try:
         check_degree(degree, allow_constant=True)
+        check_plan_size(structure, degree)
     except ValueError as exc:
         raise ParseError(str(exc), path=path, where="degree") from None
-    check_plan_size(structure, degree, path, "degree")
     equations = data["equations"]
     m = structure.num_equations
     _expect(isinstance(equations, list) and len(equations) == m,

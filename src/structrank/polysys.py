@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import ParseError, StructureError
+from .errors import StructureError
 from .structure import GeneralizedStructure, StructurePattern
 
 __all__ = [
@@ -224,22 +224,19 @@ class JacobianEvaluation:
 class _Bucket:
     """The equations over S symbols, which share one monomial table.
 
-    Column arrays index a member's flat coefficient vector. ``factors`` is
-    the bucket's block of the plan's index into the kernel's flat table of
-    powers, symbol-major: column j holds the S factors of monomial j, one
-    per symbol in symbol order. Its G*S*R partial monomials (equation,
-    symbol, row) come first, then its G*K value monomials (equation, row),
-    so the stacked kernel gathers only the prefix. ``partials`` and
-    ``values`` locate those columns in the plan's index, and so in the
-    one-member gather; ``slots`` locates the bucket's partials in the
-    kernel's array of them, and ``value_slots`` its values in bucket order.
+    Column arrays index a member's flat coefficient vector. ``partials``
+    and ``values`` locate the bucket's columns in the plan's index, and so
+    in the one-member gather: its G*S*R partial monomials (equation,
+    symbol, row) first, then its G*K value monomials (equation, row), each
+    column holding the S factors of its monomial in its first S rows.
+    ``slots`` locates the bucket's partials in the kernel's array of them,
+    and ``value_slots`` its values in bucket order.
     """
 
     table: _MonomialTable
     equations: np.ndarray  # (G,)
     value_columns: np.ndarray  # (G, K)
     partial_columns: np.ndarray  # (G, S, R)
-    factors: np.ndarray  # (S, G*S*R + G*K), a view of the plan's index
     partials: slice  # G*S*R columns of the plan's index
     values: slice  # G*K columns of the plan's index
     slots: slice  # G*S partials, equation-major
@@ -250,10 +247,10 @@ class _Bucket:
         return coefficients[..., self.partial_columns] * self.table.multipliers
 
     def operands(self, coefficients):
-        """One member's partial rows (G*S, R) and value rows (G, K), C-contiguous."""
+        """One member's partial rows (G*S, 1, R) and value rows (G, 1, K), C-contiguous."""
         g, s, r = self.partial_columns.shape
-        partial_rows = self.partial_coefficients(coefficients).reshape(g * s, r)
-        return partial_rows, coefficients[self.value_columns]
+        partial_rows = self.partial_coefficients(coefficients).reshape(g * s, 1, r)
+        return partial_rows, coefficients[self.value_columns][:, np.newaxis, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,8 +263,8 @@ class _MemberPlan:
     is extended by the values of the derived variables its equations use,
     whose (support, weights) ``derived`` lists in name order. The kernel
     raises every extended coordinate to the powers 0..degree once; the
-    buckets index that table. ``factors`` holds every bucket's block side
-    by side, each padded below its S rows with index 0, the first
+    buckets index that table. ``factors`` holds every bucket's columns
+    side by side, symbol-major, each padded below its S rows with index 0, the first
     coordinate's power 0, which is exactly 1.0: one gather over it leaves
     every monomial of one member, and ``order`` puts values computed
     bucket by bucket back in equation order. ``variables`` writes every
@@ -317,14 +314,14 @@ def plan_entries(structure, degree):
     return max(widths) * columns + gather
 
 
-def check_plan_size(structure, degree, path=None, where=None):
-    """Raise ParseError when ``plan_entries(structure, degree)`` exceeds MAX_PLAN_ENTRIES."""
+def check_plan_size(structure, degree):
+    """Raise ValueError when ``plan_entries(structure, degree)`` exceeds MAX_PLAN_ENTRIES."""
     entries = plan_entries(structure, degree)
     if entries > MAX_PLAN_ENTRIES:
-        raise ParseError(
+        raise ValueError(
             f"{structure.num_equations} equations at degree {degree} make a member plan of "
             f"{entries} monomial-factor entries, more than the bound of {MAX_PLAN_ENTRIES} "
-            f"(polysys.MAX_PLAN_ENTRIES)", path=path, where=where)
+            f"(polysys.MAX_PLAN_ENTRIES)")
 
 
 @lru_cache(maxsize=32)
@@ -332,7 +329,7 @@ def member_plan(structure, degree) -> _MemberPlan:
     """The layout of every member at ``degree``, built once and shared by all of them.
 
     The plan is cached per (structure, degree); callers must not modify it.
-    A plan over MAX_PLAN_ENTRIES raises ParseError before anything is built.
+    A plan over MAX_PLAN_ENTRIES raises ValueError before anything is built.
     """
     check_plan_size(structure, degree)
     n = structure.num_variables
@@ -377,7 +374,6 @@ def member_plan(structure, degree) -> _MemberPlan:
             equations=np.array(members, dtype=np.intp),
             value_columns=first + np.arange(table.size),
             partial_columns=first[:, :, np.newaxis] + table.rows,
-            factors=factors[:width, start:stop],
             partials=slice(start, split),
             values=slice(split, stop),
             slots=slice(slot, slot + len(members) * width),
@@ -433,21 +429,23 @@ def _monomials(powers, factors):
 def _rowwise_dot(a, b):
     """``a[..., :] @ b[..., :]`` for every row, broadcasting the leading axes.
 
-    ``vecdot`` runs each row through the BLAS dot a 1-D ``@`` uses. Both
-    operands are made C-contiguous: on strided rows the dot takes another
-    path and the sums can differ from the 1-D ones in the last ulp.
+    Each row goes through the BLAS dot a 1-D ``@`` uses. Both operands are
+    made C-contiguous: on strided rows matmul leaves that dot path and the
+    sums can differ from the 1-D ones in the last ulp.
     """
-    return np.vecdot(np.ascontiguousarray(a), np.ascontiguousarray(b))
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
 
 
 def _prepared_dot(rows, monomials, out):
-    """``out[i] = rows[i] @ monomials[i*W:(i + 1)*W]`` for prepared rows (n, W).
+    """``out[i] = rows[i, 0] @ monomials[i*W:(i + 1)*W]`` for prepared rows (n, 1, W).
 
     ``rows`` is laid out C-contiguous once, by the system, and ``monomials``
-    is a slice of one contiguous gather, so ``vecdot`` runs each row through
-    the BLAS dot of ``_rowwise_dot`` with no copy and no new axes.
+    is a slice of one contiguous gather, so matmul runs each row through the
+    BLAS dot of ``_rowwise_dot`` with no copy.
     """
-    np.vecdot(rows, monomials.reshape(rows.shape), out=out)
+    n, _, width = rows.shape
+    np.matmul(rows, monomials.reshape(n, width, 1), out=out.reshape(n, 1, 1))
 
 
 def _scatter(plan, partials):
@@ -494,8 +492,8 @@ def _evaluate(plan, points, partial_coefficients):
 
     ``partial_coefficients`` yields each bucket's partial coefficient rows
     (``_Bucket.partial_coefficients``) in plan order. Each bucket is one
-    gather of the partial prefix of its factors from the table of powers,
-    (T, S, G*S*R), and one product over S; one row-wise dot follows. Every
+    gather of its partial columns of the plan's index from the table of
+    powers, (T, S, G*S*R), and one product over S; one row-wise dot follows. Every
     Jacobian equals the one-member path's bit for bit.
     """
     count, n = points.shape
@@ -509,7 +507,7 @@ def _evaluate(plan, points, partial_coefficients):
     partials = np.empty((count, plan.num_slots))
     for bucket, partial_rows in zip(plan.buckets, partial_coefficients):
         g, s, r = bucket.partial_columns.shape
-        monomials = _monomials(powers, bucket.factors[:, :g * s * r])
+        monomials = _monomials(powers, plan.factors[:s, bucket.partials])
         partials[:, bucket.slots] = _rowwise_dot(
             partial_rows, monomials.reshape(count, g, s, r)
         ).reshape(count, g * s)

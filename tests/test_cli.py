@@ -392,6 +392,21 @@ class TestErrorHandling:
         monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 96)
         assert main(["certify", str(path), "--degree", "3", "--trials", "5"]) == 0
 
+    def test_plan_bound_is_checked_at_the_default_degree(self, tmp_path, capsys, monkeypatch):
+        # The rows of the test above at degree 2: an index of 2 x 22 entries
+        # (2 symbols by 2 * 3 + 6 columns, then 2 * (2 + 3)) and a gather of 12.
+        polysys.member_plan.cache_clear()
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 55)
+        path = tmp_path / "wide.json"
+        path.write_text('{"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]},'
+                        ' {"vars": [4]}]}')
+        assert main(["certify", str(path), "--trials", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 3 equations at degree 2 make a member plan of 56 monomial-factor "
+            "entries, more than the bound of 55 (polysys.MAX_PLAN_ENTRIES)\n")
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 56)
+        assert main(["certify", str(path), "--trials", "5"]) == 0
+
     @pytest.mark.parametrize("argv", [
         ["trace", "{path}", "--from", "0.1,0.2,0.3,0.4,0.5,0.6"],
         ["probe", "{path}", "--from", "0.1,0.2,0.3,0.4,0.5,0.6"],
