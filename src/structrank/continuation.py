@@ -52,6 +52,21 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _evaluate_start(system, p):
+    """The evaluation at a start point p, refused with ValueError unless F(p) and DF(p) are finite.
+
+    A finite p whose monomials overflow gives inf or nan entries, on which
+    no rank decision or corrector step means anything; numpy's warnings
+    about them are silenced, since the error names the point.
+    """
+    with np.errstate(all="ignore"):
+        jac = system.jacobian(p)
+    if not (np.isfinite(jac.matrix).all() and np.isfinite(jac.residual_target).all()):
+        raise ValueError(f"F or DF is not finite at the start point "
+                         f"{[float(v) for v in jac.point]}")
+    return jac
+
+
 def _svd_analysis(jac, tol):
     """(numeric rank, orthonormal kernel rows, singular values) of an evaluated DF."""
     _, sigma, vt = np.linalg.svd(jac.matrix, full_matrices=True)
@@ -69,7 +84,7 @@ class LocalDimension:
 
 
 def local_dimension(system: StructuredPolySystem, p, tol: RankTolerance = RankTolerance()) -> LocalDimension:
-    rank, kernel, _ = _svd_analysis(system.jacobian(p), tol)
+    rank, kernel, _ = _svd_analysis(_evaluate_start(system, p), tol)
     return LocalDimension(dimension=system.num_variables - rank, rank=rank, kernel=kernel)
 
 
@@ -291,7 +306,7 @@ def trace_curve(
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
     p = np.asarray(p, dtype=np.float64)
-    jac0 = system.jacobian(p)
+    jac0 = _evaluate_start(system, p)
     target = jac0.residual_target
     rank0, kernel0, _ = _svd_analysis(jac0, tol)
     dim = system.num_variables - rank0
@@ -449,7 +464,7 @@ def manifold_probe(
         raise ValueError("samples must be >= 1")
     _check_step(step)
     p = np.asarray(p, dtype=np.float64)
-    jac0 = system.jacobian(p)
+    jac0 = _evaluate_start(system, p)
     target = jac0.residual_target
     rank0, kernel, sigma0 = _svd_analysis(jac0, tol)
     dim = system.num_variables - rank0
@@ -583,7 +598,7 @@ def perturbation_probe(
         raise ValueError(
             f"delta must perturb the {system.num_equations} right-hand sides, got {delta.shape}"
         )
-    at_p = system.jacobian(p)
+    at_p = _evaluate_start(system, p)
     target = at_p.residual_target + delta
     rng = seeded_rng(seed)
     starts = [at_p] + [

@@ -225,12 +225,12 @@ class _Bucket:
     """The equations over S symbols, which share one monomial table.
 
     Column arrays index a member's flat coefficient vector. ``partials``
-    and ``values`` locate the bucket's columns in the plan's index, and so
-    in the one-member gather: its G*S*R partial monomials (equation,
-    symbol, row) first, then its G*K value monomials (equation, row), each
-    column holding the S factors of its monomial in its first S rows.
-    ``slots`` locates the bucket's partials in the kernel's array of them,
-    and ``value_slots`` its values in bucket order.
+    and ``values`` locate the bucket's G*S*R partial monomials (equation,
+    symbol, row) and G*K value monomials (equation, row) in the plan's
+    index, each column holding the S factors of its monomial in its first
+    S rows. ``slots`` and ``value_slots`` locate the bucket's partials and
+    values in the kernel's array of results, where every partial comes
+    before every value.
     """
 
     table: _MonomialTable
@@ -240,17 +240,27 @@ class _Bucket:
     partials: slice  # G*S*R columns of the plan's index
     values: slice  # G*K columns of the plan's index
     slots: slice  # G*S partials, equation-major
-    value_slots: slice  # G values, in bucket order
+    value_slots: slice  # G values
 
-    def partial_coefficients(self, coefficients):
-        """(..., G, S, R) coefficients times exponents, one row per partial."""
-        return coefficients[..., self.partial_columns] * self.table.multipliers
+    def operands(self, coefficients, values=True):
+        """The kernel's dots (rows, columns, shape, slots) for members ``coefficients`` (..., K).
 
-    def operands(self, coefficients):
-        """One member's partial rows (G*S, 1, R) and value rows (G, 1, K), C-contiguous."""
+        Each row of ``rows`` (..., count, 1, width) goes through one BLAS dot
+        with its monomials, the gather's ``columns`` laid out as ``shape``
+        (..., count, width, 1), and fills one of ``slots``. Partial rows are
+        coefficients times exponents; value rows, left out without
+        ``values``, are coefficients. ``take`` lays rows out C-contiguous for
+        any leading shape: on strided rows matmul leaves the BLAS dot.
+        """
         g, s, r = self.partial_columns.shape
-        partial_rows = self.partial_coefficients(coefficients).reshape(g * s, 1, r)
-        return partial_rows, coefficients[self.value_columns][:, np.newaxis, :]
+        lead = coefficients.shape[:-1]
+        partial_rows = (coefficients.take(self.partial_columns, axis=-1)
+                        * self.table.multipliers).reshape(lead + (g * s, 1, r))
+        dots = [(partial_rows, self.partials, lead + (g * s, r, 1), self.slots)]
+        if values:
+            value_rows = coefficients.take(self.value_columns, axis=-1)[..., np.newaxis, :]
+            dots.append((value_rows, self.values, lead + (g, self.table.size, 1), self.value_slots))
+        return dots
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,17 +273,19 @@ class _MemberPlan:
     is extended by the values of the derived variables its equations use,
     whose (support, weights) ``derived`` lists in name order. The kernel
     raises every extended coordinate to the powers 0..degree once; the
-    buckets index that table. ``factors`` holds every bucket's columns
-    side by side, symbol-major, each padded below its S rows with index 0, the first
-    coordinate's power 0, which is exactly 1.0: one gather over it leaves
-    every monomial of one member, and ``order`` puts values computed
-    bucket by bucket back in equation order. ``variables`` writes every
-    variable partial onto the flat Jacobian (weight 1, each target once);
-    each ``chain`` layer k then adds the weighted chain-rule terms of
+    buckets index that table. ``factors`` holds every bucket's partial
+    columns side by side, symbol-major, as its first ``num_partial_monomials``
+    columns, then every bucket's value columns, each column padded below its
+    S rows with index 0, the first coordinate's power 0, which is exactly
+    1.0. One gather over it leaves every monomial of a member, or over its
+    partial prefix every partial monomial, and ``order`` takes the values,
+    computed bucket by bucket, from the kernel's results in equation order. ``variables`` writes
+    every variable partial onto the flat Jacobian (weight 1, each target
+    once); each ``chain`` layer k then adds the weighted chain-rule terms of
     every equation's k-th derived symbol. ``entries`` bounds the float64
     values one member occupies in ``stacked_jacobians``: its Jacobian, its
-    coefficients, its table of powers or its largest gather of partial
-    monomial factors (S*G*S*R).
+    coefficients, its table of powers or its gather of partial monomial
+    factors (widest S times ``num_partial_monomials``).
     """
 
     symbols: tuple  # per equation: sorted variables, then derived names
@@ -282,8 +294,9 @@ class _MemberPlan:
     powers: np.ndarray  # 0.0..degree
     derived: tuple  # per derived name: (support, weights)
     factors: np.ndarray  # (widest S, sum of G*S*R + G*K)
+    num_partial_monomials: int  # sum of G*S*R
     buckets: tuple[_Bucket, ...]
-    order: np.ndarray  # (M,) position of equation e's value in bucket order
+    order: np.ndarray  # (M,) kernel result slot of equation e's value
     num_slots: int
     variables: tuple  # (flat Jacobian targets, partial slots)
     chain: tuple  # per derived layer: (flat Jacobian targets, partial slots, weights)
@@ -297,7 +310,8 @@ def plan_entries(structure, degree):
     Counted from the row widths alone: rows of S symbols share a table of
     K = C(S + d, d) monomials, R = C(S + d - 1, d - 1) of them with a
     positive exponent on a given symbol, and G such rows take G*S*R partial
-    and G*K value columns in the index, S*G*S*R entries in a stacked gather.
+    and G*K value columns in the index. The index has the widest S rows,
+    and a stacked trial gathers its partial columns.
     """
     if isinstance(structure, GeneralizedStructure):
         widths = list(map(len, structure.dependencies))
@@ -305,13 +319,13 @@ def plan_entries(structure, degree):
         widths = [0] * structure.num_equations
         for e, _ in structure.allowed:
             widths[e] += 1
-    columns = gather = 0
+    columns = partials = 0
     for s, g in Counter(widths).items():
         k = comb(s + degree, degree) if degree >= 0 else 0
         r = comb(s + degree - 1, degree - 1) if degree > 0 else 0
         columns += g * (s * r + k)
-        gather = max(gather, s * g * s * r)
-    return max(widths) * columns + gather
+        partials += g * s * r
+    return max(widths) * (columns + partials)
 
 
 def check_plan_size(structure, degree):
@@ -349,37 +363,37 @@ def member_plan(structure, degree) -> _MemberPlan:
     widths = sorted({len(row) for row in rows})
     groups = [[e for e, row in enumerate(rows) if len(row) == width] for width in widths]
     tables = [_monomial_table(width, degree) for width in widths]
+    num_partials = sum(len(members) * table.rows.size for members, table in zip(groups, tables))
     # Index 0 pads the narrower buckets' columns.
-    factors = np.zeros((widths[-1], sum(len(members) * (table.rows.size + table.size)
-                                        for members, table in zip(groups, tables))),
-                       dtype=np.intp)
+    factors = np.zeros((widths[-1], num_partials + sum(
+        len(members) * table.size for members, table in zip(groups, tables))), dtype=np.intp)
     buckets, variables, layers = [], ([], []), {}
-    start = placed = slot = entries = 0
+    # The results hold every partial, one per symbol of a row, then every value.
+    start, split, placed, slot = 0, num_partials, sum(map(len, rows)), 0
     for width, members, table in zip(widths, groups, tables):
         first = offsets[members][:, np.newaxis]
         base = (degree + 1) * np.array(
             [[column.get(sym, sym) for sym in rows[e]] for e in members], dtype=np.intp
         ).reshape(len(members), width)
-        # One row of factor indices per monomial, partials then values; the
-        # sizes are explicit because a bucket of constant equations has width 0.
-        block = np.concatenate([
-            (base[:, np.newaxis, np.newaxis, :] + table.dexponents).reshape(
-                len(members) * table.rows.size, width),
-            (base[:, np.newaxis, :] + table.exponents).reshape(len(members) * table.size, width),
-        ])
-        split, stop = start + len(members) * table.rows.size, start + len(block)
-        factors[:width, start:stop] = block.T
+        # One row of factor indices per monomial; the sizes are explicit
+        # because a bucket of constant equations has width 0.
+        partials = slice(start, start + len(members) * table.rows.size)
+        values = slice(split, split + len(members) * table.size)
+        factors[:width, partials] = (base[:, np.newaxis, np.newaxis, :] + table.dexponents).reshape(
+            len(members) * table.rows.size, width).T
+        factors[:width, values] = (base[:, np.newaxis, :] + table.exponents).reshape(
+            len(members) * table.size, width).T
         buckets.append(_Bucket(
             table,
             equations=np.array(members, dtype=np.intp),
             value_columns=first + np.arange(table.size),
             partial_columns=first[:, :, np.newaxis] + table.rows,
-            partials=slice(start, split),
-            values=slice(split, stop),
+            partials=partials,
+            values=values,
             slots=slice(slot, slot + len(members) * width),
             value_slots=slice(placed, placed + len(members)),
         ))
-        start, placed = stop, placed + len(members)
+        start, split, placed = partials.stop, values.stop, placed + len(members)
         for e in members:
             k = 0
             for sym in rows[e]:
@@ -394,7 +408,6 @@ def member_plan(structure, degree) -> _MemberPlan:
                         layer[1].append(slot)
                         layer[2].append(weight)
                 slot += 1
-        entries = max(entries, len(members) * width * max(table.rows.size, table.size))
     num_coefficients = int(offsets[-1])
     return _MemberPlan(
         symbols=rows,
@@ -403,8 +416,9 @@ def member_plan(structure, degree) -> _MemberPlan:
         powers=np.arange(degree + 1, dtype=np.float64),
         derived=derived,
         factors=factors,
+        num_partial_monomials=num_partials,
         buckets=tuple(buckets),
-        order=np.argsort(np.concatenate([b.equations for b in buckets])),
+        order=slot + np.argsort(np.concatenate([b.equations for b in buckets])),
         num_slots=slot,
         variables=tuple(np.array(a, dtype=np.intp) for a in variables),
         chain=tuple(
@@ -412,7 +426,7 @@ def member_plan(structure, degree) -> _MemberPlan:
             for t, src, w in (layers[k] for k in sorted(layers))
         ),
         num_coefficients=num_coefficients,
-        entries=max(entries, len(rows) * n, num_coefficients,
+        entries=max(widths[-1] * num_partials, len(rows) * n, num_coefficients,
                     (n + len(used)) * (degree + 1), slot),
     )
 
@@ -426,31 +440,10 @@ def _monomials(powers, factors):
     return np.multiply.reduce(powers.take(factors, axis=-1), axis=-2)
 
 
-def _rowwise_dot(a, b):
-    """``a[..., :] @ b[..., :]`` for every row, broadcasting the leading axes.
-
-    Each row goes through the BLAS dot a 1-D ``@`` uses. Both operands are
-    made C-contiguous: on strided rows matmul leaves that dot path and the
-    sums can differ from the 1-D ones in the last ulp.
-    """
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
-
-
-def _prepared_dot(rows, monomials, out):
-    """``out[i] = rows[i, 0] @ monomials[i*W:(i + 1)*W]`` for prepared rows (n, 1, W).
-
-    ``rows`` is laid out C-contiguous once, by the system, and ``monomials``
-    is a slice of one contiguous gather, so matmul runs each row through the
-    BLAS dot of ``_rowwise_dot`` with no copy.
-    """
-    n, _, width = rows.shape
-    np.matmul(rows, monomials.reshape(n, width, 1), out=out.reshape(n, 1, 1))
-
-
 def _scatter(plan, partials):
-    """Jacobians (..., M, N) from the partials (..., slots) of one member or a stack of them.
+    """Jacobians (..., M, N) from the kernel's results (..., slots) of one member or a stack.
 
+    The first ``plan.num_slots`` results are the partials the Jacobians take.
     A variable partial p is written as p + 0.0 and chain-rule terms are
     added onto it or onto zero, so a -0.0 term reads +0.0 as it does in a
     per-equation evaluation, where every entry is a sum onto zero.
@@ -465,53 +458,32 @@ def _scatter(plan, partials):
     return J.reshape(lead + (len(plan.symbols), plan.num_variables))
 
 
-def _evaluate_member(plan, x, operands):
-    """Jacobian (M, N) and values (M,) of one member at ``x`` (N,): the one-member path.
+def _evaluate(plan, points, dots, values):
+    """Jacobians (..., M, N) of members at ``points`` (..., N), and with ``values`` F (..., M).
 
-    ``operands`` holds each bucket's prepared rows (``_Bucket.operands``).
+    Leading axes are trials: none for one member, (T,) for a stack. ``dots``
+    are every bucket's (``_Bucket.operands``), value dots only with
+    ``values``; without them only the plan's partial columns are gathered.
     One gather and one product over the plan's padded index leave every
-    monomial of every bucket; a pad is an exact 1.0 multiplied in after a
-    bucket's own S factors, so each monomial keeps its bits. One row-wise
-    dot per kind and bucket follows. Every number is the same sum of the
-    same products as in a per-equation evaluation (the tests keep one as
-    the reference) and as in the stacked path.
+    monomial; a pad is an exact 1.0 multiplied in after a bucket's own S
+    factors, so each monomial keeps its bits. One matmul call per dot, and
+    one per derived value, runs each row through a BLAS dot, so every
+    number is the same sum of the same products as in a per-equation
+    evaluation (the tests keep one as the reference).
     """
+    lead = points.shape[:-1]
     if plan.derived:
-        x = np.concatenate([x, [weights @ x[support] for support, weights in plan.derived]])
-    monomials = _monomials((x[:, np.newaxis] ** plan.powers).ravel(), plan.factors)
-    partials = np.empty(plan.num_slots)
-    values = np.empty(len(plan.symbols))
-    for bucket, (partial_rows, value_rows) in zip(plan.buckets, operands):
-        _prepared_dot(partial_rows, monomials[bucket.partials], partials[bucket.slots])
-        _prepared_dot(value_rows, monomials[bucket.values], values[bucket.value_slots])
-    return _scatter(plan, partials), values[plan.order]
-
-
-def _evaluate(plan, points, partial_coefficients):
-    """Jacobians (T, M, N) of T members at ``points`` (T, N): the stacked path, partials only.
-
-    ``partial_coefficients`` yields each bucket's partial coefficient rows
-    (``_Bucket.partial_coefficients``) in plan order. Each bucket is one
-    gather of its partial columns of the plan's index from the table of
-    powers, (T, S, G*S*R), and one product over S; one row-wise dot follows. Every
-    Jacobian equals the one-member path's bit for bit.
-    """
-    count, n = points.shape
-    extended = points
-    if plan.derived:
-        extended = np.empty((count, n + len(plan.derived)))
-        extended[:, :n] = points
-        for column, (support, weights) in enumerate(plan.derived, start=n):
-            extended[:, column] = _rowwise_dot(weights, points[:, support])
-    powers = (extended[:, :, np.newaxis] ** plan.powers).reshape(count, -1)
-    partials = np.empty((count, plan.num_slots))
-    for bucket, partial_rows in zip(plan.buckets, partial_coefficients):
-        g, s, r = bucket.partial_columns.shape
-        monomials = _monomials(powers, plan.factors[:s, bucket.partials])
-        partials[:, bucket.slots] = _rowwise_dot(
-            partial_rows, monomials.reshape(count, g, s, r)
-        ).reshape(count, g * s)
-    return _scatter(plan, partials)
+        points = np.concatenate([points, *(
+            np.matmul(weights, points.take(support, axis=-1)[..., np.newaxis])
+            for support, weights in plan.derived)], axis=-1)
+    powers = (points[..., np.newaxis] ** plan.powers).reshape(lead + (-1,))
+    factors = plan.factors if values else plan.factors[:, :plan.num_partial_monomials]
+    monomials = _monomials(powers, factors)
+    results = np.empty(lead + (plan.num_slots + (len(plan.symbols) if values else 0), 1, 1))
+    for rows, columns, shape, slots in dots:
+        np.matmul(rows, monomials[..., columns].reshape(shape), out=results[..., slots, :, :])
+    results = results[..., 0, 0]
+    return _scatter(plan, results), (results.take(plan.order, axis=-1) if values else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,7 +517,8 @@ class StructuredPolySystem:
                 )
         coefficients = np.concatenate([eq.coefficients for eq in self.equations])
         object.__setattr__(self, "_plan", plan)
-        object.__setattr__(self, "_operands", tuple(b.operands(coefficients) for b in plan.buckets))
+        dots = [dot for bucket in plan.buckets for dot in bucket.operands(coefficients)]
+        object.__setattr__(self, "_dots", dots)
 
     @property
     def num_equations(self):
@@ -577,7 +550,7 @@ class StructuredPolySystem:
         proportional on its support.
         """
         x = self._check_point(x)
-        J, values = _evaluate_member(self._plan, x, self._operands)
+        J, values = _evaluate(self._plan, x, self._dots, values=True)
         return JacobianEvaluation(point=x, matrix=J, residual_target=values)
 
     def to_json_dict(self):
@@ -691,7 +664,8 @@ def stacked_jacobians(plan, coefficients, points) -> np.ndarray:
     ``StructuredPolySystem.jacobian`` gives for the member at its point, bit
     for bit.
     """
-    return _evaluate(plan, points, (b.partial_coefficients(coefficients) for b in plan.buckets))
+    dots = [dot for b in plan.buckets for dot in b.operands(coefficients, values=False)]
+    return _evaluate(plan, points, dots, values=False)[0]
 
 
 def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem) -> StructuredPolySystem:

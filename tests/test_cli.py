@@ -375,10 +375,11 @@ class TestErrorHandling:
     def test_plan_beyond_the_bound_is_input_error(self, argv, where, tmp_path, capsys,
                                                   monkeypatch):
         # Rows of 2, 1 and 1 symbols at degree 3: an index of 2 x 36 entries
-        # (2 symbols by 2 * 6 + 10 columns, then 2 * (3 + 4)) and a gather of 24.
+        # (2 symbols by 2 * 6 + 10 columns, then 2 * (3 + 4)) and a gather of
+        # its 2 x 18 partial columns.
         # Plans are cached, and a cached plan met the bound when it was built.
         polysys.member_plan.cache_clear()
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 95)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 107)
         structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
         path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
         path.write_text(json.dumps(structure))
@@ -387,24 +388,25 @@ class TestErrorHandling:
         assert main([a.format(path=path, system=system) for a in argv]) == 2
         assert capsys.readouterr().err == (
             f"error: {where.format(path=path, system=system)}: 3 equations at degree 3 make a "
-            "member plan of 96 monomial-factor entries, more than the bound of 95 "
+            "member plan of 108 monomial-factor entries, more than the bound of 107 "
             "(polysys.MAX_PLAN_ENTRIES)\n")
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 96)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 108)
         assert main(["certify", str(path), "--degree", "3", "--trials", "5"]) == 0
 
     def test_plan_bound_is_checked_at_the_default_degree(self, tmp_path, capsys, monkeypatch):
         # The rows of the test above at degree 2: an index of 2 x 22 entries
-        # (2 symbols by 2 * 3 + 6 columns, then 2 * (2 + 3)) and a gather of 12.
+        # (2 symbols by 2 * 3 + 6 columns, then 2 * (2 + 3)) and a gather of
+        # its 2 x 10 partial columns.
         polysys.member_plan.cache_clear()
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 55)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 63)
         path = tmp_path / "wide.json"
         path.write_text('{"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]},'
                         ' {"vars": [4]}]}')
         assert main(["certify", str(path), "--trials", "5"]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: 3 equations at degree 2 make a member plan of 56 monomial-factor "
-            "entries, more than the bound of 55 (polysys.MAX_PLAN_ENTRIES)\n")
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 56)
+            f"error: {path}: 3 equations at degree 2 make a member plan of 64 monomial-factor "
+            "entries, more than the bound of 63 (polysys.MAX_PLAN_ENTRIES)\n")
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 64)
         assert main(["certify", str(path), "--trials", "5"]) == 0
 
     @pytest.mark.parametrize("argv", [
@@ -516,6 +518,24 @@ class TestMainEntryPoint:
         out = capsys.readouterr().out
         assert "samples accepted: 0/50" in out
         assert "manifold evidence" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["probe", "--dataset", "eqcep1", "--from", "1e100,1,1"],
+        ["trace", "--dataset", "eqcep1", "--from", "1e100,1,1"],
+        ["probe", "--dataset", "eqcep1", "--from", "1e100,1,1", "--delta", "0,0.1,0"],
+    ])
+    def test_start_point_with_overflowing_monomials_is_analysis_error(self, argv, capsys):
+        # The point is finite, but its quartic monomials overflow, so F and
+        # DF there hold inf and nan: no rank or residual may be reported.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert captured.out == ""
+        assert captured.err == ("error: ValueError: F or DF is not finite at the start point "
+                                "[1e+100, 1.0, 1.0]\n")
+        assert "RuntimeWarning" not in captured.err and "rank at base point" not in captured.err
 
     @pytest.mark.parametrize("samples", ["1", "5"])
     def test_probe_at_exceptional_point_reports_rank_change(self, samples, capsys):

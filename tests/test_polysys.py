@@ -285,19 +285,6 @@ class TestKernelAgainstReference:
         stacked = stacked_jacobians(member_plan(structure, degree), coefficients, points)
         assert stacked.tobytes() == np.array([J for J, _ in expected]).tobytes()
 
-    @pytest.mark.parametrize("name", KERNEL_CASES)
-    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
-    def test_stacked_gather_fits_the_entries_bound(self, name, degree):
-        # Trial chunks are sized by plan.entries, so the largest array the
-        # stacked kernel builds, a bucket's gather of partial factors
-        # (S, G*S*R) per member, must fit in it.
-        plan = member_plan(kernel_structure(name), degree)
-        for bucket in plan.buckets:
-            g, s, r = bucket.partial_columns.shape
-            columns = plan.factors[:s, bucket.partials.start:bucket.values.stop]
-            assert columns.shape == (s, g * s * r + g * bucket.table.size)
-            assert s * g * s * r <= plan.entries
-
     def test_negative_zero_terms_read_positive_zero(self):
         # F = z^2 with z = -x1 + x2: at z = 0 the chain-rule term on x1 is
         # -1 * 0.0 = -0.0, which is added onto a zero entry.
@@ -367,8 +354,9 @@ class TestPlanSize:
     def test_counts_the_index_and_the_largest_gather(self, name, degree):
         structure = kernel_structure(name)
         plan = member_plan(structure, degree)
-        gathers = [s * g * s * r for g, s, r in (b.partial_columns.shape for b in plan.buckets)]
-        assert polysys.plan_entries(structure, degree) == plan.factors.size + max(gathers)
+        # The index, and a stacked trial's gather of its partial prefix.
+        gather = plan.factors[:, :plan.num_partial_monomials].size
+        assert polysys.plan_entries(structure, degree) == plan.factors.size + gather
 
     def test_dense_plan_is_refused_before_anything_is_built(self, monkeypatch):
         # At degree 3 a dense 30 x 30 pattern would take a 146 MB index.
@@ -391,33 +379,32 @@ class TestPlanSize:
                 assert polysys.plan_entries(structure, degree) <= polysys.MAX_PLAN_ENTRIES
 
 
-def _spy(monkeypatch, name):
-    """Record the arguments of every call to ``polysys.<name>``."""
+def _spy(monkeypatch, name, owner=polysys):
+    """Record the positional arguments of every call to ``owner.<name>``."""
     calls = []
-    real = getattr(polysys, name)
+    real = getattr(owner, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(polysys, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
+def _stack(plan, count, seed=0):
+    """``count`` random members of ``plan`` and points, as ``stacked_jacobians`` takes them."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-1.0, 1.0, (count, plan.num_coefficients)),
+            rng.uniform(-1.0, 1.0, (count, plan.num_variables)))
+
+
 class TestVectorizedKernel:
-    """One dot per kind and bucket, never one per equation or symbol."""
+    """One gather per call and one dot per kind and bucket, never one per equation or symbol."""
 
     @pytest.fixture
     def dots(self, monkeypatch):
-        return _spy(monkeypatch, "_rowwise_dot")
-
-    def test_jacobian_dots_per_row_width(self, monkeypatch):
-        structure = get_dataset("sole26").structure
-        widths = {len(row) for row in structure.rows()}
-        system = sample_system(structure, degree=2, seed=1)
-        dots = _spy(monkeypatch, "_prepared_dot")
-        system.jacobian(np.linspace(-1.0, 1.0, 26))
-        assert len(widths) <= len(dots) <= 2 * len(widths)
+        return _spy(monkeypatch, "matmul", owner=np)
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_jacobian_gathers_once(self, monkeypatch, name):
@@ -428,13 +415,43 @@ class TestVectorizedKernel:
         assert len(gathers) == 1
         assert gathers[0][1] is system._plan.factors
 
-    def test_stacked_chunk_dots_per_bucket(self, dots):
-        structure = get_dataset("sole26").structure
-        plan = member_plan(structure, 2)
-        rng = np.random.default_rng(0)
-        stacked_jacobians(plan, rng.uniform(-1.0, 1.0, (9, plan.num_coefficients)),
-                          rng.uniform(-1.0, 1.0, (9, 26)))
-        assert 1 <= len(dots) <= len({len(row) for row in structure.rows()})
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_stacked_gathers_once(self, monkeypatch, name):
+        plan = member_plan(kernel_structure(name), 3)
+        gathers = _spy(monkeypatch, "_monomials")
+        stacked_jacobians(plan, *_stack(plan, 9))
+        assert len(gathers) == 1
+        # Certification needs no values, so only the partial columns are gathered.
+        assert (gathers[0][1] == plan.factors[:, :plan.num_partial_monomials]).all()
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_jacobian_dots_per_bucket(self, dots, name):
+        structure = kernel_structure(name)
+        system = sample_system(structure, degree=2, seed=1)
+        plan = system._plan
+        system.jacobian(np.linspace(-1.0, 1.0, structure.num_variables))
+        # One dot call per derived value, then a partial and a value dot per bucket.
+        assert len(dots) <= len(plan.derived) + 2 * len(plan.buckets)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_stacked_dots_per_bucket(self, dots, name):
+        plan = member_plan(kernel_structure(name), 2)
+        stacked_jacobians(plan, *_stack(plan, 9))
+        assert len(dots) <= len(plan.derived) + len(plan.buckets)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    def test_stacked_arrays_fit_the_entries_bound(self, monkeypatch, name, degree):
+        # Trial chunks are sized by plan.entries, so the largest array the
+        # stacked kernel builds per trial, its gather of monomial factors,
+        # must fit in it; so must its table of powers and its Jacobian.
+        plan = member_plan(kernel_structure(name), degree)
+        count = 5
+        gathers = _spy(monkeypatch, "_monomials")
+        stacked = stacked_jacobians(plan, *_stack(plan, count))
+        ((powers, factors),) = gathers
+        gathered = powers.take(factors, axis=-1)
+        assert max(powers.size, gathered.size, stacked.size) <= count * plan.entries
 
 
 class TestLinearStructure:
