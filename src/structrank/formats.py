@@ -184,9 +184,18 @@ def structure_to_json_dict(structure):
     }
 
 
+def _read_text(path):
+    """The text of an input file; bytes that are not UTF-8 are a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset "
+                         f"{exc.start} ({exc.reason})", path=path) from None
+
+
 def _parse_json_file(path):
     """The one JSON reader for structure, system and basis files."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
 
     def unique_keys(pairs):
         obj = dict(pairs)
@@ -209,35 +218,34 @@ def _parse_edge_list(path):
     num_nodes = 0
     include_diagonal = False
     edges = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            header = _HEADER_RE.match(line)
-            if header:
-                key, value = header.group(1).lower(), header.group(2).lower()
-                if key == "selfloops":
-                    if value not in ("on", "off"):
-                        raise ParseError("selfloops must be 'on' or 'off'", path=path, line=lineno)
-                    include_diagonal = value == "on"
-                else:
-                    if not value.isdigit() or int(value) < 1:
-                        raise ParseError("nodes must be a positive integer", path=path, line=lineno)
-                    num_nodes = max(num_nodes, int(value))
-                continue
-            match = _EDGE_RE.match(line)
-            if not match:
-                raise ParseError(
-                    f"expected 'i -> j' or 'i <-> j', got {line!r}", path=path, line=lineno
-                )
-            a, arrow, b = int(match.group(1)), match.group(2), int(match.group(3))
-            if a < 1 or b < 1:
-                raise ParseError("node indices are 1-based", path=path, line=lineno)
-            num_nodes = max(num_nodes, a, b)
-            edges.add((a - 1, b - 1))
-            if arrow == "<->":
-                edges.add((b - 1, a - 1))
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        header = _HEADER_RE.match(line)
+        if header:
+            key, value = header.group(1).lower(), header.group(2).lower()
+            if key == "selfloops":
+                if value not in ("on", "off"):
+                    raise ParseError("selfloops must be 'on' or 'off'", path=path, line=lineno)
+                include_diagonal = value == "on"
+            else:
+                if not value.isdigit() or int(value) < 1:
+                    raise ParseError("nodes must be a positive integer", path=path, line=lineno)
+                num_nodes = max(num_nodes, int(value))
+            continue
+        match = _EDGE_RE.match(line)
+        if not match:
+            raise ParseError(
+                f"expected 'i -> j' or 'i <-> j', got {line!r}", path=path, line=lineno
+            )
+        a, arrow, b = int(match.group(1)), match.group(2), int(match.group(3))
+        if a < 1 or b < 1:
+            raise ParseError("node indices are 1-based", path=path, line=lineno)
+        num_nodes = max(num_nodes, a, b)
+        edges.add((a - 1, b - 1))
+        if arrow == "<->":
+            edges.add((b - 1, a - 1))
     if num_nodes == 0:
         raise ParseError("no edges or 'nodes:' header found", path=path)
     if num_nodes > MAX_VARIABLES:
@@ -246,7 +254,7 @@ def _parse_edge_list(path):
 
 
 def _parse_pattern_matrix(path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -295,7 +303,8 @@ def _detect_format(path):
     suffix = Path(path).suffix.lower()
     if suffix in _EXTENSIONS:
         return _EXTENSIONS[suffix]
-    head = Path(path).read_text(encoding="utf-8", errors="replace")[:4096].lstrip()
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        head = handle.read(4096).lstrip()
     if head.startswith("{"):
         return "json"
     if "->" in head or _HEADER_RE.match(head.splitlines()[0] if head else ""):

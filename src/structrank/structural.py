@@ -74,7 +74,7 @@ def _require_pattern(p):
     return p
 
 
-def _hopcroft_karp(adj, num_variables):
+def _hopcroft_karp(adj, num_variables, knockout=None):
     """Maximum matching of rows to columns given per-row sorted column lists.
 
     Hopcroft-Karp: each phase finds a maximal set of shortest augmenting
@@ -84,23 +84,34 @@ def _hopcroft_karp(adj, num_variables):
     the recursion limit; a row entered again scans its columns from the
     start, as a recursive call would. Rows and columns are scanned in
     ascending order, which makes the witness deterministic.
+
+    With ``knockout`` = k, node k is held out in place: row k starts matched
+    to a sentinel and is never free; column k belongs to a phantom row m
+    whose ``dist`` (m + 1) is no layer and not ``_INF``, so no search takes
+    it. The witness drops row k and shifts larger indices down by one.
     """
     m = len(adj)
     match_eq = [_INF] * m
     match_var = [_INF] * num_variables
+    if knockout is not None:
+        match_eq[knockout] = num_variables
+        match_var[knockout] = m
     for e, row in enumerate(adj):
-        for v in row:
-            if match_var[v] == _INF:
-                match_eq[e] = v
-                match_var[v] = e
-                break
+        if match_eq[e] == _INF:
+            for v in row:
+                if match_var[v] == _INF:
+                    match_eq[e] = v
+                    match_var[v] = e
+                    break
 
-    while True:
+    # A matched row never becomes free, so each phase's free rows are the
+    # previous phase's still unmatched ones, in ascending order.
+    free = [e for e, v in enumerate(match_eq) if v == _INF]
+    while free:
         # Layer the rows by alternating distance from the free rows. Rows
         # leave the queue in layer order, so stop past the first layer that
         # reaches a free column: the shortest augmenting paths end there.
-        free = [e for e, v in enumerate(match_eq) if v == _INF]
-        dist = [_INF] * m
+        dist = [_INF] * m + [m + 1]
         for e in free:
             dist[e] = 0
         found = m + 1
@@ -119,15 +130,15 @@ def _hopcroft_karp(adj, num_variables):
         if found > m:
             break
 
-        # From each free row, augment along rows one layer deeper each step.
-        # ``path`` holds a (row, column scan) frame per row, ``cols`` the
-        # columns taken between them.
+        # From each free row, augment along rows one layer deeper each step,
+        # so the row at depth d of ``path`` has ``dist`` d. ``path`` holds a
+        # (row, column scan) frame per row, ``cols`` the columns between them.
         for root in free:
             path = [(root, iter(adj[root]))]
             cols = []
             while path:
                 e, scan = path[-1]
-                layer = dist[e] + 1
+                layer = len(path)
                 for v in scan:
                     other = match_var[v]
                     if other == _INF or dist[other] == layer:
@@ -147,8 +158,13 @@ def _hopcroft_karp(adj, num_variables):
                     match_eq[r] = c
                     match_var[c] = r
                 break
+        free = [e for e in free if match_eq[e] == _INF]
 
-    return tuple((e, v) for e, v in enumerate(match_eq) if v != _INF)
+    if knockout is None:
+        return tuple((e, v) for e, v in enumerate(match_eq) if v != _INF)
+    match_eq[knockout] = _INF
+    return tuple((e - (e > knockout), v - (v > knockout))
+                 for e, v in enumerate(match_eq) if v != _INF)
 
 
 def maximum_matching(p: StructurePattern) -> tuple[tuple[int, int], ...]:
@@ -188,10 +204,11 @@ def knockout_sweep(p: StructurePattern) -> list[KnockoutEntry]:
     """Classify every single-node knockout of a square pattern.
 
     Knocking out node k drops row k and column k and shifts larger indices
-    down by one, as ``structure.knockout`` does; each knockout's rows are
-    derived from the base rows and stay sorted. Entries whose removal turns
-    a fragile base system robust carry ``flips_to_robust``. Nodes are
-    evaluated independently; the result does not depend on evaluation order.
+    down by one, as ``structure.knockout`` does; each knockout is matched on
+    the base rows with node k held out, and gets that pattern's witness.
+    Entries whose removal turns a fragile base system robust carry
+    ``flips_to_robust``. Nodes are evaluated independently; the result does
+    not depend on evaluation order.
     """
     return _knockout_sweep(p)[1]
 
@@ -211,9 +228,7 @@ def _knockout_sweep(p):
     base_fragile = base.classification == FRAGILE
     entries = []
     for node in range(n):
-        rows = [[v - (v > node) for v in row if v != node]
-                for e, row in enumerate(adj) if e != node]
-        report = _report(_hopcroft_karp(rows, n - 1), n - 1, n - 1)
+        report = _report(_hopcroft_karp(adj, n, node), n - 1, n - 1)
         entries.append(
             KnockoutEntry(
                 node=node,

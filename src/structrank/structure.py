@@ -11,6 +11,7 @@ equations may depend on only through z.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import StructureError, UnsupportedOperationError
@@ -266,8 +267,12 @@ def knockout(p: StructurePattern, node: int) -> StructurePattern:
     """Delete one node's equation and variable from a square pattern.
 
     Models removal of a species / gene: row ``node`` and column ``node`` are
-    dropped and the remaining indices compacted.
+    dropped and the remaining indices compacted. ``node`` is an integer
+    (numpy integers included); floats and bools are refused.
     """
+    if isinstance(node, bool) or not hasattr(type(node), "__index__"):
+        raise TypeError(f"knockout node must be an integer, got {node!r}")
+    node = operator.index(node)
     if not p.is_square():
         raise UnsupportedOperationError(
             f"knockout requires a square pattern, got {p.num_equations}x{p.num_variables}"

@@ -69,18 +69,23 @@ class TestKnockoutCommand:
         assert "fragile -> robust knockouts: 12" in text
 
     def test_json_matches_the_base_once(self, monkeypatch, capsys):
-        # The sweep's own base matching is the report's base: 1 + 12 kernel calls.
+        # The sweep's own base matching is the report's base: 1 + 12 kernel calls,
+        # every knockout held out in place on the one base row list.
         base = classify(get_dataset("jakstat").structure).to_json_dict()
         kernel, calls = structural._hopcroft_karp, []
 
-        def counting(adj, num_variables):
-            calls.append(num_variables)
-            return kernel(adj, num_variables)
+        def counting(adj, num_variables, knockout=None):
+            calls.append((adj, knockout))
+            return kernel(adj, num_variables, knockout)
 
         monkeypatch.setattr(structural, "_hopcroft_karp", counting)
         assert main(["knockout", "--dataset", "jakstat", "-o", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["base"] == base
         assert len(calls) == 13
+        (base_rows, none), *knockouts = calls
+        assert none is None
+        assert [k for _, k in knockouts] == list(range(12))
+        assert all(adj is base_rows for adj, _ in knockouts)
 
 
 class TestRandomizedCommands:
@@ -462,6 +467,22 @@ class TestErrorHandling:
         path.write_text('{"variables": ' + "[" * 5000 + "]" * 5000 + "}")
         assert main([*argv, str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("argv, name, data, where", [
+        (["rank"], "bad.json", b"\xff\xfe", "byte 0xff at offset 0 (invalid start byte)"),
+        (["trace", "--from", "1"], "bad.json", b"\xff\xfe",
+         "byte 0xff at offset 0 (invalid start byte)"),
+        (["rank"], "bad.edges", b"1 -> 2\n\xe9\n",
+         "byte 0xe9 at offset 7 (invalid continuation byte)"),
+        (["rank"], "bad.pattern", b"*.\n.*\xc3", "byte 0xc3 at offset 5 (unexpected end of data)"),
+        (["matrix-space"], "basis.json", b'{"basis": [[[1]]], "x": "\xff"}',
+         "byte 0xff at offset 25 (invalid start byte)"),
+    ], ids=["structure", "system", "edges", "pattern", "basis"])
+    def test_non_utf8_file_is_input_error(self, argv, name, data, where, tmp_path, capsys):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main([*argv, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: {where}\n"
 
 
 class TestMainEntryPoint:

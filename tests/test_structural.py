@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structrank import (
@@ -19,6 +19,7 @@ from structrank import (
     structural_rank,
 )
 from structrank.datasets import get_dataset
+from structrank.structural import _hopcroft_karp
 from structrank.structure import GeneralizedStructure, DerivedVariableSpec
 
 from oracles import (
@@ -46,6 +47,22 @@ def square_patterns(draw, max_n=12):
     n = draw(st.integers(min_value=2, max_value=max_n))
     pool = [(e, v) for e in range(n) for v in range(n)]
     return StructurePattern(n, n, draw(st.frozensets(st.sampled_from(pool))))
+
+
+@st.composite
+def sweep_patterns(draw, max_n=30):
+    """Square patterns of 2 to 30 nodes, mostly fragile, many by 2 or more.
+
+    Rows hold at most three columns and many are empty; in some patterns one
+    column is put in every row.
+    """
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    row = st.frozensets(st.integers(min_value=0, max_value=n - 1), max_size=3)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        column = draw(st.integers(min_value=0, max_value=n - 1))
+        rows = [r | {column} for r in rows]
+    return StructurePattern.from_rows(rows, n)
 
 
 class TestStructuralRank:
@@ -262,6 +279,22 @@ class TestWitnessIdentity:
     def test_knockout_matchings_equal_reference(self, p):
         for en in knockout_sweep(p):
             assert en.report.matching == reference_matching(knockout(p, en.node))
+
+    @given(sweep_patterns())
+    @settings(max_examples=40)
+    # n = 2; deficiency 3 with empty rows held out; column 2 in every row (deficiency 2).
+    @example(StructurePattern.from_rows([{1}, {1}], 2))
+    @example(StructurePattern.from_rows([{0, 1}, {0, 1}, {0, 1}, set(), set(), {5}], 6))
+    @example(StructurePattern.from_rows([{2}, {2}, {0, 2}, {2}, {1, 2}], 5))
+    def test_held_out_node_leaves_base_rows_and_witness_unchanged(self, p):
+        n = p.num_equations
+        adj = p.rows()
+        before = [row[:] for row in adj]
+        for k, en in enumerate(knockout_sweep(p)):
+            expected = reference_matching(knockout(p, k))
+            assert en.report.matching == expected
+            assert _hopcroft_karp(adj, n, k) == expected
+        assert adj == before
 
     def test_web_of_three_hundred_nodes(self):
         p = web(300, seed=3)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,16 @@ class TestKnockout:
         p = StructurePattern.from_rows([{0}, {1}])
         with pytest.raises(StructureError):
             knockout(p, 5)
+
+    def test_numpy_integer_node(self):
+        jak = get_dataset("jakstat").structure
+        assert knockout(jak, np.int64(1)) == knockout(jak, 1)
+
+    @pytest.mark.parametrize("node", [1.5, 2.0, True, np.True_, "1"])
+    def test_non_integer_node_rejected(self, node):
+        # 1.5 once compacted rows 1 and 2 into one row and removed no node.
+        with pytest.raises(TypeError, match="knockout node must be an integer"):
+            knockout(get_dataset("jakstat").structure, node)
 
     @given(graphs(max_nodes=6),
            st.integers(min_value=0, max_value=5),
