@@ -152,11 +152,7 @@ def structure_from_json_dict(data, path=None):
             dependencies=tuple(dependencies),
             derived=tuple(derived_specs),
         )
-    return StructurePattern(
-        len(dependencies),
-        n,
-        frozenset((e, v) for e, dep in enumerate(dependencies) for v in dep),
-    )
+    return StructurePattern.from_rows(dependencies, n)
 
 
 def structure_to_json_dict(structure):
@@ -280,13 +276,9 @@ def _parse_pattern_matrix(path):
                 f"row width {len(chunk)} differs from first row width {width}",
                 path=path, line=lineno,
             )
-    allowed = frozenset(
-        (e, v)
-        for e, (_, chunk) in enumerate(rows)
-        for v, ch in enumerate(chunk)
-        if ch == "*"
+    return StructurePattern.from_rows(
+        [[v for v, ch in enumerate(chunk) if ch == "*"] for _, chunk in rows], width
     )
-    return StructurePattern(len(rows), width, allowed)
 
 
 _EXTENSIONS = {
@@ -303,8 +295,7 @@ def _detect_format(path):
     suffix = Path(path).suffix.lower()
     if suffix in _EXTENSIONS:
         return _EXTENSIONS[suffix]
-    with open(path, encoding="utf-8", errors="replace") as handle:
-        head = handle.read(4096).lstrip()
+    head = _read_text(path)[:4096].lstrip()
     if head.startswith("{"):
         return "json"
     if "->" in head or _HEADER_RE.match(head.splitlines()[0] if head else ""):
@@ -476,7 +467,7 @@ def to_dot(structure) -> str:
             lines.append(f'  x{v + 1} [shape=circle, label="x{v + 1}"];')
         for e in range(structure.num_equations):
             lines.append(f'  f{e + 1} [shape=box, label="f{e + 1}"];')
-        for e, v in sorted(structure.allowed):
-            lines.append(f"  x{v + 1} -> f{e + 1};")
+        for e, row in enumerate(structure.rows()):
+            lines.extend(f"  x{v + 1} -> f{e + 1};" for v in row)
     lines.append("}")
     return "\n".join(lines) + "\n"

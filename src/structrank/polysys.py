@@ -313,12 +313,8 @@ def plan_entries(structure, degree):
     and G*K value columns in the index. The index has the widest S rows,
     and a stacked trial gathers its partial columns.
     """
-    if isinstance(structure, GeneralizedStructure):
-        widths = list(map(len, structure.dependencies))
-    else:
-        widths = [0] * structure.num_equations
-        for e, _ in structure.allowed:
-            widths[e] += 1
+    generalized = isinstance(structure, GeneralizedStructure)
+    widths = list(map(len, structure.dependencies if generalized else structure.rows()))
     columns = partials = 0
     for s, g in Counter(widths).items():
         k = comb(s + degree, degree) if degree >= 0 else 0
@@ -351,7 +347,7 @@ def member_plan(structure, degree) -> _MemberPlan:
         rows = tuple(map(structure.equation_symbols, range(structure.num_equations)))
         specs = structure.derived_by_name
     else:
-        rows, specs = tuple(map(tuple, structure.rows())), {}
+        rows, specs = structure.rows(), {}
     used = sorted({sym for row in rows for sym in row if isinstance(sym, str)})
     column = {name: n + i for i, name in enumerate(used)}
     derived = tuple(

@@ -28,51 +28,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructurePattern:
     """An M x N sparsity pattern of allowed Jacobian entries.
 
-    ``allowed`` holds 0-based (equation, variable) pairs. An equation with no
-    allowed variables is legal; its Jacobian row is identically zero.
+    The pattern is stored as its rows: for each equation, the sorted 0-based
+    indices of the variables it may use. ``allowed`` gives the same entries
+    as (equation, variable) pairs. An equation with no allowed variables is
+    legal; its Jacobian row is identically zero.
     """
 
     num_equations: int
     num_variables: int
-    allowed: frozenset[tuple[int, int]]
+    _rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        m, n = self.num_equations, self.num_variables
-        if m < 1 or n < 1:
-            raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
-        object.__setattr__(self, "allowed", frozenset(self.allowed))
-        for e, v in self.allowed:
-            if not (0 <= e < m and 0 <= v < n):
-                raise StructureError(
-                    f"allowed entry ({e},{v}) outside {m}x{n} pattern"
-                )
+    def __init__(self, num_equations, num_variables, allowed):
+        by_row = {}
+        for e, v in allowed:
+            by_row.setdefault(e, set()).add(v)
+        self._store(num_equations, num_variables, by_row)
 
     @classmethod
     def from_rows(cls, rows, num_variables=None):
         """Build from per-equation variable sets, e.g. ``[{2}, {2}, {0,1,2}]``."""
-        rows = [frozenset(r) for r in rows]
+        rows = [set(r) for r in rows]
         if num_variables is None:
-            num_variables = max((v for r in rows for v in r), default=-1) + 1
-            num_variables = max(num_variables, 1)
-        allowed = frozenset((e, v) for e, r in enumerate(rows) for v in r)
-        return cls(len(rows), num_variables, allowed)
+            num_variables = max(max((max(r) for r in rows if r), default=-1) + 1, 1)
+        pattern = cls.__new__(cls)
+        pattern._store(len(rows), num_variables, dict(enumerate(rows)))
+        return pattern
+
+    def _store(self, m, n, by_row):
+        """Check the variable sets of ``by_row`` (keyed by equation) and keep them as rows."""
+        if m < 1 or n < 1:
+            raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
+        rows = [()] * m
+        for e, variables in by_row.items():
+            row = tuple(sorted(variables))
+            if row and not (0 <= e < m and 0 <= row[0] and row[-1] < n):
+                v = row[0] if row[0] < 0 else row[-1]
+                raise StructureError(f"allowed entry ({e},{v}) outside {m}x{n} pattern")
+            rows[e] = row
+        object.__setattr__(self, "num_equations", m)
+        object.__setattr__(self, "num_variables", n)
+        object.__setattr__(self, "_rows", tuple(rows))
+
+    @property
+    def allowed(self):
+        """The allowed (equation, variable) pairs, built from the rows on each access."""
+        return frozenset((e, v) for e, row in enumerate(self._rows) for v in row)
 
     def row(self, e):
         """Sorted variable indices allowed in equation ``e``."""
-        return sorted(v for (i, v) in self.allowed if i == e)
+        return self._rows[e]
 
     def rows(self):
-        """Per-equation sorted variable lists."""
-        out = [[] for _ in range(self.num_equations)]
-        for e, v in self.allowed:
-            out[e].append(v)
-        for row in out:
-            row.sort()
-        return out
+        """Per-equation sorted variable tuples, as stored (not a copy)."""
+        return self._rows
 
     @property
     def shape(self):
@@ -182,12 +194,8 @@ class GeneralizedStructure:
                         f"equation {e + 1} references variable index {item} "
                         f"outside [0,{self.num_variables})"
                     )
-        base = StructurePattern(
-            len(deps),
-            self.num_variables,
-            frozenset(
-                (e, v) for e, dep in enumerate(deps) for v in dep if isinstance(v, int)
-            ),
+        base = StructurePattern.from_rows(
+            [[v for v in dep if isinstance(v, int)] for dep in deps], self.num_variables
         )
         object.__setattr__(self, "base", base)
 
@@ -213,10 +221,10 @@ def pattern_from_graph(g: SystemGraph) -> StructurePattern:
     Edge (i, j) yields allowed entry (j, i). Under the include-diagonal
     policy the full diagonal is added as well.
     """
-    allowed = {(j, i) for (i, j) in g.edges}
-    if g.include_diagonal:
-        allowed |= {(k, k) for k in range(g.num_nodes)}
-    return StructurePattern(g.num_nodes, g.num_nodes, frozenset(allowed))
+    rows = [{k} if g.include_diagonal else set() for k in range(g.num_nodes)]
+    for i, j in g.edges:
+        rows[j].add(i)
+    return StructurePattern.from_rows(rows, g.num_nodes)
 
 
 def graph_from_pattern(p: StructurePattern, include_diagonal: bool = False) -> SystemGraph:
@@ -230,15 +238,16 @@ def graph_from_pattern(p: StructurePattern, include_diagonal: bool = False) -> S
         raise UnsupportedOperationError(
             f"only square patterns have a system graph, got {p.num_equations}x{p.num_variables}"
         )
+    rows = p.rows()
     if include_diagonal:
-        missing = [k for k in range(p.num_equations) if (k, k) not in p.allowed]
+        missing = [k for k, row in enumerate(rows) if k not in row]
         if missing:
             raise StructureError(
                 f"include-diagonal policy recorded but diagonal entries missing at {missing}"
             )
-        edges = frozenset((v, e) for (e, v) in p.allowed if e != v)
-    else:
-        edges = frozenset((v, e) for (e, v) in p.allowed)
+    edges = frozenset(
+        (v, e) for e, row in enumerate(rows) for v in row if v != e or not include_diagonal
+    )
     return SystemGraph(p.num_equations, edges, include_diagonal)
 
 
@@ -253,14 +262,12 @@ def effective_pattern(gs: GeneralizedStructure) -> StructurePattern:
     actual generic rank of a generalized structure.
     """
     by_name = gs.derived_by_name
-    allowed = set()
-    for e, dep in enumerate(gs.dependencies):
-        for item in dep:
-            if isinstance(item, str):
-                allowed.update((e, v) for v in by_name[item].support)
-            else:
-                allowed.add((e, item))
-    return StructurePattern(gs.num_equations, gs.num_variables, frozenset(allowed))
+    rows = [
+        [v for item in dep
+         for v in (by_name[item].support if isinstance(item, str) else (item,))]
+        for dep in gs.dependencies
+    ]
+    return StructurePattern.from_rows(rows, gs.num_variables)
 
 
 def knockout(p: StructurePattern, node: int) -> StructurePattern:
@@ -281,9 +288,8 @@ def knockout(p: StructurePattern, node: int) -> StructurePattern:
         raise StructureError(f"knockout node {node} outside [0,{p.num_equations})")
     if p.num_equations == 1:
         raise StructureError("knockout of a 1x1 system would leave an empty system")
-    allowed = frozenset(
-        (e - (e > node), v - (v > node))
-        for (e, v) in p.allowed
-        if e != node and v != node
+    rows = p.rows()
+    return StructurePattern.from_rows(
+        [[v - (v > node) for v in row if v != node] for row in rows[:node] + rows[node + 1:]],
+        p.num_variables - 1,
     )
-    return StructurePattern(p.num_equations - 1, p.num_variables - 1, allowed)

@@ -477,7 +477,9 @@ class TestErrorHandling:
         (["rank"], "bad.pattern", b"*.\n.*\xc3", "byte 0xc3 at offset 5 (unexpected end of data)"),
         (["matrix-space"], "basis.json", b'{"basis": [[[1]]], "x": "\xff"}',
          "byte 0xff at offset 25 (invalid start byte)"),
-    ], ids=["structure", "system", "edges", "pattern", "basis"])
+        (["rank"], "bad", b"\xff\xfe", "byte 0xff at offset 0 (invalid start byte)"),
+        (["rank"], "bad", b"1 -> 2\n\xe9\n", "byte 0xe9 at offset 7 (invalid continuation byte)"),
+    ], ids=["structure", "system", "edges", "pattern", "basis", "sniffed", "sniffed-edges"])
     def test_non_utf8_file_is_input_error(self, argv, name, data, where, tmp_path, capsys):
         path = tmp_path / name
         path.write_bytes(data)

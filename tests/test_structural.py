@@ -289,7 +289,7 @@ class TestWitnessIdentity:
     def test_held_out_node_leaves_base_rows_and_witness_unchanged(self, p):
         n = p.num_equations
         adj = p.rows()
-        before = [row[:] for row in adj]
+        before = tuple(row[:] for row in adj)
         for k, en in enumerate(knockout_sweep(p)):
             expected = reference_matching(knockout(p, k))
             assert en.report.matching == expected

@@ -22,17 +22,31 @@ def edges_1based(pairs):
     return frozenset((a - 1, b - 1) for a, b in pairs)
 
 
+@st.composite
+def entry_lists(draw):
+    """(M, N, entries): in-range pairs in draw order, duplicates included."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.tuples(st.integers(min_value=0, max_value=m - 1),
+                      st.integers(min_value=0, max_value=n - 1))
+    return m, n, draw(st.lists(entry, max_size=30))
+
+
 class TestStructurePattern:
     def test_basic_construction(self):
         p = StructurePattern(2, 3, frozenset({(0, 0), (1, 2)}))
         assert p.shape == (2, 3)
-        assert p.rows() == [[0], [2]]
+        assert p.rows() == ((0,), (2,))
 
     def test_rejects_out_of_range_entries(self):
         with pytest.raises(StructureError):
             StructurePattern(2, 2, frozenset({(2, 0)}))
         with pytest.raises(StructureError):
             StructurePattern(2, 2, frozenset({(0, -1)}))
+        with pytest.raises(StructureError, match=r"allowed entry \(1,-1\) outside 2x2 pattern"):
+            StructurePattern.from_rows([{0}, {1, -1}], 2)
+        with pytest.raises(StructureError, match=r"allowed entry \(0,2\) outside 2x2 pattern"):
+            StructurePattern.from_rows([{0, 2}, set()], 2)
 
     def test_rejects_empty_dimensions(self):
         with pytest.raises(StructureError):
@@ -40,11 +54,23 @@ class TestStructurePattern:
 
     def test_empty_row_is_legal(self):
         p = StructurePattern.from_rows([set(), {0}], num_variables=2)
-        assert p.row(0) == []
+        assert p.row(0) == ()
 
     def test_from_rows_infers_width(self):
         p = StructurePattern.from_rows([{0, 4}])
         assert p.num_variables == 5
+
+    @given(entry_lists())
+    def test_pairs_and_rows_give_one_pattern(self, case):
+        m, n, pairs = case
+        rows = [[] for _ in range(m)]
+        for e, v in pairs:
+            rows[e].append(v)
+        p = StructurePattern(m, n, pairs)
+        q = StructurePattern.from_rows(rows, n)
+        assert p == q and hash(p) == hash(q)
+        assert p.allowed == frozenset(pairs)
+        assert all(row == tuple(sorted(set(row))) for row in p.rows())
 
 
 class TestPatternFromGraph:
@@ -54,7 +80,7 @@ class TestPatternFromGraph:
                         include_diagonal=False)
         p = pattern_from_graph(g)
         assert p == get_dataset("cep3").structure
-        assert p.rows() == [[2], [2], [0, 1, 2]]
+        assert p.rows() == ((2,), (2,), (0, 1, 2))
 
     def test_include_diagonal_adds_full_diagonal(self):
         g = SystemGraph(3, edges_1based([(1, 3)]), include_diagonal=True)
@@ -113,7 +139,7 @@ class TestKnockout:
         ko = knockout(jak, 11)
         # The first 11 equations never referenced x12, so their rows survive
         # unchanged.
-        assert ko.rows() == [row for row in jak.rows()[:11]]
+        assert ko.rows() == jak.rows()[:11]
         assert ko.shape == (11, 11)
 
     def test_single_node_system_rejected(self):
@@ -204,11 +230,11 @@ class TestDerivedVariables:
 
     def test_base_pattern_only_holds_original_variables(self):
         gs = example5_structure()
-        assert gs.base.rows() == [[0, 1, 2, 3], [0, 1, 2, 3], [], []]
+        assert gs.base.rows() == ((0, 1, 2, 3), (0, 1, 2, 3), (), ())
 
     def test_effective_pattern_expands_supports(self):
         eff = effective_pattern(example5_structure())
-        assert eff.rows() == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1], [0, 1]]
+        assert eff.rows() == ((0, 1, 2, 3), (0, 1, 2, 3), (0, 1), (0, 1))
 
     def test_effective_pattern_without_derived_equals_base(self):
         gs = GeneralizedStructure(
@@ -224,7 +250,7 @@ class TestDerivedVariables:
             dependencies=(frozenset({"z"}),),
             derived=(DerivedVariableSpec("z", ((0, 3.0),)),),
         )
-        assert effective_pattern(gs).rows() == [[0]]
+        assert effective_pattern(gs).rows() == ((0,),)
 
     def test_equation_symbols_order(self):
         gs = GeneralizedStructure(
