@@ -16,9 +16,7 @@ from dataclasses import dataclass, fields
 
 from .datasets import DATASETS, Dataset, get_dataset
 from .errors import ParseError, StructrankError
-from .formats import (
-    check_basis_size, check_jacobian_size, parse_basis, parse_input, structure_to_json_dict, to_dot,
-)
+from .formats import parse_basis, parse_input, structure_to_json_dict, to_dot
 from .structural import _knockout_sweep, classify
 from .structure import GeneralizedStructure, StructurePattern, SystemGraph, pattern_from_graph
 
@@ -111,27 +109,6 @@ def _input(request, as_pattern=True):
     return structure, source
 
 
-def _numeric_input(request):
-    """``_input`` for a subcommand that builds dense Jacobians: refuses one over their bound."""
-    structure, source = _input(request)
-    check_jacobian_size(structure, request.input_path)
-    return structure, source
-
-
-def _check_plan_size(request, structure):
-    """Refuse to sample members of ``structure`` whose plan exceeds its bound, naming the file.
-
-    Members are sampled at the request's degree, or at degree 2, the default
-    of ``sample_system``, ``certify_acr`` and ``generic_rank_randomized``.
-    """
-    from .polysys import check_plan_size
-
-    try:
-        check_plan_size(structure, 2 if request.degree is None else request.degree)
-    except ValueError as exc:
-        raise ParseError(str(exc), request.input_path) from None
-
-
 def _system(request, uses_seed):
     """The polynomial system to analyze, and a line naming its origin.
 
@@ -140,7 +117,7 @@ def _system(request, uses_seed):
     the analysis itself draws from the seed, so that a system of its own
     still has a use for one.
     """
-    structure, source = _numeric_input(request)
+    structure, source = _input(request)
     if isinstance(source, Dataset):
         system, origin = source.system, f"dataset {request.dataset} (bundled system)"
     elif isinstance(source, _STRUCTURES):
@@ -150,7 +127,6 @@ def _system(request, uses_seed):
     if system is None:
         from .polysys import sample_system
 
-        _check_plan_size(request, structure)
         system = sample_system(structure, **_given(request, "degree", "seed"))
         origin = (f"random member (degree={system.degree}, seed={system.seed}, "
                   f"distribution={system.distribution})")
@@ -258,8 +234,7 @@ def _render_certification(report, request, heading):
 def _cmd_certify(request):
     from .numrank import certify_acr
 
-    pattern, _ = _numeric_input(request)
-    _check_plan_size(request, pattern)
+    pattern, _ = _input(request)
     report = certify_acr(
         pattern, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution", "pass_threshold"),
@@ -270,8 +245,7 @@ def _cmd_certify(request):
 def _cmd_generic_rank(request):
     from .numrank import generic_rank_randomized
 
-    structure, _ = _numeric_input(request)
-    _check_plan_size(request, structure)
+    structure, _ = _input(request)
     report = generic_rank_randomized(
         structure, tol=_tolerance(request),
         **_given(request, "trials", "degree", "seed", "distribution"),
@@ -283,7 +257,6 @@ def _cmd_trace(request):
     from . import continuation as cont
 
     system, origin = _system(request, uses_seed=False)
-    check_basis_size(system.num_variables, request.input_path)
     p = _point(request, system.num_variables)
     branch = cont.trace_curve(
         system, p, tol=_tolerance(request), **_given(request, "step", "max_points", "radius"),
@@ -328,7 +301,6 @@ def _cmd_probe(request):
             f"residual floor: {probe.residual_floor:.6g} "
             f"({probe.starts_tried} starts, seed {request.seed or 0})\n"
         )
-    check_basis_size(system.num_variables, request.input_path)
     report = cont.manifold_probe(
         system, p, tol=_tolerance(request),
         **_given(request, "samples", "step", "seed", "radius"),
@@ -472,6 +444,8 @@ def run(request: AnalysisRequest) -> tuple[int, str]:
     try:
         return 0, command.handler(request)
     except (_InputError, ParseError, OSError) as exc:
+        if isinstance(exc, ParseError) and exc.path is None:  # a size bound the library checks
+            exc = ParseError(exc.message, request.input_path, exc.line, exc.where)
         return 2, f"error: {exc}\n"
     except (StructrankError, ValueError) as exc:
         return 1, f"error: {type(exc).__name__}: {exc}\n"

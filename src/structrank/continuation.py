@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongDimensionError
+from .formats import check_basis_size
 from .numrank import RankTolerance
 from .polysys import JacobianEvaluation, StructuredPolySystem, seeded_rng
 
@@ -69,6 +70,7 @@ def _evaluate_start(system, p):
 
 def _svd_analysis(jac, tol):
     """(numeric rank, orthonormal kernel rows, singular values) of an evaluated DF."""
+    check_basis_size(jac.matrix.shape[1])
     _, sigma, vt = np.linalg.svd(jac.matrix, full_matrices=True)
     rank = tol.rank_of(sigma)
     return rank, vt[rank:], sigma

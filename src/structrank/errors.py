@@ -21,8 +21,12 @@ class WrongDimensionError(StructrankError):
     """Curve tracing was requested at a point whose kernel is not 1-dimensional."""
 
 
-class ParseError(StructrankError):
+class ParseError(StructrankError, ValueError):
     """An input file could not be parsed, or its input exceeds a size bound.
+
+    Each size bound is checked by the library call that would build what it
+    bounds, which raises this error with no path; the command line names its
+    input file and exits 2. Like ``json.JSONDecodeError``, it is a ValueError.
 
     Carries enough position information to point at the offending spot:
     ``line`` is 1-based when known, ``where`` is a JSON-path-like locator

@@ -35,9 +35,9 @@ __all__ = [
 # allocates per variable, so a larger count is refused before anything is built.
 MAX_VARIABLES = 1_000_000
 # The most Jacobian entries (equations times variables) a numeric analysis
-# takes on. certify, generic-rank, trace and probe build dense M x N
-# Jacobians, 8 bytes an entry, so a larger structure, or a system file over
-# one, is refused before any member is built.
+# takes on. Members build dense M x N Jacobians, 8 bytes an entry, so
+# ``polysys.member_plan`` refuses a larger structure before any member is
+# built; continuation holds the N x N basis of a full SVD to it too.
 MAX_JACOBIAN_ENTRIES = 10_000_000
 
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*(<->|->)\s*(\d+)\s*$")
@@ -74,11 +74,12 @@ def check_jacobian_size(structure, path=None, where=None):
             f"bound of {MAX_JACOBIAN_ENTRIES} (formats.MAX_JACOBIAN_ENTRIES)", path, where)
 
 
-def check_basis_size(n, path=None):
+def check_basis_size(n):
     """Raise ParseError when a full SVD's N x N basis, N = ``n``, exceeds MAX_JACOBIAN_ENTRIES."""
-    _expect(n * n <= MAX_JACOBIAN_ENTRIES,
-            f"{n} variables make {n * n} entries in the N x N basis of a full SVD, more than "
-            f"the bound of {MAX_JACOBIAN_ENTRIES} (formats.MAX_JACOBIAN_ENTRIES)", path)
+    if n * n > MAX_JACOBIAN_ENTRIES:  # runs before every SVD: format only on failure
+        raise ParseError(f"{n} variables make {n * n} entries in the N x N basis of a full SVD, "
+                         f"more than the bound of {MAX_JACOBIAN_ENTRIES} "
+                         "(formats.MAX_JACOBIAN_ENTRIES)")
 
 
 def structure_from_json_dict(data, path=None):

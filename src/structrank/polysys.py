@@ -19,7 +19,8 @@ from math import comb
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import ParseError, StructureError
+from .formats import _system_from_json_dict, check_jacobian_size, structure_to_json_dict
 from .structure import GeneralizedStructure, StructurePattern
 
 __all__ = [
@@ -325,10 +326,11 @@ def plan_entries(structure, degree):
 
 
 def check_plan_size(structure, degree):
-    """Raise ValueError when ``plan_entries(structure, degree)`` exceeds MAX_PLAN_ENTRIES."""
+    """Raise ParseError over the Jacobian bound, then over MAX_PLAN_ENTRIES (``plan_entries``)."""
+    check_jacobian_size(structure)
     entries = plan_entries(structure, degree)
     if entries > MAX_PLAN_ENTRIES:
-        raise ValueError(
+        raise ParseError(
             f"{structure.num_equations} equations at degree {degree} make a member plan of "
             f"{entries} monomial-factor entries, more than the bound of {MAX_PLAN_ENTRIES} "
             f"(polysys.MAX_PLAN_ENTRIES)")
@@ -339,7 +341,7 @@ def member_plan(structure, degree) -> _MemberPlan:
     """The layout of every member at ``degree``, built once and shared by all of them.
 
     The plan is cached per (structure, degree); callers must not modify it.
-    A plan over MAX_PLAN_ENTRIES raises ValueError before anything is built.
+    A structure over a bound of ``check_plan_size`` raises ParseError before anything is built.
     """
     check_plan_size(structure, degree)
     n = structure.num_variables
@@ -550,8 +552,6 @@ class StructuredPolySystem:
         return JacobianEvaluation(point=x, matrix=J, residual_target=values)
 
     def to_json_dict(self):
-        from .formats import structure_to_json_dict
-
         return {
             "structure": structure_to_json_dict(self.structure),
             "degree": self.degree,
@@ -569,8 +569,6 @@ class StructuredPolySystem:
     @classmethod
     def from_json_dict(cls, d):
         """Inverse of ``to_json_dict``, with the checks of a system file."""
-        from .formats import _system_from_json_dict
-
         return _system_from_json_dict(d)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import StructureError, UnsupportedOperationError
+from .errors import ParseError, StructureError, UnsupportedOperationError
 from .structure import GeneralizedStructure, StructurePattern
 
 __all__ = [
@@ -29,6 +29,10 @@ ROBUST = "robust"
 FRAGILE = "fragile"
 
 _INF = -1
+
+# The most nodes a knockout sweep takes on: it runs a matching per node, so
+# its time grows faster than the square of the node count.
+MAX_KNOCKOUT_NODES = 2_000
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,8 @@ def knockout_sweep(p: StructurePattern) -> list[KnockoutEntry]:
     the base rows with node k held out, and gets that pattern's witness.
     Entries whose removal turns a fragile base system robust carry
     ``flips_to_robust``. Nodes are evaluated independently; the result does
-    not depend on evaluation order.
+    not depend on evaluation order. A pattern of more than
+    MAX_KNOCKOUT_NODES nodes raises ParseError before any matching.
     """
     return _knockout_sweep(p)[1]
 
@@ -223,6 +228,9 @@ def _knockout_sweep(p):
     n = p.num_equations
     if n == 1:
         raise StructureError("knockout of a 1x1 system would leave an empty system")
+    if n > MAX_KNOCKOUT_NODES:
+        raise ParseError(f"a knockout sweep of {n} nodes runs {n + 1} matchings, more than the "
+                         f"bound of {MAX_KNOCKOUT_NODES} nodes (structural.MAX_KNOCKOUT_NODES)")
     adj = p.rows()
     base = _report(_hopcroft_karp(adj, n), n, n)
     base_fragile = base.classification == FRAGILE

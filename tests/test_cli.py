@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from structrank import (
-    classify, cli, continuation, formats, numrank, polysys, sample_system, structural,
+    classify, cli, continuation, formats, polysys, sample_system, structural,
 )
 from structrank.cli import _COMMANDS, AnalysisRequest, _build_parser, main, run
 from structrank.datasets import get_dataset
@@ -345,11 +345,12 @@ class TestErrorHandling:
     ], ids=["certify", "generic-rank", "trace", "probe", "trace-system", "show-system"])
     def test_jacobian_beyond_the_bound_is_refused_before_any_plan(self, argv, tmp_path, capsys,
                                                                   monkeypatch):
-        def refuse(structure, degree):
-            raise AssertionError("a member plan was built")
+        def refuse(num_symbols, degree):
+            raise AssertionError("a monomial table was built")
 
-        monkeypatch.setattr(polysys, "member_plan", refuse)
-        monkeypatch.setattr(numrank, "member_plan", refuse)
+        # Plans are cached, and a cached plan met the bound when it was built.
+        polysys.member_plan.cache_clear()
+        monkeypatch.setattr(polysys, "_monomial_table", refuse)
         monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 11)
         structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
         path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
@@ -445,6 +446,22 @@ class TestErrorHandling:
             get_dataset("robotarm").structure)))
         assert main(["probe", str(path), "--from", "0.1,0.2,0.3,0.4,0.5,0.6",
                      "--delta", "0.01,0,0"]) == 0
+
+    def test_knockout_beyond_the_bound_is_input_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matching ran")
+
+        monkeypatch.setattr(structural, "_hopcroft_karp", refuse)
+        monkeypatch.setattr(structural, "MAX_KNOCKOUT_NODES", 3)
+        path = tmp_path / "ring.edges"
+        path.write_text("1 -> 2\n2 -> 3\n3 -> 4\n4 -> 1\n")
+        assert main(["knockout", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: a knockout sweep of 4 nodes runs 5 matchings, more than the "
+            "bound of 3 nodes (structural.MAX_KNOCKOUT_NODES)\n")
+        monkeypatch.undo()
+        monkeypatch.setattr(structural, "MAX_KNOCKOUT_NODES", 4)
+        assert main(["knockout", str(path)]) == 0
 
     def test_uncaught_exception_is_one_line_internal_error(self, monkeypatch, capsys):
         def exhausted(pattern):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from structrank import (
+    ParseError,
     StructuredPolySystem,
     StructurePattern,
     WrongDimensionError,
@@ -16,6 +17,7 @@ from structrank import (
     system_from_terms,
     trace_curve,
 )
+from structrank import continuation, formats
 from structrank.continuation import _gauss_newton
 from structrank.datasets import get_dataset
 
@@ -52,6 +54,25 @@ class TestLocalDimension:
         ld = local_dimension(sys, np.linspace(-0.5, 0.5, 6))
         assert ld.dimension == 3
         assert ld.kernel.shape == (3, 6)
+
+    @pytest.mark.parametrize("call", [
+        lambda sys, p: local_dimension(sys, p),
+        lambda sys, p: trace_curve(sys, p),
+        lambda sys, p: manifold_probe(sys, p, samples=5),
+    ], ids=["local_dimension", "trace_curve", "manifold_probe"])
+    def test_svd_basis_beyond_the_bound_is_refused_before_any_svd(self, call, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken")
+
+        sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=1)
+        # 3 x 6 Jacobians fit a bound of 20 entries; their 6 x 6 SVD basis does not.
+        monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
+        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        with pytest.raises(ParseError, match=(
+                r"^6 variables make 36 entries in the N x N basis of a full SVD, more than "
+                r"the bound of 20 \(formats.MAX_JACOBIAN_ENTRIES\)$")) as info:
+            call(sys, np.linspace(-0.5, 0.5, 6))
+        assert isinstance(info.value, ValueError)
 
     def test_consistent_with_structural_rank_at_random_points(self):
         pattern = get_dataset("trophic5").structure
@@ -308,6 +329,16 @@ class TestPerturbationProbe:
         probe = perturbation_probe(sys, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
         assert probe.solved
         assert probe.residual_floor == 0.0
+
+    def test_takes_no_svd_and_no_basis_bound(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken")
+
+        sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=1)
+        monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
+        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        probe = perturbation_probe(sys, np.linspace(-0.5, 0.5, 6), [0.01, 0.0, 0.0], seed=0)
+        assert probe.residual_floor >= 0.0
 
     def test_delta_shape_validated(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from structrank import (
+    ParseError,
     StructuredPolySystem,
     StructureError,
+    certify_acr,
     combine,
+    generic_rank_randomized,
     numeric_rank,
     sample_system,
     system_from_terms,
 )
 from structrank.datasets import DATASETS, get_dataset
-from structrank import polysys
+from structrank import formats, polysys
 from structrank.polysys import (
     _monomial_table, member_plan, seeded_rng, seeded_streams, stacked_jacobians,
 )
@@ -371,6 +374,27 @@ class TestPlanSize:
             member_plan(dense, 3)
         with pytest.raises(ValueError, match=message):
             sample_system(dense, degree=3)
+
+    @pytest.mark.parametrize("call", [
+        lambda s: certify_acr(s, trials=5),
+        lambda s: generic_rank_randomized(s, trials=5),
+        lambda s: sample_system(s),
+        lambda s: system_from_terms(s, 1, [{}, {}, {}]),
+    ], ids=["certify_acr", "generic_rank_randomized", "sample_system", "system_from_terms"])
+    def test_jacobian_beyond_the_bound_is_refused_before_any_plan(self, call, monkeypatch):
+        def refuse(num_symbols, degree):
+            raise AssertionError("a monomial table was built")
+
+        # Plans are cached, and a cached plan met the bound when it was built.
+        member_plan.cache_clear()
+        monkeypatch.setattr(polysys, "_monomial_table", refuse)
+        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 11)
+        wide = StructurePattern.from_rows([{0, 1}, {2}, {3}])
+        with pytest.raises(ParseError, match=(
+                r"^3 equations x 4 variables make 12 Jacobian entries, more than the bound "
+                r"of 11 \(formats.MAX_JACOBIAN_ENTRIES\)$")) as info:
+            call(wide)
+        assert isinstance(info.value, ValueError) and info.value.path is None
 
     def test_every_dataset_fits(self):
         for name in DATASETS:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from structrank import (
+    ParseError,
     StructureError,
     StructurePattern,
     SystemGraph,
@@ -19,6 +20,7 @@ from structrank import (
     structural_rank,
 )
 from structrank.datasets import get_dataset
+from structrank import structural
 from structrank.structural import _hopcroft_karp
 from structrank.structure import GeneralizedStructure, DerivedVariableSpec
 
@@ -210,6 +212,21 @@ class TestKnockoutSweep:
     def test_non_square_rejected(self):
         with pytest.raises(UnsupportedOperationError):
             knockout_sweep(get_dataset("robotarm").structure)
+
+    def test_pattern_beyond_the_node_bound_is_refused_before_any_matching(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a matching ran")
+
+        jakstat = get_dataset("jakstat").structure
+        monkeypatch.setattr(structural, "_hopcroft_karp", refuse)
+        monkeypatch.setattr(structural, "MAX_KNOCKOUT_NODES", 11)
+        with pytest.raises(ParseError, match=(
+                r"^a knockout sweep of 12 nodes runs 13 matchings, more than the bound of 11 "
+                r"nodes \(structural.MAX_KNOCKOUT_NODES\)$")):
+            knockout_sweep(jakstat)
+        monkeypatch.undo()
+        monkeypatch.setattr(structural, "MAX_KNOCKOUT_NODES", 12)
+        assert len(knockout_sweep(jakstat)) == 12
 
     @given(patterns(max_eq=5, max_var=5))
     def test_knockout_rank_bounds(self, p):
