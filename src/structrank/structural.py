@@ -83,11 +83,15 @@ def _hopcroft_karp(adj, num_variables, knockout=None):
 
     Hopcroft-Karp: each phase finds a maximal set of shortest augmenting
     paths. In the first phase every row is free at layer 0, so it reduces to
-    a greedy pass in which each row takes its first free column. The depth
-    first search keeps an explicit stack, so path length is not bounded by
-    the recursion limit; a row entered again scans its columns from the
-    start, as a recursive call would. Rows and columns are scanned in
-    ascending order, which makes the witness deterministic.
+    a greedy pass in which each row takes its first free column. The breadth
+    first search labels rows one layer at a time. The depth first search
+    keeps its ancestors on two explicit stacks, rows and their column scans,
+    so path length is not bounded by the recursion limit; a row entered
+    again scans its columns from the start, as a recursive call would.
+    Nothing augments during one root's search, so each ancestor's matched
+    column is the one its parent went through: the path is read back from
+    the matching. Rows and columns are scanned in ascending order, which
+    makes the witness deterministic.
 
     With ``knockout`` = k, node k is held out in place: row k starts matched
     to a sentinel and is never free; column k belongs to a phantom row m
@@ -112,37 +116,34 @@ def _hopcroft_karp(adj, num_variables, knockout=None):
     # previous phase's still unmatched ones, in ascending order.
     free = [e for e, v in enumerate(match_eq) if v == _INF]
     while free:
-        # Layer the rows by alternating distance from the free rows. Rows
-        # leave the queue in layer order, so stop past the first layer that
-        # reaches a free column: the shortest augmenting paths end there.
+        # Label rows by alternating distance from the free rows and stop
+        # after the first layer that reaches a free column: the shortest
+        # augmenting paths end there, and the rows it labels stay unexpanded.
         dist = [_INF] * m + [m + 1]
         for e in free:
             dist[e] = 0
-        found = m + 1
-        queue = free[:]
-        for e in queue:
-            layer = dist[e] + 1
-            if layer > found:
-                break
-            for v in adj[e]:
-                other = match_var[v]
-                if other == _INF:
-                    found = layer
-                elif dist[other] == _INF:
-                    dist[other] = layer
-                    queue.append(other)
-        if found > m:
+        frontier, layer, found = free, 0, False
+        while frontier and not found:
+            layer += 1
+            labelled = []
+            for e in frontier:
+                for v in adj[e]:
+                    other = match_var[v]
+                    if other == _INF:
+                        found = True
+                    elif dist[other] == _INF:
+                        dist[other] = layer
+                        labelled.append(other)
+            frontier = labelled
+        if not found:
             break
 
-        # From each free row, augment along rows one layer deeper each step,
-        # so the row at depth d of ``path`` has ``dist`` d. ``path`` holds a
-        # (row, column scan) frame per row, ``cols`` the columns between them.
-        for root in free:
-            path = [(root, iter(adj[root]))]
-            cols = []
-            while path:
-                e, scan = path[-1]
-                layer = len(path)
+        # From each free row, descend to rows one layer deeper: row e has
+        # ``dist`` layer - 1 and its ancestors are on ``rows`` and ``scans``.
+        for e in free:
+            rows, scans = [], []
+            scan, layer = iter(adj[e]), 1
+            while True:
                 for v in scan:
                     other = match_var[v]
                     if other == _INF or dist[other] == layer:
@@ -150,25 +151,29 @@ def _hopcroft_karp(adj, num_variables, knockout=None):
                 else:
                     # No augmenting path runs through e in this phase.
                     dist[e] = _INF
-                    path.pop()
-                    if cols:
-                        cols.pop()
+                    if not rows:
+                        break
+                    e, scan, layer = rows.pop(), scans.pop(), layer - 1
                     continue
-                cols.append(v)
                 if other != _INF:
-                    path.append((other, iter(adj[other])))
+                    rows.append(e)
+                    scans.append(scan)
+                    e, scan, layer = other, iter(adj[other]), layer + 1
                     continue
-                for (r, _), c in zip(path, cols):
-                    match_eq[r] = c
-                    match_var[c] = r
+                # Column v is free: from the bottom up, each row on the path
+                # takes the column below it and hands up the one it held.
+                rows.append(e)
+                for e in reversed(rows):
+                    match_var[v] = e
+                    match_eq[e], v = v, match_eq[e]
                 break
         free = [e for e in free if match_eq[e] == _INF]
 
     if knockout is None:
-        return tuple((e, v) for e, v in enumerate(match_eq) if v != _INF)
-    match_eq[knockout] = _INF
-    return tuple((e - (e > knockout), v - (v > knockout))
-                 for e, v in enumerate(match_eq) if v != _INF)
+        return tuple([(e, v) for e, v in enumerate(match_eq) if v != _INF])
+    k = knockout
+    return tuple([(e, v - (v > k)) for e, v in enumerate(match_eq[:k]) if v != _INF]
+                 + [(e, v - (v > k)) for e, v in enumerate(match_eq[k + 1:], k) if v != _INF])
 
 
 def maximum_matching(p: StructurePattern) -> tuple[tuple[int, int], ...]:

@@ -79,7 +79,12 @@ class StructurePattern:
         return frozenset((e, v) for e, row in enumerate(self._rows) for v in row)
 
     def row(self, e):
-        """Sorted variable indices allowed in equation ``e``."""
+        """Sorted variable indices allowed in equation ``e``, 0 <= ``e`` < M."""
+        if isinstance(e, bool) or not hasattr(type(e), "__index__"):
+            raise TypeError(f"equation index must be an integer, got {e!r}")
+        e = operator.index(e)
+        if not 0 <= e < self.num_equations:
+            raise IndexError(f"equation {e} outside [0,{self.num_equations})")
         return self._rows[e]
 
     def rows(self):

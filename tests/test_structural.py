@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from structrank import (
@@ -249,6 +249,31 @@ def chain(length):
     return StructurePattern.from_rows([{i, i + 1} for i in range(length - 1)] + [{0}])
 
 
+def benchmark_chain(length, seed):
+    """``chain(length)`` followed by a disjoint robust block a quarter its size.
+
+    The block's rows hold a hidden diagonal column plus up to three random
+    ones, as in the benchmark's chain patterns.
+    """
+    rng = random.Random(seed)
+    extra = max(2, length // 4)
+    perm = rng.sample(range(extra), extra)
+    block = [{perm[i]} | {rng.randrange(extra) for _ in range(rng.randint(1, 3))}
+             for i in range(extra)]
+    rows = chain(length).rows() + tuple({length + v for v in row} for row in block)
+    return StructurePattern.from_rows(rows, length + extra)
+
+
+def reference_at_any_depth(p):
+    """``reference_matching`` with room for its recursion, whatever the current limit."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, p.num_equations + 1000))
+    try:
+        return reference_matching(p)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
 @pytest.fixture(params=[None, 200], ids=["default-limit", "limit-200"])
 def recursion_limit(request):
     """Run a test under the interpreter's limit or a lowered one, restored afterwards."""
@@ -283,8 +308,48 @@ def web(n, seed):
     return pattern_from_graph(SystemGraph(n, frozenset(edges)))
 
 
+@st.composite
+def multi_phase_cases(draw):
+    """A pattern of 20 to 120 rows and a knockout node, or None.
+
+    Square, wide or tall; each row is empty or holds one to five columns,
+    so the greedy pass leaves free rows that take several phases. Only square
+    patterns draw a knockout.
+    """
+    m = draw(st.integers(min_value=20, max_value=120))
+    shape = draw(st.sampled_from(["square", "wide", "tall"]))
+    if shape == "square":
+        n = m
+    elif shape == "wide":
+        n = draw(st.integers(m + 1, 2 * m))
+    else:
+        n = draw(st.integers(m // 2, m - 1))
+    row = st.one_of(st.just(frozenset()),
+                    st.frozensets(st.integers(0, n - 1), min_size=1, max_size=5))
+    p = StructurePattern.from_rows(draw(st.lists(row, min_size=m, max_size=m)), n)
+    k = draw(st.none() | st.integers(0, n - 1)) if shape == "square" else None
+    return p, k
+
+
 class TestWitnessIdentity:
     """The iterative kernel returns the witness of the recursive reference."""
+
+    @given(multi_phase_cases())
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example((benchmark_chain(250, seed=1), None))
+    @example((benchmark_chain(250, seed=1), 260))
+    @example((web(60, seed=5), None))
+    @example((web(60, seed=5), 31))
+    @example((web(150, seed=6), None))
+    @example((web(150, seed=6), 75))
+    def test_multi_phase_matchings_equal_reference(self, recursion_limit, case):
+        p, k = case
+        if k is None:
+            assert _hopcroft_karp(p.rows(), p.num_variables) == reference_at_any_depth(p)
+        else:
+            assert _hopcroft_karp(p.rows(), p.num_variables, k) == \
+                reference_at_any_depth(knockout(p, k))
 
     @given(patterns(max_eq=12, max_var=12))
     @settings(max_examples=60)

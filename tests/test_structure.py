@@ -56,6 +56,22 @@ class TestStructurePattern:
         p = StructurePattern.from_rows([set(), {0}], num_variables=2)
         assert p.row(0) == ()
 
+    @pytest.mark.parametrize("e", [-1, -3, 2, 3])
+    def test_row_outside_the_equations_is_refused(self, e):
+        # -1 once returned the last row, and 2 raised "tuple index out of range".
+        p = StructurePattern.from_rows([{0}, {1}])
+        with pytest.raises(IndexError, match=rf"^equation {e} outside \[0,2\)$"):
+            p.row(e)
+
+    @pytest.mark.parametrize("e", [True, False, np.True_, 1.0, "1"])
+    def test_row_of_a_non_integer_is_refused(self, e):
+        # True once returned row 1.
+        with pytest.raises(TypeError, match="equation index must be an integer"):
+            StructurePattern.from_rows([{0}, {1}]).row(e)
+
+    def test_row_of_a_numpy_integer(self):
+        assert StructurePattern.from_rows([{0}, {1, 2}]).row(np.int64(1)) == (1, 2)
+
     def test_from_rows_infers_width(self):
         p = StructurePattern.from_rows([{0, 4}])
         assert p.num_variables == 5
