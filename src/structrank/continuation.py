@@ -39,12 +39,18 @@ DEFAULT_RESIDUAL_TOL = 1e-8
 CORRECTOR_INTERIOR_TOL = 1e-10
 MAX_CORRECTOR_ITERATIONS = 25
 MAX_STEP_HALVINGS = 10
+MAX_BACKTRACKS = 12
 DEFAULT_DOMAIN_RADIUS = 10.0
+PERTURBED_ITERATIONS = 50  # solves from a perturbed start, to DEFAULT_RESIDUAL_TOL
+ISOLATED_PROBE_RADIUS = 0.1
+MAX_HUNT_CORRECTIONS = 400
+PERTURBATION_RESTARTS = 20  # starts drawn within RESTART_SCALE of p in each coordinate
+RESTART_SCALE = 0.5
 
 
-def _check_step(step):
-    if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be finite and positive, got {step!r}")
+def _check_positive(name, value):
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _norm(v):
@@ -90,7 +96,7 @@ def local_dimension(system: StructuredPolySystem, p, tol: RankTolerance = RankTo
     return LocalDimension(dimension=system.num_variables - rank, rank=rank, kernel=kernel)
 
 
-def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtracks=12):
+def _gauss_newton(system, x0, target, residual_tol, max_iterations):
     """Least-squares descent of ||F(x) - target|| from x0.
 
     Uses minimum-norm Gauss-Newton steps (pseudoinverse), which handle
@@ -98,8 +104,8 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
     backtracks. One ``jacobian`` call per point gives its residual vector
     (its norm decides acceptance, and it is the next step's right-hand
     side) and the next step's matrix; x0 may be passed as its evaluation
-    instead. A zero step ends the descent, as every backtrack trial would
-    be x itself.
+    instead. A zero step, or a halved one that leaves x + t*step at x, ends
+    the descent, as every further backtrack trial would be x itself.
     Returns (evaluation of the last accepted point, or None if x0 cannot be
     evaluated; iterations; converged; residual).
     Accepted steps lower the residual strictly, so that point is the best
@@ -122,13 +128,15 @@ def _gauss_newton(system, x0, target, residual_tol, max_iterations, max_backtrac
         step, *_ = np.linalg.lstsq(jac.matrix, -r, rcond=None)
         if not step.any():
             break
-        t = 1.0
-        for _ in range(max_backtracks):
-            trial, trial_r, trial_rn = evaluation(jac.point + t * step)
+        x, t = jac.point, 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial, trial_r, trial_rn = evaluation(x + t * step)
             if trial_rn < rn:
                 break
             t *= 0.5
-        else:
+            if (x + t * step == x).all():
+                break
+        if not trial_rn < rn:
             break
         jac, r, rn = trial, trial_r, trial_rn
     return jac, iterations, rn <= residual_tol, rn
@@ -214,8 +222,8 @@ class SolutionBranch:
 
 
 def _trace_direction(system, start, direction, start_tangent, target, rank0, step, budget,
-                     tol, residual_tol, radius, closure_base):
-    """Walk one kernel direction (+1 or -1). Returns (points, events, closed)."""
+                     tol, radius):
+    """Walk direction +1 (which may close up) or -1 from p. Returns (points, events, closed)."""
     points, events = [], []
     x, tangent = start, start_tangent
     h = step
@@ -227,7 +235,7 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
             jac, iters, ok, rn = _gauss_newton(
                 system, predicted, target, CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS
             )
-            if ok and rn <= residual_tol:
+            if ok:
                 advance = _norm(jac.point - x)
                 if advance <= step:
                     break
@@ -269,8 +277,8 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
         traveled += advance
         x, tangent = cx, new_tangent
         h = min(step, 2.0 * h)
-        if (closure_base is not None and traveled >= 4.0 * step
-                and _norm(cx - closure_base) < 0.5 * step):
+        if (direction > 0 and traveled >= 4.0 * step
+                and _norm(cx - start) < 0.5 * step):
             events.append(BranchEvent(
                 kind="closed",
                 direction=direction,
@@ -293,7 +301,6 @@ def trace_curve(
     step: float = 0.05,
     max_points: int = 400,
     tol: RankTolerance = RankTolerance(),
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     domain_radius: float = DEFAULT_DOMAIN_RADIUS,
 ) -> SolutionBranch:
     """Trace the solution curve through p in both kernel directions.
@@ -304,7 +311,8 @@ def trace_curve(
     satisfies the residual bound, lies within ``step`` of its predecessor,
     and has the same numeric rank as p.
     """
-    _check_step(step)
+    _check_positive("step", step)
+    _check_positive("domain_radius", domain_radius)
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
     p = np.asarray(p, dtype=np.float64)
@@ -322,16 +330,14 @@ def trace_curve(
         tangent=tangent0, step_size=0.0, corrector_iterations=0,
     )
     forward, events, closed = _trace_direction(
-        system, p, +1, tangent0, target, rank0, step, max_points - 1,
-        tol, residual_tol, domain_radius, closure_base=p,
+        system, p, +1, tangent0, target, rank0, step, max_points - 1, tol, domain_radius,
     )
     backward = []
     if not closed:
         budget = max_points - 1 - len(forward)
         if budget > 0:
             backward, b_events, _ = _trace_direction(
-                system, p, -1, -tangent0, target, rank0, step, budget,
-                tol, residual_tol, domain_radius, closure_base=None,
+                system, p, -1, -tangent0, target, rank0, step, budget, tol, domain_radius,
             )
             events += b_events
         else:
@@ -347,7 +353,7 @@ def trace_curve(
         points=points,
         events=tuple(events),
         closed=closed,
-        residual_tol=residual_tol,
+        residual_tol=DEFAULT_RESIDUAL_TOL,
         max_step=step,
     )
 
@@ -394,8 +400,7 @@ def _sigma_significant(sigma, rank0):
     return float(sigma[rank0 - 1])
 
 
-def _hunt_rank_drop(system, start, target, rank0, step, tol, radius, rng,
-                    max_corrections=400):
+def _hunt_rank_drop(system, start, target, rank0, step, tol, radius, rng):
     """Greedy descent of the rank0-th singular value along the solution set.
 
     The walk itself almost never lands on the measure-zero locus where the
@@ -411,7 +416,7 @@ def _hunt_rank_drop(system, start, target, rank0, step, tol, radius, rng,
         return x, rank, current
     h = step
     corrections = 0
-    while h > 1e-15 and corrections < max_corrections:
+    while h > 1e-15 and corrections < MAX_HUNT_CORRECTIONS:
         dim = kernel.shape[0]
         candidates = list(kernel) + [rng.standard_normal(dim) @ kernel for _ in range(2)]
         improved = False
@@ -450,9 +455,7 @@ def manifold_probe(
     tol: RankTolerance = RankTolerance(),
     step: float = 0.2,
     seed: int = 0,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     domain_radius: float = DEFAULT_DOMAIN_RADIUS,
-    probe_radius: float = 0.1,
 ) -> ManifoldProbeReport:
     """Sample the solution set through p and look for rank drops.
 
@@ -464,7 +467,8 @@ def manifold_probe(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_step(step)
+    _check_positive("step", step)
+    _check_positive("domain_radius", domain_radius)
     p = np.asarray(p, dtype=np.float64)
     jac0 = _evaluate_start(system, p)
     target = jac0.residual_target
@@ -475,17 +479,14 @@ def manifold_probe(
     if dim == 0:
         returned = 0
         failures = 0
-        return_tol = max(1e-6, 10.0 * residual_tol)
         for _ in range(samples):
             eta = rng.standard_normal(p.size)
             eta /= _norm(eta)
-            jac, _, ok, _ = _gauss_newton(
-                system, p + probe_radius * eta, target,
-                residual_tol, 2 * MAX_CORRECTOR_ITERATIONS,
-            )
+            jac, _, ok, _ = _gauss_newton(system, p + ISOLATED_PROBE_RADIUS * eta, target,
+                                          DEFAULT_RESIDUAL_TOL, PERTURBED_ITERATIONS)
             if not ok:
                 failures += 1
-            elif _norm(jac.point - p) <= return_tol:
+            elif _norm(jac.point - p) <= 1e-6:
                 returned += 1
         return ManifoldProbeReport(
             base_point=p, rank=rank0, dimension=0,
@@ -515,10 +516,10 @@ def manifold_probe(
         moved = False
         for sign in (1.0, -1.0):
             trial = x + sign * step * direction
-            jac, _, ok, rn = _gauss_newton(
+            jac, _, ok, _ = _gauss_newton(
                 system, trial, target, CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS
             )
-            if ok and rn <= residual_tol and np.abs(jac.point).max() <= domain_radius:
+            if ok and np.abs(jac.point).max() <= domain_radius:
                 moved = True
                 break
         if not moved:
@@ -581,10 +582,6 @@ def perturbation_probe(
     system: StructuredPolySystem,
     p,
     delta,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    max_newton: int = 50,
-    restarts: int = 20,
-    restart_scale: float = 0.5,
     seed: int = 0,
 ) -> PerturbationProbe:
     """Attempt to solve the perturbed system F(x) = F(p) + delta.
@@ -600,17 +597,20 @@ def perturbation_probe(
         raise ValueError(
             f"delta must perturb the {system.num_equations} right-hand sides, got {delta.shape}"
         )
+    if not np.isfinite(delta).all():
+        raise ValueError(f"delta must be finite, got {[float(v) for v in delta]}")
     at_p = _evaluate_start(system, p)
     target = at_p.residual_target + delta
     rng = seeded_rng(seed)
     starts = [at_p] + [
-        p + rng.uniform(-restart_scale, restart_scale, p.size) for _ in range(restarts)
+        p + rng.uniform(-RESTART_SCALE, RESTART_SCALE, p.size) for _ in range(PERTURBATION_RESTARTS)
     ]
     best_rn = np.inf
     tried = 0
     for x0 in starts:
         tried += 1
-        jac, _, ok, rn = _gauss_newton(system, x0, target, residual_tol, max_newton)
+        jac, _, ok, rn = _gauss_newton(system, x0, target,
+                                       DEFAULT_RESIDUAL_TOL, PERTURBED_ITERATIONS)
         if ok:
             return PerturbationProbe(
                 delta=delta, solved=True, solution=jac.point,

@@ -1,3 +1,6 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +164,14 @@ class TestTraceCurve:
         with pytest.raises(ValueError, match="max_points"):
             trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], max_points=0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_domain_radius_rejected(self, radius):
+        # A nan box is never left and a box of radius <= 0 holds no point
+        # but p, so either would end the trace on a made-up event.
+        with pytest.raises(ValueError, match="domain_radius"):
+            trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], max_points=20,
+                        domain_radius=radius)
+
 
 class TestManifoldProbe:
     def test_parabola_rank_constant(self):
@@ -203,6 +214,14 @@ class TestManifoldProbe:
         with pytest.raises(ValueError, match="step"):
             manifold_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], step=step)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_domain_radius_rejected(self, radius):
+        # With a nan radius every corrected sample failed the box test and
+        # was counted as a corrector failure.
+        with pytest.raises(ValueError, match="domain_radius"):
+            manifold_probe(get_dataset("xy").system, [1.0, 1.0], samples=5,
+                           domain_radius=radius)
+
     def test_surface_walk_on_arm_linkage(self):
         sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=2)
         p = np.array([0.3, -0.1, 0.4, 0.2, -0.3, 0.5])
@@ -244,11 +263,31 @@ class TestEvaluationReuse:
 
     def test_zero_corrector_step(self, calls):
         # DF(0, 0) of x1*x2 is zero while F misses the target, so the
-        # least-squares step is zero and no backtrack trial can move.
-        probe = perturbation_probe(get_dataset("xy").system, [0.0, 0.0], [1.0], restarts=0)
-        assert not probe.solved
+        # least-squares step from the origin is zero and no backtrack trial
+        # can move; the first jittered restart solves.
+        probe = perturbation_probe(get_dataset("xy").system, [0.0, 0.0], [1.0])
+        assert probe.starts_tried == 2
+        assert probe.solved
         assert calls["evaluate"] == 0
-        assert len(calls["jacobian"]) == len(set(calls["jacobian"]))
+        assert len(set(calls["jacobian"])) == len(calls["jacobian"]) == 9
+
+    def test_backtracking_ends_once_the_trial_is_x(self, calls, monkeypatch):
+        # Descents to the fragile quartic's residual floor end on steps so
+        # short that a halved one leaves x where it is; every shorter trial
+        # would evaluate x again (21 times in this probe).
+        descents = []
+        gauss_newton = continuation._gauss_newton
+
+        def spied(system, x0, *args):
+            first = len(calls["jacobian"])
+            jac, *rest = gauss_newton(system, x0, *args)
+            descents.append((calls["jacobian"][first:], jac.point.tobytes()))
+            return (jac, *rest)
+
+        monkeypatch.setattr(continuation, "_gauss_newton", spied)
+        probe = perturbation_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], [0.0, 0.1, 0.0])
+        assert (probe.solved, probe.starts_tried, len(descents)) == (False, 21, 21)
+        assert [points.count(last) for points, last in descents if points.count(last) > 1] == []
 
     def test_no_rank_drop_hunt_at_base_rank_zero(self, calls):
         # No rank lies below the base rank 0 of x1*x2 at the origin, so the
@@ -343,3 +382,35 @@ class TestPerturbationProbe:
     def test_delta_shape_validated(self):
         with pytest.raises(ValueError):
             perturbation_probe(get_dataset("xy").system, [1.0, 1.0], [0.1, 0.2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, bad):
+        # No start reaches a non-finite target, so "not solved" would be a
+        # fragility verdict with no evidence behind it.
+        with pytest.raises(ValueError, match="delta must be finite"):
+            perturbation_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], [bad, 0.0, 0.0])
+
+
+class TestSignatures:
+    """The continuation functions take the settings the README lists, and no others.
+
+    An option that no caller sets and the library does not check is a path
+    that nothing tests, so adding one takes a change here too.
+    """
+
+    SIGNATURES = [
+        "local_dimension(system, p, tol)",
+        "trace_curve(system, p, step, max_points, tol, domain_radius)",
+        "manifold_probe(system, p, samples, tol, step, seed, domain_radius)",
+        "perturbation_probe(system, p, delta, seed)",
+    ]
+
+    @pytest.mark.parametrize("listed", SIGNATURES)
+    def test_parameters(self, listed):
+        name, _, params = listed.partition("(")
+        parameters = inspect.signature(getattr(continuation, name)).parameters
+        assert list(parameters) == params.rstrip(")").split(", ")
+
+    def test_readme_lists_them(self):
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        assert [listed for listed in self.SIGNATURES if f"`{listed}`" not in readme] == []
