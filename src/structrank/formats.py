@@ -101,8 +101,10 @@ def structure_from_json_dict(data, path=None):
     self_loops = data.get("self_loops", False)
     _expect(isinstance(self_loops, bool), "'self_loops' must be a boolean", path, "self_loops")
 
+    derived_vars = data.get("derived_vars", [])
+    _expect(isinstance(derived_vars, list), "'derived_vars' must be a list", path, "derived_vars")
     derived_specs = []
-    for i, dv in enumerate(data.get("derived_vars", [])):
+    for i, dv in enumerate(derived_vars):
         where = f"derived_vars[{i}]"
         _expect(isinstance(dv, dict), "derived variable must be an object", path, where)
         _check_keys(dv, {"name", "coeffs"}, path, where)
@@ -138,7 +140,9 @@ def structure_from_json_dict(data, path=None):
                     path, f"{where}.vars[{j}]")
             _expect(1 <= v <= n, f"variable index {v} outside 1..{n}", path, f"{where}.vars[{j}]")
             dep.add(v - 1)
-        for j, name in enumerate(eq.get("derived", [])):
+        derived = eq.get("derived", [])
+        _expect(isinstance(derived, list), "'derived' must be a list", path, where)
+        for j, name in enumerate(derived):
             _expect(isinstance(name, str), "derived reference must be a name", path, f"{where}.derived[{j}]")
             _expect(name in declared, f"undeclared derived variable {name!r}", path, f"{where}.derived[{j}]")
             dep.add(name)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, _draw, check_degree, member_plan, seeded_streams, stacked_jacobians,
+    StructuredPolySystem, check_degree, draw_members, member_plan, seeded_streams,
+    stacked_jacobians,
 )
 from .structural import structural_rank
 from .structure import GeneralizedStructure, StructurePattern
@@ -177,19 +178,16 @@ def _member_jacobians(structure, degree, distribution):
     """Trial draw: Jacobians of random members at points uniform on [-1, 1]^N.
 
     Each generator draws its member's coefficients as ``sample_system`` does,
-    then its point. Returns the draw and the entries one trial occupies.
+    then its point, into one row of the chunk (``draw_members``). Returns
+    the draw and the entries one trial occupies.
     """
     check_degree(degree)
     plan = member_plan(structure, degree)
-    n = structure.num_variables
+    k = plan.num_coefficients
 
     def draw(rngs, count):
-        coefficients = np.empty((count, plan.num_coefficients))
-        points = np.empty((count, n))
-        for t, rng in enumerate(rngs):
-            coefficients[t] = _draw(rng, distribution, plan.num_coefficients)
-            points[t] = rng.uniform(-1.0, 1.0, n)
-        return stacked_jacobians(plan, coefficients, points)
+        draws = draw_members(rngs, count, k, distribution, structure.num_variables)
+        return stacked_jacobians(plan, draws[:, :k], draws[:, k:])
     return draw, plan.entries
 
 
@@ -270,15 +268,18 @@ def matrix_space_rank(
     shape = mats[0].shape
     if any(m.shape != shape for m in mats) or len(shape) != 2:
         raise ValueError("basis matrices must share one 2-D shape")
-    # One (1, count) x (count, entries) product per trial: the BLAS call
-    # np.tensordot makes, without its reshaping around it.
     flat = np.stack(mats).reshape(len(mats), -1)
+
+    def draw(rngs, count):
+        # One (1, count) x (count, entries) product per trial, the BLAS call
+        # np.tensordot makes, written straight into the chunk's stack.
+        coefficients = draw_members(rngs, count, len(mats), "uniform")[:, np.newaxis, :]
+        stack = np.empty((count, 1, flat.shape[1]))
+        for c, out in zip(coefficients, stack):
+            np.dot(c, flat, out=out)
+        return stack.reshape((count,) + shape)
     return _run_trials(
-        lambda rngs, count: np.stack([
-            np.dot(rng.uniform(-1.0, 1.0, len(mats))[np.newaxis, :], flat).reshape(shape)
-            for rng in rngs
-        ]),
-        flat.shape[1], trials, seed, tol,
+        draw, flat.shape[1], trials, seed, tol,
         distribution="uniform", point_domain="coefficients uniform[-1,1]",
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -606,16 +606,43 @@ def system_from_terms(
                     f"equation {e + 1}: exponent vector {exps} is not a monomial "
                     f"of degree <= {degree} over its {len(symbols)} symbols"
                 )
-            flat[start + index[exps]] = float(c)
+            # A partial derivative's coefficient is c times an exponent;
+            # PolyEquation refuses a c that is not finite itself.
+            c, top = float(c), max(exps, default=0)
+            if isfinite(c) and not isfinite(c * top):
+                raise ParseError(f"equation {e + 1}: coefficient {c!r} of exponent vector "
+                                 f"{exps} times its exponent {top} is not finite")
+            flat[start + index[exps]] = c
     return _member(structure, degree, flat, seed, distribution)
 
 
-def _draw(rng, distribution, size):
+def draw_members(rngs, count, num_coefficients, distribution, num_points=0):
+    """Draws (count, K + P): each stream's K coefficients, then its P point coordinates.
+
+    Coefficients are uniform on [-1, 1) or standard normal; point
+    coordinates are uniform on [-1, 1). The streams ``rngs`` give one row
+    each, in order. A row takes one generator call, or for normal
+    coefficients two, drawing in the order of ``uniform(-1, 1, K)`` (or
+    ``standard_normal(K)``) then ``uniform(-1, 1, P)``. The uniform block
+    holds u in [0, 1) until one pass over all rows maps it to 2u - 1:
+    doubling is exact and -1 + 2u is rounded once either way, so every
+    value is the one ``Generator.uniform(-1.0, 1.0)`` returns, bit for bit.
+    """
+    if distribution not in ("uniform", "normal"):
+        raise ValueError(f"distribution must be 'uniform' or 'normal', got {distribution!r}")
+    draws = np.empty((count, num_coefficients + num_points))
     if distribution == "uniform":
-        return rng.uniform(-1.0, 1.0, size)
-    if distribution == "normal":
-        return rng.standard_normal(size)
-    raise ValueError(f"distribution must be 'uniform' or 'normal', got {distribution!r}")
+        for row, rng in zip(draws, rngs):
+            rng.random(out=row)
+        uniform = draws
+    else:
+        uniform = draws[:, num_coefficients:]
+        for row, points, rng in zip(draws, uniform, rngs):
+            rng.standard_normal(out=row[:num_coefficients])
+            rng.random(out=points)
+    uniform *= 2.0
+    uniform -= 1.0
+    return draws
 
 
 def check_degree(degree, allow_constant=False):
@@ -646,7 +673,8 @@ def sample_system(
     platform independent.
     """
     check_degree(degree, allow_constant)
-    flat = _draw(seeded_rng(seed), distribution, member_plan(structure, degree).num_coefficients)
+    plan = member_plan(structure, degree)
+    flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
     return _member(structure, degree, flat, seed, distribution)
 
 

@@ -51,27 +51,37 @@ class StructurePattern:
     @classmethod
     def from_rows(cls, rows, num_variables=None):
         """Build from per-equation variable sets, e.g. ``[{2}, {2}, {0,1,2}]``."""
-        rows = [set(r) for r in rows]
+        rows = tuple([tuple(sorted(set(r))) for r in rows])
+        nonempty = [r for r in rows if r]
+        highest = max([r[-1] for r in nonempty], default=-1)
         if num_variables is None:
-            num_variables = max(max((max(r) for r in rows if r), default=-1) + 1, 1)
+            num_variables = max(highest + 1, 1)
+        if min([r[0] for r in nonempty], default=0) < 0 or highest >= num_variables:
+            rows = dict(enumerate(rows))  # checked row by row, naming the first bad entry
         pattern = cls.__new__(cls)
-        pattern._store(len(rows), num_variables, dict(enumerate(rows)))
+        pattern._store(len(rows), num_variables, rows)
         return pattern
 
-    def _store(self, m, n, by_row):
-        """Check the variable sets of ``by_row`` (keyed by equation) and keep them as rows."""
+    def _store(self, m, n, rows):
+        """Check the size and keep the rows of an M x N pattern.
+
+        ``rows`` holds sorted in-range variable tuples, one per equation, or
+        a dict of variable sets keyed by equation, whose entries are checked.
+        """
         if m < 1 or n < 1:
             raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
-        rows = [()] * m
-        for e, variables in by_row.items():
-            row = tuple(sorted(variables))
-            if row and not (0 <= e < m and 0 <= row[0] and row[-1] < n):
-                v = row[0] if row[0] < 0 else row[-1]
-                raise StructureError(f"allowed entry ({e},{v}) outside {m}x{n} pattern")
-            rows[e] = row
+        if isinstance(rows, dict):
+            by_row, rows = rows, [()] * m
+            for e, variables in by_row.items():
+                row = tuple(sorted(variables))
+                if row and not (0 <= e < m and 0 <= row[0] and row[-1] < n):
+                    v = row[0] if row[0] < 0 else row[-1]
+                    raise StructureError(f"allowed entry ({e},{v}) outside {m}x{n} pattern")
+                rows[e] = row
+            rows = tuple(rows)
         object.__setattr__(self, "num_equations", m)
         object.__setattr__(self, "num_variables", n)
-        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_rows", rows)
 
     @property
     def allowed(self):

@@ -288,6 +288,35 @@ class TestErrorHandling:
         assert main(["show", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {where}: {message}\n"
 
+    @pytest.mark.parametrize("data, message", [
+        ({"variables": 3, "equations": [{"name": "f1", "vars": [1], "derived": 1}]},
+         "equations[0]: 'derived' must be a list"),
+        ({"variables": 3, "equations": [{"name": "f1", "vars": [1]}], "derived_vars": 0.5},
+         "derived_vars: 'derived_vars' must be a list"),
+    ], ids=["derived", "derived_vars"])
+    def test_derived_field_that_is_not_a_list_is_input_error(self, data, message, tmp_path,
+                                                             capsys):
+        # Both once ended in "internal error: TypeError" with exit 1.
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert main(["rank", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_coefficient_whose_partial_overflows_is_input_error(self, tmp_path, capsys):
+        # 1e308 on x4^2 makes the partial coefficient 2e308: once a numpy
+        # RuntimeWarning at system construction, then exit 1.
+        data = json.loads(Path(SYSTEM).read_text())
+        data["equations"][0]["0,0,0,2"] = 1e308
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["probe", str(path), "--from", "1,1,1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: equation 1: coefficient 1e+308 of exponent "
+                                "vector (0, 0, 0, 2) times its exponent 2 is not finite\n")
+
     def test_basis_that_can_overflow_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "basis.json"
         path.write_text(json.dumps({"basis": [[[1e308, 1e308]], [[1e308, 1e308]]]}))

@@ -102,6 +102,27 @@ class TestJsonStructureFiles:
         with pytest.raises(ParseError, match="undeclared"):
             parse_structure(path)
 
+    # Each once raised an internal TypeError, or, as a string, was read as a
+    # list of one-character names.
+    @pytest.mark.parametrize("value", [1, None, False, 0.5, "z", {"z": 1}],
+                             ids=["int", "null", "false", "float", "string", "object"])
+    def test_derived_that_is_not_a_list(self, tmp_path, value):
+        data = {"variables": 3, "equations": [{"name": "f1", "vars": [1], "derived": value}],
+                "derived_vars": [{"name": "z", "coeffs": {"1": 1.0}}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=r"^.*: equations\[0\]: 'derived' must be a list$"):
+            parse_structure(path)
+
+    @pytest.mark.parametrize("value", [0.5, 1, None, True, "z", {"name": "z"}],
+                             ids=["float", "int", "null", "true", "string", "object"])
+    def test_derived_vars_that_is_not_a_list(self, tmp_path, value):
+        data = {"variables": 3, "equations": [{"name": "f1", "vars": [1]}], "derived_vars": value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=r"^.*: derived_vars: 'derived_vars' must be a list$"):
+            parse_structure(path)
+
     @pytest.mark.parametrize("weight", ["1e400", "-1e400", "Infinity", "NaN", "1" + "0" * 400],
                              ids=["1e400", "-1e400", "Infinity", "NaN", "400-digit-int"])
     def test_non_finite_derived_coefficient_rejected(self, tmp_path, weight):

@@ -311,6 +311,80 @@ class TestStackedTrials:
             assert sum(shape[0] for shape in shapes) == 40
 
 
+_BASIS = [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+          [[0.5, -1.0, 3.0], [0.0, 7.0, -2.0]]]
+
+
+class _CountedGenerator:
+    """A generator whose method calls are logged by name."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestOneCallPerTrial:
+    """Trials draw straight into the chunk, one generator call each (two for normal members)."""
+
+    @staticmethod
+    def _counted_streams(monkeypatch, calls):
+        def counted(seed, start, stop):
+            return (_CountedGenerator(rng, calls) for rng in seeded_streams(seed, start, stop))
+        monkeypatch.setattr(numrank, "seeded_streams", counted)
+
+    @pytest.mark.parametrize("run, per_trial", [
+        (lambda: certify_acr(get_dataset("sole26").structure, trials=40, seed=3), ["random"]),
+        (lambda: generic_rank_randomized(get_dataset("example5").structure, trials=40, degree=3,
+                                         seed=3, distribution="normal"),
+         ["standard_normal", "random"]),
+        (lambda: matrix_space_rank(_BASIS, trials=40, seed=3), ["random"]),
+    ], ids=["certify-uniform", "generic-rank-normal", "matrix-space"])
+    def test_generator_calls_per_trial(self, run, per_trial, monkeypatch):
+        expected = run()
+        calls = []
+        self._counted_streams(monkeypatch, calls)
+        assert run() == expected
+        assert calls == per_trial * 40
+
+    def test_unknown_distribution_refused_before_any_trial(self, monkeypatch):
+        calls, chunks = [], []
+        self._counted_streams(monkeypatch, calls)
+        monkeypatch.setattr(numrank, "_singular_values", chunks.append)
+        with pytest.raises(ValueError, match="^distribution must be 'uniform' or 'normal', "
+                                             "got 'cauchy'$"):
+            generic_rank_randomized(get_dataset("cep3").structure, trials=5,
+                                    distribution="cauchy")
+        assert calls == [] and chunks == []
+
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
+    def test_matrix_space_trials_bit_exact(self, per_chunk, monkeypatch):
+        flat = np.array(_BASIS).reshape(len(_BASIS), -1)
+        chunks = []
+        singular_values = numrank._singular_values
+
+        def spy(stack):
+            chunks.append(stack.copy())
+            return singular_values(stack)
+
+        monkeypatch.setattr(numrank, "_singular_values", spy)
+        if per_chunk is not None:
+            monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * flat.shape[1] * per_chunk)
+        matrix_space_rank(_BASIS, trials=40, seed=9)
+        assert len(chunks) == (1 if per_chunk is None else math.ceil(40 / per_chunk))
+        # The per-trial reference: a fresh generator for each trial's stream.
+        for i, matrix in enumerate(np.concatenate(chunks)):
+            rng = reference_stream(9, i)
+            expected = np.dot(rng.uniform(-1.0, 1.0, len(_BASIS))[np.newaxis, :], flat)
+            assert matrix.tobytes() == expected.reshape(2, 3).tobytes()
+
+
 class TestRankMaximizerSweep:
     def test_zero_plus_scaled_maximizer(self):
         p = get_dataset("robust4").structure

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -152,6 +153,40 @@ class TestSeededStreams:
             drawn = [_draws(rng) for rng in seeded_streams(seed, first, middle)]
             drawn += [_draws(rng) for rng in seeded_streams(seed, middle, stop)]
         assert drawn == [_draws(reference_stream(seed, i)) for i in range(first, stop)]
+
+
+class TestDrawMembers:
+    """One generator call per row (two for normal coefficients) against the documented draws."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70) | st.lists(st.integers(0, 2**40), max_size=3),
+        start=st.integers(0, 2**33),
+        count=st.integers(0, 5),
+        num_coefficients=st.integers(0, 40),
+        num_points=st.integers(0, 12),
+        distribution=st.sampled_from(["uniform", "normal"]),
+    )
+    def test_rows_equal_per_call_draws(self, seed, start, count, num_coefficients, num_points,
+                                       distribution):
+        draws = polysys.draw_members(seeded_streams(seed, start, start + count), count,
+                                     num_coefficients, distribution, num_points)
+        assert draws.shape == (count, num_coefficients + num_points)
+        for i, row in enumerate(draws):
+            rng = reference_stream(seed, start + i)
+            if distribution == "uniform":
+                coefficients = rng.uniform(-1.0, 1.0, num_coefficients)
+            else:
+                coefficients = rng.standard_normal(num_coefficients)
+            points = rng.uniform(-1.0, 1.0, num_points)
+            assert row.tobytes() == coefficients.tobytes() + points.tobytes()
+
+    def test_unknown_distribution_draws_nothing(self):
+        rng = seeded_rng(0)
+        with pytest.raises(ValueError, match="^distribution must be 'uniform' or 'normal', "
+                                             "got 'cauchy'$"):
+            polysys.draw_members([rng], 1, 3, "cauchy")
+        assert rng.uniform(-1.0, 1.0, 2).tolist() == seeded_rng(0).uniform(-1.0, 1.0, 2).tolist()
 
 
 class TestEvaluate:
@@ -546,6 +581,21 @@ class TestSerialization:
         p = get_dataset("xy").structure
         with pytest.raises(StructureError, match="monomial"):
             system_from_terms(p, 1, [{(1, 1): 1.0}])
+
+    @pytest.mark.parametrize("coefficient", [1e308, -1e308, 9e307])
+    def test_coefficient_whose_partial_overflows_rejected(self, coefficient):
+        p = get_dataset("xy").structure
+        spelled = re.escape(repr(coefficient))
+        with pytest.raises(ParseError, match=(
+                rf"^equation 1: coefficient {spelled} of exponent vector \(0, 2\) "
+                r"times its exponent 2 is not finite$")):
+            system_from_terms(p, 2, [{(1, 0): 1.0, (0, 2): coefficient}])
+
+    def test_largest_coefficient_with_a_finite_partial_accepted(self):
+        p = get_dataset("xy").structure
+        big = np.finfo(np.float64).max
+        sys = system_from_terms(p, 2, [{(1, 0): big, (0, 2): big / 2}])
+        assert sys.jacobian([0.0, 0.5]).matrix.tolist() == [[big, big / 2]]
 
     def test_equation_degree_must_match_system(self):
         p = get_dataset("cep3").structure

@@ -48,6 +48,32 @@ class TestStructurePattern:
         with pytest.raises(StructureError, match=r"allowed entry \(0,2\) outside 2x2 pattern"):
             StructurePattern.from_rows([{0, 2}, set()], 2)
 
+    @pytest.mark.parametrize("rows, n, message", [
+        # The size is checked before any entry.
+        ([], 2, "pattern must have M >= 1 and N >= 1, got 0x2"),
+        ([{-1}], 0, "pattern must have M >= 1 and N >= 1, got 1x0"),
+        # A negative index is named before a large one in its row.
+        ([{0}, {-2, 5, -1}], 2, r"allowed entry \(1,-2\) outside 2x2 pattern"),
+        ([{0}, {1, 2, 3}], 2, r"allowed entry \(1,3\) outside 2x2 pattern"),
+        # The first bad row is named, whatever the later rows hold.
+        ([{1}, {4}, {-3}], 3, r"allowed entry \(1,4\) outside 3x3 pattern"),
+        ([set(), {-3}, {9}], 3, r"allowed entry \(1,-3\) outside 3x3 pattern"),
+        # An inferred width covers every large index, so only negatives fail.
+        ([{2}, {-1, 0}], None, r"allowed entry \(1,-1\) outside 2x3 pattern"),
+        ([{-5}, set()], None, r"allowed entry \(0,-5\) outside 2x1 pattern"),
+    ])
+    def test_from_rows_error_messages(self, rows, n, message):
+        with pytest.raises(StructureError, match=rf"^{message}$"):
+            StructurePattern.from_rows(rows, n)
+
+    @pytest.mark.parametrize("rows, n", [
+        ([set()], 1), ([set(), set()], 1), ([{0, 0, 3}, [3, 1]], 4), ([(), range(7, 2, -2)], 8),
+    ])
+    def test_from_rows_infers_num_variables(self, rows, n):
+        p = StructurePattern.from_rows(rows)
+        assert p.num_variables == n
+        assert p.rows() == tuple(tuple(sorted(set(r))) for r in rows)
+
     def test_rejects_empty_dimensions(self):
         with pytest.raises(StructureError):
             StructurePattern(0, 3, frozenset())
