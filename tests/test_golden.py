@@ -60,6 +60,16 @@ CASES = {
                            "--delta", "0,0.1,0"],
     "probe-eqcep1-delta-json": ["probe", "--dataset", "eqcep1", "--from", "1,1,1",
                                 "--delta", "0,0.1,0", "-o", "json"],
+    # 13 variables and five derived names: symbol order past x9, names that
+    # sort by code point (Z2 < alpha < b10 < b9 < z), and an empty equation.
+    "show-wide-derived": ["show", "{wide_derived}"],
+    "show-wide-derived-json": ["show", "{wide_derived}", "-o", "json"],
+    "show-wide-derived-dot": ["show", "{wide_derived}", "-o", "dot"],
+    "generic-rank-wide-derived-json": ["generic-rank", "{wide_derived}", "-o", "json"],
+    # The sampled member's coefficients are laid out in symbol order.
+    "probe-wide-derived-json": ["probe", "{wide_derived}", "--from",
+                                ",".join(str(k / 10) for k in range(1, 14)),
+                                "--samples", "3", "-o", "json"],
 }
 
 
@@ -68,7 +78,7 @@ def test_output_matches_golden(case, capsys, monkeypatch):
     monkeypatch.delenv("STRUCTRANK_OUTPUT", raising=False)
     argv = [
         a.format(basis=GOLDEN / "basis.json", system=GOLDEN / "system-example5.json",
-                 empty_row=GOLDEN / "empty-row.json")
+                 empty_row=GOLDEN / "empty-row.json", wide_derived=GOLDEN / "wide-derived.json")
         for a in CASES[case]
     ]
     assert main(argv) == 0
