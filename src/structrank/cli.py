@@ -347,28 +347,19 @@ def _cmd_matrix_space(request):
 
 
 def _cmd_show(request):
-    structure, _ = _input(request, as_pattern=False)
+    structure, _ = _input(request, as_pattern=request.output != "dot")
     if request.output == "dot":
         return to_dot(structure)
-    if isinstance(structure, SystemGraph):
-        structure = pattern_from_graph(structure)
     if request.output == "json":
         return _json_text(structure_to_json_dict(structure))
-    if isinstance(structure, GeneralizedStructure):
-        lines = [f"variables: {structure.num_variables}"]
-        for spec in structure.derived:
-            terms = " + ".join(f"{c:g}*x{i + 1}" for i, c in spec.coefficients)
-            lines.append(f"derived {spec.name} = {terms}")
-        for e, dep in enumerate(structure.dependencies):
-            names = ", ".join(
-                item if isinstance(item, str) else f"x{item + 1}"
-                for item in sorted(dep, key=lambda d: (isinstance(d, str), d))
-            )
-            lines.append(f"f{e + 1}({names})")
-        return "\n".join(lines) + "\n"
-    lines = []
+    # The derived lines refer to x1..xN, so a structure with derived variables names N.
+    lines = [f"variables: {structure.num_variables}"] if structure.derived else []
+    for spec in structure.derived:
+        terms = " + ".join(f"{c:g}*x{i + 1}" for i, c in spec.coefficients)
+        lines.append(f"derived {spec.name} = {terms}")
     for e, row in enumerate(structure.rows()):
-        lines.append(f"f{e + 1}(" + ", ".join(f"x{v + 1}" for v in row) + ")")
+        names = ", ".join(sym if isinstance(sym, str) else f"x{sym + 1}" for sym in row)
+        lines.append(f"f{e + 1}({names})")
     return "\n".join(lines) + "\n"
 
 

@@ -54,9 +54,13 @@ def _check_positive(name, value):
 
 
 def _norm(v):
-    """``float(np.linalg.norm(v))`` of a real vector: sqrt(v . v) on its C-contiguous ravel."""
+    """``float(np.linalg.norm(v))`` of a real vector: sqrt(v . v) on its C-contiguous ravel.
+
+    When v . v overflows, ``math.hypot`` scales v instead, so a finite v keeps a finite norm.
+    """
     v = v.ravel()
-    return math.sqrt(v.dot(v))
+    square = v.dot(v)
+    return math.hypot(*v) if square == math.inf else math.sqrt(square)
 
 
 def _evaluate_start(system, p):
@@ -295,6 +299,7 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
     return points, events, False
 
 
+@np.errstate(over="ignore")
 def trace_curve(
     system: StructuredPolySystem,
     p,
@@ -448,6 +453,7 @@ def _hunt_rank_drop(system, start, target, rank0, step, tol, radius, rng):
     return x, rank, current
 
 
+@np.errstate(over="ignore")
 def manifold_probe(
     system: StructuredPolySystem,
     p,
@@ -578,6 +584,7 @@ class PerturbationProbe:
         }
 
 
+@np.errstate(over="ignore")
 def perturbation_probe(
     system: StructuredPolySystem,
     p,

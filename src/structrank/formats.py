@@ -127,7 +127,6 @@ def structure_from_json_dict(data, path=None):
     declared = {d.name for d in derived_specs}
 
     dependencies = []
-    any_derived = False
     for e, eq in enumerate(equations):
         where = f"equations[{e}]"
         _expect(isinstance(eq, dict), "equation must be an object", path, where)
@@ -146,12 +145,11 @@ def structure_from_json_dict(data, path=None):
             _expect(isinstance(name, str), "derived reference must be a name", path, f"{where}.derived[{j}]")
             _expect(name in declared, f"undeclared derived variable {name!r}", path, f"{where}.derived[{j}]")
             dep.add(name)
-            any_derived = True
         if self_loops and e < n:
             dep.add(e)
         dependencies.append(frozenset(dep))
 
-    if derived_specs or any_derived:
+    if derived_specs:  # an equation can name only a declared derived variable
         return GeneralizedStructure(
             num_variables=n,
             dependencies=tuple(dependencies),
@@ -165,21 +163,19 @@ def structure_to_json_dict(structure):
 
     A pattern is written as a structure with no derived variables.
     """
-    generalized = isinstance(structure, GeneralizedStructure)
-    dependencies = structure.dependencies if generalized else structure.rows()
     return {
         "variables": structure.num_variables,
         "equations": [
             {
                 "name": f"f{e + 1}",
-                "vars": [i + 1 for i in sorted(d for d in dep if isinstance(d, int))],
-                "derived": sorted(d for d in dep if isinstance(d, str)),
+                "vars": [int(sym) + 1 for sym in row if not isinstance(sym, str)],
+                "derived": [sym for sym in row if isinstance(sym, str)],
             }
-            for e, dep in enumerate(dependencies)
+            for e, row in enumerate(structure.rows())
         ],
         "derived_vars": [
             {"name": spec.name, "coeffs": {str(i + 1): c for i, c in spec.coefficients}}
-            for spec in (structure.derived if generalized else ())
+            for spec in structure.derived
         ],
         "self_loops": False,
     }
@@ -380,8 +376,8 @@ def _system_from_json_dict(data, path=None):
     Schema: {"structure": <structure schema>, "degree": D, "equations":
     [{"e1,...,eS": c}], "seed": int or null, "distribution": str}. There is
     one equation object per structure equation; its keys are exponent
-    vectors over the equation's symbols (sorted variables, then derived
-    names), "" for the constant term, and its values finite coefficients.
+    vectors over the equation's symbols in ``structure.rows()`` order, ""
+    for the constant term, and its values finite coefficients.
     """
     # numpy: only for system files
     from .polysys import check_degree, check_plan_size, system_from_terms
@@ -460,10 +456,11 @@ def to_dot(structure) -> str:
             lines.append(f'  d_{spec.name} [shape=diamond, label="{spec.name}"];')
             for i, c in spec.coefficients:
                 lines.append(f'  x{i + 1} -> d_{spec.name} [label="{c:g}"];')
-        for e, dep in enumerate(structure.dependencies):
+        for e, row in enumerate(structure.rows()):
             lines.append(f'  f{e + 1} [shape=box, label="f{e + 1}"];')
-            for item in sorted(dep, key=str):
-                src = f"d_{item}" if isinstance(item, str) else f"x{item + 1}"
+            # In-edges keep the str order of 0-based indices and names: x11 before x2.
+            for sym in sorted(row, key=str):
+                src = f"d_{sym}" if isinstance(sym, str) else f"x{sym + 1}"
                 lines.append(f"  {src} -> f{e + 1};")
     elif structure.is_square():
         return to_dot(graph_from_pattern(structure, include_diagonal=False))

@@ -77,13 +77,13 @@ def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     return tol.rank_of(_singular_values(a))
 
 
 def _singular_values(a):
-    """Descending singular values of a matrix, or of each matrix in a stack."""
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+    """Descending singular values of a finite matrix, or of each matrix in a stack."""
     return np.linalg.svd(a, compute_uv=False)
 
 
@@ -131,15 +131,15 @@ class CertificationReport:
         return d
 
 
-def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_threshold=None,
-                **extra):
+def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
+                pass_threshold=None, **extra):
     """Rank histogram of the drawn matrices over the per-trial streams, as a report.
 
     ``draw(rngs, count)`` takes ``count`` streams, one at a time, and returns
-    one matrix per stream, stacked; ``entries`` bounds the float64 values one
-    trial occupies. The streams are seeded in bulk once for the run; trials
-    run in chunks sized to CHUNK_BYTES, with one SVD call and one rank
-    comparison per chunk.
+    one ``drawn`` matrix per stream, stacked; ``entries`` bounds the float64
+    values one trial occupies. The streams are seeded in bulk once for the
+    run; each chunk of trials, sized to CHUNK_BYTES, is drawn with overflow
+    silent and refused unless finite, then takes one SVD call and one rank comparison.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -150,7 +150,11 @@ def _run_trials(draw, entries, trials, seed, tol, target_rank=None, pass_thresho
         count = min(per_chunk, trials - start)
         # Trial i draws from stream (seed, i), so chunking cannot change a report.
         # The chunk's matrices are freed before the next chunk is drawn.
-        ranks = tol.rank_of(_singular_values(draw(islice(streams, count), count)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = draw(islice(streams, count), count)
+        if not np.isfinite(stack).all():
+            raise ValueError(f"a trial's {drawn} is not finite")
+        ranks = tol.rank_of(_singular_values(stack))
         for r in ranks.tolist():
             histogram[r] = histogram.get(r, 0) + 1
     estimated = max(histogram)
@@ -208,7 +212,7 @@ def generic_rank_randomized(
     if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
         raise TypeError(f"expected a structure, got {type(structure).__name__}")
     return _run_trials(
-        *_member_jacobians(structure, degree, distribution), trials, seed, tol,
+        *_member_jacobians(structure, degree, distribution), trials, seed, tol, drawn="Jacobian",
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
     )
 
@@ -244,7 +248,7 @@ def certify_acr(
             "generic-rank (generic_rank_randomized) for derived-variable systems"
         )
     return _run_trials(
-        *_member_jacobians(pattern, degree, distribution), trials, seed, tol,
+        *_member_jacobians(pattern, degree, distribution), trials, seed, tol, drawn="Jacobian",
         target_rank=structural_rank(pattern), pass_threshold=pass_threshold,
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
     )
@@ -279,7 +283,7 @@ def matrix_space_rank(
             np.dot(c, flat, out=out)
         return stack.reshape((count,) + shape)
     return _run_trials(
-        draw, flat.shape[1], trials, seed, tol,
+        draw, flat.shape[1], trials, seed, tol, drawn="matrix",
         distribution="uniform", point_domain="coefficients uniform[-1,1]",
     )
 

@@ -269,8 +269,8 @@ class _MemberPlan:
     """Evaluation layout of every member of a structured space at one degree.
 
     A member is one flat coefficient vector: the equations' vectors, each
-    aligned with its monomial table, concatenated in equation order;
-    equation e owns ``offsets[e]:offsets[e + 1]``. A point
+    aligned with the monomial table over its row of ``structure.rows()``,
+    concatenated in equation order; equation e owns ``offsets[e]:offsets[e + 1]``. A point
     is extended by the values of the derived variables its equations use,
     whose (support, weights) ``derived`` lists in name order. The kernel
     raises every extended coordinate to the powers 0..degree once; the
@@ -289,7 +289,6 @@ class _MemberPlan:
     factors (widest S times ``num_partial_monomials``).
     """
 
-    symbols: tuple  # per equation: sorted variables, then derived names
     offsets: np.ndarray  # (M + 1,)
     num_variables: int
     powers: np.ndarray  # 0.0..degree
@@ -314,8 +313,7 @@ def plan_entries(structure, degree):
     and G*K value columns in the index. The index has the widest S rows,
     and a stacked trial gathers its partial columns.
     """
-    generalized = isinstance(structure, GeneralizedStructure)
-    widths = list(map(len, structure.dependencies if generalized else structure.rows()))
+    widths = list(map(len, structure.rows()))
     columns = partials = 0
     for s, g in Counter(widths).items():
         k = comb(s + degree, degree) if degree >= 0 else 0
@@ -344,12 +342,8 @@ def member_plan(structure, degree) -> _MemberPlan:
     A structure over a bound of ``check_plan_size`` raises ParseError before anything is built.
     """
     check_plan_size(structure, degree)
-    n = structure.num_variables
-    if isinstance(structure, GeneralizedStructure):
-        rows = tuple(map(structure.equation_symbols, range(structure.num_equations)))
-        specs = structure.derived_by_name
-    else:
-        rows, specs = structure.rows(), {}
+    n, rows = structure.num_variables, structure.rows()
+    specs = {spec.name: spec for spec in structure.derived}
     used = sorted({sym for row in rows for sym in row if isinstance(sym, str)})
     column = {name: n + i for i, name in enumerate(used)}
     derived = tuple(
@@ -395,7 +389,7 @@ def member_plan(structure, degree) -> _MemberPlan:
         for e in members:
             k = 0
             for sym in rows[e]:
-                if isinstance(sym, int):
+                if not isinstance(sym, str):
                     variables[0].append(e * n + sym)
                     variables[1].append(slot)
                 else:
@@ -408,7 +402,6 @@ def member_plan(structure, degree) -> _MemberPlan:
                 slot += 1
     num_coefficients = int(offsets[-1])
     return _MemberPlan(
-        symbols=rows,
         offsets=offsets,
         num_variables=n,
         powers=np.arange(degree + 1, dtype=np.float64),
@@ -447,13 +440,13 @@ def _scatter(plan, partials):
     per-equation evaluation, where every entry is a sum onto zero.
     """
     lead = partials.shape[:-1]
-    J = np.zeros(lead + (len(plan.symbols) * plan.num_variables,))
+    J = np.zeros(lead + (plan.order.size * plan.num_variables,))
     # Indexing the transposes' first axis keeps one member's indexing plain 1-D.
     targets, sources = plan.variables
     J.T[targets] = partials.T[sources] + 0.0
     for targets, sources, weights in plan.chain:
         J.T[targets] += (weights * partials.take(sources, axis=-1)).T
-    return J.reshape(lead + (len(plan.symbols), plan.num_variables))
+    return J.reshape(lead + (plan.order.size, plan.num_variables))
 
 
 def _evaluate(plan, points, dots, values):
@@ -477,7 +470,7 @@ def _evaluate(plan, points, dots, values):
     powers = (points[..., np.newaxis] ** plan.powers).reshape(lead + (-1,))
     factors = plan.factors if values else plan.factors[:, :plan.num_partial_monomials]
     monomials = _monomials(powers, factors)
-    results = np.empty(lead + (plan.num_slots + (len(plan.symbols) if values else 0), 1, 1))
+    results = np.empty(lead + (plan.num_slots + (plan.order.size if values else 0), 1, 1))
     for rows, columns, shape, slots in dots:
         np.matmul(rows, monomials[..., columns].reshape(shape), out=results[..., slots, :, :])
     results = results[..., 0, 0]
@@ -506,7 +499,7 @@ class StructuredPolySystem:
                 f"got {len(self.equations)} polynomials"
             )
         plan = member_plan(self.structure, self.degree)
-        for e, (eq, symbols) in enumerate(zip(self.equations, plan.symbols)):
+        for e, (eq, symbols) in enumerate(zip(self.equations, self.structure.rows())):
             if eq.symbols != symbols:
                 raise StructureError(f"equation {e + 1} does not match its structure row")
             if eq.degree != self.degree:
@@ -577,7 +570,7 @@ def _member(structure, degree, flat, seed=None, distribution="explicit"):
     plan = member_plan(structure, degree)
     equations = tuple(
         PolyEquation(symbols, degree, flat[start:stop])
-        for symbols, start, stop in zip(plan.symbols, plan.offsets[:-1], plan.offsets[1:])
+        for symbols, start, stop in zip(structure.rows(), plan.offsets[:-1], plan.offsets[1:])
     )
     return StructuredPolySystem(structure, degree, equations, seed=seed, distribution=distribution)
 
@@ -587,16 +580,16 @@ def system_from_terms(
 ) -> StructuredPolySystem:
     """Build a system from per-equation {exponent tuple: coefficient} maps.
 
-    Exponent tuples align with each equation's symbol order (sorted variable
-    indices, then derived names).
+    Exponent tuples align with each equation's symbols in ``structure.rows()``:
+    sorted variable indices, then sorted derived names.
     """
     plan = member_plan(structure, degree)
-    if len(terms) != len(plan.symbols):
+    if len(terms) != structure.num_equations:
         raise StructureError(
-            f"structure has {len(plan.symbols)} equations, got {len(terms)} term maps"
+            f"structure has {structure.num_equations} equations, got {len(terms)} term maps"
         )
     flat = np.zeros(plan.num_coefficients)
-    for e, (symbols, start, row) in enumerate(zip(plan.symbols, plan.offsets, terms)):
+    for e, (symbols, start, row) in enumerate(zip(structure.rows(), plan.offsets, terms)):
         table = _monomial_table(len(symbols), degree)
         index = {exps: i for i, exps in enumerate(map(tuple, table.exponents.tolist()))}
         for exps, c in row.items():

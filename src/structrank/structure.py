@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 
+def _index(value, what):
+    """``value`` as an int, numpy integers included; a bool or a non-integer is a TypeError."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True, init=False)
 class StructurePattern:
     """An M x N sparsity pattern of allowed Jacobian entries.
@@ -41,6 +48,7 @@ class StructurePattern:
     num_equations: int
     num_variables: int
     _rows: tuple[tuple[int, ...], ...]
+    derived = ()  # no derived variables: every symbol of a row is a variable index
 
     def __init__(self, num_equations, num_variables, allowed):
         by_row = {}
@@ -90,9 +98,7 @@ class StructurePattern:
 
     def row(self, e):
         """Sorted variable indices allowed in equation ``e``, 0 <= ``e`` < M."""
-        if isinstance(e, bool) or not hasattr(type(e), "__index__"):
-            raise TypeError(f"equation index must be an integer, got {e!r}")
-        e = operator.index(e)
+        e = _index(e, "equation index")
         if not 0 <= e < self.num_equations:
             raise IndexError(f"equation {e} outside [0,{self.num_equations})")
         return self._rows[e]
@@ -172,62 +178,64 @@ class GeneralizedStructure:
     """A structure whose equations may depend on derived variables.
 
     ``dependencies`` lists, per equation, the original variable indices (int)
-    and derived-variable names (str) the equation may use. The plain pattern
-    over original variables only is available as ``base``.
+    and derived-variable names (str) the equation may use. ``rows()`` orders
+    them once, the order of every member and system file: sorted ints, then
+    sorted names. The pattern over original variables only is ``base``.
     """
 
     num_variables: int
     dependencies: tuple[frozenset, ...]
     derived: tuple[DerivedVariableSpec, ...]
-    base: StructurePattern = field(init=False, compare=False, repr=False)
+    _rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         deps = tuple(frozenset(d) for d in self.dependencies)
         object.__setattr__(self, "dependencies", deps)
         object.__setattr__(self, "derived", tuple(self.derived))
-        names = [d.name for d in self.derived]
-        dup = {n for n in names if names.count(n) > 1}
+        n, names = self.num_variables, [d.name for d in self.derived]
+        dup = {name for name in names if names.count(name) > 1}
         if dup:
             raise StructureError(f"derived variables declared more than once: {sorted(dup)}")
-        by_name = {d.name: d for d in self.derived}
-        for d in self.derived:
-            for i in d.support:
-                if i >= self.num_variables:
-                    raise StructureError(
-                        f"derived variable {d.name!r} references x{i + 1} "
-                        f"but the system has {self.num_variables} variables"
-                    )
+        for d in self.derived:  # its support is sorted and nonempty
+            if d.support[-1] >= n:
+                raise StructureError(f"derived variable {d.name!r} references "
+                                     f"x{d.support[-1] + 1} but the system has {n} variables")
+        rows = []
         for e, dep in enumerate(deps):
-            for item in dep:
-                if isinstance(item, str):
-                    if item not in by_name:
-                        raise StructureError(
-                            f"equation {e + 1} references undeclared derived variable {item!r}"
-                        )
-                elif not 0 <= item < self.num_variables:
-                    raise StructureError(
-                        f"equation {e + 1} references variable index {item} "
-                        f"outside [0,{self.num_variables})"
-                    )
-        base = StructurePattern.from_rows(
-            [[v for v in dep if isinstance(v, int)] for dep in deps], self.num_variables
-        )
-        object.__setattr__(self, "base", base)
+            what = f"equation {e + 1}: variable index"
+            indices = sorted(_index(i, what) for i in dep if not isinstance(i, str))
+            refs = sorted(s for s in dep if isinstance(s, str))
+            bad = ([f"undeclared derived variable {s!r}" for s in refs if s not in names]
+                   + [f"variable index {i} outside [0,{n})" for i in indices if not 0 <= i < n])
+            if bad:
+                raise StructureError(f"equation {e + 1} references {bad[0]}")
+            rows.append(tuple(indices + refs))
+        if not rows or n < 1:
+            raise StructureError(f"pattern must have M >= 1 and N >= 1, got {len(rows)}x{n}")
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @property
     def num_equations(self):
-        return len(self.dependencies)
+        return len(self._rows)
 
     @property
     def derived_by_name(self):
         return {d.name: d for d in self.derived}
 
+    def rows(self):
+        """Per-equation symbols: sorted variable indices, then sorted derived names (not a copy)."""
+        return self._rows
+
     def equation_symbols(self, e):
         """Symbols equation ``e`` may use: variable indices, then derived names."""
-        dep = self.dependencies[e]
-        ints = sorted(i for i in dep if isinstance(i, int))
-        names = sorted(s for s in dep if isinstance(s, str))
-        return tuple(ints) + tuple(names)
+        return self._rows[e]
+
+    @property
+    def base(self):
+        """The pattern of each equation's original variables, built on each access."""
+        return StructurePattern.from_rows(
+            [[s for s in row if not isinstance(s, str)] for row in self._rows], self.num_variables
+        )
 
 
 def pattern_from_graph(g: SystemGraph) -> StructurePattern:
@@ -278,9 +286,8 @@ def effective_pattern(gs: GeneralizedStructure) -> StructurePattern:
     """
     by_name = gs.derived_by_name
     rows = [
-        [v for item in dep
-         for v in (by_name[item].support if isinstance(item, str) else (item,))]
-        for dep in gs.dependencies
+        [v for sym in row for v in (by_name[sym].support if isinstance(sym, str) else (sym,))]
+        for row in gs.rows()
     ]
     return StructurePattern.from_rows(rows, gs.num_variables)
 
@@ -292,9 +299,7 @@ def knockout(p: StructurePattern, node: int) -> StructurePattern:
     dropped and the remaining indices compacted. ``node`` is an integer
     (numpy integers included); floats and bools are refused.
     """
-    if isinstance(node, bool) or not hasattr(type(node), "__index__"):
-        raise TypeError(f"knockout node must be an integer, got {node!r}")
-    node = operator.index(node)
+    node = _index(node, "knockout node")
     if not p.is_square():
         raise UnsupportedOperationError(
             f"knockout requires a square pattern, got {p.num_equations}x{p.num_variables}"

@@ -606,6 +606,32 @@ class TestMainEntryPoint:
                                 "[1e+100, 1.0, 1.0]\n")
         assert "RuntimeWarning" not in captured.err and "rank at base point" not in captured.err
 
+    @pytest.mark.parametrize("argv, floor", [
+        (["--dataset", "xy", "--from", "1e150,1e-150", "--delta", "1e300"], "1.48702e+284"),
+        (["--dataset", "eqcep1", "--from", "1e60,1,1", "--delta", "0,1e300,0"], "1e+300"),
+    ])
+    def test_perturbation_whose_residual_square_overflows(self, argv, floor, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["probe", *argv]) == 0
+        captured = capsys.readouterr()
+        assert f"residual floor: {floor} (21 starts, seed 0)" in captured.out
+        assert captured.err == ""
+
+    def test_trial_jacobian_overflow_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "variables": 2,
+            "equations": [{"name": "f1", "vars": [1, 2]}, {"name": "f2", "derived": ["z"]}],
+            "derived_vars": [{"name": "z", "coeffs": {"1": 1e300, "2": 1.0}}],
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["generic-rank", str(path), "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: a trial's Jacobian is not finite\n"
+
     @pytest.mark.parametrize("samples", ["1", "5"])
     def test_probe_at_exceptional_point_reports_rank_change(self, samples, capsys):
         # Every sample off the origin has rank 1; the base rank is 0.

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,34 @@ class TestPerturbationProbe:
         # fragility verdict with no evidence behind it.
         with pytest.raises(ValueError, match="delta must be finite"):
             perturbation_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], [bad, 0.0, 0.0])
+
+
+class TestOverflowingResidual:
+    """A residual whose square overflows float64 has a finite norm."""
+
+    @pytest.mark.parametrize("v, expected", [
+        ([3e200, 4e200], 5e200),
+        ([1e300, 0.0, -1e300], 1e300 * np.sqrt(2.0)),
+    ])
+    def test_norm_is_scaled_when_the_square_overflows(self, v, expected):
+        with np.errstate(over="ignore"):
+            assert continuation._norm(np.array(v)) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("v", [[np.inf, 1.0], [1e300, -np.inf]])
+    def test_infinite_vector_has_infinite_norm(self, v):
+        with np.errstate(over="ignore"):
+            assert continuation._norm(np.array(v)) == np.inf
+
+    @pytest.mark.parametrize("name, p, delta, floor", [
+        ("xy", [1e150, 1e-150], [1e300], 1.487016908477783e284),
+        ("eqcep1", [1e60, 1.0, 1.0], [0.0, 1e300, 0.0], 1e300),
+    ])
+    def test_perturbation_floor_is_finite_without_warnings(self, name, p, delta, floor):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = perturbation_probe(get_dataset(name).system, p, delta)
+        assert not probe.solved
+        assert probe.residual_floor == pytest.approx(floor, rel=1e-12)
 
 
 class TestSignatures:

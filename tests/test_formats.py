@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from structrank import (
@@ -262,6 +263,14 @@ class TestFormatDetection:
         path.write_text("hello world\n")
         with pytest.raises(ParseError, match="format"):
             parse_structure(path)
+
+
+class TestNumpyIntegerRows:
+    def test_pattern_rows_are_written_in_full(self):
+        p = StructurePattern.from_rows([[np.int64(0), 1], [1]], 2)
+        d = structure_to_json_dict(p)
+        assert [eq["vars"] for eq in d["equations"]] == [[1, 2], [2]]
+        assert structure_from_json_dict(json.loads(json.dumps(d))) == p
 
 
 class TestDotExport:

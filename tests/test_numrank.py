@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,47 @@ class TestGenericRankRandomized:
     def test_constant_members_rejected(self, degree):
         with pytest.raises(ValueError, match="degree must be >= 1"):
             generic_rank_randomized(example5_structure(), trials=5, degree=degree)
+
+
+class TestNumpyIntegerSymbols:
+    """A numpy integer variable index reads as the int it equals, in every member reader."""
+
+    def test_generalized_rank_and_plan_cache(self):
+        # The two structures are equal and hash alike, so they share one
+        # member_plan entry: the numpy one is planned first, then the int one.
+        member_plan.cache_clear()
+        z = DerivedVariableSpec("z", ((0, 1.0), (1, 2.0)))
+        for index in (np.int64(2), 2):
+            gs = GeneralizedStructure(3, (frozenset({index}), frozenset({"z"})), (z,))
+            assert generic_rank_randomized(gs, trials=20, seed=0).estimated_rank == 2
+
+    def test_pattern_members(self):
+        p = StructurePattern.from_rows([[np.int64(0), 1], [1]], 2)
+        report = certify_acr(p, trials=20, seed=0)
+        assert report.passed and report.target_rank == 2
+        assert generic_rank_randomized(p, trials=20, seed=0).estimated_rank == 2
+        system = sample_system(p, seed=3)
+        assert [eq.symbols for eq in system.equations] == [(0, 1), (1,)]
+        assert system.to_json_dict()["structure"]["equations"][0]["vars"] == [1, 2]
+
+
+class TestTrialOverflow:
+    def test_huge_derived_weight_is_refused_without_warning(self):
+        # The weight is finite, but z^2 and the chain rule overflow.
+        gs = GeneralizedStructure(
+            2, (frozenset({0, 1}), frozenset({"z"})),
+            (DerivedVariableSpec("z", ((0, 1e300), (1, 1.0))),),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^a trial's Jacobian is not finite$"):
+                generic_rank_randomized(gs, trials=5)
+
+    def test_huge_basis_names_the_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^a trial's matrix is not finite$"):
+                matrix_space_rank([[[1.7e308]]] * 4, trials=50)
 
 
 class TestCertifyAcr:

@@ -1,9 +1,13 @@
-"""Library code reads patterns through their rows.
+"""Library code reads structures through their rows.
 
 A ``StructurePattern`` is stored as sorted row tuples, and ``allowed``
-builds a frozenset of (equation, variable) pairs on every access. This scan
-keeps every module of ``src/`` but ``structure.py`` on ``rows()`` and
-``row(e)``, so no library path pays for that set.
+builds a frozenset of (equation, variable) pairs on every access. A
+``GeneralizedStructure`` decides each equation's symbol order once, when it
+is built; ``dependencies`` is its unordered constructor argument and
+``base`` a pattern built on every access. These scans keep every module of
+``src/`` but ``structure.py`` on ``rows()``, ``row(e)`` and ``derived``, so
+no library path pays for a set or decides a symbol order of its own, and
+keep the member and CLI readers from branching on the kind of structure.
 """
 
 import ast
@@ -12,20 +16,47 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "structrank"
 
 
-def allowed_reads(path):
-    """Line of every ``.allowed`` attribute that ``path`` reads."""
+def attribute_reads(path, attrs):
+    """Line of every read of an attribute named in ``attrs`` in ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "allowed"]
+            if isinstance(node, ast.Attribute) and node.attr in attrs]
+
+
+def kind_tests(path, name="GeneralizedStructure"):
+    """Line of every ``isinstance`` call in ``path`` whose class argument names ``name``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any((isinstance(n, ast.Name) and n.id == name)
+                    or (isinstance(n, ast.Attribute) and n.attr == name)
+                    for arg in node.args[1:] for n in ast.walk(arg))]
+
+
+def reads_outside_structure(attrs):
+    return [f"{path.relative_to(ROOT)}:{line}"
+            for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "structure.py"
+            for line in attribute_reads(path, attrs)]
 
 
 def test_only_structure_reads_allowed():
-    found = [f"{path.relative_to(ROOT)}:{line}"
-             for path in sorted((ROOT / "src").rglob("*.py")) if path.name != "structure.py"
-             for line in allowed_reads(path)]
+    found = reads_outside_structure({"allowed"})
     assert found == [], "StructurePattern.allowed read outside structure.py:\n" + "\n".join(found)
+
+
+def test_only_structure_reads_equations_past_rows():
+    found = reads_outside_structure({"dependencies", "base", "equation_symbols"})
+    assert found == [], ("dependencies, base or equation_symbols read outside structure.py:\n"
+                         + "\n".join(found))
+
+
+@pytest.mark.parametrize("module", ["polysys.py", "cli.py"])
+def test_readers_do_not_branch_on_generalized(module):
+    assert kind_tests(SRC / module) == []
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -37,4 +68,32 @@ def test_only_structure_reads_allowed():
 def test_scan_finds_allowed_reads(source, expected, tmp_path):
     path = tmp_path / "module.py"
     path.write_text(source)
-    assert allowed_reads(path) == expected
+    assert attribute_reads(path, {"allowed"}) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("rows = gs.dependencies\n", [1]),
+    ("p = structure.base.rows()\n", [1]),
+    ("rows = list(map(\n    gs.equation_symbols, range(m)))\n", [2]),
+    ("symbols = gs.equation_symbols(0)\n", [1]),
+    # Keyword arguments and local names are not reads of a structure.
+    ("gs = GeneralizedStructure(3, dependencies=deps, derived=())\nbase = 1\n", []),
+])
+def test_scan_finds_equation_reads(source, expected, tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert attribute_reads(path, {"dependencies", "base", "equation_symbols"}) == expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("if isinstance(s, GeneralizedStructure):\n    pass\n", [1]),
+    ("ok = isinstance(s, (StructurePattern,\n                    GeneralizedStructure))\n", [1]),
+    ("ok = isinstance(s, structure.GeneralizedStructure)\n", [1]),
+    # Naming the class outside an isinstance test is allowed.
+    ("KINDS = (StructurePattern, GeneralizedStructure)\nx: GeneralizedStructure = None\n", []),
+    ("ok = isinstance(s, StructurePattern)\n", []),
+])
+def test_scan_finds_kind_tests(source, expected, tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text(source)
+    assert kind_tests(path) == expected

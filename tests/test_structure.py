@@ -302,6 +302,33 @@ class TestDerivedVariables:
         )
         assert gs.equation_symbols(0) == (0, 2, "z")
 
+    def test_numpy_integer_index_is_stored_as_int(self):
+        # np.int64(2) == 2 and hashes alike, so the structures are equal;
+        # both must read the same rows.
+        z = DerivedVariableSpec("z", ((1, 1.0),))
+        gs = GeneralizedStructure(3, (frozenset({np.int64(2), "z", 0}), frozenset()), (z,))
+        assert gs.rows() == ((0, 2, "z"), ())
+        assert [type(sym) for sym in gs.rows()[0]] == [int, int, str]
+        assert gs.base.rows() == ((0, 2), ())
+        assert gs == GeneralizedStructure(3, (frozenset({2, "z", 0}), frozenset()), (z,))
+
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), True, None])
+    def test_non_integer_index_refused(self, bad):
+        with pytest.raises(TypeError, match="equation 2: variable index must be an integer"):
+            GeneralizedStructure(3, (frozenset({0}), frozenset({bad})), ())
+
+    def test_zero_equations_refused(self):
+        with pytest.raises(StructureError, match="M >= 1 and N >= 1, got 0x2"):
+            GeneralizedStructure(2, (), ())
+
+    def test_both_kinds_answer_rows_and_derived(self):
+        p = StructurePattern.from_rows([[1], [0, 1]], 2)
+        assert p.derived == ()
+        gs = example5_structure()
+        assert gs.derived == (DerivedVariableSpec("z", ((0, 1.0), (1, 2.0))),)
+        assert gs.rows()[2:] == (("z",), ("z",))
+        assert gs.rows()[0] is gs.equation_symbols(0)
+
     @settings(max_examples=50)
     @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
     def test_effective_pattern_monotone_in_dependencies(self, eq, var):
