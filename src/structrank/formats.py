@@ -133,12 +133,16 @@ def structure_from_json_dict(data, path=None):
         _check_keys(eq, {"name", "vars", "derived"}, path, where)
         vars_1 = eq.get("vars", [])
         _expect(isinstance(vars_1, list), "'vars' must be a list", path, where)
-        dep = set()
-        for j, v in enumerate(vars_1):
-            _expect(_is_int(v), f"variable index must be an integer, got {v!r}",
-                    path, f"{where}.vars[{j}]")
-            _expect(1 <= v <= n, f"variable index {v} outside 1..{n}", path, f"{where}.vars[{j}]")
-            dep.add(v - 1)
+        # Exact ints from 1 to n pass in one pass; otherwise the loop names the first bad entry.
+        valid = set(map(type, vars_1)) <= {int} and (
+            not vars_1 or (1 <= min(vars_1) and max(vars_1) <= n))
+        if not valid:
+            for j, v in enumerate(vars_1):
+                _expect(_is_int(v), f"variable index must be an integer, got {v!r}",
+                        path, f"{where}.vars[{j}]")
+                _expect(1 <= v <= n, f"variable index {v} outside 1..{n}", path,
+                        f"{where}.vars[{j}]")
+        dep = {v - 1 for v in vars_1}
         derived = eq.get("derived", [])
         _expect(isinstance(derived, list), "'derived' must be a list", path, where)
         for j, name in enumerate(derived):

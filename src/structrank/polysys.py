@@ -32,11 +32,12 @@ __all__ = [
     "combine",
 ]
 
-# The most monomial-factor entries a member plan takes: its index, S x W for
-# the widest row's S symbols and W monomials (with partials) over all rows,
-# plus the largest gather one stacked trial makes from it. Both grow as
-# S^(d+2) for dense rows of S symbols at degree d, where M x N grows as S^2,
-# so a plan over the bound is refused before its index is built.
+# The most monomial-factor entries a member plan takes: its index, min(d, S)
+# x W for the widest row's S symbols at degree d and W monomials (with
+# partials) over all rows, its trials' index of min(d - 1, S) x P for the P
+# partial monomials, plus the gather one stacked trial makes from that. All
+# grow as S^(d+1) for dense rows of S symbols, where M x N grows as S^2, so
+# a plan over the bound is refused before its index is built.
 MAX_PLAN_ENTRIES = 10_000_000
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -144,13 +145,19 @@ class _MonomialTable:
     so coefficient vectors embed by zero-padding. By symmetry every symbol s
     has the same number R of rows with a positive exponent on s:
     ``rows[s]`` holds them, ``multipliers[s]`` their exponents on s and
-    ``dexponents[s]`` the rows with that exponent decremented.
+    ``dexponents[s]`` the rows with that exponent decremented. A monomial
+    has at most min(degree, S) positive exponents: ``value_factors`` and
+    ``partial_factors`` list, for each row of ``exponents`` and of
+    ``dexponents``, those symbols in order and their exponents, padded with
+    exponent 0.
     """
 
     exponents: np.ndarray  # (K, S)
     rows: np.ndarray  # (S, R)
     multipliers: np.ndarray  # (S, R)
     dexponents: np.ndarray  # (S, R, S)
+    value_factors: tuple  # (symbols, exponents), each (K, min(degree, S))
+    partial_factors: tuple  # (symbols, exponents), each (S, R, min(degree, S))
 
     @property
     def size(self):
@@ -171,7 +178,19 @@ def _monomial_table(num_symbols: int, degree: int) -> _MonomialTable:
     mult = expts[rows, symbols[:, None]].astype(np.float64)
     dexp = expts[rows]
     dexp[symbols, :, symbols] -= 1
-    return _MonomialTable(expts, rows, mult, dexp)
+    return _MonomialTable(expts, rows, mult, dexp, _positive_factors(expts, degree),
+                          _positive_factors(dexp, degree))
+
+
+def _positive_factors(exponents, degree):
+    """Per row of ``exponents`` (..., S): the symbols with a positive exponent, and the exponents.
+
+    Symbols stay in order. Each row keeps min(degree, S) entries, enough for
+    a monomial of total degree <= ``degree``; those beyond its positive
+    exponents are pads of exponent 0.
+    """
+    order = np.argsort(exponents == 0, axis=-1, kind="stable")[..., :max(degree, 0)]
+    return order, np.take_along_axis(exponents, order, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +247,7 @@ class _Bucket:
     Column arrays index a member's flat coefficient vector. ``partials``
     and ``values`` locate the bucket's G*S*R partial monomials (equation,
     symbol, row) and G*K value monomials (equation, row) in the plan's
-    index, each column holding the S factors of its monomial in its first
-    S rows. ``slots`` and ``value_slots`` locate the bucket's partials and
+    index. ``slots`` and ``value_slots`` locate the bucket's partials and
     values in the kernel's array of results, where every partial comes
     before every value.
     """
@@ -272,28 +290,40 @@ class _MemberPlan:
     aligned with the monomial table over its row of ``structure.rows()``,
     concatenated in equation order; equation e owns ``offsets[e]:offsets[e + 1]``. A point
     is extended by the values of the derived variables its equations use,
-    whose (support, weights) ``derived`` lists in name order. The kernel
-    raises every extended coordinate to the powers 0..degree once; the
-    buckets index that table. ``factors`` holds every bucket's partial
-    columns side by side, symbol-major, as its first ``num_partial_monomials``
-    columns, then every bucket's value columns, each column padded below its
-    S rows with index 0, the first coordinate's power 0, which is exactly
-    1.0. One gather over it leaves every monomial of a member, or over its
-    partial prefix every partial monomial, and ``order`` takes the values,
-    computed bucket by bucket, from the kernel's results in equation order. ``variables`` writes
-    every variable partial onto the flat Jacobian (weight 1, each target
-    once); each ``chain`` layer k then adds the weighted chain-rule terms of
-    every equation's k-th derived symbol. ``entries`` bounds the float64
-    values one member occupies in ``stacked_jacobians``: its Jacobian, its
-    coefficients, its table of powers or its gather of partial monomial
-    factors (widest S times ``num_partial_monomials``).
+    whose (support, weights) ``derived`` lists in name order.
+
+    A member's kernel raises every extended coordinate to the powers
+    0..degree once, and ``factors`` indexes that table: every bucket's
+    partial columns side by side, symbol-major, as its first
+    ``num_partial_monomials`` columns, then every bucket's value columns. A
+    column holds the factors of its monomial's positive exponents in symbol
+    order, padded below them with index 0, the first coordinate's power 0,
+    which is exactly 1.0. A monomial has at most ``degree`` positive
+    exponents, so ``factors`` has min(degree, widest S) rows, and a partial
+    column fills at most the first min(degree - 1, widest S). Trials need
+    no values, and their partials read no power 0 or ``degree``: a trial's
+    table is one 1.0, then the powers ``trial_powers`` (1..degree-1) of
+    each coordinate, and ``trial_factors`` holds those first rows of the
+    partial columns, moved onto it. One gather over an index leaves every
+    monomial it covers, and ``order`` takes the values, computed bucket by
+    bucket, from the kernel's results in equation order.
+
+    ``variables`` writes every variable partial onto the flat Jacobian
+    (weight 1, each target once); each ``chain`` layer k then adds the
+    weighted chain-rule terms of every equation's k-th derived symbol.
+    ``entries`` bounds the float64 values one member occupies in
+    ``stacked_jacobians``: its Jacobian, its coefficients, its table of
+    powers or its gather of partial monomial factors, which it counts as
+    the widest S times ``num_partial_monomials``, more than a trial gathers.
     """
 
     offsets: np.ndarray  # (M + 1,)
     num_variables: int
     powers: np.ndarray  # 0.0..degree
+    trial_powers: np.ndarray  # 1.0..degree-1
     derived: tuple  # per derived name: (support, weights)
-    factors: np.ndarray  # (widest S, sum of G*S*R + G*K)
+    factors: np.ndarray  # (min(degree, widest S), sum of G*S*R + G*K)
+    trial_factors: np.ndarray  # (min(degree - 1, widest S), sum of G*S*R)
     num_partial_monomials: int  # sum of G*S*R
     buckets: tuple[_Bucket, ...]
     order: np.ndarray  # (M,) kernel result slot of equation e's value
@@ -310,8 +340,10 @@ def plan_entries(structure, degree):
     Counted from the row widths alone: rows of S symbols share a table of
     K = C(S + d, d) monomials, R = C(S + d - 1, d - 1) of them with a
     positive exponent on a given symbol, and G such rows take G*S*R partial
-    and G*K value columns in the index. The index has the widest S rows,
-    and a stacked trial gathers its partial columns.
+    and G*K value columns in the index. A monomial has at most d positive
+    exponents, so for the widest S the index has min(d, S) rows; the
+    trials' index holds min(d - 1, S) rows of the partial columns, and a
+    stacked trial gathers as many entries again.
     """
     widths = list(map(len, structure.rows()))
     columns = partials = 0
@@ -320,7 +352,9 @@ def plan_entries(structure, degree):
         r = comb(s + degree - 1, degree - 1) if degree > 0 else 0
         columns += g * (s * r + k)
         partials += g * s * r
-    return max(widths) * (columns + partials)
+    widest = max(widths)
+    return (max(min(degree, widest), 0) * columns
+            + 2 * max(min(degree - 1, widest), 0) * partials)
 
 
 def check_plan_size(structure, degree):
@@ -356,8 +390,8 @@ def member_plan(structure, degree) -> _MemberPlan:
     groups = [[e for e, row in enumerate(rows) if len(row) == width] for width in widths]
     tables = [_monomial_table(width, degree) for width in widths]
     num_partials = sum(len(members) * table.rows.size for members, table in zip(groups, tables))
-    # Index 0 pads the narrower buckets' columns.
-    factors = np.zeros((widths[-1], num_partials + sum(
+    # Index 0 pads every column below its monomial's positive exponents.
+    factors = np.zeros((max(min(degree, widths[-1]), 0), num_partials + sum(
         len(members) * table.size for members, table in zip(groups, tables))), dtype=np.intp)
     buckets, variables, layers = [], ([], []), {}
     # The results hold every partial, one per symbol of a row, then every value.
@@ -367,14 +401,15 @@ def member_plan(structure, degree) -> _MemberPlan:
         base = (degree + 1) * np.array(
             [[column.get(sym, sym) for sym in rows[e]] for e in members], dtype=np.intp
         ).reshape(len(members), width)
-        # One row of factor indices per monomial; the sizes are explicit
-        # because a bucket of constant equations has width 0.
         partials = slice(start, start + len(members) * table.rows.size)
         values = slice(split, split + len(members) * table.size)
-        factors[:width, partials] = (base[:, np.newaxis, np.newaxis, :] + table.dexponents).reshape(
-            len(members) * table.rows.size, width).T
-        factors[:width, values] = (base[:, np.newaxis, :] + table.exponents).reshape(
-            len(members) * table.size, width).T
+        # One row of factor indices per monomial; the sizes are explicit
+        # because a bucket of constant equations has width 0.
+        for (symbols, exponents), columns in ((table.partial_factors, partials),
+                                              (table.value_factors, values)):
+            count = exponents.shape[-1]
+            factors[:count, columns] = np.where(exponents > 0, base[:, symbols] + exponents, 0
+                                                ).reshape(columns.stop - columns.start, count).T
         buckets.append(_Bucket(
             table,
             equations=np.array(members, dtype=np.intp),
@@ -401,12 +436,17 @@ def member_plan(structure, degree) -> _MemberPlan:
                         layer[2].append(weight)
                 slot += 1
     num_coefficients = int(offsets[-1])
+    # Power p of coordinate c sits at c * (degree + 1) + p in a member's
+    # table and at c * (degree - 1) + p in a trial's, behind its one 1.0.
+    trial_factors = factors[:max(degree - 1, 0), :num_partials]
     return _MemberPlan(
         offsets=offsets,
         num_variables=n,
         powers=np.arange(degree + 1, dtype=np.float64),
+        trial_powers=np.arange(1, degree, dtype=np.float64),
         derived=derived,
         factors=factors,
+        trial_factors=trial_factors - 2 * (trial_factors // (degree + 1)),
         num_partial_monomials=num_partials,
         buckets=tuple(buckets),
         order=slot + np.argsort(np.concatenate([b.equations for b in buckets])),
@@ -417,6 +457,8 @@ def member_plan(structure, degree) -> _MemberPlan:
             for t, src, w in (layers[k] for k in sorted(layers))
         ),
         num_coefficients=num_coefficients,
+        # Chunks stay as large as when a trial gathered the widest S rows:
+        # sized from the smaller gather, certification ran slower.
         entries=max(widths[-1] * num_partials, len(rows) * n, num_coefficients,
                     (n + len(used)) * (degree + 1), slot),
     )
@@ -449,27 +491,47 @@ def _scatter(plan, partials):
     return J.reshape(lead + (plan.order.size, plan.num_variables))
 
 
+def _trial_powers(points, exponents):
+    """One 1.0, then each coordinate of ``points`` (..., N) raised to ``exponents`` 1..degree-1.
+
+    x^1 is x, so at degree 2 no power is taken. A lone exponent array is
+    never raised through: numpy takes x^2.0 as x*x, which can differ in the
+    last bit from the loop of powers a member's table runs; over two or more
+    exponents the loop runs here too.
+    """
+    lead = points.shape[:-1]
+    if not exponents.size:
+        return np.ones(lead + (1,))
+    if exponents.size > 1:
+        points = (points[..., np.newaxis] ** exponents).reshape(lead + (-1,))
+    return np.concatenate([np.ones(lead + (1,)), points], axis=-1)
+
+
 def _evaluate(plan, points, dots, values):
     """Jacobians (..., M, N) of members at ``points`` (..., N), and with ``values`` F (..., M).
 
     Leading axes are trials: none for one member, (T,) for a stack. ``dots``
     are every bucket's (``_Bucket.operands``), value dots only with
-    ``values``; without them only the plan's partial columns are gathered.
-    One gather and one product over the plan's padded index leave every
-    monomial; a pad is an exact 1.0 multiplied in after a bucket's own S
-    factors, so each monomial keeps its bits. One matmul call per dot, and
-    one per derived value, runs each row through a BLAS dot, so every
-    number is the same sum of the same products as in a per-equation
-    evaluation (the tests keep one as the reference).
+    ``values``; without them only the plan's partial columns are gathered,
+    through ``trial_factors`` from the trials' table of powers. One gather
+    and one product over an index leave every monomial: the product of the
+    powers of its positive exponents in symbol order, then of pads, each an
+    exact 1.0. Since x^0 is exactly 1.0 and x * 1.0 == x for every double,
+    each monomial has the bits of the product over all its S symbols. One matmul
+    call per dot, and one per derived value, runs each row through a BLAS
+    dot, so every number is the same sum of the same products as in a
+    per-equation evaluation (the tests keep one as the reference).
     """
     lead = points.shape[:-1]
     if plan.derived:
         points = np.concatenate([points, *(
             np.matmul(weights, points.take(support, axis=-1)[..., np.newaxis])
             for support, weights in plan.derived)], axis=-1)
-    powers = (points[..., np.newaxis] ** plan.powers).reshape(lead + (-1,))
-    factors = plan.factors if values else plan.factors[:, :plan.num_partial_monomials]
-    monomials = _monomials(powers, factors)
+    if values:
+        monomials = _monomials((points[..., np.newaxis] ** plan.powers).reshape(lead + (-1,)),
+                               plan.factors)
+    else:
+        monomials = _monomials(_trial_powers(points, plan.trial_powers), plan.trial_factors)
     results = np.empty(lead + (plan.num_slots + (plan.order.size if values else 0), 1, 1))
     for rows, columns, shape, slots in dots:
         np.matmul(rows, monomials[..., columns].reshape(shape), out=results[..., slots, :, :])

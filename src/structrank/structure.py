@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import StructureError, UnsupportedOperationError
 
@@ -58,8 +59,15 @@ class StructurePattern:
 
     @classmethod
     def from_rows(cls, rows, num_variables=None):
-        """Build from per-equation variable sets, e.g. ``[{2}, {2}, {0,1,2}]``."""
+        """Build from per-equation variable sets, e.g. ``[{2}, {2}, {0,1,2}]``.
+
+        Numpy integers are stored as ints; a bool or a non-integer entry is a
+        TypeError naming its equation.
+        """
         rows = tuple([tuple(sorted(set(r))) for r in rows])
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            rows = tuple([tuple(sorted({_index(v, f"equation {e + 1}: variable index") for v in r}))
+                          for e, r in enumerate(rows)])
         nonempty = [r for r in rows if r]
         highest = max([r[-1] for r in nonempty], default=-1)
         if num_variables is None:
@@ -76,6 +84,7 @@ class StructurePattern:
         ``rows`` holds sorted in-range variable tuples, one per equation, or
         a dict of variable sets keyed by equation, whose entries are checked.
         """
+        m, n = _index(m, "num_equations"), _index(n, "num_variables")
         if m < 1 or n < 1:
             raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
         if isinstance(rows, dict):
@@ -155,7 +164,9 @@ class DerivedVariableSpec:
     coefficients: tuple[tuple[int, float], ...]  # (variable index, weight)
 
     def __post_init__(self):
-        coeffs = tuple(sorted((int(i), float(c)) for i, c in dict(self.coefficients).items()))
+        what = f"derived variable {self.name!r}: variable index"
+        pairs = dict((_index(i, what), float(c)) for i, c in self.coefficients)
+        coeffs = tuple(sorted(pairs.items()))
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:
             raise StructureError(f"derived variable {self.name!r} has no coefficients")
@@ -192,7 +203,8 @@ class GeneralizedStructure:
         deps = tuple(frozenset(d) for d in self.dependencies)
         object.__setattr__(self, "dependencies", deps)
         object.__setattr__(self, "derived", tuple(self.derived))
-        n, names = self.num_variables, [d.name for d in self.derived]
+        n, names = _index(self.num_variables, "num_variables"), [d.name for d in self.derived]
+        object.__setattr__(self, "num_variables", n)
         dup = {name for name in names if names.count(name) > 1}
         if dup:
             raise StructureError(f"derived variables declared more than once: {sorted(dup)}")

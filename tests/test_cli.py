@@ -410,11 +410,12 @@ class TestErrorHandling:
     def test_plan_beyond_the_bound_is_input_error(self, argv, where, tmp_path, capsys,
                                                   monkeypatch):
         # Rows of 2, 1 and 1 symbols at degree 3: an index of 2 x 36 entries
-        # (2 symbols by 2 * 6 + 10 columns, then 2 * (3 + 4)) and a gather of
-        # its 2 x 18 partial columns.
+        # (at most 2 positive exponents by 2 * 6 + 10 columns, then
+        # 2 * (3 + 4)), a trials' index of 2 x 18 partial columns and a
+        # gather through it.
         # Plans are cached, and a cached plan met the bound when it was built.
         polysys.member_plan.cache_clear()
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 107)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 143)
         structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
         path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
         path.write_text(json.dumps(structure))
@@ -423,15 +424,15 @@ class TestErrorHandling:
         assert main([a.format(path=path, system=system) for a in argv]) == 2
         assert capsys.readouterr().err == (
             f"error: {where.format(path=path, system=system)}: 3 equations at degree 3 make a "
-            "member plan of 108 monomial-factor entries, more than the bound of 107 "
+            "member plan of 144 monomial-factor entries, more than the bound of 143 "
             "(polysys.MAX_PLAN_ENTRIES)\n")
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 108)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 144)
         assert main(["certify", str(path), "--degree", "3", "--trials", "5"]) == 0
 
     def test_plan_bound_is_checked_at_the_default_degree(self, tmp_path, capsys, monkeypatch):
         # The rows of the test above at degree 2: an index of 2 x 22 entries
-        # (2 symbols by 2 * 3 + 6 columns, then 2 * (2 + 3)) and a gather of
-        # its 2 x 10 partial columns.
+        # (2 positive exponents by 2 * 3 + 6 columns, then 2 * (2 + 3)), a
+        # trials' index of 1 x 10 partial columns and a gather through it.
         polysys.member_plan.cache_clear()
         monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 63)
         path = tmp_path / "wide.json"

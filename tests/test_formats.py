@@ -172,6 +172,27 @@ class TestJsonStructureFiles:
         with pytest.raises(ParseError, match="line 3"):
             parse_structure(path)
 
+    @pytest.mark.parametrize("vars_1, where, message", [
+        # The first bad entry is named, by whichever check it fails first.
+        ([1, 2.0, 9], "vars[1]", "variable index must be an integer, got 2.0"),
+        ([1, 9, 2.0], "vars[1]", "variable index 9 outside 1..3"),
+        ([3, 0], "vars[1]", "variable index 0 outside 1..3"),
+        ([-2, 1], "vars[0]", "variable index -2 outside 1..3"),
+        ([2, True], "vars[1]", "variable index must be an integer, got True"),
+        (["1"], "vars[0]", "variable index must be an integer, got '1'"),
+        ([1, None], "vars[1]", "variable index must be an integer, got None"),
+        ([1, [2]], "vars[1]", "variable index must be an integer, got [2]"),
+    ])
+    def test_bad_variable_index_is_named(self, vars_1, where, message):
+        data = {"variables": 3, "equations": [{"vars": [1, 2]}, {"vars": vars_1}]}
+        with pytest.raises(ParseError) as raised:
+            structure_from_json_dict(data, path="s.json")
+        assert str(raised.value) == f"s.json: equations[1].{where}: {message}"
+
+    def test_variable_indices_read_zero_based(self):
+        data = {"variables": 4, "equations": [{"vars": [4, 1, 4]}, {"vars": []}]}
+        assert structure_from_json_dict(data).rows() == ((0, 3), ())
+
     def test_round_trip_pattern(self):
         pattern = get_dataset("robust4").structure
         assert structure_from_json_dict(structure_to_json_dict(pattern)) == pattern

@@ -385,6 +385,24 @@ class TestKernelProperty:
                 assert jac.residual_target.tobytes() == values.tobytes()
                 assert row.tobytes() == J.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_members(), st.integers(0, 2**32))
+    def test_stacked_trials_are_bit_exact(self, member, seed):
+        # One member per point, as certification draws them: the trials'
+        # table of powers 1..degree-1 must give the reference's bits.
+        system, points = member
+        members = [system] + [
+            sample_system(system.structure, system.degree, seed=seed + k,
+                          distribution=system.distribution, allow_constant=True)
+            for k in range(1, len(points))]
+        coefficients = np.array([np.concatenate([eq.coefficients for eq in m.equations])
+                                 for m in members])
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = stacked_jacobians(system._plan, coefficients, points)
+            for m, x, row in zip(members, points, stacked, strict=True):
+                J, _ = reference_evaluation(m.structure, m.equations, x)
+                assert row.tobytes() == J.tobytes()
+
 
 class TestPlanSize:
     @pytest.mark.parametrize("name", KERNEL_CASES)
@@ -392,18 +410,26 @@ class TestPlanSize:
     def test_counts_the_index_and_the_largest_gather(self, name, degree):
         structure = kernel_structure(name)
         plan = member_plan(structure, degree)
-        # The index, and a stacked trial's gather of its partial prefix.
-        gather = plan.factors[:, :plan.num_partial_monomials].size
-        assert polysys.plan_entries(structure, degree) == plan.factors.size + gather
+        # A monomial has at most degree positive exponents, a partial one
+        # fewer; a column holds one factor per positive exponent.
+        widest = max(map(len, structure.rows()))
+        assert plan.factors.shape == (min(degree, widest), plan.factors.shape[1])
+        assert plan.trial_factors.shape == (max(min(degree - 1, widest), 0),
+                                            plan.num_partial_monomials)
+        # The index, the trials' index, and a stacked trial's gather through it.
+        gather = plan.trial_factors.size
+        assert (polysys.plan_entries(structure, degree)
+                == plan.factors.size + plan.trial_factors.size + gather)
 
     def test_dense_plan_is_refused_before_anything_is_built(self, monkeypatch):
-        # At degree 3 a dense 30 x 30 pattern would take a 146 MB index.
+        # At degree 3 a dense 40 x 40 pattern would take 89 MB: an index of
+        # 3 rows, a trials' index of 2 and one trial's gather through it.
         def refuse(num_symbols, degree):
             raise AssertionError("a monomial table was built")
 
         monkeypatch.setattr(polysys, "_monomial_table", refuse)
-        dense = StructurePattern.from_rows([range(30)] * 30)
-        message = (r"^30 equations at degree 3 make a member plan of 31694400 monomial-factor "
+        dense = StructurePattern.from_rows([range(40)] * 40)
+        message = (r"^40 equations at degree 3 make a member plan of 11124120 monomial-factor "
                    r"entries, more than the bound of 10000000 \(polysys.MAX_PLAN_ENTRIES\)$")
         with pytest.raises(ValueError, match=message):
             member_plan(dense, 3)
@@ -480,8 +506,18 @@ class TestVectorizedKernel:
         gathers = _spy(monkeypatch, "_monomials")
         stacked_jacobians(plan, *_stack(plan, 9))
         assert len(gathers) == 1
-        # Certification needs no values, so only the partial columns are gathered.
-        assert (gathers[0][1] == plan.factors[:, :plan.num_partial_monomials]).all()
+        # Certification needs no values, so only the partial columns are
+        # gathered, over the rows their degree-2 monomials fill, from the
+        # trials' table: one 1.0, then x and x^2 of each coordinate.
+        ((powers, factors),) = gathers
+        assert factors is plan.trial_factors
+        partials = plan.factors[:, :plan.num_partial_monomials]
+        assert (partials[2:] == 0).all()
+        # The member's table of x^0..x^3 gives the same factors through its index.
+        points = powers[:, 1::2]
+        member_powers = (points[..., np.newaxis] ** plan.powers).reshape(len(points), -1)
+        assert (powers.take(factors, axis=-1).tobytes()
+                == member_powers.take(partials[:2], axis=-1).tobytes())
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_jacobian_dots_per_bucket(self, dots, name):

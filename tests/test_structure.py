@@ -74,6 +74,46 @@ class TestStructurePattern:
         assert p.num_variables == n
         assert p.rows() == tuple(tuple(sorted(set(r))) for r in rows)
 
+    @pytest.mark.parametrize("rows, n, message", [
+        ([[1.0, 0]], None, "equation 1: variable index must be an integer, got 1.0"),
+        ([[0], [0, 1.5, 2]], 3, "equation 2: variable index must be an integer, got 1.5"),
+        ([[True, 0]], None, "equation 1: variable index must be an integer, got True"),
+        ([[1], [False, 1]], 2, "equation 2: variable index must be an integer, got False"),
+        ([[0], [], [np.float64(1.0)]], 2,
+         r"equation 3: variable index must be an integer, got np.float64\(1.0\)"),
+    ])
+    def test_from_rows_refuses_a_non_integer_entry(self, rows, n, message):
+        with pytest.raises(TypeError, match=rf"^{message}$"):
+            StructurePattern.from_rows(rows, n)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StructurePattern.from_rows([[0, 1]], 2.0),
+         "num_variables must be an integer, got 2.0"),
+        (lambda: StructurePattern.from_rows([[0]], True),
+         "num_variables must be an integer, got True"),
+        (lambda: StructurePattern(2.0, 2, {(0, 1)}), "num_equations must be an integer, got 2.0"),
+        (lambda: StructurePattern(2, 2.5, {(0, 1)}), "num_variables must be an integer, got 2.5"),
+        (lambda: GeneralizedStructure(2.0, (frozenset({0, 1}),), ()),
+         "num_variables must be an integer, got 2.0"),
+    ])
+    def test_a_size_that_is_not_an_integer_is_refused(self, build, message):
+        # from_rows([[0, 1]], 2.0) once kept the float size, and sampling a
+        # member of it failed deep inside numpy.
+        with pytest.raises(TypeError, match=rf"^{message}$"):
+            build()
+
+    def test_numpy_integer_sizes_are_stored_as_int(self):
+        p = StructurePattern(np.int64(2), np.uint8(3), {(0, 1)})
+        gs = GeneralizedStructure(np.int32(3), (frozenset({0}),), ())
+        assert (type(p.num_equations), type(p.num_variables), type(gs.num_variables)) == (int,) * 3
+
+    def test_from_rows_stores_numpy_integers_as_int(self):
+        p = StructurePattern.from_rows([[np.int64(2), 0], [np.uint8(1), 1]])
+        assert p.rows() == ((0, 2), (1,))
+        assert p.num_variables == 3
+        assert {type(v) for row in p.rows() for v in row} == {int}
+        assert type(p.num_variables) is int
+
     def test_rejects_empty_dimensions(self):
         with pytest.raises(StructureError):
             StructurePattern(0, 3, frozenset())
@@ -316,6 +356,24 @@ class TestDerivedVariables:
     def test_non_integer_index_refused(self, bad):
         with pytest.raises(TypeError, match="equation 2: variable index must be an integer"):
             GeneralizedStructure(3, (frozenset({0}), frozenset({bad})), ())
+
+    @pytest.mark.parametrize("coefficients, bad", [
+        (((1.5, 1.0), (0, 2.0)), "1.5"),
+        (((0, 1.0), (True, 2.0)), "True"),
+        # A bool equal to an earlier index is refused, not merged into it.
+        (((1, 1.0), (True, 2.0)), "True"),
+        (((np.float64(2.0), 1.0),), r"np.float64\(2.0\)"),
+        ((("1", 1.0),), "'1'"),
+    ])
+    def test_spec_refuses_a_non_integer_index(self, coefficients, bad):
+        with pytest.raises(TypeError, match=(
+                rf"^derived variable 'z': variable index must be an integer, got {bad}$")):
+            DerivedVariableSpec("z", coefficients)
+
+    def test_spec_stores_numpy_integer_indices_as_int(self):
+        spec = DerivedVariableSpec("z", ((np.int64(2), 1.0), (np.uint8(0), 3.0)))
+        assert spec.coefficients == ((0, 3.0), (2, 1.0))
+        assert [type(i) for i in spec.support] == [int, int]
 
     def test_zero_equations_refused(self):
         with pytest.raises(StructureError, match="M >= 1 and N >= 1, got 0x2"):
