@@ -32,12 +32,14 @@ __all__ = [
     "combine",
 ]
 
-# The most monomial-factor entries a member plan takes: its index, min(d, S)
-# x W for the widest row's S symbols at degree d and W monomials (with
-# partials) over all rows, its trials' index of min(d - 1, S) x P for the P
-# partial monomials, plus the gather one stacked trial makes from that. All
-# grow as S^(d+1) for dense rows of S symbols, where M x N grows as S^2, so
-# a plan over the bound is refused before its index is built.
+# The most entries building a member plan takes: its index, min(d, S) x W
+# for the widest row's S symbols at degree d and W monomials (with partials)
+# over all rows, its trials' index of min(d - 1, S) x P for the P partial
+# monomials, the gather one stacked trial makes from that, and the monomial
+# tables the index is read from, S x K exponents and S x S x R decremented
+# ones for a width of S symbols, twice over while they are built. All grow
+# faster than M x N, which grows as S^2, so a plan over the bound is refused
+# before any table or index is built.
 MAX_PLAN_ENTRIES = 10_000_000
 
 def seeded_rng(seed) -> np.random.Generator:
@@ -189,7 +191,8 @@ def _positive_factors(exponents, degree):
     a monomial of total degree <= ``degree``; those beyond its positive
     exponents are pads of exponent 0.
     """
-    order = np.argsort(exponents == 0, axis=-1, kind="stable")[..., :max(degree, 0)]
+    # A copy, so the cached table does not keep the whole sort alive.
+    order = np.argsort(exponents == 0, axis=-1, kind="stable")[..., :max(degree, 0)].copy()
     return order, np.take_along_axis(exponents, order, axis=-1)
 
 
@@ -292,19 +295,19 @@ class _MemberPlan:
     is extended by the values of the derived variables its equations use,
     whose (support, weights) ``derived`` lists in name order.
 
-    A member's kernel raises every extended coordinate to the powers
-    0..degree once, and ``factors`` indexes that table: every bucket's
-    partial columns side by side, symbol-major, as its first
-    ``num_partial_monomials`` columns, then every bucket's value columns. A
-    column holds the factors of its monomial's positive exponents in symbol
-    order, padded below them with index 0, the first coordinate's power 0,
-    which is exactly 1.0. A monomial has at most ``degree`` positive
+    The kernel reads a table of powers 0..top of every extended coordinate
+    (``_powers``), where power p of coordinate c sits at c * (top + 1) + p.
+    A member's table runs to top ``degree`` (``powers``), and ``factors``
+    indexes it: every bucket's partial columns side by side, symbol-major,
+    as its first ``num_partial_monomials`` columns, then every bucket's
+    value columns. A column holds the factors of its monomial's positive
+    exponents in symbol order, padded below them with index 0, the first
+    coordinate's power 0, which is exactly 1.0. A monomial has at most ``degree`` positive
     exponents, so ``factors`` has min(degree, widest S) rows, and a partial
     column fills at most the first min(degree - 1, widest S). Trials need
-    no values, and their partials read no power 0 or ``degree``: a trial's
-    table is one 1.0, then the powers ``trial_powers`` (1..degree-1) of
-    each coordinate, and ``trial_factors`` holds those first rows of the
-    partial columns, moved onto it. One gather over an index leaves every
+    no values, and their partials no power ``degree``: their table runs to
+    top degree - 1, and ``trial_factors`` holds those first rows of the
+    partial columns, laid out on it. One gather over an index leaves every
     monomial it covers, and ``order`` takes the values, computed bucket by
     bucket, from the kernel's results in equation order.
 
@@ -314,13 +317,13 @@ class _MemberPlan:
     ``entries`` bounds the float64 values one member occupies in
     ``stacked_jacobians``: its Jacobian, its coefficients, its table of
     powers or its gather of partial monomial factors, which it counts as
-    the widest S times ``num_partial_monomials``, more than a trial gathers.
+    the widest S times ``num_partial_monomials``, more than a trial gathers
+    (see ``member_plan``).
     """
 
     offsets: np.ndarray  # (M + 1,)
     num_variables: int
     powers: np.ndarray  # 0.0..degree
-    trial_powers: np.ndarray  # 1.0..degree-1
     derived: tuple  # per derived name: (support, weights)
     factors: np.ndarray  # (min(degree, widest S), sum of G*S*R + G*K)
     trial_factors: np.ndarray  # (min(degree - 1, widest S), sum of G*S*R)
@@ -343,18 +346,22 @@ def plan_entries(structure, degree):
     and G*K value columns in the index. A monomial has at most d positive
     exponents, so for the widest S the index has min(d, S) rows; the
     trials' index holds min(d - 1, S) rows of the partial columns, and a
-    stacked trial gathers as many entries again.
+    stacked trial gathers as many entries again. The table of a width S
+    holds S*K exponents and S*S*R decremented ones, and building it takes as
+    many again: the exponent tuples, then the sort that finds each
+    monomial's positive exponents.
     """
     widths = list(map(len, structure.rows()))
-    columns = partials = 0
+    columns = partials = tables = 0
     for s, g in Counter(widths).items():
         k = comb(s + degree, degree) if degree >= 0 else 0
         r = comb(s + degree - 1, degree - 1) if degree > 0 else 0
         columns += g * (s * r + k)
         partials += g * s * r
+        tables += 2 * s * (k + s * r)
     widest = max(widths)
     return (max(min(degree, widest), 0) * columns
-            + 2 * max(min(degree - 1, widest), 0) * partials)
+            + 2 * max(min(degree - 1, widest), 0) * partials + tables)
 
 
 def check_plan_size(structure, degree):
@@ -436,17 +443,16 @@ def member_plan(structure, degree) -> _MemberPlan:
                         layer[2].append(weight)
                 slot += 1
     num_coefficients = int(offsets[-1])
-    # Power p of coordinate c sits at c * (degree + 1) + p in a member's
-    # table and at c * (degree - 1) + p in a trial's, behind its one 1.0.
-    trial_factors = factors[:max(degree - 1, 0), :num_partials]
+    # Power p of coordinate c sits at c * (top + 1) + p in a table of powers
+    # 0..top (``_powers``): a member's runs to degree, a trial's to degree - 1.
+    trials = factors[:max(degree - 1, 0), :num_partials]
     return _MemberPlan(
         offsets=offsets,
         num_variables=n,
-        powers=np.arange(degree + 1, dtype=np.float64),
-        trial_powers=np.arange(1, degree, dtype=np.float64),
+        powers=np.arange(degree + 1.0),
         derived=derived,
         factors=factors,
-        trial_factors=trial_factors - 2 * (trial_factors // (degree + 1)),
+        trial_factors=trials - trials // (degree + 1),
         num_partial_monomials=num_partials,
         buckets=tuple(buckets),
         order=slot + np.argsort(np.concatenate([b.equations for b in buckets])),
@@ -458,7 +464,8 @@ def member_plan(structure, degree) -> _MemberPlan:
         ),
         num_coefficients=num_coefficients,
         # Chunks stay as large as when a trial gathered the widest S rows:
-        # sized from the smaller gather, certification ran slower.
+        # sized from the trials' own gather, certify ran slower end to end
+        # (BENCH_24.json).
         entries=max(widths[-1] * num_partials, len(rows) * n, num_coefficients,
                     (n + len(used)) * (degree + 1), slot),
     )
@@ -491,20 +498,19 @@ def _scatter(plan, partials):
     return J.reshape(lead + (plan.order.size, plan.num_variables))
 
 
-def _trial_powers(points, exponents):
-    """One 1.0, then each coordinate of ``points`` (..., N) raised to ``exponents`` 1..degree-1.
+def _powers(points, exponents):
+    """``points`` (..., C) raised to ``exponents`` 0..top: x_c^p at c * (top + 1) + p.
 
-    x^1 is x, so at degree 2 no power is taken. A lone exponent array is
-    never raised through: numpy takes x^2.0 as x*x, which can differ in the
-    last bit from the loop of powers a member's table runs; over two or more
-    exponents the loop runs here too.
+    x^0 is 1.0 and x^1 is x, so up to top 1 no power is taken. Beyond it
+    every power is taken with the exponents along the last axis: numpy
+    takes a lone x^2.0, or one exponent over a whole inner loop, as x*x,
+    which can differ in the last bit from the power.
     """
-    lead = points.shape[:-1]
-    if not exponents.size:
-        return np.ones(lead + (1,))
-    if exponents.size > 1:
-        points = (points[..., np.newaxis] ** exponents).reshape(lead + (-1,))
-    return np.concatenate([np.ones(lead + (1,)), points], axis=-1)
+    if exponents.size > 2:
+        table = points[..., np.newaxis] ** exponents
+    else:
+        table = np.stack([np.ones_like(points), points], axis=-1)[..., :exponents.size]
+    return table.reshape(points.shape[:-1] + (-1,))
 
 
 def _evaluate(plan, points, dots, values):
@@ -513,7 +519,7 @@ def _evaluate(plan, points, dots, values):
     Leading axes are trials: none for one member, (T,) for a stack. ``dots``
     are every bucket's (``_Bucket.operands``), value dots only with
     ``values``; without them only the plan's partial columns are gathered,
-    through ``trial_factors`` from the trials' table of powers. One gather
+    through ``trial_factors`` from a table that stops at degree - 1. One gather
     and one product over an index leave every monomial: the product of the
     powers of its positive exponents in symbol order, then of pads, each an
     exact 1.0. Since x^0 is exactly 1.0 and x * 1.0 == x for every double,
@@ -528,10 +534,9 @@ def _evaluate(plan, points, dots, values):
             np.matmul(weights, points.take(support, axis=-1)[..., np.newaxis])
             for support, weights in plan.derived)], axis=-1)
     if values:
-        monomials = _monomials((points[..., np.newaxis] ** plan.powers).reshape(lead + (-1,)),
-                               plan.factors)
+        monomials = _monomials(_powers(points, plan.powers), plan.factors)
     else:
-        monomials = _monomials(_trial_powers(points, plan.trial_powers), plan.trial_factors)
+        monomials = _monomials(_powers(points, plan.powers[:-1]), plan.trial_factors)
     results = np.empty(lead + (plan.num_slots + (plan.order.size if values else 0), 1, 1))
     for rows, columns, shape, slots in dots:
         np.matmul(rows, monomials[..., columns].reshape(shape), out=results[..., slots, :, :])

@@ -64,10 +64,16 @@ class StructurePattern:
         Numpy integers are stored as ints; a bool or a non-integer entry is a
         TypeError naming its equation.
         """
-        rows = tuple([tuple(sorted(set(r))) for r in rows])
+        # Entries are checked as given, before a set merges True into 1. A
+        # row that is a set has no repeats left to merge, so it is not copied.
+        rows = list(rows)
+        sets = set(map(type, rows)) <= {set, frozenset}
+        if not sets:
+            rows = list(map(tuple, rows))
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            rows = tuple([tuple(sorted({_index(v, f"equation {e + 1}: variable index") for v in r}))
-                          for e, r in enumerate(rows)])
+            rows, sets = [[_index(v, f"equation {e + 1}: variable index") for v in r]
+                          for e, r in enumerate(rows)], False
+        rows = tuple(map(tuple, map(sorted, rows if sets else map(set, rows))))
         nonempty = [r for r in rows if r]
         highest = max([r[-1] for r in nonempty], default=-1)
         if num_variables is None:

@@ -411,11 +411,12 @@ class TestErrorHandling:
                                                   monkeypatch):
         # Rows of 2, 1 and 1 symbols at degree 3: an index of 2 x 36 entries
         # (at most 2 positive exponents by 2 * 6 + 10 columns, then
-        # 2 * (3 + 4)), a trials' index of 2 x 18 partial columns and a
-        # gather through it.
+        # 2 * (3 + 4)), a trials' index of 2 x 18 partial columns, a gather
+        # through it, and twice the monomial tables of 2 symbols
+        # (2 * (10 + 2 * 6)) and 1 (3 + 4).
         # Plans are cached, and a cached plan met the bound when it was built.
         polysys.member_plan.cache_clear()
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 143)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 245)
         structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
         path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
         path.write_text(json.dumps(structure))
@@ -424,25 +425,26 @@ class TestErrorHandling:
         assert main([a.format(path=path, system=system) for a in argv]) == 2
         assert capsys.readouterr().err == (
             f"error: {where.format(path=path, system=system)}: 3 equations at degree 3 make a "
-            "member plan of 144 monomial-factor entries, more than the bound of 143 "
+            "member plan of 246 monomial-factor entries, more than the bound of 245 "
             "(polysys.MAX_PLAN_ENTRIES)\n")
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 144)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 246)
         assert main(["certify", str(path), "--degree", "3", "--trials", "5"]) == 0
 
     def test_plan_bound_is_checked_at_the_default_degree(self, tmp_path, capsys, monkeypatch):
         # The rows of the test above at degree 2: an index of 2 x 22 entries
         # (2 positive exponents by 2 * 3 + 6 columns, then 2 * (2 + 3)), a
-        # trials' index of 1 x 10 partial columns and a gather through it.
+        # trials' index of 1 x 10 partial columns, a gather through it, and
+        # twice the tables of 2 symbols (2 * (6 + 2 * 3)) and 1 (2 + 3).
         polysys.member_plan.cache_clear()
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 63)
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 121)
         path = tmp_path / "wide.json"
         path.write_text('{"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]},'
                         ' {"vars": [4]}]}')
         assert main(["certify", str(path), "--trials", "5"]) == 2
         assert capsys.readouterr().err == (
-            f"error: {path}: 3 equations at degree 2 make a member plan of 64 monomial-factor "
-            "entries, more than the bound of 63 (polysys.MAX_PLAN_ENTRIES)\n")
-        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 64)
+            f"error: {path}: 3 equations at degree 2 make a member plan of 122 monomial-factor "
+            "entries, more than the bound of 121 (polysys.MAX_PLAN_ENTRIES)\n")
+        monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 122)
         assert main(["certify", str(path), "--trials", "5"]) == 0
 
     @pytest.mark.parametrize("argv", [

@@ -416,25 +416,47 @@ class TestPlanSize:
         assert plan.factors.shape == (min(degree, widest), plan.factors.shape[1])
         assert plan.trial_factors.shape == (max(min(degree - 1, widest), 0),
                                             plan.num_partial_monomials)
-        # The index, the trials' index, and a stacked trial's gather through it.
+        # The index, the trials' index, a stacked trial's gather through it,
+        # and each monomial table twice over: built, and while being built.
         gather = plan.trial_factors.size
+        tables = sum(2 * (b.table.exponents.size + b.table.dexponents.size)
+                     for b in plan.buckets)
         assert (polysys.plan_entries(structure, degree)
-                == plan.factors.size + plan.trial_factors.size + gather)
+                == plan.factors.size + plan.trial_factors.size + gather + tables)
 
     def test_dense_plan_is_refused_before_anything_is_built(self, monkeypatch):
-        # At degree 3 a dense 40 x 40 pattern would take 89 MB: an index of
-        # 3 rows, a trials' index of 2 and one trial's gather through it.
+        # At degree 3 a dense 40 x 40 pattern would take 119 MB: an index of
+        # 3 rows, a trials' index of 2, one trial's gather through it, and
+        # the 40-symbol monomial table twice over.
         def refuse(num_symbols, degree):
             raise AssertionError("a monomial table was built")
 
         monkeypatch.setattr(polysys, "_monomial_table", refuse)
         dense = StructurePattern.from_rows([range(40)] * 40)
-        message = (r"^40 equations at degree 3 make a member plan of 11124120 monomial-factor "
+        message = (r"^40 equations at degree 3 make a member plan of 14866600 monomial-factor "
                    r"entries, more than the bound of 10000000 \(polysys.MAX_PLAN_ENTRIES\)$")
         with pytest.raises(ValueError, match=message):
             member_plan(dense, 3)
         with pytest.raises(ValueError, match=message):
             sample_system(dense, degree=3)
+
+    @pytest.mark.parametrize("width, degree, entries", [
+        (1000, 2, 3010009002), (150, 2, 10351352), (135, 3, 465362148), (57, 3, 15804507),
+    ])
+    def test_one_wide_row_is_refused_before_its_table_is_built(self, monkeypatch, width,
+                                                                degree, entries):
+        # One row of 1,000 symbols at degree 2 has a small index, 3 x 502,501
+        # columns, but its monomial table would hold 4 GB of exponents and
+        # 8 GB of decremented ones.
+        def refuse(num_symbols, degree):
+            raise AssertionError("a monomial table was built")
+
+        monkeypatch.setattr(polysys, "_monomial_table", refuse)
+        wide = StructurePattern.from_rows([range(width)])
+        with pytest.raises(ParseError, match=(
+                rf"^1 equations at degree {degree} make a member plan of {entries} "
+                r"monomial-factor entries, more than the bound of 10000000")):
+            member_plan(wide, degree)
 
     @pytest.mark.parametrize("call", [
         lambda s: certify_acr(s, trials=5),
@@ -507,15 +529,15 @@ class TestVectorizedKernel:
         stacked_jacobians(plan, *_stack(plan, 9))
         assert len(gathers) == 1
         # Certification needs no values, so only the partial columns are
-        # gathered, over the rows their degree-2 monomials fill, from the
-        # trials' table: one 1.0, then x and x^2 of each coordinate.
+        # gathered, over the rows their degree-2 monomials fill, from a table
+        # without x^3: 1.0, x and x^2 of each coordinate.
         ((powers, factors),) = gathers
         assert factors is plan.trial_factors
         partials = plan.factors[:, :plan.num_partial_monomials]
         assert (partials[2:] == 0).all()
         # The member's table of x^0..x^3 gives the same factors through its index.
-        points = powers[:, 1::2]
-        member_powers = (points[..., np.newaxis] ** plan.powers).reshape(len(points), -1)
+        points = powers[:, 1::3]
+        member_powers = (points[..., np.newaxis] ** np.arange(4.0)).reshape(len(points), -1)
         assert (powers.take(factors, axis=-1).tobytes()
                 == member_powers.take(partials[:2], axis=-1).tobytes())
 

@@ -81,6 +81,12 @@ class TestStructurePattern:
         ([[1], [False, 1]], 2, "equation 2: variable index must be an integer, got False"),
         ([[0], [], [np.float64(1.0)]], 2,
          r"equation 3: variable index must be an integer, got np.float64\(1.0\)"),
+        # An entry equal to an earlier index is refused, not merged into it.
+        ([[0, False]], None, "equation 1: variable index must be an integer, got False"),
+        ([[1, True]], None, "equation 1: variable index must be an integer, got True"),
+        ([[2], [1, 1.0]], None, "equation 2: variable index must be an integer, got 1.0"),
+        # An entry that does not compare with an int is named, not sorted.
+        ([[0, "a"]], None, "equation 1: variable index must be an integer, got 'a'"),
     ])
     def test_from_rows_refuses_a_non_integer_entry(self, rows, n, message):
         with pytest.raises(TypeError, match=rf"^{message}$"):
