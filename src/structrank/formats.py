@@ -384,7 +384,7 @@ def _system_from_json_dict(data, path=None):
     for the constant term, and its values finite coefficients.
     """
     # numpy: only for system files
-    from .polysys import check_degree, check_plan_size, system_from_terms
+    from .polysys import check_plan_size, system_from_terms
 
     _expect(isinstance(data, dict), "top level must be an object", path, "$")
     _check_keys(data, {"structure", "degree", "seed", "distribution", "equations"}, path, "$")
@@ -402,7 +402,6 @@ def _system_from_json_dict(data, path=None):
     degree = data["degree"]
     _expect(_is_int(degree), "'degree' must be an integer", path, "degree")
     try:
-        check_degree(degree, allow_constant=True)
         check_plan_size(structure, degree)
     except ValueError as exc:
         raise ParseError(str(exc), path=path, where="degree") from None

@@ -192,7 +192,7 @@ def _positive_factors(exponents, degree):
     exponents are pads of exponent 0.
     """
     # A copy, so the cached table does not keep the whole sort alive.
-    order = np.argsort(exponents == 0, axis=-1, kind="stable")[..., :max(degree, 0)].copy()
+    order = np.argsort(exponents == 0, axis=-1, kind="stable")[..., :degree].copy()
     return order, np.take_along_axis(exponents, order, axis=-1)
 
 
@@ -354,18 +354,19 @@ def plan_entries(structure, degree):
     widths = list(map(len, structure.rows()))
     columns = partials = tables = 0
     for s, g in Counter(widths).items():
-        k = comb(s + degree, degree) if degree >= 0 else 0
+        k = comb(s + degree, degree)
         r = comb(s + degree - 1, degree - 1) if degree > 0 else 0
         columns += g * (s * r + k)
         partials += g * s * r
         tables += 2 * s * (k + s * r)
     widest = max(widths)
-    return (max(min(degree, widest), 0) * columns
+    return (min(degree, widest) * columns
             + 2 * max(min(degree - 1, widest), 0) * partials + tables)
 
 
 def check_plan_size(structure, degree):
-    """Raise ParseError over the Jacobian bound, then over MAX_PLAN_ENTRIES (``plan_entries``)."""
+    """Raise ValueError below degree 0, ParseError over the Jacobian or ``plan_entries`` bound."""
+    check_degree(degree, allow_constant=True)
     check_jacobian_size(structure)
     entries = plan_entries(structure, degree)
     if entries > MAX_PLAN_ENTRIES:
@@ -380,7 +381,7 @@ def member_plan(structure, degree) -> _MemberPlan:
     """The layout of every member at ``degree``, built once and shared by all of them.
 
     The plan is cached per (structure, degree); callers must not modify it.
-    A structure over a bound of ``check_plan_size`` raises ParseError before anything is built.
+    ``check_plan_size`` refuses a negative degree or a bound exceeded before anything is built.
     """
     check_plan_size(structure, degree)
     n, rows = structure.num_variables, structure.rows()
@@ -398,7 +399,7 @@ def member_plan(structure, degree) -> _MemberPlan:
     tables = [_monomial_table(width, degree) for width in widths]
     num_partials = sum(len(members) * table.rows.size for members, table in zip(groups, tables))
     # Index 0 pads every column below its monomial's positive exponents.
-    factors = np.zeros((max(min(degree, widths[-1]), 0), num_partials + sum(
+    factors = np.zeros((min(degree, widths[-1]), num_partials + sum(
         len(members) * table.size for members, table in zip(groups, tables))), dtype=np.intp)
     buckets, variables, layers = [], ([], []), {}
     # The results hold every partial, one per symbol of a row, then every value.

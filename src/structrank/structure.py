@@ -36,6 +36,48 @@ def _index(value, what):
     return operator.index(value)
 
 
+def _equation(e, v, m, n):
+    """``e`` as the int equation index of an entry (e, v) inside an M x N pattern."""
+    e = _index(e, "equation index")
+    if not 0 <= e < m:
+        raise StructureError(f"allowed entry ({e},{v}) outside {m}x{n} pattern")
+    return e
+
+
+def _store(structure, rows, n=None, names=None):
+    """The one entry check of every structure: keep ``rows``, each equation's indices as given.
+
+    Their types are checked in one pass, before a set merges True into 1:
+    numpy integers are stored as ints, and a bool or a non-integer is a
+    TypeError naming its equation. A row keeps its sorted, distinct indices,
+    in [0, N) for N ``n`` or one past the largest; then its ``names``.
+    """
+    # A row that is a set has no repeats left to merge, so it is not copied.
+    rows = list(rows)
+    sets = set(map(type, rows)) <= {set, frozenset}
+    if not sets:
+        rows = list(map(tuple, rows))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        rows, sets = [[_index(v, f"equation {e + 1}: variable index") for v in r]
+                      for e, r in enumerate(rows)], False
+    rows = tuple(map(tuple, map(sorted, rows if sets else map(set, rows))))
+    m, nonempty = len(rows), [r for r in rows if r]
+    highest = max([r[-1] for r in nonempty], default=-1)
+    n = max(highest + 1, 1) if n is None else _index(n, "num_variables")
+    if m < 1 or n < 1:
+        raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
+    if min([r[0] for r in nonempty], default=0) < 0 or highest >= n:
+        # The first bad row, and in it a negative index before a large one.
+        e, v = next((e, v) for e, r in enumerate(rows) for v in r[:1] + r[-1:]
+                    if not 0 <= v < n)
+        raise StructureError(f"allowed entry ({e},{v}) outside {m}x{n} pattern")
+    if names is not None:
+        rows = tuple(map(operator.add, rows, names))
+    object.__setattr__(structure, "num_equations", m)
+    object.__setattr__(structure, "num_variables", n)
+    object.__setattr__(structure, "_rows", rows)
+
+
 @dataclass(frozen=True, init=False)
 class StructurePattern:
     """An M x N sparsity pattern of allowed Jacobian entries.
@@ -43,7 +85,8 @@ class StructurePattern:
     The pattern is stored as its rows: for each equation, the sorted 0-based
     indices of the variables it may use. ``allowed`` gives the same entries
     as (equation, variable) pairs. An equation with no allowed variables is
-    legal; its Jacobian row is identically zero.
+    legal; its Jacobian row is identically zero. Every constructor checks
+    its entries through ``_store``.
     """
 
     num_equations: int
@@ -52,59 +95,22 @@ class StructurePattern:
     derived = ()  # no derived variables: every symbol of a row is a variable index
 
     def __init__(self, num_equations, num_variables, allowed):
-        by_row = {}
+        m, n = _index(num_equations, "num_equations"), _index(num_variables, "num_variables")
+        rows = [[] for _ in range(m)]
         for e, v in allowed:
-            by_row.setdefault(e, set()).add(v)
-        self._store(num_equations, num_variables, by_row)
+            rows[e if type(e) is int and 0 <= e < m else _equation(e, v, m, n)].append(v)
+        _store(self, rows, n)
 
     @classmethod
     def from_rows(cls, rows, num_variables=None):
         """Build from per-equation variable sets, e.g. ``[{2}, {2}, {0,1,2}]``.
 
-        Numpy integers are stored as ints; a bool or a non-integer entry is a
-        TypeError naming its equation.
+        N is ``num_variables``, or one past the largest index. The entries
+        are checked as ``_store`` checks those of every structure.
         """
-        # Entries are checked as given, before a set merges True into 1. A
-        # row that is a set has no repeats left to merge, so it is not copied.
-        rows = list(rows)
-        sets = set(map(type, rows)) <= {set, frozenset}
-        if not sets:
-            rows = list(map(tuple, rows))
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            rows, sets = [[_index(v, f"equation {e + 1}: variable index") for v in r]
-                          for e, r in enumerate(rows)], False
-        rows = tuple(map(tuple, map(sorted, rows if sets else map(set, rows))))
-        nonempty = [r for r in rows if r]
-        highest = max([r[-1] for r in nonempty], default=-1)
-        if num_variables is None:
-            num_variables = max(highest + 1, 1)
-        if min([r[0] for r in nonempty], default=0) < 0 or highest >= num_variables:
-            rows = dict(enumerate(rows))  # checked row by row, naming the first bad entry
         pattern = cls.__new__(cls)
-        pattern._store(len(rows), num_variables, rows)
+        _store(pattern, rows, num_variables)
         return pattern
-
-    def _store(self, m, n, rows):
-        """Check the size and keep the rows of an M x N pattern.
-
-        ``rows`` holds sorted in-range variable tuples, one per equation, or
-        a dict of variable sets keyed by equation, whose entries are checked.
-        """
-        m, n = _index(m, "num_equations"), _index(n, "num_variables")
-        if m < 1 or n < 1:
-            raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
-        if isinstance(rows, dict):
-            by_row, rows = rows, [()] * m
-            for e, variables in by_row.items():
-                row = tuple(sorted(variables))
-                if row and not (0 <= e < m and 0 <= row[0] and row[-1] < n):
-                    v = row[0] if row[0] < 0 else row[-1]
-                    raise StructureError(f"allowed entry ({e},{v}) outside {m}x{n} pattern")
-                rows[e] = row
-            rows = tuple(rows)
-        object.__setattr__(self, "num_equations", m)
-        object.__setattr__(self, "num_variables", n)
-        object.__setattr__(self, "_rows", rows)
 
     @property
     def allowed(self):
@@ -130,10 +136,10 @@ class StructurePattern:
         return self.num_equations == self.num_variables
 
     def with_entry(self, e, v):
-        """A copy with one more allowed entry."""
-        return StructurePattern(
-            self.num_equations, self.num_variables, self.allowed | {(e, v)}
-        )
+        """A copy with one more allowed entry, added to the stored rows."""
+        rows = list(self._rows)
+        rows[_equation(e, v, *self.shape)] += (v,)
+        return StructurePattern.from_rows(rows, self.num_variables)
 
 
 @dataclass(frozen=True)
@@ -152,14 +158,17 @@ class SystemGraph:
     include_diagonal: bool = False
 
     def __post_init__(self):
-        if self.num_nodes < 1:
+        n, edges = _index(self.num_nodes, "num_nodes"), self.edges
+        if n < 1:
             raise StructureError("graph needs at least one node")
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for i, j in self.edges:
-            if not (0 <= i < self.num_nodes and 0 <= j < self.num_nodes):
-                raise StructureError(
-                    f"edge ({i},{j}) outside node range [0,{self.num_nodes})"
-                )
+        # Checked as given, before a set merges True into 1.
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            edges = [tuple(_index(v, f"edge {edge!r}: node") for v in edge) for edge in edges]
+        for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise StructureError(f"edge ({i},{j}) outside node range [0,{n})")
+        object.__setattr__(self, "num_nodes", n)
+        object.__setattr__(self, "edges", frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -203,14 +212,12 @@ class GeneralizedStructure:
     num_variables: int
     dependencies: tuple[frozenset, ...]
     derived: tuple[DerivedVariableSpec, ...]
+    num_equations: int = field(init=False, compare=False, repr=False)
     _rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        deps = tuple(frozenset(d) for d in self.dependencies)
-        object.__setattr__(self, "dependencies", deps)
         object.__setattr__(self, "derived", tuple(self.derived))
         n, names = _index(self.num_variables, "num_variables"), [d.name for d in self.derived]
-        object.__setattr__(self, "num_variables", n)
         dup = {name for name in names if names.count(name) > 1}
         if dup:
             raise StructureError(f"derived variables declared more than once: {sorted(dup)}")
@@ -218,23 +225,14 @@ class GeneralizedStructure:
             if d.support[-1] >= n:
                 raise StructureError(f"derived variable {d.name!r} references "
                                      f"x{d.support[-1] + 1} but the system has {n} variables")
-        rows = []
-        for e, dep in enumerate(deps):
-            what = f"equation {e + 1}: variable index"
-            indices = sorted(_index(i, what) for i in dep if not isinstance(i, str))
-            refs = sorted(s for s in dep if isinstance(s, str))
-            bad = ([f"undeclared derived variable {s!r}" for s in refs if s not in names]
-                   + [f"variable index {i} outside [0,{n})" for i in indices if not 0 <= i < n])
-            if bad:
-                raise StructureError(f"equation {e + 1} references {bad[0]}")
-            rows.append(tuple(indices + refs))
-        if not rows or n < 1:
-            raise StructureError(f"pattern must have M >= 1 and N >= 1, got {len(rows)}x{n}")
-        object.__setattr__(self, "_rows", tuple(rows))
-
-    @property
-    def num_equations(self):
-        return len(self._rows)
+        deps = [list(d) for d in self.dependencies]
+        refs = [tuple(sorted({s for s in d if isinstance(s, str)})) for d in deps]
+        bad = next(((e, s) for e, row in enumerate(refs) for s in row if s not in names), None)
+        if bad:
+            e, s = bad
+            raise StructureError(f"equation {e + 1} references undeclared derived variable {s!r}")
+        _store(self, [[i for i in d if not isinstance(i, str)] for d in deps], n, refs)
+        object.__setattr__(self, "dependencies", tuple(map(frozenset, self._rows)))
 
     @property
     def derived_by_name(self):

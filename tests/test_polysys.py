@@ -90,6 +90,18 @@ class TestSampling:
         sys = sample_system(p, degree=0, allow_constant=True)
         assert (sys.jacobian(np.zeros(3)).matrix == 0).all()
 
+    @pytest.mark.parametrize("build", [
+        lambda p: system_from_terms(p, -1, [{}, {}]),
+        lambda p: member_plan(p, -1),
+        lambda p: polysys.check_plan_size(p, -2),
+    ])
+    def test_negative_degree_is_refused(self, build):
+        # system_from_terms once returned a degree -1 system whose Jacobian
+        # was all zeros, and member_plan built a plan for it.
+        p = StructurePattern.from_rows([[0, 1], [1]])
+        with pytest.raises(ValueError, match=r"^degree must be >= 0, got -"):
+            build(p)
+
     @pytest.mark.parametrize("name", ["cep3", "example5", "sole26"])
     @pytest.mark.parametrize("distribution", ["uniform", "normal"])
     def test_flat_draw_equals_per_equation_draws(self, name, distribution):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from structrank import (
     StructurePattern,
     SystemGraph,
     UnsupportedOperationError,
+    classify,
     effective_pattern,
     graph_from_pattern,
     knockout,
@@ -161,6 +164,112 @@ class TestStructurePattern:
         assert all(row == tuple(sorted(set(row))) for row in p.rows())
 
 
+# Entries a structure constructor may be given; only in-range ints and
+# numpy integers are indices.
+def row_entries(n):
+    return st.one_of(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1).map(np.int64),
+        st.integers(min_value=-2, max_value=n + 2),
+        st.booleans(),
+        st.floats(allow_nan=False, min_value=-2, max_value=n + 2),
+        st.text(max_size=1),
+        st.none(),
+    )
+
+
+@st.composite
+def drawn_rows(draw):
+    """(rows, N): rows of entries as given to a constructor, bad ones included."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(row_entries(n), max_size=4), min_size=1, max_size=4))
+    return rows, n
+
+
+def built(build):
+    """("rows", the rows ``build()`` stores), or the name and text of what it raises."""
+    try:
+        return "rows", build().rows()
+    except (TypeError, StructureError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOneEntryCheck:
+    """Every structure constructor checks the entries it is given by one rule."""
+
+    @settings(max_examples=300)
+    @given(drawn_rows())
+    def test_constructors_agree(self, case):
+        rows, n = case
+        pairs = [(e, v) for e, row in enumerate(rows) for v in row]
+        by_rows = built(lambda: StructurePattern.from_rows(rows, n))
+        by_pairs = built(lambda: StructurePattern(len(rows), n, pairs))
+        generalized = built(lambda: GeneralizedStructure(n, rows, ()))
+        assert by_pairs == by_rows
+        names = [sorted(v for v in row if isinstance(v, str)) for row in rows]
+        if any(names):
+            # A string is a derived-variable name to a generalized structure,
+            # refused first when undeclared.
+            e, name = next((e, row[0]) for e, row in enumerate(names) if row)
+            assert generalized == ("StructureError", f"equation {e + 1} references "
+                                                     f"undeclared derived variable {name!r}")
+            return
+        assert generalized == by_rows
+        if by_rows[0] != "rows":
+            return
+        assert {type(v) for row in by_rows[1] for v in row} <= {int}
+        json.dumps(classify(StructurePattern(len(rows), n, pairs)).to_json_dict())
+
+    @pytest.mark.parametrize("build, message", [
+        # frozenset(d) once merged True into 1, so only [True, 1] was refused.
+        (lambda: GeneralizedStructure(2, ([1, True],), ()),
+         "equation 1: variable index must be an integer, got True"),
+        (lambda: GeneralizedStructure(2, ([True, 1],), ()),
+         "equation 1: variable index must be an integer, got True"),
+        # Once kept as the rows ((1.5,), (0,)).
+        (lambda: StructurePattern(2, 2, [(0, 1.5), (1, 0)]),
+         "equation 1: variable index must be an integer, got 1.5"),
+        (lambda: StructurePattern(2, 2, [(True, 0)]), "equation index must be an integer, got True"),
+        (lambda: StructurePattern(2, 2, {(0, 1.5), (True, 0)}), "must be an integer, got "),
+        # Once kept the float 0.0 as an entry.
+        (lambda: StructurePattern.from_rows([[0], []], 2).with_entry(1, 0.0),
+         "equation 2: variable index must be an integer, got 0.0"),
+        (lambda: StructurePattern.from_rows([[0], []], 2).with_entry(1.0, 0),
+         "equation index must be an integer, got 1.0"),
+    ])
+    def test_a_bad_entry_is_refused_by_every_constructor(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()
+
+    def test_numpy_integer_pairs_are_stored_as_int(self):
+        # The rows once kept np.int64, and the report's JSON could not be written.
+        p = StructurePattern(2, 2, {(np.int64(0), np.int64(0)), (1, np.int64(1))})
+        assert p.rows() == ((0,), (1,))
+        assert {type(v) for row in p.rows() for v in row} == {int}
+        assert p == StructurePattern.from_rows([[0], [1]], 2)
+        assert json.loads(json.dumps(classify(p).to_json_dict()))["rank"] == 2
+
+    @pytest.mark.parametrize("e, v, message", [
+        (2, 0, r"allowed entry \(2,0\) outside 2x2 pattern"),
+        (-1, 0, r"allowed entry \(-1,0\) outside 2x2 pattern"),
+        (0, 2, r"allowed entry \(0,2\) outside 2x2 pattern"),
+    ])
+    def test_with_entry_outside_the_pattern_is_refused(self, e, v, message):
+        with pytest.raises(StructureError, match=rf"^{message}$"):
+            StructurePattern.from_rows([[0], []], 2).with_entry(e, v)
+
+    def test_with_entry_adds_one_entry(self):
+        p = StructurePattern.from_rows([[1], []], 2)
+        q = p.with_entry(0, np.int64(0))
+        assert q.rows() == ((0, 1), ())
+        assert q == StructurePattern(2, 2, {(0, 0), (0, 1)})
+        assert p.with_entry(0, 1) == p
+
+    def test_a_generalized_index_outside_gets_the_pattern_message(self):
+        with pytest.raises(StructureError, match=r"^allowed entry \(1,3\) outside 2x3 pattern$"):
+            GeneralizedStructure(3, ([0], [1, 3]), ())
+
+
 class TestPatternFromGraph:
     def test_cep_graph_reproduces_published_pattern(self):
         # Explicit self-loop on node 3; diagonal is not policy-added.
@@ -188,6 +297,25 @@ class TestPatternFromGraph:
     def test_edge_outside_range_rejected(self):
         with pytest.raises(StructureError):
             SystemGraph(2, frozenset({(0, 2)}))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SystemGraph(2.5, {(0, 1)}), "num_nodes must be an integer, got 2.5"),
+        (lambda: SystemGraph(True, set()), "num_nodes must be an integer, got True"),
+        (lambda: SystemGraph(2, {(True, 0)}), r"edge \(True, 0\): node must be an integer, got True"),
+        # pattern_from_graph once failed on this graph with an unnamed
+        # "list indices must be integers or slices, not float".
+        (lambda: SystemGraph(2, {(0, 1.5)}), r"edge \(0, 1.5\): node must be an integer, got 1.5"),
+    ])
+    def test_a_node_that_is_not_an_integer_is_refused(self, build, message):
+        with pytest.raises(TypeError, match=rf"^{message}$"):
+            build()
+
+    def test_numpy_integer_nodes_are_stored_as_int(self):
+        g = SystemGraph(np.int64(2), {(np.int64(0), np.uint8(1)), (1, np.int32(1))})
+        assert type(g.num_nodes) is int
+        assert g.edges == frozenset({(0, 1), (1, 1)})
+        assert {type(v) for edge in g.edges for v in edge} == {int}
+        assert pattern_from_graph(g).rows() == ((), (0, 1))
 
 
 @st.composite
