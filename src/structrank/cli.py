@@ -7,6 +7,7 @@ schema-stable and byte-identical for identical requests and seeds.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -62,7 +63,12 @@ class _InputError(Exception):
 
 
 def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    # With an indent, json.dumps collects every chunk in a list before joining
+    # them; json.dump writes each chunk to one buffer as it is made.
+    text = io.StringIO()
+    json.dump(payload, text, sort_keys=True, indent=2, separators=(",", ": "))
+    text.write("\n")
+    return text.getvalue()
 
 
 # Request fields that library functions take under another name.

@@ -103,14 +103,15 @@ def structure_from_json_dict(data, path=None):
 
     derived_vars = data.get("derived_vars", [])
     _expect(isinstance(derived_vars, list), "'derived_vars' must be a list", path, "derived_vars")
-    derived_specs = []
+    derived_specs, declared = [], set()
     for i, dv in enumerate(derived_vars):
         where = f"derived_vars[{i}]"
         _expect(isinstance(dv, dict), "derived variable must be an object", path, where)
         _check_keys(dv, {"name", "coeffs"}, path, where)
         _expect(isinstance(dv.get("name"), str) and dv["name"], "missing derived name", path, where)
-        _expect(all(d.name != dv["name"] for d in derived_specs),
+        _expect(dv["name"] not in declared,
                 f"derived variable {dv['name']!r} is declared twice", path, where)
+        declared.add(dv["name"])
         coeffs = dv.get("coeffs")
         _expect(isinstance(coeffs, dict) and coeffs, "'coeffs' must be a nonempty object", path, where)
         pairs = {}
@@ -124,7 +125,6 @@ def structure_from_json_dict(data, path=None):
                     f"coefficient key {key!r} names x{index + 1} again", path, where)
             pairs[index] = float(value)
         derived_specs.append(DerivedVariableSpec(dv["name"], tuple(pairs.items())))
-    declared = {d.name for d in derived_specs}
 
     dependencies = []
     for e, eq in enumerate(equations):

@@ -239,9 +239,13 @@ def _knockout_sweep(p):
     adj = p.rows()
     base = _report(_hopcroft_karp(adj, n), n, n)
     base_fragile = base.classification == FRAGILE
+    # Knockout witnesses differ in few pairs, so each distinct (e, v) is kept
+    # once: every witness holds the sweep's one tuple for it.
+    shared = {}
     entries = []
     for node in range(n):
-        report = _report(_hopcroft_karp(adj, n, node), n - 1, n - 1)
+        witness = _hopcroft_karp(adj, n, node)
+        report = _report(tuple(map(shared.setdefault, witness, witness)), n - 1, n - 1)
         entries.append(
             KnockoutEntry(
                 node=node,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -44,6 +46,32 @@ def _equation(e, v, m, n):
     return e
 
 
+def _tuples(rows):
+    """Each of ``rows`` as a tuple; a row that is no collection is a TypeError naming it."""
+    rows = list(rows)
+    try:
+        return list(map(tuple, rows))
+    except TypeError:
+        bad = next(((e, r) for e, r in enumerate(rows) if not isinstance(r, Iterable)), None)
+        if bad is None:
+            raise
+        e, row = bad
+        raise TypeError(f"equation {e + 1} must be a collection, got {row!r}") from None
+
+
+def _pairs(items, what):
+    """``items`` as a list of pairs, such as (equation, variable); another item is a TypeError."""
+    items = list(items)
+    try:
+        pairs = set(map(len, items)) <= {2}
+    except TypeError:
+        pairs = False
+    if not pairs:
+        bad = next(x for x in items if not (isinstance(x, Sized) and len(x) == 2))
+        raise TypeError(f"{what} must be a pair, got {bad!r}")
+    return items
+
+
 def _store(structure, rows, n=None, names=None):
     """The one entry check of every structure: keep ``rows``, each equation's indices as given.
 
@@ -56,7 +84,7 @@ def _store(structure, rows, n=None, names=None):
     rows = list(rows)
     sets = set(map(type, rows)) <= {set, frozenset}
     if not sets:
-        rows = list(map(tuple, rows))
+        rows = _tuples(rows)
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         rows, sets = [[_index(v, f"equation {e + 1}: variable index") for v in r]
                       for e, r in enumerate(rows)], False
@@ -97,7 +125,7 @@ class StructurePattern:
     def __init__(self, num_equations, num_variables, allowed):
         m, n = _index(num_equations, "num_equations"), _index(num_variables, "num_variables")
         rows = [[] for _ in range(m)]
-        for e, v in allowed:
+        for e, v in _pairs(allowed, "allowed entry"):
             rows[e if type(e) is int and 0 <= e < m else _equation(e, v, m, n)].append(v)
         _store(self, rows, n)
 
@@ -158,7 +186,7 @@ class SystemGraph:
     include_diagonal: bool = False
 
     def __post_init__(self):
-        n, edges = _index(self.num_nodes, "num_nodes"), self.edges
+        n, edges = _index(self.num_nodes, "num_nodes"), _pairs(self.edges, "edge")
         if n < 1:
             raise StructureError("graph needs at least one node")
         # Checked as given, before a set merges True into 1.
@@ -217,15 +245,16 @@ class GeneralizedStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "derived", tuple(self.derived))
-        n, names = _index(self.num_variables, "num_variables"), [d.name for d in self.derived]
-        dup = {name for name in names if names.count(name) > 1}
+        n = _index(self.num_variables, "num_variables")
+        names = Counter(d.name for d in self.derived)
+        dup = sorted(name for name, count in names.items() if count > 1)
         if dup:
-            raise StructureError(f"derived variables declared more than once: {sorted(dup)}")
+            raise StructureError(f"derived variables declared more than once: {dup}")
         for d in self.derived:  # its support is sorted and nonempty
             if d.support[-1] >= n:
                 raise StructureError(f"derived variable {d.name!r} references "
                                      f"x{d.support[-1] + 1} but the system has {n} variables")
-        deps = [list(d) for d in self.dependencies]
+        deps = _tuples(self.dependencies)
         refs = [tuple(sorted({s for s in d if isinstance(s, str)})) for d in deps]
         bad = next(((e, s) for e, row in enumerate(refs) for s in row if s not in names), None)
         if bad:

@@ -1,8 +1,12 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from structrank import (
     classify, cli, continuation, formats, polysys, sample_system, structural,
@@ -12,8 +16,9 @@ from structrank.datasets import get_dataset
 
 from oracles import report_from_json_dict
 
-BASIS = str(Path(__file__).parent / "golden" / "basis.json")
-SYSTEM = str(Path(__file__).parent / "golden" / "system-example5.json")
+GOLDEN = Path(__file__).parent / "golden"
+BASIS = str(GOLDEN / "basis.json")
+SYSTEM = str(GOLDEN / "system-example5.json")
 INPUT = {"input_path": None, "dataset": None, "fmt": None}
 TOL = {"rel_tol": None, "abs_floor": None}
 
@@ -880,3 +885,59 @@ class TestDeclaredFlagsAndFormats:
         assert code == 2
         assert text.startswith(f"error: {analysis.subcommand} has no output format "
                                f"{analysis.output!r}")
+
+
+# Each golden JSON input, with subcommands that read it in a few milliseconds.
+HOSTILE_FILES = {
+    "basis.json": (["matrix-space", "--trials", "3", "-o", "json"],),
+    "empty-row.json": (["show", "-o", "json"], ["classify", "-o", "text"],
+                       ["knockout", "-o", "json"], ["certify", "--trials", "3", "-o", "json"]),
+    "wide-derived.json": (["show", "-o", "text"], ["show", "-o", "dot"],
+                          ["generic-rank", "--trials", "3", "-o", "json"]),
+    "system-example5.json": (["show", "-o", "json"], ["rank", "-o", "text"]),
+}
+HOSTILE_VALUES = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4),
+    st.sampled_from([10**400, -10**400, 2**64, float("nan"), float("inf"), -float("inf")]),
+    st.lists(st.lists(st.integers(-2, 20), max_size=3), max_size=3),
+)
+
+
+def leaf_paths(value, path=()):
+    """The key path of every leaf of a JSON document: a scalar, or an empty list or object."""
+    items = list(value.items() if isinstance(value, dict) else
+                 enumerate(value) if isinstance(value, list) else ())
+    if not items:
+        yield path
+    for key, item in items:
+        yield from leaf_paths(item, (*path, key))
+
+
+class TestHostileInput:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_mutated_leaf_exits_cleanly(self, tmp_path, data):
+        # One leaf of a golden input replaced by a bool, a huge int, NaN, a
+        # string, null or a nested list: a clean answer or one named error.
+        name = data.draw(st.sampled_from(sorted(HOSTILE_FILES)))
+        doc = json.loads((GOLDEN / name).read_text())
+        *parents, key = data.draw(st.sampled_from(list(leaf_paths(doc))))
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = data.draw(HOSTILE_VALUES)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        command, *flags = data.draw(st.sampled_from(HOSTILE_FILES[name]))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+                redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, str(path), *flags])
+        assert code in (0, 1, 2)
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        assert not [line for line in lines if "internal error:" in line or "Warning" in line]
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), lines

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from structrank import (
     GeneralizedStructure,
     ParseError,
+    StructureError,
     StructurePattern,
     SystemGraph,
     parse_structure,
@@ -165,6 +167,24 @@ class TestJsonStructureFiles:
             path.write_text(json.dumps({**base, "derived_vars": derived_vars}))
             with pytest.raises(ParseError, match=r"derived_vars\[\d\]"):
                 parse_structure(path)
+
+    def test_fifty_thousand_derived_names_are_checked_in_linear_time(self):
+        # Each name was once compared with every earlier one, in the reader and
+        # again in GeneralizedStructure: minutes for this file of about 2 MB.
+        derived_vars = [{"name": f"d{i}", "coeffs": {"1": 1}} for i in range(50_000)]
+        data = {"variables": 2, "equations": [{"vars": [2], "derived": ["d0"]}],
+                "derived_vars": derived_vars}
+        start = time.perf_counter()
+        structure = structure_from_json_dict(data)
+        assert len(structure.derived) == 50_000
+        with pytest.raises(ParseError, match=(r"^derived_vars\[50000\]: "
+                                              r"derived variable 'd17' is declared twice$")):
+            structure_from_json_dict({**data, "derived_vars": [*derived_vars, derived_vars[17]]})
+        twice = (*structure.derived, structure.derived[9], structure.derived[17])
+        with pytest.raises(StructureError, match=(
+                r"^derived variables declared more than once: \['d17', 'd9'\]$")):
+            GeneralizedStructure(2, structure.dependencies, twice)
+        assert time.perf_counter() - start < 15.0
 
     def test_syntax_error_carries_line_number(self, tmp_path):
         path = tmp_path / "broken.json"

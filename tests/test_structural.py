@@ -384,3 +384,13 @@ class TestWitnessIdentity:
         entries = knockout_sweep(p)
         assert [en.report.matching for en in entries] == \
             [reference_matching(knockout(p, k)) for k in range(300)]
+
+
+class TestSweepWitnessMemory:
+    def test_a_sweep_holds_one_tuple_per_distinct_pair(self):
+        # 200 witnesses of about 199 pairs each share a few hundred distinct
+        # pairs; each knockout once built its own tuple for every one.
+        entries = knockout_sweep(web(200, seed=7))
+        pairs = [pair for en in entries for pair in en.report.matching]
+        assert len(pairs) > 10 * len(set(pairs))
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))

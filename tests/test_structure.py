@@ -269,6 +269,21 @@ class TestOneEntryCheck:
         with pytest.raises(StructureError, match=r"^allowed entry \(1,3\) outside 2x3 pattern$"):
             GeneralizedStructure(3, ([0], [1, 3]), ())
 
+    @pytest.mark.parametrize("build, message", [
+        # Each once raised "'int' object is not iterable" or an unpacking
+        # ValueError that named no equation, pair or edge.
+        (lambda: StructurePattern.from_rows([3]), "equation 1 must be a collection, got 3"),
+        (lambda: StructurePattern.from_rows([[0], 3], 2), "equation 2 must be a collection, got 3"),
+        (lambda: GeneralizedStructure(2, [5], ()), "equation 1 must be a collection, got 5"),
+        (lambda: StructurePattern(2, 2, [(0,)]), r"allowed entry must be a pair, got \(0,\)"),
+        (lambda: StructurePattern(2, 2, [(0, 1), 5]), "allowed entry must be a pair, got 5"),
+        (lambda: SystemGraph(2, {(0, 1, 1)}), r"edge must be a pair, got \(0, 1, 1\)"),
+        (lambda: SystemGraph(2, {5}), "edge must be a pair, got 5"),
+    ])
+    def test_an_entry_of_the_wrong_shape_is_named(self, build, message):
+        with pytest.raises(TypeError, match=rf"^{message}$"):
+            build()
+
 
 class TestPatternFromGraph:
     def test_cep_graph_reproduces_published_pattern(self):
