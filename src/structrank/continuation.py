@@ -228,7 +228,11 @@ class SolutionBranch:
 def _trace_direction(system, start, direction, start_tangent, target, rank0, step, budget,
                      tol, radius):
     """Walk direction +1 (which may close up) or -1 from p. Returns (points, events, closed)."""
-    points, events = [], []
+    points = []
+
+    def stop(kind, detail, location, closed=False):  # the one event that ends the walk
+        return points, [BranchEvent(kind, direction, detail, location)], closed
+
     x, tangent = start, start_tangent
     h = step
     traveled = 0.0
@@ -245,32 +249,16 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
                     break
             halvings += 1
             if halvings > MAX_STEP_HALVINGS:
-                events.append(BranchEvent(
-                    kind="corrector-failure",
-                    direction=direction,
-                    detail=f"corrector did not converge after {halvings - 1} step halvings",
-                    location=predicted,
-                ))
-                return points, events, False
+                return stop("corrector-failure",
+                            f"corrector did not converge after {halvings - 1} step halvings",
+                            predicted)
             h *= 0.5
         cx = jac.point
         if np.abs(cx).max() > radius:
-            events.append(BranchEvent(
-                kind="domain-exit",
-                direction=direction,
-                detail=f"left the domain box [-{radius}, {radius}]^N",
-                location=cx,
-            ))
-            return points, events, False
+            return stop("domain-exit", f"left the domain box [-{radius}, {radius}]^N", cx)
         rank, kernel, _ = _svd_analysis(jac, tol)
         if rank != rank0:
-            events.append(BranchEvent(
-                kind="rank-drop",
-                direction=direction,
-                detail=f"numeric rank {rank} != branch rank {rank0}",
-                location=cx,
-            ))
-            return points, events, False
+            return stop("rank-drop", f"numeric rank {rank} != branch rank {rank0}", cx)
         new_tangent = kernel[0]
         if float(new_tangent @ tangent) < 0.0:
             new_tangent = -new_tangent
@@ -283,20 +271,8 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
         h = min(step, 2.0 * h)
         if (direction > 0 and traveled >= 4.0 * step
                 and _norm(cx - start) < 0.5 * step):
-            events.append(BranchEvent(
-                kind="closed",
-                direction=direction,
-                detail="returned within step/2 of the start point",
-                location=cx,
-            ))
-            return points, events, True
-    events.append(BranchEvent(
-        kind="max-points",
-        direction=direction,
-        detail=f"point budget {budget} exhausted",
-        location=x,
-    ))
-    return points, events, False
+            return stop("closed", "returned within step/2 of the start point", cx, closed=True)
+    return stop("max-points", f"point budget {budget} exhausted", x)
 
 
 @np.errstate(over="ignore")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .errors import ParseError, StructureError
@@ -43,6 +44,7 @@ MAX_JACOBIAN_ENTRIES = 10_000_000
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*(<->|->)\s*(\d+)\s*$")
 _EXPONENTS_RE = re.compile(r"([0-9]+(,[0-9]+)*)?")
 _HEADER_RE = re.compile(r"^\s*(selfloops|nodes)\s*:\s*(\S+)\s*$", re.IGNORECASE)
+_EQUATION_FIELDS = frozenset({"name", "vars", "derived"})
 
 
 def _expect(condition, message, path=None, where=None):
@@ -51,8 +53,28 @@ def _expect(condition, message, path=None, where=None):
 
 
 def _check_keys(obj, allowed, path, where):
-    unknown = sorted(set(obj) - set(allowed))
-    _expect(not unknown, f"unknown field(s) {unknown}", path, where)
+    if not obj.keys() <= allowed:  # formatted only on failure
+        raise ParseError(f"unknown field(s) {sorted(obj.keys() - allowed)}", path=path, where=where)
+
+
+def _check_equations(equations, declared, path):
+    """Name the first fault of an equation object outside its indices, if batched passes see one."""
+    if set(map(type, equations)) <= {dict} and set().union(*equations) <= _EQUATION_FIELDS:
+        derived = [eq.get("derived", []) for eq in equations]
+        if set(map(type, derived)) | {type(eq.get("vars", [])) for eq in equations} <= {list}:
+            names = list(chain.from_iterable(derived))
+            if set(map(type, names)) <= {str} and declared.issuperset(names):
+                return
+    for e, eq in enumerate(equations):  # formats each locator on this walk only
+        where = f"equations[{e}]"
+        _expect(isinstance(eq, dict), "equation must be an object", path, where)
+        _check_keys(eq, _EQUATION_FIELDS, path, where)
+        _expect(isinstance(eq.get("vars", []), list), "'vars' must be a list", path, where)
+        derived = eq.get("derived", [])
+        _expect(isinstance(derived, list), "'derived' must be a list", path, where)
+        for j, name in enumerate(derived):
+            _expect(isinstance(name, str), "derived reference must be a name", path, f"{where}.derived[{j}]")
+            _expect(name in declared, f"undeclared derived variable {name!r}", path, f"{where}.derived[{j}]")
 
 
 def _is_int(value):
@@ -126,40 +148,28 @@ def structure_from_json_dict(data, path=None):
             pairs[index] = float(value)
         derived_specs.append(DerivedVariableSpec(dv["name"], tuple(pairs.items())))
 
-    dependencies = []
-    for e, eq in enumerate(equations):
-        where = f"equations[{e}]"
-        _expect(isinstance(eq, dict), "equation must be an object", path, where)
-        _check_keys(eq, {"name", "vars", "derived"}, path, where)
-        vars_1 = eq.get("vars", [])
-        _expect(isinstance(vars_1, list), "'vars' must be a list", path, where)
-        # Exact ints from 1 to n pass in one pass; otherwise the loop names the first bad entry.
-        valid = set(map(type, vars_1)) <= {int} and (
-            not vars_1 or (1 <= min(vars_1) and max(vars_1) <= n))
-        if not valid:
-            for j, v in enumerate(vars_1):
-                _expect(_is_int(v), f"variable index must be an integer, got {v!r}",
-                        path, f"{where}.vars[{j}]")
-                _expect(1 <= v <= n, f"variable index {v} outside 1..{n}", path,
-                        f"{where}.vars[{j}]")
-        dep = {v - 1 for v in vars_1}
-        derived = eq.get("derived", [])
-        _expect(isinstance(derived, list), "'derived' must be a list", path, where)
-        for j, name in enumerate(derived):
-            _expect(isinstance(name, str), "derived reference must be a name", path, f"{where}.derived[{j}]")
-            _expect(name in declared, f"undeclared derived variable {name!r}", path, f"{where}.derived[{j}]")
-            dep.add(name)
-        if self_loops and e < n:
-            dep.add(e)
-        dependencies.append(frozenset(dep))
-
-    if derived_specs:  # an equation can name only a declared derived variable
-        return GeneralizedStructure(
-            num_variables=n,
-            dependencies=tuple(dependencies),
-            derived=tuple(derived_specs),
-        )
-    return StructurePattern.from_rows(dependencies, n)
+    # Each equation's shape and derived names are checked before any index.
+    _check_equations(equations, declared, path)
+    vars_lists = [eq.get("vars", []) for eq in equations]
+    # _store checks the indices. An entry that is no int becomes None, which it refuses,
+    # so that a numpy integer is not read as 0-based.
+    rows = [[v - 1 if type(v) is int or _is_int(v) else None for v in vs] for vs in vars_lists]
+    for e, row in enumerate(rows[:n] if self_loops else ()):
+        row.append(e)
+    try:
+        pattern = StructurePattern.from_rows(rows, n)
+    except (TypeError, StructureError):
+        for e, vs in enumerate(vars_lists):  # name the first bad entry in file order
+            for j, v in enumerate(vs):
+                if not (_is_int(v) and 1 <= v <= n):
+                    raise ParseError(f"variable index {v} outside 1..{n}" if _is_int(v) else
+                                     f"variable index must be an integer, got {v!r}",
+                                     path=path, where=f"equations[{e}].vars[{j}]") from None
+        raise
+    if derived_specs:  # the rows checked above, each with its equation's derived names
+        return GeneralizedStructure(n, [(*row, *eq.get("derived", ())) for row, eq in
+                                        zip(pattern.rows(), equations)], tuple(derived_specs))
+    return pattern
 
 
 def structure_to_json_dict(structure):

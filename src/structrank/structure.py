@@ -196,7 +196,7 @@ class SystemGraph:
             if not (0 <= i < n and 0 <= j < n):
                 raise StructureError(f"edge ({i},{j}) outside node range [0,{n})")
         object.__setattr__(self, "num_nodes", n)
-        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "edges", frozenset(map(tuple, edges)))
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,14 @@ class DerivedVariableSpec:
     coefficients: tuple[tuple[int, float], ...]  # (variable index, weight)
 
     def __post_init__(self):
-        what = f"derived variable {self.name!r}: variable index"
-        pairs = dict((_index(i, what), float(c)) for i, c in self.coefficients)
+        if not isinstance(self.name, str) or not self.name:
+            raise TypeError(f"derived variable name must be a nonempty str, got {self.name!r}")
+        what, pairs = f"derived variable {self.name!r}", {}
+        for i, c in _pairs(self.coefficients, f"{what}: coefficient"):
+            i = _index(i, f"{what}: variable index")
+            if isinstance(c, bool) or not hasattr(type(c), "__float__"):  # as "1.5" or b"2"
+                raise TypeError(f"{what}: weight must be a real number, got {c!r}")
+            pairs[i] = float(c)
         coeffs = tuple(sorted(pairs.items()))
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:
@@ -245,6 +251,9 @@ class GeneralizedStructure:
 
     def __post_init__(self):
         object.__setattr__(self, "derived", tuple(self.derived))
+        bad = [d for d in self.derived if not isinstance(d, DerivedVariableSpec)]
+        if bad:
+            raise TypeError(f"a derived variable must be a DerivedVariableSpec, got {bad[0]!r}")
         n = _index(self.num_variables, "num_variables")
         names = Counter(d.name for d in self.derived)
         dup = sorted(name for name, count in names.items() if count > 1)

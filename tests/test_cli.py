@@ -918,15 +918,17 @@ class TestHostileInput:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_a_mutated_leaf_exits_cleanly(self, tmp_path, data):
-        # One leaf of a golden input replaced by a bool, a huge int, NaN, a
-        # string, null or a nested list: a clean answer or one named error.
+        # One or two leaves of a golden input replaced by a bool, a huge int,
+        # NaN, a string, null or a nested list: a clean answer or one named
+        # error, whichever of two faults the reader meets first.
         name = data.draw(st.sampled_from(sorted(HOSTILE_FILES)))
         doc = json.loads((GOLDEN / name).read_text())
-        *parents, key = data.draw(st.sampled_from(list(leaf_paths(doc))))
-        target = doc
-        for step in parents:
-            target = target[step]
-        target[key] = data.draw(HOSTILE_VALUES)
+        for _ in range(data.draw(st.integers(1, 2))):
+            *parents, key = data.draw(st.sampled_from(list(leaf_paths(doc))))
+            target = doc
+            for step in parents:
+                target = target[step]
+            target[key] = data.draw(HOSTILE_VALUES)
         path = tmp_path / name
         path.write_text(json.dumps(doc))
         command, *flags = data.draw(st.sampled_from(HOSTILE_FILES[name]))

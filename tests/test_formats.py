@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrank import (
     GeneralizedStructure,
@@ -212,6 +214,57 @@ class TestJsonStructureFiles:
     def test_variable_indices_read_zero_based(self):
         data = {"variables": 4, "equations": [{"vars": [4, 1, 4]}, {"vars": []}]}
         assert structure_from_json_dict(data).rows() == ((0, 3), ())
+
+    @given(n=st.integers(1, 6), equations=st.lists(st.lists(st.one_of(
+        st.integers(1, 6), st.integers(-3, 9), st.booleans(), st.floats(),
+        st.text(max_size=2), st.none(), st.lists(st.integers(1, 3), max_size=2)), max_size=4),
+        min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_the_first_bad_entry_in_file_order_is_named(self, n, equations):
+        data = {"variables": n, "equations": [{"vars": vs} for vs in equations]}
+        bad = next(((e, j, v) for e, vs in enumerate(equations) for j, v in enumerate(vs)
+                    if type(v) is not int or not 1 <= v <= n), None)
+        if bad is None:
+            rows = tuple(tuple(sorted({v - 1 for v in vs})) for vs in equations)
+            assert structure_from_json_dict(data).rows() == rows
+            return
+        e, j, v = bad
+        message = (f"variable index {v} outside 1..{n}" if type(v) is int
+                   else f"variable index must be an integer, got {v!r}")
+        with pytest.raises(ParseError) as raised:
+            structure_from_json_dict(data, path="s.json")
+        assert str(raised.value) == f"s.json: equations[{e}].vars[{j}]: {message}"
+
+    def test_a_numpy_integer_index_is_refused_not_read_zero_based(self):
+        data = {"variables": 3, "equations": [{"vars": [1, np.int64(2)]}]}
+        with pytest.raises(ParseError) as raised:
+            structure_from_json_dict(data)
+        assert raised.value.where == "equations[0].vars[1]"
+        assert raised.value.message == f"variable index must be an integer, got {np.int64(2)!r}"
+
+    def test_a_declared_derived_name_in_vars_is_refused(self, tmp_path, capsys):
+        data = {"variables": 2, "equations": [{"vars": [1, "z"]}],
+                "derived_vars": [{"name": "z", "coeffs": {"1": 1}}]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        assert main(["show", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: equations[0].vars[1]: variable index must be an integer, got 'z'\n")
+
+    @pytest.mark.parametrize("equations, where, message", [
+        # Every equation's shape and derived names are checked before any index.
+        ([{"vars": [9], "derived": ["w"]}], "equations[0].derived[0]",
+         "undeclared derived variable 'w'"),
+        ([{"vars": [9]}, {"vars": 1}], "equations[1]", "'vars' must be a list"),
+        ([{"vars": [2.0]}, {"vars": [1], "oops": 1}], "equations[1]", "unknown field(s) ['oops']"),
+        # Among the indices, the first bad one in file order.
+        ([{"vars": [1, 9]}, {"vars": [True]}], "equations[0].vars[1]",
+         "variable index 9 outside 1..3"),
+    ])
+    def test_a_file_with_several_faults_names_them_in_order(self, equations, where, message):
+        with pytest.raises(ParseError) as raised:
+            structure_from_json_dict({"variables": 3, "equations": equations})
+        assert (raised.value.where, raised.value.message) == (where, message)
 
     def test_round_trip_pattern(self):
         pattern = get_dataset("robust4").structure

@@ -325,6 +325,13 @@ class TestPatternFromGraph:
         with pytest.raises(TypeError, match=rf"^{message}$"):
             build()
 
+    def test_an_edge_given_as_a_list_is_a_pair(self):
+        # Once an unnamed "unhashable type: 'list'", where a pattern took a list pair.
+        g = SystemGraph(2, [[0, 1], (1, 1)])
+        assert g.edges == frozenset({(0, 1), (1, 1)})
+        assert g == SystemGraph(2, {(0, 1), (1, 1)})
+        assert pattern_from_graph(g) == StructurePattern(2, 2, [[1, 0], [1, 1]])
+
     def test_numpy_integer_nodes_are_stored_as_int(self):
         g = SystemGraph(np.int64(2), {(np.int64(0), np.uint8(1)), (1, np.int32(1))})
         assert type(g.num_nodes) is int
@@ -518,6 +525,34 @@ class TestDerivedVariables:
         with pytest.raises(TypeError, match=(
                 rf"^derived variable 'z': variable index must be an integer, got {bad}$")):
             DerivedVariableSpec("z", coefficients)
+
+    @pytest.mark.parametrize("build, message", [
+        # Each once raised an error that named nothing, or was accepted.
+        (lambda: DerivedVariableSpec("z", [5]),
+         "derived variable 'z': coefficient must be a pair, got 5"),
+        (lambda: DerivedVariableSpec("z", [(0,)]),
+         r"derived variable 'z': coefficient must be a pair, got \(0,\)"),
+        (lambda: DerivedVariableSpec("z", [(0, "1.5")]),
+         "derived variable 'z': weight must be a real number, got '1.5'"),
+        (lambda: DerivedVariableSpec("z", [(0, 1.0), (1, b"2")]),
+         "derived variable 'z': weight must be a real number, got b'2'"),
+        (lambda: DerivedVariableSpec("z", [(0, True)]),
+         "derived variable 'z': weight must be a real number, got True"),
+        (lambda: DerivedVariableSpec(5, [(0, 1.0)]),
+         "derived variable name must be a nonempty str, got 5"),
+        (lambda: DerivedVariableSpec("", [(0, 1.0)]),
+         "derived variable name must be a nonempty str, got ''"),
+        (lambda: GeneralizedStructure(2, [[0]], [5]),
+         "a derived variable must be a DerivedVariableSpec, got 5"),
+    ])
+    def test_a_bad_declaration_is_named(self, build, message):
+        with pytest.raises(TypeError, match=rf"^{message}$"):
+            build()
+
+    def test_spec_weights_are_stored_as_float(self):
+        spec = DerivedVariableSpec("z", [[1, np.float32(0.5)], (0, np.int64(3))])
+        assert spec.coefficients == ((0, 3.0), (1, 0.5))
+        assert {type(c) for _, c in spec.coefficients} == {float}
 
     def test_spec_stores_numpy_integer_indices_as_int(self):
         spec = DerivedVariableSpec("z", ((np.int64(2), 1.0), (np.uint8(0), 3.0)))
