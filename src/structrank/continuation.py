@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -376,55 +377,53 @@ class ManifoldProbeReport:
 
 
 def _sigma_significant(sigma, rank0):
-    if rank0 < 1 or rank0 > sigma.size:
-        return 0.0
-    return float(sigma[rank0 - 1])
+    # A rank never exceeds the number of singular values.
+    return float(sigma[rank0 - 1]) if rank0 >= 1 else 0.0
 
 
-def _hunt_rank_drop(system, start, target, rank0, step, tol, radius, rng):
+def _land(system, trial, target, radius, tol):
+    """(evaluation, rank, kernel rows, singular values) of ``trial`` corrected onto the level set.
+
+    None, with no analysis, when the corrector fails or lands outside [-radius, radius]^N.
+    """
+    jac, _, ok, _ = _gauss_newton(system, trial, target,
+                                  CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS)
+    if not ok or np.abs(jac.point).max() > radius:
+        return None
+    return (jac, *_svd_analysis(jac, tol))
+
+
+def _hunt_rank_drop(system, x, rank, kernel, current, target, rank0, step, tol, radius, rng):
     """Greedy descent of the rank0-th singular value along the solution set.
 
     The walk itself almost never lands on the measure-zero locus where the
     rank drops; descending the smallest significant singular value finds it
     when it exists (the value decays to zero on approach). Reports a drop
     only if the numeric rank at the refined point, under the standard
-    tolerance, is below rank0. ``start`` is the evaluation of the start point.
+    tolerance, is below rank0. It starts at x, whose rank, kernel rows and
+    rank0-th singular value ``current`` the walk has found.
     """
-    x = start.point
-    rank, kernel, sigma = _svd_analysis(start, tol)
-    current = _sigma_significant(sigma, rank0)
-    if rank < rank0:
-        return x, rank, current
     h = step
     corrections = 0
     while h > 1e-15 and corrections < MAX_HUNT_CORRECTIONS:
         dim = kernel.shape[0]
         candidates = list(kernel) + [rng.standard_normal(dim) @ kernel for _ in range(2)]
-        improved = False
-        for base_dir in candidates:
+        for base_dir, sign in product(candidates, (1.0, -1.0)):
             norm = _norm(base_dir)
             if norm == 0.0:
                 continue
-            for sign in (1.0, -1.0):
-                trial = x + (sign * h / norm) * base_dir
-                jac, _, ok, _ = _gauss_newton(
-                    system, trial, target,
-                    CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS,
-                )
-                corrections += 1
-                if not ok or np.abs(jac.point).max() > radius:
-                    continue
-                r, k, s = _svd_analysis(jac, tol)
-                value = _sigma_significant(s, rank0)
-                if r < rank0:
-                    return jac.point, r, value
-                if value < current:
-                    x, rank, kernel, current = jac.point, r, k, value
-                    improved = True
-                    break
-            if improved:
+            landed = _land(system, x + (sign * h / norm) * base_dir, target, radius, tol)
+            corrections += 1
+            if landed is None:
+                continue
+            jac, r, k, s = landed
+            value = _sigma_significant(s, rank0)
+            if r < rank0:
+                return jac.point, r, value
+            if value < current:
+                x, rank, kernel, current = jac.point, r, k, value
                 break
-        if not improved:
+        else:  # no trial lowered the value
             h *= 0.5
     return x, rank, current
 
@@ -485,7 +484,7 @@ def manifold_probe(
     accepted = 0
     x = p
     min_sigma = _sigma_significant(sigma0, rank0)
-    argmin = jac0
+    argmin = (p, rank0, kernel)  # the lowest-sigma point, its rank and kernel rows
     drop_point = None
     drop_rank = None
     for _ in range(samples):
@@ -495,24 +494,19 @@ def manifold_probe(
             failures += 1
             continue
         direction /= norm
-        moved = False
         for sign in (1.0, -1.0):
-            trial = x + sign * step * direction
-            jac, _, ok, _ = _gauss_newton(
-                system, trial, target, CORRECTOR_INTERIOR_TOL, MAX_CORRECTOR_ITERATIONS
-            )
-            if ok and np.abs(jac.point).max() <= domain_radius:
-                moved = True
+            landed = _land(system, x + sign * step * direction, target, domain_radius, tol)
+            if landed is not None:
                 break
-        if not moved:
+        else:
             failures += 1
             continue
-        rank, k, sigma = _svd_analysis(jac, tol)
+        jac, rank, k, sigma = landed
         histogram[rank] = histogram.get(rank, 0) + 1
         accepted += 1
         value = _sigma_significant(sigma, rank0)
         if value < min_sigma:
-            min_sigma, argmin = value, jac
+            min_sigma, argmin = value, (jac.point, rank, k)
         if rank < rank0:
             drop_point, drop_rank = jac.point, rank
             break
@@ -523,7 +517,7 @@ def manifold_probe(
     # No rank lies below 0, so a base rank of 0 leaves nothing to hunt.
     if drop_point is None and accepted > 0 and rank0 > 0:
         hx, hrank, hsigma = _hunt_rank_drop(
-            system, argmin, target, rank0, step, tol, domain_radius, rng
+            system, *argmin, min_sigma, target, rank0, step, tol, domain_radius, rng
         )
         min_sigma = min(min_sigma, hsigma)
         if hrank < rank0:
@@ -589,9 +583,7 @@ def perturbation_probe(
         p + rng.uniform(-RESTART_SCALE, RESTART_SCALE, p.size) for _ in range(PERTURBATION_RESTARTS)
     ]
     best_rn = np.inf
-    tried = 0
-    for x0 in starts:
-        tried += 1
+    for tried, x0 in enumerate(starts, 1):
         jac, _, ok, rn = _gauss_newton(system, x0, target,
                                        DEFAULT_RESIDUAL_TOL, PERTURBED_ITERATIONS)
         if ok:

@@ -152,12 +152,15 @@ def structure_from_json_dict(data, path=None):
     _check_equations(equations, declared, path)
     vars_lists = [eq.get("vars", []) for eq in equations]
     # _store checks the indices. An entry that is no int becomes None, which it refuses,
-    # so that a numpy integer is not read as 0-based.
+    # so that neither a numpy integer is read as 0-based nor a string as a derived name.
     rows = [[v - 1 if type(v) is int or _is_int(v) else None for v in vs] for vs in vars_lists]
     for e, row in enumerate(rows[:n] if self_loops else ()):
         row.append(e)
     try:
-        pattern = StructurePattern.from_rows(rows, n)
+        if derived_specs:  # each row with its equation's derived names, checked above
+            return GeneralizedStructure(n, [row + eq.get("derived", []) for row, eq in
+                                            zip(rows, equations)], tuple(derived_specs))
+        return StructurePattern.from_rows(rows, n)
     except (TypeError, StructureError):
         for e, vs in enumerate(vars_lists):  # name the first bad entry in file order
             for j, v in enumerate(vs):
@@ -166,10 +169,6 @@ def structure_from_json_dict(data, path=None):
                                      f"variable index must be an integer, got {v!r}",
                                      path=path, where=f"equations[{e}].vars[{j}]") from None
         raise
-    if derived_specs:  # the rows checked above, each with its equation's derived names
-        return GeneralizedStructure(n, [(*row, *eq.get("derived", ())) for row, eq in
-                                        zip(pattern.rows(), equations)], tuple(derived_specs))
-    return pattern
 
 
 def structure_to_json_dict(structure):
@@ -445,6 +444,8 @@ def _system_from_json_dict(data, path=None):
         return system_from_terms(structure, degree, terms, seed, distribution)
     except StructureError as exc:
         raise ParseError(str(exc), path=path, where="equations") from None
+    except ParseError as exc:  # a coefficient whose partial overflows: the file, at no field
+        raise ParseError(exc.message, path=path) from None
 
 
 def parse_system(path):

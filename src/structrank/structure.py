@@ -214,7 +214,12 @@ class DerivedVariableSpec:
             i = _index(i, f"{what}: variable index")
             if isinstance(c, bool) or not hasattr(type(c), "__float__"):  # as "1.5" or b"2"
                 raise TypeError(f"{what}: weight must be a real number, got {c!r}")
-            pairs[i] = float(c)
+            if i in pairs:
+                raise StructureError(f"{what}: variable index {i} has two coefficients")
+            try:
+                pairs[i] = float(c)
+            except OverflowError:  # an int too large for a float is refused as an infinity
+                pairs[i] = math.inf
         coeffs = tuple(sorted(pairs.items()))
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import warnings
 from pathlib import Path
@@ -22,10 +23,13 @@ from structrank import (
     trace_curve,
 )
 from structrank import continuation, formats
+from structrank.cli import main
 from structrank.continuation import _gauss_newton
 from structrank.datasets import get_dataset
 
 from oracles import hausdorff_distance, reference_gauss_newton
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def ellipse_system():
@@ -165,6 +169,23 @@ class TestTraceCurve:
         with pytest.raises(ValueError, match="max_points"):
             trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], max_points=0)
 
+    def test_corrector_failure_ends_each_direction(self, monkeypatch):
+        def never_converges(system, x0, *args):
+            return system.jacobian(x0), continuation.MAX_CORRECTOR_ITERATIONS, False, 1.0
+
+        monkeypatch.setattr(continuation, "_gauss_newton", never_converges)
+        p = np.array([1.0, 1.0, 1.0])
+        branch = trace_curve(get_dataset("eqcep1").system, p, step=0.05)
+        halvings = continuation.MAX_STEP_HALVINGS
+        detail = f"corrector did not converge after {halvings} step halvings"
+        assert [(ev.kind, ev.direction, ev.detail) for ev in branch.events] == [
+            ("corrector-failure", 1, detail), ("corrector-failure", -1, detail)]
+        assert [bp.point.tolist() for bp in branch.points] == [p.tolist()]
+        # Each event is located at the last, shortest predictor step.
+        tangent = branch.points[0].tangent
+        assert_allclose(branch.events[0].location, p + 0.05 / 2**halvings * tangent, rtol=1e-15)
+        assert_allclose(branch.events[1].location, p - 0.05 / 2**halvings * tangent, rtol=1e-15)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
     def test_bad_domain_radius_rejected(self, radius):
         # A nan box is never left and a box of radius <= 0 holds no point
@@ -290,6 +311,23 @@ class TestEvaluationReuse:
         assert (probe.solved, probe.starts_tried, len(descents)) == (False, 21, 21)
         assert [points.count(last) for points, last in descents if points.count(last) > 1] == []
 
+    def test_probe_analyses_each_point_once(self, monkeypatch, capsys):
+        # The rank-drop hunt ran a second SVD on its start, the walk's
+        # lowest-sigma sample, which the walk had analysed already.
+        analysed = []
+        svd_analysis = continuation._svd_analysis
+
+        def spied(jac, tol):
+            analysed.append(jac.point.tobytes())
+            return svd_analysis(jac, tol)
+
+        monkeypatch.setattr(continuation, "_svd_analysis", spied)
+        assert main(["probe", "--dataset", "sole26", "--from", ",".join(["0.1"] * 26),
+                     "--samples", "5", "-o", "json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "probe-sole26-json.out").read_text()
+        assert len(analysed) > 5
+        assert len(analysed) == len(set(analysed))
+
     def test_no_rank_drop_hunt_at_base_rank_zero(self, calls):
         # No rank lies below the base rank 0 of x1*x2 at the origin, so the
         # hunt could only spend calls: it made 538 of the 765 here.
@@ -390,6 +428,53 @@ class TestPerturbationProbe:
         # fragility verdict with no evidence behind it.
         with pytest.raises(ValueError, match="delta must be finite"):
             perturbation_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], [bad, 0.0, 0.0])
+
+
+def interior_corrections(path):
+    """(line, enclosing function) of each ``_gauss_newton`` call naming CORRECTOR_INTERIOR_TOL."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else function)
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "_gauss_newton"
+                    and any(isinstance(n, ast.Name) and n.id == "CORRECTOR_INTERIOR_TOL"
+                            for arg in [*child.args, *(k.value for k in child.keywords)]
+                            for n in ast.walk(arg))):
+                found.append((child.lineno, function))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+class TestOneLandingStep:
+    """The walk and the rank-drop hunt correct, box-check and analyse a trial through ``_land``.
+
+    A curve trace keeps its own corrector loop, since there a failed
+    correction or a box exit ends the walk with an event.
+    """
+
+    def test_only_land_and_the_trace_correct_to_the_interior_tolerance(self):
+        found = interior_corrections(Path(continuation.__file__))
+        assert sorted(function for _, function in found) == ["_land", "_trace_direction"], found
+
+    @pytest.mark.parametrize("source, expected", [
+        ("def f(s, x, t):\n    return _gauss_newton(s, x, t, CORRECTOR_INTERIOR_TOL, 25)\n",
+         [(2, "f")]),
+        ("def f(s, x, t):\n    def g():\n        _gauss_newton(s, x, t,\n"
+         "                      residual_tol=CORRECTOR_INTERIOR_TOL)\n", [(3, "g")]),
+        # Another tolerance, or another function, is not an interior correction.
+        ("def f(s, x, t):\n    _gauss_newton(s, x, t, DEFAULT_RESIDUAL_TOL, 50)\n", []),
+        ("def f(s, x, t):\n    _land(s, x, t, CORRECTOR_INTERIOR_TOL)\n", []),
+    ])
+    def test_scan_finds_interior_corrections(self, source, expected, tmp_path):
+        path = tmp_path / "module.py"
+        path.write_text(source)
+        assert interior_corrections(path) == expected
 
 
 class TestOverflowingResidual:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from structrank import structure as structure_module
 from structrank import (
     GeneralizedStructure,
     ParseError,
@@ -170,6 +171,25 @@ class TestJsonStructureFiles:
             with pytest.raises(ParseError, match=r"derived_vars\[\d\]"):
                 parse_structure(path)
 
+    @pytest.mark.parametrize("data, rows", [
+        (CEP_JSON, ((2,), (2,), (0, 1, 2))),
+        ({"variables": 2, "self_loops": True, "equations": [{"vars": [2], "derived": ["z"]}, {}],
+          "derived_vars": [{"name": "z", "coeffs": {"1": 1.0}}]}, ((0, 1, "z"), (1,))),
+    ])
+    def test_the_rows_are_checked_once(self, data, rows, monkeypatch):
+        # A file with derived variables had its rows checked by from_rows, then
+        # again by GeneralizedStructure.
+        stores = []
+        store = structure_module._store
+
+        def counted(*args):
+            stores.append(args)
+            return store(*args)
+
+        monkeypatch.setattr(structure_module, "_store", counted)
+        parsed = structure_from_json_dict(data)
+        assert (len(stores), parsed.rows()) == (1, rows)
+
     def test_fifty_thousand_derived_names_are_checked_in_linear_time(self):
         # Each name was once compared with every earlier one, in the reader and
         # again in GeneralizedStructure: minutes for this file of about 2 MB.
@@ -304,6 +324,19 @@ class TestEdgeListFiles:
         path.write_text("1 -> 2\n2 => 3\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_structure(path)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 -> 2\nselfloops: maybe\n", 2, "selfloops must be 'on' or 'off'"),
+        ("nodes: 0\n1 -> 2\n", 1, "nodes must be a positive integer"),
+        ("nodes: x\n", 1, "nodes must be a positive integer"),
+        ("1 -> 2\n\n0 <-> 1\n", 3, "node indices are 1-based"),
+    ])
+    def test_bad_header_or_node_reports_line_number(self, tmp_path, text, line, message):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(ParseError) as raised:
+            parse_structure(path)
+        assert (raised.value.path, raised.value.line, raised.value.message) == (path, line, message)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -497,6 +530,18 @@ class TestSystemFiles:
         path.write_text(json.dumps(data))
         assert main(["trace", str(path), "--from", "1,1"]) == 2
         assert "equations[0]: exponent keys '1,0' and '01,0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parse", [parse_system, parse_input])
+    def test_a_partial_that_overflows_names_the_file(self, parse, tmp_path):
+        # The library's ParseError named no file; only the command line added it.
+        data = {**LINE_SYSTEM, "degree": 2, "equations": [{"2,0": 1e308}]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as raised:
+            parse(path)
+        assert (raised.value.path, raised.value.line, raised.value.where) == (path, None, None)
+        assert str(raised.value) == (f"{path}: equation 1: coefficient 1e+308 of exponent "
+                                     "vector (2, 0) times its exponent 2 is not finite")
 
     def test_constant_system_file_is_accepted(self, tmp_path):
         data = {**LINE_SYSTEM, "degree": 0, "equations": [{"0,0": 2.5}]}

@@ -21,7 +21,7 @@ from structrank import (
 from structrank.datasets import DATASETS, get_dataset
 from structrank import formats, polysys
 from structrank.polysys import (
-    _monomial_table, member_plan, seeded_rng, seeded_streams, stacked_jacobians,
+    PolyEquation, _monomial_table, member_plan, seeded_rng, seeded_streams, stacked_jacobians,
 )
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure, StructurePattern
 
@@ -672,3 +672,25 @@ class TestSerialization:
         equations = sample_system(p, degree=2, seed=0).equations
         with pytest.raises(StructureError, match="degree 2, the system 3"):
             StructuredPolySystem(p, 3, equations)
+
+    def test_polynomial_count_must_match_the_structure(self):
+        p = get_dataset("cep3").structure
+        equations = sample_system(p, degree=2, seed=0).equations
+        with pytest.raises(StructureError, match=r"^structure has 3 equations, got 2 polynomials$"):
+            StructuredPolySystem(p, 2, equations[:2])
+
+    def test_polynomial_symbols_must_match_the_row(self):
+        # cep3's rows are (2,), (2,) and (0, 1, 2).
+        p = get_dataset("cep3").structure
+        first, second, third = sample_system(p, degree=2, seed=0).equations
+        with pytest.raises(StructureError, match=r"^equation 1 does not match its structure row$"):
+            StructuredPolySystem(p, 2, (third, second, first))
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ([1.0, 2.0], r"^equation over 1 symbols at degree 2 needs 3 coefficients, got \(2,\)$"),
+        ([1.0, np.nan, 0.0], r"^polynomial coefficients must be finite$"),
+        ([1.0, 0.0, -np.inf], r"^polynomial coefficients must be finite$"),
+    ])
+    def test_polynomial_coefficients_are_checked(self, coefficients, message):
+        with pytest.raises(StructureError, match=message):
+            PolyEquation((0,), 2, coefficients)

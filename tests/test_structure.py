@@ -442,9 +442,13 @@ class TestDerivedVariables:
         with pytest.raises(StructureError):
             DerivedVariableSpec("z", ())
 
-    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])
+    # An int too large for a float once escaped as an OverflowError.
+    @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan"),
+                                        10**400, -10**400],
+                             ids=["inf", "-inf", "nan", "10**400", "-10**400"])
     def test_spec_rejects_non_finite_weights(self, weight):
-        with pytest.raises(StructureError, match="finite"):
+        with pytest.raises(StructureError, match=(
+                r"^derived variable 'z': coefficient on x2 must be finite and nonzero$")):
             DerivedVariableSpec("z", ((0, 1.0), (1, weight)))
 
     def test_duplicate_declaration_rejected(self):
@@ -548,6 +552,20 @@ class TestDerivedVariables:
     def test_a_bad_declaration_is_named(self, build, message):
         with pytest.raises(TypeError, match=rf"^{message}$"):
             build()
+
+    @pytest.mark.parametrize("coefficients, index", [([(0, 1.0), (0, 2.0)], 0),
+                                                     ([(2, 1.0), (np.int64(2), 1.0)], 2)])
+    def test_an_index_given_twice_is_refused(self, coefficients, index):
+        # The second weight once replaced the first.
+        with pytest.raises(StructureError, match=(
+                rf"^derived variable 'z': variable index {index} has two coefficients$")):
+            DerivedVariableSpec("z", coefficients)
+
+    def test_derived_support_beyond_the_variables_refused(self):
+        z = DerivedVariableSpec("z", ((0, 1.0), (2, 1.0)))
+        with pytest.raises(StructureError, match=(
+                r"^derived variable 'z' references x3 but the system has 2 variables$")):
+            GeneralizedStructure(2, [["z"]], [z])
 
     def test_spec_weights_are_stored_as_float(self):
         spec = DerivedVariableSpec("z", [[1, np.float32(0.5)], (0, np.int64(3))])
