@@ -56,6 +56,10 @@ CASES = {
     "probe-robotarm-degree3-json": ["probe", "--dataset", "robotarm",
                                     "--from", "0.1,0.2,0.3,0.4,0.5,0.6",
                                     "--degree", "3", "--seed", "4", "-o", "json"],
+    # Dimension 0: the isolated-point branch, over two more sampled members.
+    "probe-robust4": ["probe", "--dataset", "robust4", "--from", "0.1,0.2,0.3,0.4"],
+    "probe-twogene-json": ["probe", "--dataset", "twogene", "--from", "0.5,0.4,0.3,0.2",
+                           "-o", "json"],
     "probe-eqcep1-delta": ["probe", "--dataset", "eqcep1", "--from", "1,1,1",
                            "--delta", "0,0.1,0"],
     "probe-eqcep1-delta-json": ["probe", "--dataset", "eqcep1", "--from", "1,1,1",
