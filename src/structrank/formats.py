@@ -409,10 +409,9 @@ def _system_from_json_dict(data, path=None):
         raise ParseError(exc.message, path=path, where=where) from None
     check_jacobian_size(structure, path, "structure")
     degree = data["degree"]
-    _expect(_is_int(degree), "'degree' must be an integer", path, "degree")
     try:
         check_plan_size(structure, degree)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(str(exc), path=path, where="degree") from None
     equations = data["equations"]
     m = structure.num_equations

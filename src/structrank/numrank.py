@@ -185,7 +185,6 @@ def _member_jacobians(structure, degree, distribution):
     then its point, into one row of the chunk (``draw_members``). Returns
     the draw and the entries one trial occupies.
     """
-    check_degree(degree)
     plan = member_plan(structure, degree)
     k = plan.num_coefficients
 
@@ -211,6 +210,7 @@ def generic_rank_randomized(
     """
     if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
         raise TypeError(f"expected a structure, got {type(structure).__name__}")
+    degree = check_degree(degree)
     return _run_trials(
         *_member_jacobians(structure, degree, distribution), trials, seed, tol, drawn="Jacobian",
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
@@ -247,6 +247,7 @@ def certify_acr(
             "generalized structures have no exact combinatorial rank, so use "
             "generic-rank (generic_rank_randomized) for derived-variable systems"
         )
+    degree = check_degree(degree)
     return _run_trials(
         *_member_jacobians(pattern, degree, distribution), trials, seed, tol, drawn="Jacobian",
         target_rank=structural_rank(pattern), pass_threshold=pass_threshold,

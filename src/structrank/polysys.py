@@ -15,13 +15,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, combinations_with_replacement
 from math import comb, isfinite
 
 import numpy as np
 
 from .errors import ParseError, StructureError
 from .formats import _system_from_json_dict, check_jacobian_size, structure_to_json_dict
-from .structure import GeneralizedStructure, StructurePattern
+from .structure import GeneralizedStructure, StructurePattern, _index
 
 __all__ = [
     "PolyEquation",
@@ -71,12 +72,17 @@ _OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(_INIT_B, _MULT_B, 0, 8)
 
 
 def _entropy_words(entropy):
-    """The number of 32-bit words SeedSequence makes of ``entropy``: an int or nested ints."""
-    if isinstance(entropy, np.ndarray) and entropy.dtype == np.uint32:
-        return entropy.size
-    if isinstance(entropy, (int, np.integer)):
-        return max(1, -(-int(entropy).bit_length() // 32))
-    return sum(_entropy_words(v) for v in entropy)
+    """The number of 32-bit words SeedSequence makes of ``entropy``, ints nested to any depth."""
+    words, stack = 0, [entropy]
+    while stack:
+        entropy = stack.pop()
+        if isinstance(entropy, np.ndarray) and entropy.dtype == np.uint32:
+            words += entropy.size
+        elif isinstance(entropy, (int, np.integer)):
+            words += max(1, -(-int(entropy).bit_length() // 32))
+        else:
+            stack.extend(entropy)
+    return words
 
 
 def _seed_words(pool, calls, start, stop):
@@ -129,16 +135,6 @@ def seeded_streams(seed, start, stop):
             yield generator
 
 
-def _sum_vectors(num_symbols, total):
-    if num_symbols == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total, -1, -1):
-        for rest in _sum_vectors(num_symbols - 1, total - first):
-            yield (first,) + rest
-
-
 @dataclass(frozen=True)
 class _MonomialTable:
     """All exponent vectors of total degree <= degree, graded order.
@@ -166,16 +162,16 @@ class _MonomialTable:
         return self.exponents.shape[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _monomial_table(num_symbols: int, degree: int) -> _MonomialTable:
-    vectors = [
-        v for total in range(degree + 1) for v in _sum_vectors(num_symbols, total)
-    ]
-    expts = np.array(vectors, dtype=np.int64).reshape(len(vectors), num_symbols)
-    width = int(np.count_nonzero(expts[:, 0])) if num_symbols else 0
-    rows = np.array(
-        [np.flatnonzero(expts[:, s]) for s in range(num_symbols)], dtype=np.intp
-    ).reshape(num_symbols, width)
+    # A monomial is the sorted tuple of its symbols, one per unit of exponent: by total, then
+    # lexicographically, their exponent vectors fall in descending lexicographic order.
+    monomials = [m for total in range(degree + 1)
+                 for m in combinations_with_replacement(range(num_symbols), total)]
+    expts = np.zeros((len(monomials), num_symbols), dtype=np.int64)
+    np.add.at(expts, (np.arange(len(monomials)).repeat(list(map(len, monomials))),
+                      np.fromiter(chain.from_iterable(monomials), dtype=np.intp)), 1)
+    rows = np.nonzero(expts.T)[1].reshape(num_symbols, -1 if num_symbols else 0)
     symbols = np.arange(num_symbols)
     mult = expts[rows, symbols[:, None]].astype(np.float64)
     dexp = expts[rows]
@@ -210,7 +206,8 @@ class PolyEquation:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        table = _monomial_table(len(self.symbols), self.degree)
+        object.__setattr__(self, "degree", check_degree(self.degree, allow_constant=True))
+        table = self.table
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         if coeffs.shape != (table.size,):
             raise StructureError(
@@ -348,8 +345,8 @@ def plan_entries(structure, degree):
     trials' index holds min(d - 1, S) rows of the partial columns, and a
     stacked trial gathers as many entries again. The table of a width S
     holds S*K exponents and S*S*R decremented ones, and building it takes as
-    many again: the exponent tuples, then the sort that finds each
-    monomial's positive exponents.
+    many again: the sort that finds each monomial's positive exponents
+    (``_positive_factors``) runs over both.
     """
     widths = list(map(len, structure.rows()))
     columns = partials = tables = 0
@@ -365,8 +362,8 @@ def plan_entries(structure, degree):
 
 
 def check_plan_size(structure, degree):
-    """Raise ValueError below degree 0, ParseError over the Jacobian or ``plan_entries`` bound."""
-    check_degree(degree, allow_constant=True)
+    """Raise as ``check_degree`` does, or ParseError over the Jacobian or ``plan_entries`` bound."""
+    degree = check_degree(degree, allow_constant=True)
     check_jacobian_size(structure)
     entries = plan_entries(structure, degree)
     if entries > MAX_PLAN_ENTRIES:
@@ -376,7 +373,7 @@ def check_plan_size(structure, degree):
             f"(polysys.MAX_PLAN_ENTRIES)")
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def member_plan(structure, degree) -> _MemberPlan:
     """The layout of every member at ``degree``, built once and shared by all of them.
 
@@ -561,6 +558,7 @@ class StructuredPolySystem:
     distribution: str = "explicit"
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", check_degree(self.degree, allow_constant=True))
         if len(self.equations) != self.structure.num_equations:
             raise StructureError(
                 f"structure has {self.structure.num_equations} equations, "
@@ -707,16 +705,18 @@ def draw_members(rngs, count, num_coefficients, distribution, num_points=0):
 
 
 def check_degree(degree, allow_constant=False):
-    """Raise ValueError unless degree >= 1, or >= 0 when constants are allowed.
+    """``degree`` as an int; TypeError for a bool or non-integer, ValueError below 1 (0 with constants).
 
     Degree 0 means constant equations, whose Jacobian rows are identically zero.
     """
+    degree = _index(degree, "degree")
     least = 0 if allow_constant else 1
     if degree < least:
         raise ValueError(
             f"degree must be >= {least}, got {degree}: degree 0 means constant "
             "equations with identically zero Jacobian rows"
         )
+    return degree
 
 
 def sample_system(
@@ -733,7 +733,7 @@ def sample_system(
     (structure, degree, seed, distribution); the generator is PCG64, which is
     platform independent.
     """
-    check_degree(degree, allow_constant)
+    degree = check_degree(degree, allow_constant)
     plan = member_plan(structure, degree)
     flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
     return _member(structure, degree, flat, seed, distribution)
