@@ -76,9 +76,7 @@ def _entropy_words(entropy):
     words, stack = 0, [entropy]
     while stack:
         entropy = stack.pop()
-        if isinstance(entropy, np.ndarray) and entropy.dtype == np.uint32:
-            words += entropy.size
-        elif isinstance(entropy, (int, np.integer)):
+        if isinstance(entropy, (int, np.integer)):
             words += max(1, -(-int(entropy).bit_length() // 32))
         else:
             stack.extend(entropy)
@@ -649,6 +647,7 @@ def system_from_terms(
     Exponent tuples align with each equation's symbols in ``structure.rows()``:
     sorted variable indices, then sorted derived names.
     """
+    degree = check_degree(degree, allow_constant=True)
     plan = member_plan(structure, degree)
     if len(terms) != structure.num_equations:
         raise StructureError(
@@ -705,7 +704,7 @@ def draw_members(rngs, count, num_coefficients, distribution, num_points=0):
 
 
 def check_degree(degree, allow_constant=False):
-    """``degree`` as an int; TypeError for a bool or non-integer, ValueError below 1 (0 with constants).
+    """The int ``degree``: TypeError for a bool or non-integer, ValueError below 1 (0 with constants).
 
     Degree 0 means constant equations, whose Jacobian rows are identically zero.
     """

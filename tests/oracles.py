@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the implementations."""
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -150,6 +150,17 @@ def reference_draw(structure, degree, rng, distribution):
             coefficients = rng.standard_normal(size)
         equations.append(PolyEquation(symbols, degree, coefficients))
     return equations
+
+
+def reference_exponents(num_symbols, degree):
+    """Every exponent vector of total degree <= ``degree``, by total, then descending.
+
+    The graded order a monomial table holds, taken from all of
+    product(range(degree + 1), repeat=num_symbols).
+    """
+    vectors = [v for v in product(range(degree + 1), repeat=num_symbols) if sum(v) <= degree]
+    vectors.sort(key=lambda v: (sum(v), tuple(-k for k in v)))
+    return np.array(vectors, dtype=np.int64).reshape(len(vectors), num_symbols)
 
 
 def reference_stream(seed, i):

@@ -221,6 +221,14 @@ class TestErrorHandling:
         assert code == 2
         assert "--dataset" in text
 
+    @pytest.mark.parametrize("request_, message", [
+        (AnalysisRequest("trace", dataset="eqcep1"),
+         "--from X1,...,X3 is required for this subcommand"),
+        (AnalysisRequest("matrix-space"), "matrix-space needs a JSON file with a 'basis' list"),
+    ], ids=["trace", "matrix-space"])
+    def test_missing_point_or_basis_is_input_error(self, request_, message):
+        assert run(request_) == (2, f"error: {message}\n")
+
     def test_unknown_subcommand(self):
         code, _ = run(AnalysisRequest("explode"))
         assert code == 2
@@ -452,6 +460,21 @@ class TestErrorHandling:
         monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 122)
         assert main(["certify", str(path), "--trials", "5"]) == 0
 
+    @pytest.mark.parametrize("subcommand", ["certify", "generic-rank"])
+    def test_one_equation_over_a_thousand_variables(self, subcommand, tmp_path, capsys):
+        # Its degree-1 table was built by a generator that recursed once per
+        # symbol, an internal RecursionError; degree 2 stays over the bound.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"variables": 1000,
+                                    "equations": [{"vars": list(range(1, 1001))}]}))
+        argv = [subcommand, str(path), "--trials", "3", "-o", "json", "--degree"]
+        assert main([*argv, "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["histogram"] == {"1": 3}
+        assert main([*argv, "2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 1 equations at degree 2 make a member plan of 3010009002 "
+            "monomial-factor entries, more than the bound of 10000000 (polysys.MAX_PLAN_ENTRIES)\n")
+
     @pytest.mark.parametrize("argv", [
         ["trace", "{path}", "--from", "0.1,0.2,0.3,0.4,0.5,0.6"],
         ["probe", "{path}", "--from", "0.1,0.2,0.3,0.4,0.5,0.6"],
@@ -588,6 +611,18 @@ class TestMainEntryPoint:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "--dataset", "eqcep1", "--from", "1,a"],
+         "trace: error: argument --from: expected comma-separated numbers, got '1,a'"),
+        (["certify", "--dataset", "cep3", "--trials", "x"],
+         "certify: error: argument --trials: expected an integer, got 'x'"),
+    ], ids=["from", "trials"])
+    def test_unparsable_flag_value_is_named(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"structrank {message}\n")
 
     def test_probe_without_accepted_samples_claims_nothing(self, capsys):
         # The base point lies outside the domain box, so every sample is rejected.

@@ -226,6 +226,52 @@ class TestManifoldProbe:
         assert report.isolated_confirmed
         assert report.returned_count == 20
 
+    def test_isolated_probe_counts_corrector_failures(self, monkeypatch):
+        # Every other perturbed start fails to converge: those samples are
+        # failures, not returns, and the point is not confirmed isolated.
+        gauss_newton, calls = continuation._gauss_newton, []
+
+        def every_other_fails(system, x0, *args):
+            calls.append(x0)
+            jac, iterations, ok, residual = gauss_newton(system, x0, *args)
+            return jac, iterations, ok and len(calls) % 2 == 1, residual
+
+        monkeypatch.setattr(continuation, "_gauss_newton", every_other_fails)
+        report = manifold_probe(identity_system(), [0.3, -0.2, 0.7], samples=20, seed=1)
+        assert (report.dimension, len(calls)) == (0, 20)
+        assert (report.corrector_failures, report.returned_count) == (10, 10)
+        assert (report.samples_accepted, report.rank_histogram) == (10, {3: 10})
+        assert not report.isolated_confirmed
+
+    def test_hunt_trials_that_fail_to_land_change_nothing(self, monkeypatch):
+        # With every hunt correction failing, the hunt halves its step from
+        # 0.2 to below 1e-15, 48 rounds of 3 candidates times 2 signs, and
+        # the report is the walk's, as if no hunt had run.
+        system, p = get_dataset("eqcep1").system, [1.0, 1.0, 1.0]
+        hunt, gauss_newton = continuation._hunt_rank_drop, continuation._gauss_newton
+        walked = manifold_probe(system, p, samples=20, seed=0)
+        monkeypatch.setattr(continuation, "_hunt_rank_drop",
+                            lambda system, x, rank, kernel, current, *args: (x, rank, current))
+        unhunted = manifold_probe(system, p, samples=20, seed=0).to_json_dict()
+        hunted = []
+
+        def hunt_fails(system, x0, *args):
+            jac, iterations, ok, residual = gauss_newton(system, x0, *args)
+            if hunted:
+                hunted.append(x0)
+            return jac, iterations, ok and not hunted, residual
+
+        def failing_hunt(*args):
+            hunted.append(None)
+            return hunt(*args)
+
+        monkeypatch.setattr(continuation, "_gauss_newton", hunt_fails)
+        monkeypatch.setattr(continuation, "_hunt_rank_drop", failing_hunt)
+        report = manifold_probe(system, p, samples=20, seed=0)
+        assert len(hunted) - 1 == 48 * 6
+        assert report.to_json_dict() == unhunted
+        assert walked.min_significant_sigma < unhunted["min_significant_sigma"]
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sample_count_must_be_positive(self, samples):
         with pytest.raises(ValueError, match="samples"):

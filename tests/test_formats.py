@@ -368,6 +368,13 @@ class TestPatternMatrixFiles:
         with pytest.raises(ParseError):
             parse_structure(path)
 
+    def test_empty_pattern_rejected(self, tmp_path):
+        path = tmp_path / "p.pattern"
+        path.write_text("\n\n")
+        with pytest.raises(ParseError) as raised:
+            parse_structure(path)
+        assert (raised.value.path, raised.value.message) == (path, "empty pattern")
+
 
 class TestFormatDetection:
     def test_sniffs_json_without_extension(self, tmp_path):
@@ -379,6 +386,18 @@ class TestFormatDetection:
         path = tmp_path / "noext"
         path.write_text("1 -> 2\n")
         assert isinstance(parse_structure(path), SystemGraph)
+
+    def test_sniffs_pattern_without_extension(self, tmp_path):
+        path = tmp_path / "noext"
+        path.write_text("00*/00*/***\n")
+        assert parse_structure(path) == get_dataset("cep3").structure
+
+    def test_unknown_explicit_format_rejected(self, tmp_path):
+        path = tmp_path / "p.pattern"
+        path.write_text("0*\n*0\n")
+        with pytest.raises(ParseError) as raised:
+            parse_structure(path, "yaml")
+        assert raised.value.message == "unknown format 'yaml' (expected json, edges, or pattern)"
 
     def test_explicit_format_overrides_extension(self, tmp_path):
         path = tmp_path / "matrix.json"
@@ -411,6 +430,12 @@ class TestDotExport:
         dot = to_dot(get_dataset("robotarm").structure)
         assert "x1 -> f1;" in dot
         assert "f3" in dot
+
+    def test_graph_with_self_loops_notes_the_policy(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("selfloops: on\n1 -> 2\n")
+        assert to_dot(parse_structure(path)).splitlines()[:2] == [
+            "digraph system {", "  // self-loop policy: every node depends on itself"]
 
     def test_generalized_structure_shows_derived_node(self):
         dot = to_dot(get_dataset("example5").structure)

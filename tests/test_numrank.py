@@ -10,6 +10,7 @@ from structrank import (
     RankTolerance,
     StructureError,
     StructurePattern,
+    SystemGraph,
     certify_acr,
     generic_rank_randomized,
     matrix_space_rank,
@@ -49,6 +50,10 @@ class TestNumericRank:
 
     def test_zero_matrix(self):
         assert numeric_rank(np.zeros((3, 3))) == 0
+
+    def test_matrix_without_rows(self):
+        # Its SVD has no singular values, so nothing sits above the cutoff.
+        assert numeric_rank(np.zeros((0, 3))) == 0
 
     def test_quartic_jacobian(self):
         assert numeric_rank([[0, 0, 2], [0, 0, 4], [2, -1, 4]]) == 2
@@ -145,6 +150,10 @@ class TestGenericRankRandomized:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             generic_rank_randomized(get_dataset("cep3").structure, trials=0)
+
+    def test_graph_is_refused(self):
+        with pytest.raises(TypeError, match=r"^expected a structure, got SystemGraph$"):
+            generic_rank_randomized(SystemGraph(2, {(0, 1)}), trials=5)
 
     @pytest.mark.parametrize("degree", [0, -1])
     def test_constant_members_rejected(self, degree):

@@ -1,3 +1,4 @@
+import json
 import re
 from unittest import mock
 
@@ -25,7 +26,7 @@ from structrank.polysys import (
 )
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure, StructurePattern
 
-from oracles import reference_draw, reference_evaluation, reference_stream
+from oracles import reference_draw, reference_evaluation, reference_exponents, reference_stream
 
 
 def example5_structure(a=1.0, b=2.0):
@@ -54,6 +55,20 @@ class TestMonomialTable:
     def test_degrees_bounded(self):
         t = _monomial_table(4, 3)
         assert t.exponents.sum(axis=1).max() == 3
+
+    @pytest.mark.parametrize("s", range(7))
+    @pytest.mark.parametrize("d", range(6))
+    def test_exponents_in_graded_order(self, s, d):
+        expected = reference_exponents(s, d)
+        exponents = _monomial_table(s, d).exponents
+        assert exponents.dtype == expected.dtype and exponents.shape == expected.shape
+        assert (exponents == expected).all()
+
+    def test_one_row_of_a_thousand_symbols(self):
+        # Once a generator that recursed once per symbol.
+        t = _monomial_table(1000, 1)
+        assert t.size == 1001 and (t.exponents[1:] == np.eye(1000, dtype=np.int64)).all()
+        assert t.rows.tolist() == [[s + 1] for s in range(1000)]
 
 
 class TestSampling:
@@ -128,6 +143,53 @@ class TestSampling:
             sample_system(get_dataset("cep3").structure, distribution="cauchy")
 
 
+# Every library entry that takes a degree, on the rows (0, 1) and (1,).
+DEGREE_CALLS = {
+    "sample_system": lambda p, d: sample_system(p, d),
+    "system_from_terms": lambda p, d: system_from_terms(p, d, [{}, {}]),
+    "certify_acr": lambda p, d: certify_acr(p, trials=3, degree=d),
+    "generic_rank_randomized": lambda p, d: generic_rank_randomized(p, trials=3, degree=d),
+}
+
+
+class TestDegreeType:
+    """A degree is an int under one rule, whatever the plan and table caches hold."""
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("degree", [2.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("call", sorted(DEGREE_CALLS))
+    def test_bool_or_float_degree_is_named(self, call, degree, cache):
+        # Cached by value, 2.0 and True once hit the plans of 2 and 1: on a
+        # cold cache 2.0 raised an unnamed TypeError from math.comb, on a
+        # warm one it passed and was recorded as 2.0.
+        p = StructurePattern.from_rows([[0, 1], [1]])
+        member_plan.cache_clear()
+        _monomial_table.cache_clear()
+        if cache == "warm":
+            sample_system(p, 1)
+            sample_system(p, 2)
+        with pytest.raises(TypeError, match=rf"^degree must be an integer, got {degree!r}$"):
+            DEGREE_CALLS[call](p, degree)
+
+    @pytest.mark.parametrize("call", sorted(DEGREE_CALLS))
+    def test_numpy_integer_degree_is_recorded_as_an_int(self, call):
+        result = DEGREE_CALLS[call](StructurePattern.from_rows([[0, 1], [1]]), np.int64(2))
+        assert type(result.degree) is int and result.degree == 2
+        if isinstance(result, StructuredPolySystem):
+            assert all(type(eq.degree) is int for eq in result.equations)
+            data = json.loads(json.dumps(result.to_json_dict()))
+            assert StructuredPolySystem.from_json_dict(data).degree == 2
+
+    @pytest.mark.parametrize("build", [
+        lambda: PolyEquation((0,), 2.0, [1.0, 0.0, 0.0]),
+        lambda: StructuredPolySystem(StructurePattern.from_rows([[0]]), True,
+                                     (PolyEquation((0,), 1, [0.0, 1.0]),)),
+    ], ids=["equation", "system"])
+    def test_constructors_name_a_bad_degree(self, build):
+        with pytest.raises(TypeError, match=r"^degree must be an integer, got (2\.0|True)$"):
+            build()
+
+
 def _draws(rng):
     return rng.uniform(-1.0, 1.0, 5).tobytes() + rng.standard_normal(5).tobytes()
 
@@ -143,6 +205,14 @@ class TestSeededStreams:
         assert seeded_rng(0).uniform(-1.0, 1.0, 2).tolist() == [
             0.2739233746429086, -0.4604265724722594]
         assert _draws(next(seeded_streams(0, 0, 1))) == _draws(reference_stream(0, 0))
+
+    def test_seed_nested_a_thousand_deep(self):
+        # SeedSequence takes a seed nested to any depth; counting its words
+        # once recursed per level and raised RecursionError near 900.
+        seed = [5, 2**200]
+        for _ in range(1000):
+            seed = [seed]
+        assert _draws(next(seeded_streams(seed, 0, 1))) == _draws(reference_stream(seed, 0))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -651,6 +721,11 @@ class TestSerialization:
         p = get_dataset("xy").structure
         with pytest.raises(StructureError, match="monomial"):
             system_from_terms(p, 1, [{(1, 1): 1.0}])
+
+    def test_term_map_count_must_match_the_structure(self):
+        p = StructurePattern.from_rows([[0, 1], [1]])
+        with pytest.raises(StructureError, match=r"^structure has 2 equations, got 1 term maps$"):
+            system_from_terms(p, 1, [{(1, 0): 1.0}])
 
     @pytest.mark.parametrize("coefficient", [1e308, -1e308, 9e307])
     def test_coefficient_whose_partial_overflows_rejected(self, coefficient):

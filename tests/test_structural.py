@@ -135,6 +135,10 @@ class TestClassify:
         assert rep.classification == "robust"
         assert rep.solution_dimension == 0
 
+    def test_graph_is_refused(self):
+        with pytest.raises(TypeError, match=r"^expected StructurePattern, got SystemGraph$"):
+            classify(SystemGraph(2, {(0, 1)}))
+
     def test_fragile_example(self):
         rep = classify(get_dataset("cep3").structure)
         assert rep.classification == "fragile"

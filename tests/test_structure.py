@@ -313,6 +313,10 @@ class TestPatternFromGraph:
         with pytest.raises(StructureError):
             SystemGraph(2, frozenset({(0, 2)}))
 
+    def test_a_graph_without_nodes_is_refused(self):
+        with pytest.raises(StructureError, match=r"^graph needs at least one node$"):
+            SystemGraph(0, ())
+
     @pytest.mark.parametrize("build, message", [
         (lambda: SystemGraph(2.5, {(0, 1)}), "num_nodes must be an integer, got 2.5"),
         (lambda: SystemGraph(True, set()), "num_nodes must be an integer, got True"),
@@ -365,6 +369,12 @@ class TestGraphPatternRoundTrip:
         p = StructurePattern(2, 3, frozenset({(0, 0)}))
         with pytest.raises(UnsupportedOperationError):
             graph_from_pattern(p)
+
+    def test_include_diagonal_needs_every_diagonal_entry(self):
+        p = StructurePattern.from_rows([[0, 1], [0], [2]])
+        with pytest.raises(StructureError, match=(
+                r"^include-diagonal policy recorded but diagonal entries missing at \[1\]$")):
+            graph_from_pattern(p, include_diagonal=True)
 
 
 class TestKnockout:
@@ -441,6 +451,10 @@ class TestDerivedVariables:
             DerivedVariableSpec("z", ((0, 0.0),))
         with pytest.raises(StructureError):
             DerivedVariableSpec("z", ())
+
+    def test_spec_refuses_a_negative_index(self):
+        with pytest.raises(StructureError, match=r"^derived variable 'z': bad index -1$"):
+            DerivedVariableSpec("z", [(-1, 1.0)])
 
     # An int too large for a float once escaped as an OverflowError.
     @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan"),
