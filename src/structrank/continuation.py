@@ -408,12 +408,15 @@ def _hunt_rank_drop(system, x, rank, kernel, current, target, rank0, step, tol, 
     while h > 1e-15 and corrections < MAX_HUNT_CORRECTIONS:
         dim = kernel.shape[0]
         candidates = list(kernel) + [rng.standard_normal(dim) @ kernel for _ in range(2)]
+        tried = set()  # a trial made again in one step would land as before and lower nothing
         for base_dir, sign in product(candidates, (1.0, -1.0)):
             norm = _norm(base_dir)
             if norm == 0.0:
                 continue
-            landed = _land(system, x + (sign * h / norm) * base_dir, target, radius, tol)
+            trial = x + (sign * h / norm) * base_dir
             corrections += 1
+            landed = None if trial.tobytes() in tried else _land(system, trial, target, radius, tol)
+            tried.add(trial.tobytes())
             if landed is None:
                 continue
             jac, r, k, s = landed

@@ -26,7 +26,6 @@ __all__ = [
     "parse_input",
     "parse_structure",
     "parse_basis",
-    "parse_system",
     "structure_to_json_dict",
     "structure_from_json_dict",
     "to_dot",
@@ -362,18 +361,24 @@ def parse_basis(path):
     _check_keys(data, {"basis"}, path, "$")
     basis = data.get("basis")
     _expect(isinstance(basis, list) and basis, "'basis' must be a nonempty list", path, "basis")
-    for i, mat in enumerate(basis):
-        _expect(isinstance(mat, list) and mat, "matrix must be a nonempty list of rows", path, f"basis[{i}]")
-        _expect(len(mat) == len(basis[0]),
-                f"matrix has {len(mat)} rows, basis[0] has {len(basis[0])}", path, f"basis[{i}]")
-        for j, row in enumerate(mat):
-            _expect(isinstance(row, list) and row, "matrix row must be a nonempty list", path, f"basis[{i}][{j}]")
-            _expect(len(row) == len(basis[0][0]),
-                    f"row has {len(row)} entries, basis[0][0] has {len(basis[0][0])}",
-                    path, f"basis[{i}][{j}]")
-            for k, value in enumerate(row):
-                _expect(_is_finite_number(value),
-                        "matrix entries must be finite numbers", path, f"basis[{i}][{j}][{k}]")
+    rows = list(chain.from_iterable(mat for mat in basis if isinstance(mat, list)))
+    # Batched passes check shapes and entries; the walk formats locators only to name a fault.
+    if not (set(map(type, basis)) == set(map(type, rows)) == {list} and all(basis) and all(rows)
+            and set(map(len, basis)) == {len(basis[0])} and set(map(len, rows)) == {len(rows[0])}
+            and all(map(_is_finite_number, chain.from_iterable(rows)))):
+        for i, mat in enumerate(basis):
+            _expect(isinstance(mat, list) and mat, "matrix must be a nonempty list of rows", path, f"basis[{i}]")
+            _expect(len(mat) == len(basis[0]),
+                    f"matrix has {len(mat)} rows, basis[0] has {len(basis[0])}", path, f"basis[{i}]")
+            for j, row in enumerate(mat):
+                _expect(isinstance(row, list) and row, "matrix row must be a nonempty list", path,
+                        f"basis[{i}][{j}]")
+                _expect(len(row) == len(basis[0][0]),
+                        f"row has {len(row)} entries, basis[0][0] has {len(basis[0][0])}",
+                        path, f"basis[{i}][{j}]")
+                for k, value in enumerate(row):
+                    _expect(_is_finite_number(value),
+                            "matrix entries must be finite numbers", path, f"basis[{i}][{j}][{k}]")
     # Combinations take coefficients in [-1, 1], so no entry of one can exceed
     # the sum of absolute values at its position.
     entries = zip(*([abs(v) for row in mat for v in row] for mat in basis))
@@ -445,11 +450,6 @@ def _system_from_json_dict(data, path=None):
         raise ParseError(str(exc), path=path, where="equations") from None
     except ParseError as exc:  # a coefficient whose partial overflows: the file, at no field
         raise ParseError(exc.message, path=path) from None
-
-
-def parse_system(path):
-    """Load a serialized polynomial system (JSON)."""
-    return _system_from_json_dict(_parse_json_file(path), path)
 
 
 def to_dot(structure) -> str:

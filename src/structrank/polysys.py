@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations_with_replacement
-from math import comb, isfinite
+from functools import cached_property, lru_cache
+from itertools import chain, combinations_with_replacement, compress
+from math import comb
 
 import numpy as np
 
@@ -159,6 +159,11 @@ class _MonomialTable:
     def size(self):
         return self.exponents.shape[0]
 
+    @cached_property
+    def index(self):
+        """Each row of ``exponents`` as a tuple of ints, in order, mapped to its row number."""
+        return {exps: i for i, exps in enumerate(map(tuple, self.exponents.tolist()))}
+
 
 @lru_cache(maxsize=None, typed=True)
 def _monomial_table(num_symbols: int, degree: int) -> _MonomialTable:
@@ -222,11 +227,8 @@ class PolyEquation:
 
     def term_dict(self):
         """Nonzero terms keyed by exponent tuple."""
-        return {
-            tuple(int(k) for k in self.table.exponents[i]): float(c)
-            for i, c in enumerate(self.coefficients)
-            if c != 0.0
-        }
+        nonzero = self.coefficients != 0.0
+        return dict(zip(compress(self.table.index, nonzero), self.coefficients[nonzero].tolist()))
 
 
 @dataclass(frozen=True)
@@ -616,7 +618,7 @@ class StructuredPolySystem:
             "distribution": self.distribution,
             "equations": [
                 {
-                    ",".join(str(k) for k in exps): coeff
+                    ",".join(map(str, exps)): coeff
                     for exps, coeff in sorted(eq.term_dict().items())
                 }
                 for eq in self.equations
@@ -644,8 +646,8 @@ def system_from_terms(
 ) -> StructuredPolySystem:
     """Build a system from per-equation {exponent tuple: coefficient} maps.
 
-    Exponent tuples align with each equation's symbols in ``structure.rows()``:
-    sorted variable indices, then sorted derived names.
+    Exponent tuples, of ints or numpy integers (another type is a TypeError), align with
+    each equation's symbols in ``structure.rows()``: sorted variable indices, then sorted derived names.
     """
     degree = check_degree(degree, allow_constant=True)
     plan = member_plan(structure, degree)
@@ -655,22 +657,23 @@ def system_from_terms(
         )
     flat = np.zeros(plan.num_coefficients)
     for e, (symbols, start, row) in enumerate(zip(structure.rows(), plan.offsets, terms)):
-        table = _monomial_table(len(symbols), degree)
-        index = {exps: i for i, exps in enumerate(map(tuple, table.exponents.tolist()))}
-        for exps, c in row.items():
-            exps = tuple(int(k) for k in exps)
-            if exps not in index:
-                raise StructureError(
-                    f"equation {e + 1}: exponent vector {exps} is not a monomial "
-                    f"of degree <= {degree} over its {len(symbols)} symbols"
-                )
-            # A partial derivative's coefficient is c times an exponent;
-            # PolyEquation refuses a c that is not finite itself.
-            c, top = float(c), max(exps, default=0)
-            if isfinite(c) and not isfinite(c * top):
-                raise ParseError(f"equation {e + 1}: coefficient {c!r} of exponent vector "
-                                 f"{exps} times its exponent {top} is not finite")
-            flat[start + index[exps]] = c
+        table, keys = _monomial_table(len(symbols), degree), list(map(tuple, row))
+        if not set(map(type, chain.from_iterable(keys))) <= {int}:  # numpy integers read as ints
+            keys = [tuple(_index(k, f"equation {e + 1}: exponent") for k in exps) for exps in keys]
+        slots = np.array([table.index.get(exps, -1) for exps in keys], dtype=np.intp)
+        coefficients = np.fromiter(map(float, row.values()), np.float64, len(keys))
+        # A partial's coefficient is c times an exponent; PolyEquation refuses a c not finite itself.
+        tops = table.exponents[slots].max(axis=1, initial=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            refused = (slots < 0) | (np.isfinite(coefficients) & ~np.isfinite(coefficients * tops))
+        if refused.any():  # named at the first refused term
+            i = refused.argmax()
+            if slots[i] < 0:
+                raise StructureError(f"equation {e + 1}: exponent vector {keys[i]} is not a monomial "
+                                     f"of degree <= {degree} over its {len(symbols)} symbols")
+            raise ParseError(f"equation {e + 1}: coefficient {float(coefficients[i])!r} of exponent "
+                             f"vector {keys[i]} times its exponent {max(keys[i])} is not finite")
+        flat[start + slots] = coefficients
     return _member(structure, degree, flat, seed, distribution)
 
 

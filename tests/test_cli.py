@@ -929,7 +929,8 @@ HOSTILE_FILES = {
                        ["knockout", "-o", "json"], ["certify", "--trials", "3", "-o", "json"]),
     "wide-derived.json": (["show", "-o", "text"], ["show", "-o", "dot"],
                           ["generic-rank", "--trials", "3", "-o", "json"]),
-    "system-example5.json": (["show", "-o", "json"], ["rank", "-o", "text"]),
+    "system-example5.json": (["show", "-o", "json"], ["rank", "-o", "text"],
+                             ["trace", "--from", "0.3,0.2,0.1,0.4", "--max-points", "3", "-o", "json"]),
 }
 HOSTILE_VALUES = st.one_of(
     st.booleans(), st.none(), st.text(max_size=4),

@@ -246,7 +246,8 @@ class TestManifoldProbe:
     def test_hunt_trials_that_fail_to_land_change_nothing(self, monkeypatch):
         # With every hunt correction failing, the hunt halves its step from
         # 0.2 to below 1e-15, 48 rounds of 3 candidates times 2 signs, and
-        # the report is the walk's, as if no hunt had run.
+        # the report is the walk's, as if no hunt had run. The kernel is one
+        # row, so each round makes only two distinct trials, each corrected once.
         system, p = get_dataset("eqcep1").system, [1.0, 1.0, 1.0]
         hunt, gauss_newton = continuation._hunt_rank_drop, continuation._gauss_newton
         walked = manifold_probe(system, p, samples=20, seed=0)
@@ -268,9 +269,29 @@ class TestManifoldProbe:
         monkeypatch.setattr(continuation, "_gauss_newton", hunt_fails)
         monkeypatch.setattr(continuation, "_hunt_rank_drop", failing_hunt)
         report = manifold_probe(system, p, samples=20, seed=0)
-        assert len(hunted) - 1 == 48 * 6
+        assert len(hunted) - 1 == 48 * 2
         assert report.to_json_dict() == unhunted
         assert walked.min_significant_sigma < unhunted["min_significant_sigma"]
+
+    def test_hunt_corrects_a_repeated_trial_once_per_step(self, monkeypatch):
+        # The random directions of a one-row kernel repeat its trials: each
+        # was corrected once per repeat, 324 corrections in all. The report
+        # is the one that made.
+        gauss_newton, starts = continuation._gauss_newton, []
+
+        def spied(system, x0, *args):
+            starts.append(x0)
+            return gauss_newton(system, x0, *args)
+
+        monkeypatch.setattr(continuation, "_gauss_newton", spied)
+        report = manifold_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], samples=20, seed=0)
+        assert len(starts) == 183
+        assert report.to_json_dict() == {
+            "base_point": [1.0, 1.0, 1.0], "rank": 2, "dimension": 1, "samples_requested": 20,
+            "samples_accepted": 20, "histogram": {"2": 20}, "rank_drop_found": False,
+            "drop_point": None, "drop_rank": None, "min_significant_sigma": 0.7407272973124167,
+            "isolated_confirmed": None, "returned_count": None, "corrector_failures": 0,
+        }
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sample_count_must_be_positive(self, samples):

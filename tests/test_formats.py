@@ -21,7 +21,7 @@ from structrank import (
 )
 from structrank.cli import main
 from structrank.datasets import get_dataset
-from structrank.formats import parse_basis, parse_input, parse_system
+from structrank.formats import parse_basis, parse_input
 from structrank.polysys import StructuredPolySystem
 
 
@@ -481,7 +481,7 @@ class TestOtherPayloads:
         sys = get_dataset("eqcep1").system
         path = tmp_path / "system.json"
         path.write_text(json.dumps(sys.to_json_dict()))
-        back = parse_system(path)
+        back = parse_input(path)
         assert back.structure == sys.structure
         assert back.degree == sys.degree
 
@@ -497,7 +497,7 @@ class TestOtherPayloads:
         path = tmp_path / "system.json"
         path.write_text(json.dumps({"structure": CEP_JSON, "equations": []}))
         with pytest.raises(ParseError, match="degree"):
-            parse_system(path)
+            parse_input(path)
 
 
 # One equation over x1, x2 at degree 1: the base that each bad file alters.
@@ -556,7 +556,7 @@ class TestSystemFiles:
         assert main(["trace", str(path), "--from", "1,1"]) == 2
         assert "equations[0]: exponent keys '1,0' and '01,0'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("parse", [parse_system, parse_input])
+    @pytest.mark.parametrize("parse", [parse_input])
     def test_a_partial_that_overflows_names_the_file(self, parse, tmp_path):
         # The library's ParseError named no file; only the command line added it.
         data = {**LINE_SYSTEM, "degree": 2, "equations": [{"2,0": 1e308}]}
@@ -572,4 +572,4 @@ class TestSystemFiles:
         data = {**LINE_SYSTEM, "degree": 0, "equations": [{"0,0": 2.5}]}
         path = tmp_path / "system.json"
         path.write_text(json.dumps(data))
-        assert parse_system(path).evaluate([0.3, 0.4]).tolist() == [2.5]
+        assert parse_input(path).evaluate([0.3, 0.4]).tolist() == [2.5]

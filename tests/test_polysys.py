@@ -70,6 +70,12 @@ class TestMonomialTable:
         assert t.size == 1001 and (t.exponents[1:] == np.eye(1000, dtype=np.int64)).all()
         assert t.rows.tolist() == [[s + 1] for s in range(1000)]
 
+    def test_index_is_built_once_and_kept(self):
+        table = _monomial_table(10, 3)
+        assert table.index is _monomial_table(10, 3).index
+        assert list(table.index.items()) == [
+            (exps, i) for i, exps in enumerate(map(tuple, table.exponents.tolist()))]
+
 
 class TestSampling:
     def test_deterministic_for_fixed_seed(self):
@@ -716,6 +722,42 @@ class TestSerialization:
         sys = get_dataset("eqcep1").system
         assert sys.equations[0].term_dict() == {(2,): 1.0}
         assert sys.equations[1].term_dict() == {(0,): 1.0, (4,): 1.0}
+
+    def test_term_dict_looks_each_table_up_once(self):
+        sys = sample_system(example5_structure(), degree=3, seed=17)
+        before = _monomial_table.cache_info()
+        terms = [eq.term_dict() for eq in sys.equations]
+        after = _monomial_table.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses <= len(sys.equations)
+        back = system_from_terms(sys.structure, 3, terms)
+        for ea, eb in zip(sys.equations, back.equations):
+            assert ea.coefficients.tobytes() == eb.coefficients.tobytes()
+
+    @pytest.mark.parametrize("exponent", [2.5, 2.0, "2", b"1", True, None])
+    def test_an_exponent_that_is_no_integer_is_refused(self, exponent):
+        # Exponents went through int(): 2.5 was read as 2, "2" as 2 and True as 1.
+        p = StructurePattern.from_rows([[0]])
+        with pytest.raises(TypeError, match=(
+                rf"^equation 1: exponent must be an integer, got {re.escape(repr(exponent))}$")):
+            system_from_terms(p, 2, [{(exponent,): 1.0}])
+
+    def test_numpy_integer_exponents_read_as_ints(self):
+        p = get_dataset("xy").structure
+        sys = system_from_terms(p, 2, [{(np.int64(1), np.int32(1)): 2.0, (0, 0): 1.0}])
+        assert sys.to_json_dict()["equations"] == [{"0,0": 1.0, "1,1": 2.0}]
+        with pytest.raises(StructureError, match=r"^equation 1: exponent vector \(3, 0\) is not"):
+            system_from_terms(p, 2, [{(np.int64(3), 0): 1.0}])
+
+    @pytest.mark.parametrize("terms, error", [
+        ({(0, 2): 1e308, (1, 1, 1): 1.0}, ParseError),
+        ({(1, 1, 1): 1.0, (0, 2): 1e308}, StructureError),
+        # Exponent types, then coefficients, are checked over all terms first.
+        ({(0, 2): 1e308, (1, 1, 1): 1.0, (0, 1.5): 1.0}, TypeError),
+        ({(0, 2): 1e308, (1, 1, 1): 1.0, (1, 0): "x"}, ValueError),
+    ])
+    def test_the_first_refused_term_is_named(self, terms, error):
+        with pytest.raises(error):
+            system_from_terms(get_dataset("xy").structure, 2, [terms])
 
     def test_bad_exponent_rejected(self):
         p = get_dataset("xy").structure
