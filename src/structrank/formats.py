@@ -361,24 +361,17 @@ def parse_basis(path):
     _check_keys(data, {"basis"}, path, "$")
     basis = data.get("basis")
     _expect(isinstance(basis, list) and basis, "'basis' must be a nonempty list", path, "basis")
-    rows = list(chain.from_iterable(mat for mat in basis if isinstance(mat, list)))
-    # Batched passes check shapes and entries; the walk formats locators only to name a fault.
-    if not (set(map(type, basis)) == set(map(type, rows)) == {list} and all(basis) and all(rows)
-            and set(map(len, basis)) == {len(basis[0])} and set(map(len, rows)) == {len(rows[0])}
-            and all(map(_is_finite_number, chain.from_iterable(rows)))):
-        for i, mat in enumerate(basis):
-            _expect(isinstance(mat, list) and mat, "matrix must be a nonempty list of rows", path, f"basis[{i}]")
-            _expect(len(mat) == len(basis[0]),
-                    f"matrix has {len(mat)} rows, basis[0] has {len(basis[0])}", path, f"basis[{i}]")
-            for j, row in enumerate(mat):
-                _expect(isinstance(row, list) and row, "matrix row must be a nonempty list", path,
-                        f"basis[{i}][{j}]")
-                _expect(len(row) == len(basis[0][0]),
-                        f"row has {len(row)} entries, basis[0][0] has {len(basis[0][0])}",
-                        path, f"basis[{i}][{j}]")
-                for k, value in enumerate(row):
-                    _expect(_is_finite_number(value),
-                            "matrix entries must be finite numbers", path, f"basis[{i}][{j}][{k}]")
+    for i, mat in enumerate(basis):
+        _expect(isinstance(mat, list) and mat, "matrix must be a nonempty list of rows", path, f"basis[{i}]")
+        _expect(len(mat) == len(basis[0]),
+                f"matrix has {len(mat)} rows, basis[0] has {len(basis[0])}", path, f"basis[{i}]")
+        for j, row in enumerate(mat):
+            _expect(isinstance(row, list) and row, "matrix row must be a nonempty list", path, f"basis[{i}][{j}]")
+            _expect(len(row) == len(basis[0][0]),
+                    f"row has {len(row)} entries, basis[0][0] has {len(basis[0][0])}",
+                    path, f"basis[{i}][{j}]")
+            bad = next((k for k, value in enumerate(row) if not _is_finite_number(value)), None)
+            _expect(bad is None, "matrix entries must be finite numbers", path, f"basis[{i}][{j}][{bad}]")
     # Combinations take coefficients in [-1, 1], so no entry of one can exceed
     # the sum of absolute values at its position.
     entries = zip(*([abs(v) for row in mat for v in row] for mat in basis))

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, compress
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -657,23 +657,25 @@ def system_from_terms(
         )
     flat = np.zeros(plan.num_coefficients)
     for e, (symbols, start, row) in enumerate(zip(structure.rows(), plan.offsets, terms)):
-        table, keys = _monomial_table(len(symbols), degree), list(map(tuple, row))
-        if not set(map(type, chain.from_iterable(keys))) <= {int}:  # numpy integers read as ints
-            keys = [tuple(_index(k, f"equation {e + 1}: exponent") for k in exps) for exps in keys]
-        slots = np.array([table.index.get(exps, -1) for exps in keys], dtype=np.intp)
-        coefficients = np.fromiter(map(float, row.values()), np.float64, len(keys))
-        # A partial's coefficient is c times an exponent; PolyEquation refuses a c not finite itself.
-        tops = table.exponents[slots].max(axis=1, initial=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            refused = (slots < 0) | (np.isfinite(coefficients) & ~np.isfinite(coefficients * tops))
-        if refused.any():  # named at the first refused term
-            i = refused.argmax()
-            if slots[i] < 0:
-                raise StructureError(f"equation {e + 1}: exponent vector {keys[i]} is not a monomial "
-                                     f"of degree <= {degree} over its {len(symbols)} symbols")
-            raise ParseError(f"equation {e + 1}: coefficient {float(coefficients[i])!r} of exponent "
-                             f"vector {keys[i]} times its exponent {max(keys[i])} is not finite")
-        flat[start + slots] = coefficients
+        table, what = _monomial_table(len(symbols), degree), f"equation {e + 1}: exponent"
+        convert = not set(map(type, chain.from_iterable(row))) <= {int}  # ints pass _index unchanged
+        for exps, c in row.items():
+            exps = tuple(_index(k, what) for k in exps) if convert else tuple(exps)
+            i = table.index.get(exps)
+            if i is None:
+                raise StructureError(
+                    f"equation {e + 1}: exponent vector {exps} is not a monomial "
+                    f"of degree <= {degree} over its {len(symbols)} symbols"
+                )
+            # A partial derivative's coefficient is c times an exponent, at most
+            # the degree; PolyEquation refuses a c that is not finite itself.
+            c = float(c)
+            if not isfinite(c * degree) and isfinite(c):
+                top = max(exps, default=0)
+                if not isfinite(c * top):
+                    raise ParseError(f"equation {e + 1}: coefficient {c!r} of exponent vector "
+                                     f"{exps} times its exponent {top} is not finite")
+            flat[start + i] = c
     return _member(structure, degree, flat, seed, distribution)
 
 

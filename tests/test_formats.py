@@ -556,14 +556,13 @@ class TestSystemFiles:
         assert main(["trace", str(path), "--from", "1,1"]) == 2
         assert "equations[0]: exponent keys '1,0' and '01,0'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("parse", [parse_input])
-    def test_a_partial_that_overflows_names_the_file(self, parse, tmp_path):
+    def test_a_partial_that_overflows_names_the_file(self, tmp_path):
         # The library's ParseError named no file; only the command line added it.
         data = {**LINE_SYSTEM, "degree": 2, "equations": [{"2,0": 1e308}]}
         path = tmp_path / "system.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError) as raised:
-            parse(path)
+            parse_input(path)
         assert (raised.value.path, raised.value.line, raised.value.where) == (path, None, None)
         assert str(raised.value) == (f"{path}: equation 1: coefficient 1e+308 of exponent "
                                      "vector (2, 0) times its exponent 2 is not finite")

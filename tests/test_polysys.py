@@ -751,9 +751,12 @@ class TestSerialization:
     @pytest.mark.parametrize("terms, error", [
         ({(0, 2): 1e308, (1, 1, 1): 1.0}, ParseError),
         ({(1, 1, 1): 1.0, (0, 2): 1e308}, StructureError),
-        # Exponent types, then coefficients, are checked over all terms first.
-        ({(0, 2): 1e308, (1, 1, 1): 1.0, (0, 1.5): 1.0}, TypeError),
-        ({(0, 2): 1e308, (1, 1, 1): 1.0, (1, 0): "x"}, ValueError),
+        ({(0, 2): 1e308, (0, 1.5): 1.0}, ParseError),
+        ({(0, 1.5): 1.0, (0, 2): 1e308}, TypeError),
+        ({(0, 2): 1e308, (1, 0): "x"}, ParseError),
+        ({(1, 0): "x", (0, 2): 1e308}, ValueError),
+        # A term's slot is checked before its coefficient converts.
+        ({(1, 1, 1): "x"}, StructureError),
     ])
     def test_the_first_refused_term_is_named(self, terms, error):
         with pytest.raises(error):
