@@ -657,11 +657,12 @@ def system_from_terms(
         )
     flat = np.zeros(plan.num_coefficients)
     for e, (symbols, start, row) in enumerate(zip(structure.rows(), plan.offsets, terms)):
-        table, what = _monomial_table(len(symbols), degree), f"equation {e + 1}: exponent"
-        convert = not set(map(type, chain.from_iterable(row))) <= {int}  # ints pass _index unchanged
+        index, what = _monomial_table(len(symbols), degree).index, f"equation {e + 1}: exponent"
+        # Tuples of ints would pass _index unchanged, so only other keys go through it.
+        convert = not (set(map(type, row)) <= {tuple} and set(map(type, chain.from_iterable(row))) <= {int})
         for exps, c in row.items():
-            exps = tuple(_index(k, what) for k in exps) if convert else tuple(exps)
-            i = table.index.get(exps)
+            exps = tuple(_index(k, what) for k in exps) if convert else exps
+            i = index.get(exps)
             if i is None:
                 raise StructureError(
                     f"equation {e + 1}: exponent vector {exps} is not a monomial "

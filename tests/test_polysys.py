@@ -757,6 +757,8 @@ class TestSerialization:
         ({(1, 0): "x", (0, 2): 1e308}, ValueError),
         # A term's slot is checked before its coefficient converts.
         ({(1, 1, 1): "x"}, StructureError),
+        ({(1, 1, 1): 1.0, 5: 1.0}, StructureError),
+        ({5: 1.0, (1, 1, 1): 1.0}, TypeError),
     ])
     def test_the_first_refused_term_is_named(self, terms, error):
         with pytest.raises(error):
