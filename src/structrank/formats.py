@@ -421,15 +421,17 @@ def _system_from_json_dict(data, path=None):
         where = f"equations[{e}]"
         _expect(isinstance(eq, dict), "equation must be an object", path, where)
         spelled = {}
-        for key, value in eq.items():
-            _expect(_EXPONENTS_RE.fullmatch(key),
-                    f"exponent key {key!r} must be '' or comma-separated integers", path, where)
-            _expect(_is_finite_number(value),
-                    f"coefficient of {key!r} must be a finite number", path, where)
+        for key, value in eq.items():  # messages formatted only for the key refused
+            if not _EXPONENTS_RE.fullmatch(key):
+                raise ParseError(f"exponent key {key!r} must be '' or comma-separated integers",
+                                 path=path, where=where)
+            if not _is_finite_number(value):
+                raise ParseError(f"coefficient of {key!r} must be a finite number",
+                                 path=path, where=where)
             exponents = tuple(map(int, key.split(","))) if key else ()
-            _expect(exponents not in spelled,
-                    f"exponent keys {spelled.get(exponents)!r} and {key!r} spell the same "
-                    "exponent vector", path, where)
+            if exponents in spelled:
+                raise ParseError(f"exponent keys {spelled[exponents]!r} and {key!r} spell the "
+                                 "same exponent vector", path=path, where=where)
             spelled[exponents] = key
         terms.append({exponents: float(eq[key]) for exponents, key in spelled.items()})
     seed = data.get("seed")

@@ -36,9 +36,9 @@ __all__ = [
 # The most entries building a member plan takes: its index, min(d, S) x W
 # for the widest row's S symbols at degree d and W monomials (with partials)
 # over all rows, its trials' index of min(d - 1, S) x P for the P partial
-# monomials, the gather one stacked trial makes from that, and the monomial
-# tables the index is read from, S x K exponents and S x S x R decremented
-# ones for a width of S symbols, twice over while they are built. All grow
+# monomials, the gather one stacked trial makes from that, and the dense
+# arrays that building the table of a width of S symbols takes, S x K
+# exponents and S x S x R decremented ones, twice over. All grow
 # faster than M x N, which grows as S^2, so a plan over the bound is refused
 # before any table or index is built.
 MAX_PLAN_ENTRIES = 10_000_000
@@ -135,40 +135,53 @@ def seeded_streams(seed, start, stop):
 
 @dataclass(frozen=True)
 class _MonomialTable:
-    """All exponent vectors of total degree <= degree, graded order.
+    """All exponent vectors of total degree <= degree over S symbols, graded order.
 
     Graded ordering makes lower-degree tables prefixes of higher-degree ones,
     so coefficient vectors embed by zero-padding. By symmetry every symbol s
     has the same number R of rows with a positive exponent on s:
-    ``rows[s]`` holds them, ``multipliers[s]`` their exponents on s and
-    ``dexponents[s]`` the rows with that exponent decremented. A monomial
-    has at most min(degree, S) positive exponents: ``value_factors`` and
-    ``partial_factors`` list, for each row of ``exponents`` and of
-    ``dexponents``, those symbols in order and their exponents, padded with
-    exponent 0.
+    ``rows[s]`` holds them and ``multipliers[s]`` their exponents on s. A
+    monomial has at most min(degree, S) positive exponents:
+    ``value_factors`` lists, for each of the K monomials, those symbols in
+    order and their exponents, padded with exponent 0, and
+    ``partial_factors`` does so for the monomials of ``rows`` with the
+    exponent on s decremented. The table keeps only these; the dense
+    exponent matrix is rebuilt on demand.
     """
 
-    exponents: np.ndarray  # (K, S)
+    num_symbols: int
     rows: np.ndarray  # (S, R)
     multipliers: np.ndarray  # (S, R)
-    dexponents: np.ndarray  # (S, R, S)
     value_factors: tuple  # (symbols, exponents), each (K, min(degree, S))
     partial_factors: tuple  # (symbols, exponents), each (S, R, min(degree, S))
 
     @property
     def size(self):
-        return self.exponents.shape[0]
+        return self.value_factors[0].shape[0]
+
+    @cached_property
+    def exponents(self):
+        """The (K, S) exponent vectors, one row per monomial, rebuilt from ``value_factors``."""
+        dense = np.zeros((self.size, self.num_symbols), dtype=np.int64)
+        np.put_along_axis(dense, *self.value_factors, axis=-1)
+        return dense
 
     @cached_property
     def index(self):
         """Each row of ``exponents`` as a tuple of ints, in order, mapped to its row number."""
         return {exps: i for i, exps in enumerate(map(tuple, self.exponents.tolist()))}
 
+    @cached_property
+    def file_keys(self):
+        """Each exponent tuple of ``index`` mapped to its system-file key, "e1,...,eS"."""
+        return {exps: ",".join(map(str, exps)) for exps in self.index}
+
 
 @lru_cache(maxsize=None, typed=True)
 def _monomial_table(num_symbols: int, degree: int) -> _MonomialTable:
     # A monomial is the sorted tuple of its symbols, one per unit of exponent: by total, then
-    # lexicographically, their exponent vectors fall in descending lexicographic order.
+    # lexicographically, their exponent vectors fall in descending lexicographic order. The
+    # dense exponents, and those decremented on each symbol, live only while the table is built.
     monomials = [m for total in range(degree + 1)
                  for m in combinations_with_replacement(range(num_symbols), total)]
     expts = np.zeros((len(monomials), num_symbols), dtype=np.int64)
@@ -179,7 +192,7 @@ def _monomial_table(num_symbols: int, degree: int) -> _MonomialTable:
     mult = expts[rows, symbols[:, None]].astype(np.float64)
     dexp = expts[rows]
     dexp[symbols, :, symbols] -= 1
-    return _MonomialTable(expts, rows, mult, dexp, _positive_factors(expts, degree),
+    return _MonomialTable(num_symbols, rows, mult, _positive_factors(expts, degree),
                           _positive_factors(dexp, degree))
 
 
@@ -343,10 +356,10 @@ def plan_entries(structure, degree):
     and G*K value columns in the index. A monomial has at most d positive
     exponents, so for the widest S the index has min(d, S) rows; the
     trials' index holds min(d - 1, S) rows of the partial columns, and a
-    stacked trial gathers as many entries again. The table of a width S
-    holds S*K exponents and S*S*R decremented ones, and building it takes as
-    many again: the sort that finds each monomial's positive exponents
-    (``_positive_factors``) runs over both.
+    stacked trial gathers as many entries again. Building the table of a
+    width S takes S*K exponents and S*S*R decremented ones, and as many
+    again for the sort that finds each monomial's positive exponents
+    (``_positive_factors``); the table keeps only those factors.
     """
     widths = list(map(len, structure.rows()))
     columns = partials = tables = 0
@@ -617,11 +630,8 @@ class StructuredPolySystem:
             "seed": self.seed,
             "distribution": self.distribution,
             "equations": [
-                {
-                    ",".join(map(str, exps)): coeff
-                    for exps, coeff in sorted(eq.term_dict().items())
-                }
-                for eq in self.equations
+                {keys[exps]: coeff for exps, coeff in sorted(eq.term_dict().items())}
+                for eq in self.equations for keys in (eq.table.file_keys,)
             ],
         }
 
@@ -768,7 +778,9 @@ def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem
     degree = max(f.degree, g.degree)
     plan = member_plan(f.structure, degree)
     flat = np.zeros(plan.num_coefficients)
-    for start, fe, ge in zip(plan.offsets, f.equations, g.equations):
-        flat[start:start + fe.coefficients.size] += a * fe.coefficients
-        flat[start:start + ge.coefficients.size] += b * ge.coefficients
+    # A sum that is not finite is refused by PolyEquation, which names it.
+    with np.errstate(all="ignore"):
+        for start, fe, ge in zip(plan.offsets, f.equations, g.equations):
+            flat[start:start + fe.coefficients.size] += a * fe.coefficients
+            flat[start:start + ge.coefficients.size] += b * ge.coefficients
     return _member(f.structure, degree, flat, distribution="combination")

@@ -163,6 +163,27 @@ def reference_exponents(num_symbols, degree):
     return np.array(vectors, dtype=np.int64).reshape(len(vectors), num_symbols)
 
 
+def reference_table(num_symbols, degree):
+    """(rows, multipliers, value factors, partial factors) of a monomial table, as lists.
+
+    Taken from ``reference_exponents``: ``rows[s]`` lists the monomials with a
+    positive exponent on symbol s and ``multipliers[s]`` those exponents. A
+    monomial's factors are its (symbol, exponent) pairs of positive exponent,
+    in symbol order; ``partials[s]`` holds those of each monomial of
+    ``rows[s]`` with its exponent on s decremented.
+    """
+    exponents = reference_exponents(num_symbols, degree).tolist()
+
+    def factors(vector):
+        return [(s, e) for s, e in enumerate(vector) if e > 0]
+
+    rows = [[k for k, v in enumerate(exponents) if v[s] > 0] for s in range(num_symbols)]
+    multipliers = [[float(exponents[k][s]) for k in row] for s, row in enumerate(rows)]
+    partials = [[factors([e - (t == s) for t, e in enumerate(exponents[k])]) for k in row]
+                for s, row in enumerate(rows)]
+    return rows, multipliers, [factors(v) for v in exponents], partials
+
+
 def reference_stream(seed, i):
     """Trial i's stream, built the documented way: SeedSequence(seed, spawn_key=(i,)) -> PCG64."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
@@ -179,7 +200,9 @@ def equation_gradient(eq, symbol_values):
     table = eq.table
     out = np.zeros(len(eq.symbols))
     for s in range(len(eq.symbols)):
-        powers = symbol_values[np.newaxis, :] ** table.dexponents[s]
+        decremented = table.exponents[table.rows[s]]
+        decremented[:, s] -= 1
+        powers = symbol_values[np.newaxis, :] ** decremented
         out[s] = (eq.coefficients[table.rows[s]] * table.multipliers[s]) @ powers.prod(axis=1)
     return out
 

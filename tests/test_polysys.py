@@ -1,5 +1,6 @@
 import json
 import re
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,9 @@ from structrank.polysys import (
 )
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure, StructurePattern
 
-from oracles import reference_draw, reference_evaluation, reference_exponents, reference_stream
+from oracles import (
+    reference_draw, reference_evaluation, reference_exponents, reference_stream, reference_table,
+)
 
 
 def example5_structure(a=1.0, b=2.0):
@@ -69,6 +72,36 @@ class TestMonomialTable:
         t = _monomial_table(1000, 1)
         assert t.size == 1001 and (t.exponents[1:] == np.eye(1000, dtype=np.int64)).all()
         assert t.rows.tolist() == [[s + 1] for s in range(1000)]
+
+    @pytest.mark.parametrize("s", range(7))
+    @pytest.mark.parametrize("d", range(6))
+    def test_rows_and_factors_match_the_reference(self, s, d):
+        table = _monomial_table(s, d)
+        rows, multipliers, values, partials = reference_table(s, d)
+        assert table.rows.tolist() == rows and table.multipliers.tolist() == multipliers
+
+        def positive(factors):
+            symbols, exponents = (a.reshape(prod(a.shape[:-1]), a.shape[-1]) for a in factors)
+            return [[(k, e) for k, e in zip(ks, es) if e > 0]
+                    for ks, es in zip(symbols.tolist(), exponents.tolist())]
+
+        assert positive(table.value_factors) == values
+        assert positive(table.partial_factors) == [p for row in partials for p in row]
+
+    def test_a_table_keeps_only_what_member_plans_read(self):
+        # A table kept its (K, S) exponents and (S, R, S) decremented ones,
+        # 2.6 MB for this row and 331 MiB over the rows of widths 1..400.
+        member_plan.cache_clear()
+        _monomial_table.cache_clear()
+        structure = StructurePattern.from_rows([range(400)])
+        sample_system(structure, degree=1, seed=0).jacobian(np.ones(400))
+        certify_acr(structure, trials=3, degree=1)
+        table = _monomial_table(400, 1)
+        assert member_plan(structure, 1).buckets[0].table is table
+        assert "exponents" not in vars(table)
+        arrays = [a for v in vars(table).values() for a in (v if isinstance(v, tuple) else (v,))
+                  if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) < 64 * 1024
 
     def test_index_is_built_once_and_kept(self):
         table = _monomial_table(10, 3)
@@ -505,9 +538,9 @@ class TestPlanSize:
         assert plan.trial_factors.shape == (max(min(degree - 1, widest), 0),
                                             plan.num_partial_monomials)
         # The index, the trials' index, a stacked trial's gather through it,
-        # and each monomial table twice over: built, and while being built.
+        # and the dense exponents each monomial table's build makes, twice over.
         gather = plan.trial_factors.size
-        tables = sum(2 * (b.table.exponents.size + b.table.dexponents.size)
+        tables = sum(2 * (b.table.size + b.table.rows.size) * b.table.num_symbols
                      for b in plan.buckets)
         assert (polysys.plan_entries(structure, degree)
                 == plan.factors.size + plan.trial_factors.size + gather + tables)
@@ -687,6 +720,13 @@ class TestLinearStructure:
         g = sample_system(get_dataset("twogene").structure, seed=0)
         with pytest.raises(StructureError):
             combine(1.0, f, 1.0, g)
+
+    @pytest.mark.parametrize("a, b", [(np.inf, 1.0), (1e308, 1e308)])
+    def test_a_sum_that_is_not_finite_is_refused_without_a_warning(self, a, b):
+        # numpy's invalid-value and overflow warnings came before the error.
+        sys = get_dataset("eqcep1").system
+        with pytest.raises(StructureError, match=r"^polynomial coefficients must be finite$"):
+            combine(a, sys, b, sys)
 
     def test_scaling_preserves_numeric_rank(self):
         sys = sample_system(get_dataset("robust4").structure, degree=2, seed=9)
