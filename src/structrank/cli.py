@@ -20,6 +20,7 @@ from .errors import ParseError, StructrankError
 from .formats import parse_basis, parse_input, structure_to_json_dict, to_dot
 from .structural import _knockout_sweep, classify
 from .structure import GeneralizedStructure, StructurePattern, SystemGraph, pattern_from_graph
+from .structure import check_count, check_positive
 
 # The numeric modules (numrank, polysys, continuation) import numpy, so the
 # handlers that need them import them; the structural subcommands never do.
@@ -460,46 +461,32 @@ def _finite_floats(text):
     return values
 
 
-def _checked_float(check):
-    """argparse type: a float that ``check`` accepts (it raises ValueError otherwise)."""
-    def parse(text):
+def _checked(parse, check, *args):
+    """argparse type: the text, ``parse``d, as the library's ``check(value, *args)`` returns it."""
+    def flag_type(text):
         try:
-            value = float(text)
-            check(value)
+            value = parse(text)
+        except ValueError:
+            noun = "an integer" if parse is int else "a number"
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        try:
+            return check(value, *args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-    return parse
+    return flag_type
 
 
-# The checks below reach numrank, and so numpy, only when their flag is given.
+# The numrank checks reach numpy only when their flag is given.
 def _pass_threshold(value):
     from .numrank import check_pass_threshold
 
-    check_pass_threshold(value)
+    return check_pass_threshold(value)
 
 
-def _tolerance_field(field):
-    def check(value):
-        from .numrank import RankTolerance
+def _tolerance_field(value, field):
+    from .numrank import RankTolerance
 
-        RankTolerance(**{field: value})
-    return check
-
-
-def _positive(value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"must be finite and > 0, got {value!r}")
-
-
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return getattr(RankTolerance(**{field: value}), field)
 
 
 # Every subcommand flag, declared once; _COMMANDS picks each subcommand's by
@@ -509,22 +496,22 @@ _FLAGS = {
     "--dataset": dict(help="bundled dataset name"),
     "--format": dict(dest="fmt", choices=["json", "edges", "pattern"],
                      help="override input format detection"),
-    "--tol": dict(dest="rel_tol", type=_checked_float(_tolerance_field("relative_threshold")),
+    "--tol": dict(dest="rel_tol", type=_checked(float, _tolerance_field, "relative_threshold"),
                   help="relative singular-value threshold"),
-    "--tol-floor": dict(dest="abs_floor", type=_checked_float(_tolerance_field("absolute_floor")),
+    "--tol-floor": dict(dest="abs_floor", type=_checked(float, _tolerance_field, "absolute_floor"),
                         help="absolute singular-value floor"),
-    "--trials": dict(type=_positive_int),
-    "--seed": dict(type=int),
-    "--degree": dict(type=_positive_int),
+    "--trials": dict(type=_checked(int, check_count, "trials")),
+    "--seed": dict(type=_checked(int, check_count, "seed", 0)),
+    "--degree": dict(type=_checked(int, check_count, "degree")),
     "--distribution": dict(choices=["uniform", "normal"]),
-    "--pass-threshold": dict(type=_checked_float(_pass_threshold)),
+    "--pass-threshold": dict(type=_checked(float, _pass_threshold)),
     "--from": dict(dest="from_point", type=_finite_floats, required=True,
                    help="start point, comma separated"),
-    "--samples": dict(type=_positive_int),
+    "--samples": dict(type=_checked(int, check_count, "samples")),
     "--delta": dict(type=_finite_floats),
-    "--step": dict(type=_checked_float(_positive)),
-    "--max-points": dict(type=_positive_int),
-    "--radius": dict(type=_checked_float(_positive)),
+    "--step": dict(type=_checked(float, check_positive, "step")),
+    "--max-points": dict(type=_checked(int, check_count, "max_points")),
+    "--radius": dict(type=_checked(float, check_positive, "domain_radius")),
 }
 
 

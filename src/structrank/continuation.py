@@ -22,6 +22,7 @@ from .errors import WrongDimensionError
 from .formats import check_basis_size
 from .numrank import RankTolerance
 from .polysys import JacobianEvaluation, StructuredPolySystem, seeded_rng
+from .structure import check_count, check_positive
 
 __all__ = [
     "LocalDimension",
@@ -47,11 +48,6 @@ ISOLATED_PROBE_RADIUS = 0.1
 MAX_HUNT_CORRECTIONS = 400
 PERTURBATION_RESTARTS = 20  # starts drawn within RESTART_SCALE of p in each coordinate
 RESTART_SCALE = 0.5
-
-
-def _check_positive(name, value):
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _norm(v):
@@ -293,10 +289,8 @@ def trace_curve(
     satisfies the residual bound, lies within ``step`` of its predecessor,
     and has the same numeric rank as p.
     """
-    _check_positive("step", step)
-    _check_positive("domain_radius", domain_radius)
-    if max_points < 1:
-        raise ValueError("max_points must be >= 1")
+    step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
+    max_points = check_count(max_points, "max_points")
     p = np.asarray(p, dtype=np.float64)
     jac0 = _evaluate_start(system, p)
     target = jac0.residual_target
@@ -449,10 +443,8 @@ def manifold_probe(
     evidence that p is exceptional. For dimension 0 the probe checks that
     the corrector returns to p from nearby perturbations (isolated point).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    _check_positive("step", step)
-    _check_positive("domain_radius", domain_radius)
+    samples = check_count(samples, "samples")
+    step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
     p = np.asarray(p, dtype=np.float64)
     jac0 = _evaluate_start(system, p)
     target = jac0.residual_target

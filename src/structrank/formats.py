@@ -14,7 +14,8 @@ from itertools import chain
 from pathlib import Path
 
 from .errors import ParseError, StructureError
-from .structure import (
+from .structure import (  # MAX_VARIABLES bounds the variables or nodes a file declares
+    MAX_VARIABLES,
     DerivedVariableSpec,
     GeneralizedStructure,
     StructurePattern,
@@ -31,9 +32,6 @@ __all__ = [
     "to_dot",
 ]
 
-# The most variables (or graph nodes) a structure file may declare. Matching
-# allocates per variable, so a larger count is refused before anything is built.
-MAX_VARIABLES = 1_000_000
 # The most Jacobian entries (equations times variables) a numeric analysis
 # takes on. Members build dense M x N Jacobians, 8 bytes an entry, so
 # ``polysys.member_plan`` refuses a larger structure before any member is

@@ -17,11 +17,10 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, check_degree, draw_members, member_plan, seeded_streams,
-    stacked_jacobians,
+    StructuredPolySystem, draw_members, member_plan, seeded_streams, stacked_jacobians,
 )
 from .structural import structural_rank
-from .structure import GeneralizedStructure, StructurePattern
+from .structure import GeneralizedStructure, StructurePattern, check_count, check_real
 
 __all__ = [
     "RankTolerance",
@@ -40,16 +39,20 @@ CHUNK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class RankTolerance:
-    """Singular-value cutoff: sigma > max(relative * sigma_1, floor)."""
+    """Singular-value cutoff: sigma > max(relative * sigma_1, floor); both are floats."""
 
     relative_threshold: float = 1e-8
     absolute_floor: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.relative_threshold < 1.0) or not np.isfinite(self.relative_threshold):
+        relative = check_real(self.relative_threshold, "relative_threshold")
+        if not 0.0 < relative < 1.0:
             raise ValueError("relative_threshold must lie in (0, 1)")
-        if self.absolute_floor < 0.0 or not np.isfinite(self.absolute_floor):
+        floor = check_real(self.absolute_floor, "absolute_floor")
+        if not 0.0 <= floor < np.inf:
             raise ValueError("absolute_floor must be finite and >= 0")
+        object.__setattr__(self, "relative_threshold", relative)
+        object.__setattr__(self, "absolute_floor", floor)
 
     def to_json_dict(self):
         return {
@@ -141,8 +144,7 @@ def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
     run; each chunk of trials, sized to CHUNK_BYTES, is drawn with overflow
     silent and refused unless finite, then takes one SVD call and one rank comparison.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_count(trials, "trials")
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     streams = seeded_streams(seed, 0, trials)
     histogram = {}
@@ -210,7 +212,7 @@ def generic_rank_randomized(
     """
     if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
         raise TypeError(f"expected a structure, got {type(structure).__name__}")
-    degree = check_degree(degree)
+    degree = check_count(degree, "degree")
     return _run_trials(
         *_member_jacobians(structure, degree, distribution), trials, seed, tol, drawn="Jacobian",
         degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
@@ -218,9 +220,11 @@ def generic_rank_randomized(
 
 
 def check_pass_threshold(value):
-    """Raise ValueError unless the PASS threshold lies in (0, 1]."""
+    """The PASS threshold as a float (the real rule); ValueError unless it lies in (0, 1]."""
+    value = check_real(value, "pass_threshold")
     if not 0.0 < value <= 1.0:
         raise ValueError(f"pass_threshold must lie in (0, 1], got {value!r}")
+    return value
 
 
 def certify_acr(
@@ -240,14 +244,14 @@ def certify_acr(
     systems and points form null sets, so disagreements should be rare and
     tolerance-induced.
     """
-    check_pass_threshold(pass_threshold)
+    pass_threshold = check_pass_threshold(pass_threshold)
     if isinstance(pattern, GeneralizedStructure):
         raise StructureError(
             "certification against the matching rank needs a plain pattern; "
             "generalized structures have no exact combinatorial rank, so use "
             "generic-rank (generic_rank_randomized) for derived-variable systems"
         )
-    degree = check_degree(degree)
+    degree = check_count(degree, "degree")
     return _run_trials(
         *_member_jacobians(pattern, degree, distribution), trials, seed, tol, drawn="Jacobian",
         target_rank=structural_rank(pattern), pass_threshold=pass_threshold,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError, StructureError
 from .formats import _system_from_json_dict, check_jacobian_size, structure_to_json_dict
-from .structure import GeneralizedStructure, StructurePattern, _index
+from .structure import GeneralizedStructure, StructurePattern, _index, check_count
 
 __all__ = [
     "PolyEquation",
@@ -159,9 +159,9 @@ class _MonomialTable:
     def size(self):
         return self.value_factors[0].shape[0]
 
-    @cached_property
+    @property
     def exponents(self):
-        """The (K, S) exponent vectors, one row per monomial, rebuilt from ``value_factors``."""
+        """The (K, S) exponent vectors, rebuilt from ``value_factors`` on each read, not kept."""
         dense = np.zeros((self.size, self.num_symbols), dtype=np.int64)
         np.put_along_axis(dense, *self.value_factors, axis=-1)
         return dense
@@ -222,7 +222,7 @@ class PolyEquation:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", check_degree(self.degree, allow_constant=True))
+        object.__setattr__(self, "degree", check_count(self.degree, "degree", 0))
         table = self.table
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
         if coeffs.shape != (table.size,):
@@ -375,8 +375,8 @@ def plan_entries(structure, degree):
 
 
 def check_plan_size(structure, degree):
-    """Raise as ``check_degree`` does, or ParseError over the Jacobian or ``plan_entries`` bound."""
-    degree = check_degree(degree, allow_constant=True)
+    """Raise as the count rule does for a degree, or ParseError over the Jacobian or plan bound."""
+    degree = check_count(degree, "degree", 0)
     check_jacobian_size(structure)
     entries = plan_entries(structure, degree)
     if entries > MAX_PLAN_ENTRIES:
@@ -571,7 +571,7 @@ class StructuredPolySystem:
     distribution: str = "explicit"
 
     def __post_init__(self):
-        object.__setattr__(self, "degree", check_degree(self.degree, allow_constant=True))
+        object.__setattr__(self, "degree", check_count(self.degree, "degree", 0))
         if len(self.equations) != self.structure.num_equations:
             raise StructureError(
                 f"structure has {self.structure.num_equations} equations, "
@@ -659,7 +659,7 @@ def system_from_terms(
     Exponent tuples, of ints or numpy integers (another type is a TypeError), align with
     each equation's symbols in ``structure.rows()``: sorted variable indices, then sorted derived names.
     """
-    degree = check_degree(degree, allow_constant=True)
+    degree = check_count(degree, "degree", 0)
     plan = member_plan(structure, degree)
     if len(terms) != structure.num_equations:
         raise StructureError(
@@ -719,21 +719,6 @@ def draw_members(rngs, count, num_coefficients, distribution, num_points=0):
     return draws
 
 
-def check_degree(degree, allow_constant=False):
-    """The int ``degree``: TypeError for a bool or non-integer, ValueError below 1 (0 with constants).
-
-    Degree 0 means constant equations, whose Jacobian rows are identically zero.
-    """
-    degree = _index(degree, "degree")
-    least = 0 if allow_constant else 1
-    if degree < least:
-        raise ValueError(
-            f"degree must be >= {least}, got {degree}: degree 0 means constant "
-            "equations with identically zero Jacobian rows"
-        )
-    return degree
-
-
 def sample_system(
     structure,
     degree: int = 2,
@@ -748,7 +733,7 @@ def sample_system(
     (structure, degree, seed, distribution); the generator is PCG64, which is
     platform independent.
     """
-    degree = check_degree(degree, allow_constant)
+    degree = check_count(degree, "degree", 0 if allow_constant else 1)
     plan = member_plan(structure, degree)
     flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
     return _member(structure, degree, flat, seed, distribution)

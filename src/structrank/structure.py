@@ -17,7 +17,7 @@ from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import StructureError, UnsupportedOperationError
+from .errors import ParseError, StructureError, UnsupportedOperationError
 
 __all__ = [
     "StructurePattern",
@@ -30,12 +30,50 @@ __all__ = [
     "knockout",
 ]
 
+# The most variables, equations or nodes a structure may have: matching and
+# sampling allocate per variable, so a larger size is refused before any row is built.
+MAX_VARIABLES = 1_000_000
+
 
 def _index(value, what):
     """``value`` as an int, numpy integers included; a bool or a non-integer is a TypeError."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def check_count(value, what, least=1):
+    """The count rule: ``value`` as an int (``_index``); ValueError below ``least``."""
+    value = _index(value, what)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def check_real(value, what):
+    """The real rule: ``value`` as a float; a bool or a non-real is a TypeError naming it."""
+    if isinstance(value, bool) or not hasattr(type(value), "__float__"):  # as "1.5" or b"2"
+        raise TypeError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float: an infinity, which ranges refuse
+        return math.inf if value > 0 else -math.inf
+
+
+def check_positive(value, what):
+    """``value`` as a finite float > 0, by the real rule; ValueError otherwise."""
+    value = check_real(value, what)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return value
+
+
+def _size(value, what):
+    """``value`` as an int (``_index``) of at most MAX_VARIABLES; a larger one is a ParseError."""
+    value = _index(value, what)
+    if value > MAX_VARIABLES:
+        raise ParseError(f"{what} {value} exceeds the bound of {MAX_VARIABLES}")
+    return value
 
 
 def _equation(e, v, m, n):
@@ -91,7 +129,7 @@ def _store(structure, rows, n=None, names=None):
     rows = tuple(map(tuple, map(sorted, rows if sets else map(set, rows))))
     m, nonempty = len(rows), [r for r in rows if r]
     highest = max([r[-1] for r in nonempty], default=-1)
-    n = max(highest + 1, 1) if n is None else _index(n, "num_variables")
+    n = _size(max(highest + 1, 1) if n is None else n, "num_variables")
     if m < 1 or n < 1:
         raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
     if min([r[0] for r in nonempty], default=0) < 0 or highest >= n:
@@ -123,7 +161,7 @@ class StructurePattern:
     derived = ()  # no derived variables: every symbol of a row is a variable index
 
     def __init__(self, num_equations, num_variables, allowed):
-        m, n = _index(num_equations, "num_equations"), _index(num_variables, "num_variables")
+        m, n = _size(num_equations, "num_equations"), _size(num_variables, "num_variables")
         rows = [[] for _ in range(m)]
         for e, v in _pairs(allowed, "allowed entry"):
             rows[e if type(e) is int and 0 <= e < m else _equation(e, v, m, n)].append(v)
@@ -186,7 +224,7 @@ class SystemGraph:
     include_diagonal: bool = False
 
     def __post_init__(self):
-        n, edges = _index(self.num_nodes, "num_nodes"), _pairs(self.edges, "edge")
+        n, edges = _size(self.num_nodes, "num_nodes"), _pairs(self.edges, "edge")
         if n < 1:
             raise StructureError("graph needs at least one node")
         # Checked as given, before a set merges True into 1.
@@ -211,15 +249,10 @@ class DerivedVariableSpec:
             raise TypeError(f"derived variable name must be a nonempty str, got {self.name!r}")
         what, pairs = f"derived variable {self.name!r}", {}
         for i, c in _pairs(self.coefficients, f"{what}: coefficient"):
-            i = _index(i, f"{what}: variable index")
-            if isinstance(c, bool) or not hasattr(type(c), "__float__"):  # as "1.5" or b"2"
-                raise TypeError(f"{what}: weight must be a real number, got {c!r}")
+            i, c = _index(i, f"{what}: variable index"), check_real(c, f"{what}: weight")
             if i in pairs:
                 raise StructureError(f"{what}: variable index {i} has two coefficients")
-            try:
-                pairs[i] = float(c)
-            except OverflowError:  # an int too large for a float is refused as an infinity
-                pairs[i] = math.inf
+            pairs[i] = c
         coeffs = tuple(sorted(pairs.items()))
         object.__setattr__(self, "coefficients", coeffs)
         if not coeffs:

@@ -1,15 +1,28 @@
-"""Size bounds are checked by the library, never by the command line.
+"""Size bounds and argument ranges are checked by the library, never by the command line.
 
 Each bound is checked once, by the library call that would build what it
 bounds, so a library caller is held to it as the command line is. This scan
 keeps ``cli.py`` from naming a bound or its check, so that no second copy
-of a check, or of the library default it depends on, grows back there.
+of a check, or of the library default it depends on, grows back there. The
+argument tests below hold each count and real to one rule, and each numeric
+flag to the message of the library check it hands its value to.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from structrank import (
+    RankTolerance, certify_acr, generic_rank_randomized, manifold_probe, matrix_space_rank,
+    sample_system, trace_curve,
+)
+from structrank import continuation, numrank, polysys, structure
+from structrank.cli import _FLAGS
+from structrank.cli import main as cli_main
+from structrank.datasets import get_dataset
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "structrank" / "cli.py"
 
@@ -51,3 +64,93 @@ def test_scan_finds_bound_names(source, expected, tmp_path):
     path = tmp_path / "module.py"
     path.write_text(source)
     assert bound_names(path) == expected
+
+
+# Argument rules: every count a library call is sized by, and every real it is
+# tuned by, goes through structure.check_count or structure.check_real, and the
+# command line parses a flag's text and hands the value to that same check.
+
+CEP3 = get_dataset("cep3").structure
+EQCEP1 = get_dataset("eqcep1").system
+AT = (1.0, 1.0, 1.0)
+
+CALLS = {
+    ("certify_acr", "trials"): lambda v: certify_acr(CEP3, trials=v),
+    ("generic_rank_randomized", "trials"): lambda v: generic_rank_randomized(CEP3, trials=v),
+    ("matrix_space_rank", "trials"): lambda v: matrix_space_rank([np.eye(2)], trials=v),
+    ("manifold_probe", "samples"): lambda v: manifold_probe(EQCEP1, AT, samples=v),
+    ("trace_curve", "max_points"): lambda v: trace_curve(EQCEP1, AT, max_points=v),
+    ("certify_acr", "degree"): lambda v: certify_acr(CEP3, trials=3, degree=v),
+    ("sample_system", "degree"): lambda v: sample_system(CEP3, degree=v),
+    ("trace_curve", "step"): lambda v: trace_curve(EQCEP1, AT, step=v),
+    ("manifold_probe", "step"): lambda v: manifold_probe(EQCEP1, AT, step=v),
+    ("trace_curve", "domain_radius"): lambda v: trace_curve(EQCEP1, AT, domain_radius=v),
+    ("manifold_probe", "domain_radius"): lambda v: manifold_probe(EQCEP1, AT, domain_radius=v),
+    ("certify_acr", "pass_threshold"): lambda v: certify_acr(CEP3, trials=3, pass_threshold=v),
+    ("RankTolerance", "relative_threshold"): lambda v: RankTolerance(relative_threshold=v),
+    ("RankTolerance", "absolute_floor"): lambda v: RankTolerance(absolute_floor=v),
+}
+COUNTS = {"trials", "samples", "max_points", "degree"}
+
+
+@pytest.mark.parametrize("call, argument, value", [
+    (call, argument, value) for call, argument in CALLS
+    for value in (True, 2.5, "1", None) if value != 2.5 or argument in COUNTS
+])
+def test_a_bad_count_or_real_is_refused_naming_it(call, argument, value, monkeypatch):
+    # At one time trials=True recorded "trials": true, max_points=2.5 traced 3 points,
+    # step=True traced with max_step true and step="1" ended in numpy's unnamed
+    # "ufunc 'isfinite' not supported".
+    def no_report(*args, **kwargs):
+        raise AssertionError(f"{call} built a report for {argument}={value!r}")
+
+    for module, report in ((numrank, "CertificationReport"), (polysys, "StructuredPolySystem"),
+                           (continuation, "SolutionBranch"),
+                           (continuation, "ManifoldProbeReport")):
+        monkeypatch.setattr(module, report, no_report)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((TypeError, ValueError)) as raised:
+            CALLS[call, argument](value)
+    assert argument in str(raised.value)
+
+
+# A numeric flag, a bad value for it, and the library call its value goes to.
+FLAGS = [
+    ("--trials", ["certify", "--dataset", "cep3"], "0", lambda: certify_acr(CEP3, trials=0)),
+    ("--degree", ["certify", "--dataset", "cep3"], "0", lambda: certify_acr(CEP3, degree=0)),
+    # A library seed is any SeedSequence entropy; the command line reads a count.
+    ("--seed", ["probe", "--dataset", "xy", "--from", "1,1"], "-1",
+     lambda: structure.check_count(-1, "seed", 0)),
+    ("--pass-threshold", ["certify", "--dataset", "cep3"], "1.5",
+     lambda: certify_acr(CEP3, pass_threshold=1.5)),
+    ("--tol", ["certify", "--dataset", "cep3"], "2", lambda: RankTolerance(2.0)),
+    ("--tol-floor", ["certify", "--dataset", "cep3"], "-1",
+     lambda: RankTolerance(absolute_floor=-1.0)),
+    ("--samples", ["probe", "--dataset", "eqcep1", "--from", "1,1,1"], "0",
+     lambda: manifold_probe(EQCEP1, AT, samples=0)),
+    ("--step", ["trace", "--dataset", "eqcep1", "--from", "1,1,1"], "0",
+     lambda: trace_curve(EQCEP1, AT, step=0.0)),
+    ("--max-points", ["trace", "--dataset", "eqcep1", "--from", "1,1,1"], "0",
+     lambda: trace_curve(EQCEP1, AT, max_points=0)),
+    ("--radius", ["trace", "--dataset", "eqcep1", "--from", "1,1,1"], "-1",
+     lambda: trace_curve(EQCEP1, AT, domain_radius=-1.0)),
+]
+
+
+def test_every_checked_flag_is_covered():
+    checked = {flag for flag, spec in _FLAGS.items()
+               if getattr(spec.get("type"), "__qualname__", "").startswith("_checked.")}
+    assert checked == {flag for flag, *_ in FLAGS}
+
+
+@pytest.mark.parametrize("flag, argv, text, call", FLAGS, ids=[flag for flag, *_ in FLAGS])
+def test_a_flag_is_refused_with_its_library_message(flag, argv, text, call, capsys):
+    # The command line once checked --step itself: "must be finite and > 0", against
+    # the library's "step must be finite and positive".
+    with pytest.raises(ValueError) as library:
+        call()
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, flag, text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: argument {flag}: {library.value}\n")

@@ -533,11 +533,6 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err == "internal error: MemoryError: cannot allocate the match\n"
 
-    @pytest.mark.parametrize("subcommand", ["certify", "generic-rank"])
-    def test_negative_seed_is_analysis_error(self, subcommand, capsys):
-        assert main([subcommand, "--dataset", "cep3", "--seed", "-1", "--trials", "3"]) == 1
-        assert capsys.readouterr().err == "error: ValueError: expected non-negative integer\n"
-
     @pytest.mark.parametrize("argv", [["rank"], ["trace", "--from", "1"], ["matrix-space"]])
     def test_deeply_nested_json_is_input_error(self, argv, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -605,6 +600,12 @@ class TestMainEntryPoint:
         (["generic-rank", "--dataset", "example5", "--degree", "0"], "--degree"),
         (["trace", "--dataset", "cep3", "--degree", "0", "--from", "1,1,1"], "--degree"),
         (["probe", "--dataset", "cep3", "--degree", "0", "--from", "1,1,1"], "--degree"),
+        (["certify", "--dataset", "cep3", "--seed", "-1", "--trials", "3"], "--seed"),
+        (["generic-rank", "--dataset", "cep3", "--seed", "-1", "--trials", "3"], "--seed"),
+        (["probe", "--dataset", "xy", "--from", "1,1", "--seed", "-1"], "--seed"),
+        (["trace", "--dataset", "cep3", "--from", "1,1,1", "--seed", "-1", "--max-points", "3"],
+         "--seed"),
+        (["matrix-space", "tests/golden/basis.json", "--seed", "-1"], "--seed"),
     ])
     def test_bad_numeric_flag_is_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as exc:

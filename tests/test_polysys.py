@@ -103,6 +103,13 @@ class TestMonomialTable:
                   if isinstance(a, np.ndarray)]
         assert sum(a.nbytes for a in arrays) < 64 * 1024
 
+    def test_the_index_outlives_the_dense_exponents(self):
+        # The (K, S) exponents the index is read from were kept beside it: 7.6 MiB here.
+        _monomial_table.cache_clear()
+        system_from_terms(StructurePattern.from_rows([range(1000)]), 1, [{(0,) * 1000: 1.0}])
+        table = _monomial_table(1000, 1)
+        assert "index" in vars(table) and "exponents" not in vars(table)
+
     def test_index_is_built_once_and_kept(self):
         table = _monomial_table(10, 3)
         assert table.index is _monomial_table(10, 3).index

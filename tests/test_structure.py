@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from structrank import (
     DerivedVariableSpec,
     GeneralizedStructure,
+    ParseError,
     StructureError,
     StructurePattern,
     SystemGraph,
@@ -18,6 +19,7 @@ from structrank import (
     knockout,
     pattern_from_graph,
 )
+from structrank import formats, structure
 from structrank.datasets import get_dataset
 
 
@@ -283,6 +285,33 @@ class TestOneEntryCheck:
     def test_an_entry_of_the_wrong_shape_is_named(self, build, message):
         with pytest.raises(TypeError, match=rf"^{message}$"):
             build()
+
+
+class TestSizeBound:
+    """Structure sizes are held to one bound, MAX_VARIABLES, before any row is built."""
+
+    @pytest.mark.parametrize("build, what", [
+        # classify on this pattern once ended in "OverflowError: cannot fit 'int' into an
+        # index-sized integer", and pattern_from_graph on this graph allocated without end.
+        (lambda: StructurePattern.from_rows([[0]], 10**30), "num_variables"),
+        (lambda: StructurePattern.from_rows([[10**30]]), "num_variables"),
+        (lambda: StructurePattern(1, 10**30, [(0, 0)]), "num_variables"),
+        (lambda: GeneralizedStructure(10**30, [[0]], ()), "num_variables"),
+        (lambda: SystemGraph(10**30, ()), "num_nodes"),
+    ])
+    def test_a_size_past_the_bound_is_refused(self, build, what):
+        with pytest.raises(ParseError, match=rf"^{what} \d+ exceeds the bound of 1000000$"):
+            build()
+
+    def test_equations_are_counted_against_the_bound_before_rows_are_built(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_VARIABLES", 3)
+        with pytest.raises(ParseError, match="^num_equations 4 exceeds the bound of 3$"):
+            StructurePattern(4, 1, [])
+        assert StructurePattern(3, 3, []).shape == (3, 3)
+        assert SystemGraph(3, ()).num_nodes == 3
+
+    def test_files_share_the_bound(self):
+        assert formats.MAX_VARIABLES is structure.MAX_VARIABLES == 1_000_000
 
 
 class TestPatternFromGraph:
