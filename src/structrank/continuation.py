@@ -21,7 +21,7 @@ import numpy as np
 from .errors import WrongDimensionError
 from .formats import check_basis_size
 from .numrank import RankTolerance
-from .polysys import JacobianEvaluation, StructuredPolySystem, seeded_rng
+from .polysys import JacobianEvaluation, StructuredPolySystem, check_seed, seeded_rng
 from .structure import check_count, check_positive
 
 __all__ = [
@@ -443,7 +443,7 @@ def manifold_probe(
     evidence that p is exceptional. For dimension 0 the probe checks that
     the corrector returns to p from nearby perturbations (isolated point).
     """
-    samples = check_count(samples, "samples")
+    samples, seed = check_count(samples, "samples"), check_seed(seed)
     step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
     p = np.asarray(p, dtype=np.float64)
     jac0 = _evaluate_start(system, p)
@@ -573,7 +573,7 @@ def perturbation_probe(
         raise ValueError(f"delta must be finite, got {[float(v) for v in delta]}")
     at_p = _evaluate_start(system, p)
     target = at_p.residual_target + delta
-    rng = seeded_rng(seed)
+    rng = seeded_rng(check_seed(seed))
     starts = [at_p] + [
         p + rng.uniform(-RESTART_SCALE, RESTART_SCALE, p.size) for _ in range(PERTURBATION_RESTARTS)
     ]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, draw_members, member_plan, seeded_streams, stacked_jacobians,
+    StructuredPolySystem, check_seed, draw_members, member_plan, seeded_streams, stacked_jacobians,
 )
 from .structural import structural_rank
 from .structure import GeneralizedStructure, StructurePattern, check_count, check_real
@@ -144,7 +144,7 @@ def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
     run; each chunk of trials, sized to CHUNK_BYTES, is drawn with overflow
     silent and refused unless finite, then takes one SVD call and one rank comparison.
     """
-    trials = check_count(trials, "trials")
+    trials, seed = check_count(trials, "trials"), check_seed(seed)
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     streams = seeded_streams(seed, 0, trials)
     histogram = {}

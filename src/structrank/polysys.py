@@ -43,6 +43,13 @@ __all__ = [
 # before any table or index is built.
 MAX_PLAN_ENTRIES = 10_000_000
 
+def check_seed(seed):
+    """An integer ``seed`` (not a bool) as an int by the count rule from 0; another as given."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return check_count(seed, "seed", 0)
+    return seed  # a sequence, or True, as SeedSequence takes them
+
+
 def seeded_rng(seed) -> np.random.Generator:
     """The platform-independent PCG64 stream of ``seed``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -733,7 +740,7 @@ def sample_system(
     (structure, degree, seed, distribution); the generator is PCG64, which is
     platform independent.
     """
-    degree = check_count(degree, "degree", 0 if allow_constant else 1)
+    degree, seed = check_count(degree, "degree", 0 if allow_constant else 1), check_seed(seed)
     plan = member_plan(structure, degree)
     flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
     return _member(structure, degree, flat, seed, distribution)

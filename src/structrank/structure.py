@@ -15,7 +15,7 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import ParseError, StructureError, UnsupportedOperationError
 
@@ -37,9 +37,12 @@ MAX_VARIABLES = 1_000_000
 
 def _index(value, what):
     """``value`` as an int, numpy integers included; a bool or a non-integer is a TypeError."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:  # as 1.5, "1" or an array of more than one value
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def check_count(value, what, least=1):
@@ -52,7 +55,11 @@ def check_count(value, what, least=1):
 
 def check_real(value, what):
     """The real rule: ``value`` as a float; a bool or a non-real is a TypeError naming it."""
-    if isinstance(value, bool) or not hasattr(type(value), "__float__"):  # as "1.5" or b"2"
+    # A numpy value is real when a 0-d integer or float: a complex one would
+    # be cast with a warning, and an array of more than one value not at all.
+    kind = getattr(getattr(value, "dtype", None), "kind", "f")
+    if (isinstance(value, bool) or not hasattr(type(value), "__float__")  # as "1.5" or b"2"
+            or kind not in "iuf" or getattr(value, "ndim", 0)):
         raise TypeError(f"{what} must be a real number, got {value!r}")
     try:
         return float(value)
@@ -116,7 +123,9 @@ def _store(structure, rows, n=None, names=None):
     Their types are checked in one pass, before a set merges True into 1:
     numpy integers are stored as ints, and a bool or a non-integer is a
     TypeError naming its equation. A row keeps its sorted, distinct indices,
-    in [0, N) for N ``n`` or one past the largest; then its ``names``.
+    in [0, N) for N ``n`` or one past the largest; then its ``names``. All
+    rows hold one int object per distinct index, so a structure keeps no
+    duplicate ints (those above 256 are not cached by CPython).
     """
     # A row that is a set has no repeats left to merge, so it is not copied.
     rows = list(rows)
@@ -126,13 +135,14 @@ def _store(structure, rows, n=None, names=None):
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         rows, sets = [[_index(v, f"equation {e + 1}: variable index") for v in r]
                       for e, r in enumerate(rows)], False
+    shared = {}  # each distinct index, as the one int object every row holds
+    rows = map(map, repeat(shared.setdefault), rows, rows)
     rows = tuple(map(tuple, map(sorted, rows if sets else map(set, rows))))
-    m, nonempty = len(rows), [r for r in rows if r]
-    highest = max([r[-1] for r in nonempty], default=-1)
+    m, highest = len(rows), max(shared, default=-1)
     n = _size(max(highest + 1, 1) if n is None else n, "num_variables")
     if m < 1 or n < 1:
         raise StructureError(f"pattern must have M >= 1 and N >= 1, got {m}x{n}")
-    if min([r[0] for r in nonempty], default=0) < 0 or highest >= n:
+    if min(shared, default=0) < 0 or highest >= n:
         # The first bad row, and in it a negative index before a large one.
         e, v = next((e, v) for e, r in enumerate(rows) for v in r[:1] + r[-1:]
                     if not 0 <= v < n)

@@ -4,11 +4,12 @@ Each bound is checked once, by the library call that would build what it
 bounds, so a library caller is held to it as the command line is. This scan
 keeps ``cli.py`` from naming a bound or its check, so that no second copy
 of a check, or of the library default it depends on, grows back there. The
-argument tests below hold each count and real to one rule, and each numeric
+argument tests below hold each count, real and seed to one rule, and each numeric
 flag to the message of the library check it hands its value to.
 """
 
 import ast
+import json
 import warnings
 from pathlib import Path
 
@@ -16,10 +17,10 @@ import numpy as np
 import pytest
 
 from structrank import (
-    RankTolerance, certify_acr, generic_rank_randomized, manifold_probe, matrix_space_rank,
-    sample_system, trace_curve,
+    DerivedVariableSpec, RankTolerance, certify_acr, generic_rank_randomized, manifold_probe,
+    matrix_space_rank, perturbation_probe, sample_system, trace_curve,
 )
-from structrank import continuation, numrank, polysys, structure
+from structrank import continuation, numrank, polysys
 from structrank.cli import _FLAGS
 from structrank.cli import main as cli_main
 from structrank.datasets import get_dataset
@@ -89,18 +90,22 @@ CALLS = {
     ("certify_acr", "pass_threshold"): lambda v: certify_acr(CEP3, trials=3, pass_threshold=v),
     ("RankTolerance", "relative_threshold"): lambda v: RankTolerance(relative_threshold=v),
     ("RankTolerance", "absolute_floor"): lambda v: RankTolerance(absolute_floor=v),
+    ("DerivedVariableSpec", "weight"): lambda v: DerivedVariableSpec("z", [(0, v)]),
 }
 COUNTS = {"trials", "samples", "max_points", "degree"}
 
 
 @pytest.mark.parametrize("call, argument, value", [
     (call, argument, value) for call, argument in CALLS
-    for value in (True, 2.5, "1", None) if value != 2.5 or argument in COUNTS
+    for value in (True, 2.5, "1", None, np.complex128(1), np.complex64(1), np.array([1.0, 2.0]))
+    if type(value) is not float or argument in COUNTS
 ])
 def test_a_bad_count_or_real_is_refused_naming_it(call, argument, value, monkeypatch):
     # At one time trials=True recorded "trials": true, max_points=2.5 traced 3 points,
     # step=True traced with max_step true and step="1" ended in numpy's unnamed
-    # "ufunc 'isfinite' not supported".
+    # "ufunc 'isfinite' not supported". A complex step was once cast to a float with
+    # a ComplexWarning, and step=np.array([1.0, 2.0]) ended in numpy's unnamed
+    # "only 0-dimensional arrays can be converted to Python scalars".
     def no_report(*args, **kwargs):
         raise AssertionError(f"{call} built a report for {argument}={value!r}")
 
@@ -119,9 +124,8 @@ def test_a_bad_count_or_real_is_refused_naming_it(call, argument, value, monkeyp
 FLAGS = [
     ("--trials", ["certify", "--dataset", "cep3"], "0", lambda: certify_acr(CEP3, trials=0)),
     ("--degree", ["certify", "--dataset", "cep3"], "0", lambda: certify_acr(CEP3, degree=0)),
-    # A library seed is any SeedSequence entropy; the command line reads a count.
     ("--seed", ["probe", "--dataset", "xy", "--from", "1,1"], "-1",
-     lambda: structure.check_count(-1, "seed", 0)),
+     lambda: manifold_probe(get_dataset("xy").system, (1.0, 1.0), seed=-1)),
     ("--pass-threshold", ["certify", "--dataset", "cep3"], "1.5",
      lambda: certify_acr(CEP3, pass_threshold=1.5)),
     ("--tol", ["certify", "--dataset", "cep3"], "2", lambda: RankTolerance(2.0)),
@@ -154,3 +158,38 @@ def test_a_flag_is_refused_with_its_library_message(flag, argv, text, call, caps
         cli_main([*argv, flag, text])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f": error: argument {flag}: {library.value}\n")
+
+
+# Each library call that takes a seed, with a small request.
+SEEDED = {
+    "certify_acr": lambda seed: certify_acr(CEP3, trials=3, seed=seed),
+    "generic_rank_randomized": lambda seed: generic_rank_randomized(CEP3, trials=3, seed=seed),
+    "matrix_space_rank": lambda seed: matrix_space_rank([np.eye(2)], trials=3, seed=seed),
+    "sample_system": lambda seed: sample_system(CEP3, seed=seed),
+    "manifold_probe": lambda seed: manifold_probe(EQCEP1, AT, samples=3, seed=seed),
+    "perturbation_probe": lambda seed: perturbation_probe(EQCEP1, AT, [1e-3] * 3, seed=seed),
+}
+STORED = ["certify_acr", "generic_rank_randomized", "matrix_space_rank", "sample_system"]
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+@pytest.mark.parametrize("call", SEEDED)
+def test_a_negative_seed_is_refused_naming_it(call, seed):
+    # Each once ended in numpy's unnamed "expected non-negative integer".
+    with pytest.raises(ValueError, match=rf"^seed must be >= 0, got {int(seed)}$"):
+        SEEDED[call](seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint8(5)])
+@pytest.mark.parametrize("call", STORED)
+def test_a_numpy_integer_seed_is_stored_as_int(call, seed):
+    # The report or system once kept the numpy integer, which JSON cannot write.
+    out = SEEDED[call](seed)
+    assert type(out.seed) is int
+    assert json.dumps(out.to_json_dict()) == json.dumps(SEEDED[call](int(seed)).to_json_dict())
+
+
+@pytest.mark.parametrize("seed", [True, [1, 2**40], (7,)])
+@pytest.mark.parametrize("call", STORED)
+def test_a_sequence_or_true_seed_is_kept_as_given(call, seed):
+    assert SEEDED[call](seed).seed is seed

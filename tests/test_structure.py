@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,90 @@ class TestSizeBound:
 
     def test_files_share_the_bound(self):
         assert formats.MAX_VARIABLES is structure.MAX_VARIABLES == 1_000_000
+
+
+# Indices above CPython's small-int cache (-5..256), so that each occurrence made by
+# int(str(v)) is an int object of its own, as the ints that parsing or arithmetic make.
+BIG = (300, 301, 399)
+
+
+def fresh(v):
+    return int(str(v))
+
+
+def fresh_rows(count, tail=()):
+    """``count`` rows of the indices BIG, each of its own int objects, then ``tail``."""
+    return [[fresh(v) for v in BIG] + list(tail) for _ in range(count)]
+
+
+def write(path, text):
+    path.write_text(text)
+    return path
+
+
+SHARING_BUILDS = {
+    "from_rows": lambda tmp: StructurePattern.from_rows(fresh_rows(3)),
+    "pairs": lambda tmp: StructurePattern(3, 400, [(e, fresh(v)) for e in range(3) for v in BIG]),
+    "generalized": lambda tmp: GeneralizedStructure(
+        400, fresh_rows(3, ["z"]), (DerivedVariableSpec("z", [(fresh(300), 1.0)]),)),
+    "pattern_from_graph": lambda tmp: pattern_from_graph(
+        SystemGraph(400, {(fresh(i), fresh(j)) for i in BIG for j in BIG})),
+    "knockout": lambda tmp: knockout(StructurePattern.from_rows(
+        fresh_rows(3) + [[]] * 397, 400), 0),
+    "with_entry": lambda tmp: StructurePattern.from_rows(
+        [[fresh(300)], [fresh(301)]], 400).with_entry(1, fresh(300)),
+    "json": lambda tmp: formats.parse_structure(write(tmp / "s.json", json.dumps(
+        {"variables": 400, "equations": [{"vars": [v + 1 for v in BIG]}] * 3}))),
+    "edges": lambda tmp: pattern_from_graph(formats.parse_structure(write(
+        tmp / "s.edges", "".join(f"{i + 1} -> {j + 1}\n" for i in BIG for j in BIG)))),
+    "grid": lambda tmp: formats.parse_structure(write(
+        tmp / "s.pattern", ("".join("*" if v in BIG else "." for v in range(400)) + "\n") * 3)),
+}
+
+
+class TestSharedIndices:
+    """A structure's rows hold one int object per distinct index, however it was built."""
+
+    @pytest.mark.parametrize("build", SHARING_BUILDS.values(), ids=SHARING_BUILDS)
+    def test_each_index_is_one_object(self, build, tmp_path):
+        rows = build(tmp_path).rows()
+        ints = [v for row in rows for v in row if not isinstance(v, str)]
+        assert len(ints) > len(set(ints)) and min(ints) > 256  # an index the rows repeat
+        first = {}
+        assert all(first.setdefault(v, v) is v for v in ints)
+
+    def test_a_pattern_retains_one_int_per_index(self):
+        # 10,000 rows of 4 or 5 indices among 10,000: the rows' tuples take 0.78 MiB
+        # and their 40,021 entries 1.2 MiB more as ints of their own (1.95 MiB
+        # retained), or 0.3 MiB as one int per index (1.06 MiB retained).
+        n = 10_000
+        tracemalloc.start()
+        try:
+            rows = [{i, (i + 1) % n, (i + 2) % n, (i + 3) % n} | ({i + n // 2} if i < 21 else set())
+                    for i in range(n)]
+            assert sum(map(len, rows)) == 40_021
+            pattern = StructurePattern.from_rows(rows, n)
+            del rows
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pattern.num_variables == n
+        assert retained <= 1.5 * 2**20
+
+    @pytest.mark.parametrize("build", [
+        lambda: StructurePattern(1, 10**6, [(0, 999_999)]),
+        lambda: StructurePattern.from_rows([[999_999]]),
+    ])
+    def test_sharing_allocates_by_entries_not_by_size(self, build):
+        # A table of every index below N, list(range(N)), would take 39 MiB here.
+        tracemalloc.start()
+        try:
+            pattern = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pattern.rows() == ((999_999,),)
+        assert peak < 2**20
 
 
 class TestPatternFromGraph:
