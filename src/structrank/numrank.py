@@ -10,6 +10,8 @@ absolutely continuous sample is the right estimator of the generic rank.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import islice
 
@@ -32,8 +34,8 @@ __all__ = [
     "rank_maximizer_sweep",
 ]
 
-# Trials are drawn and decomposed in chunks whose float64 stack stays under
-# this many bytes.
+# Trials are drawn in chunks whose float64 stack stays under this many bytes;
+# one chunk per CPU is held and decomposed at once.
 CHUNK_BYTES = 1 << 20
 
 
@@ -82,12 +84,30 @@ def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    return tol.rank_of(_singular_values(a))
+    return tol.rank_of(np.linalg.svd(a, compute_uv=False))
 
 
-def _singular_values(a):
-    """Descending singular values of a finite matrix, or of each matrix in a stack."""
-    return np.linalg.svd(a, compute_uv=False)
+def _decompose(stacks):
+    """Singular values of each stack at once: the first in the caller, each other in a thread."""
+    out = [None] * len(stacks)
+
+    def run(i):
+        try:
+            out[i] = np.linalg.svd(stacks[i], compute_uv=False)
+        except BaseException as exc:
+            out[i] = exc
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(stacks))]
+    try:
+        for helper in helpers:
+            helper.start()
+        run(0)
+    finally:
+        for helper in filter(threading.Thread.is_alive, helpers):
+            helper.join()
+    for sigma in out:
+        if isinstance(sigma, BaseException):
+            raise sigma
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,24 +161,28 @@ def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
     ``draw(rngs, count)`` takes ``count`` streams, one at a time, and returns
     one ``drawn`` matrix per stream, stacked; ``entries`` bounds the float64
     values one trial occupies. The streams are seeded in bulk once for the
-    run; each chunk of trials, sized to CHUNK_BYTES, is drawn with overflow
-    silent and refused unless finite, then takes one SVD call and one rank comparison.
+    run; chunks of trials, sized to CHUNK_BYTES, are drawn one per CPU with overflow silent
+    and refused unless finite, then take one SVD call each at once (``_decompose``).
     """
     trials, seed = check_count(trials, "trials"), check_seed(seed)
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    per_round = per_chunk * len(cpus)
     streams = seeded_streams(seed, 0, trials)
     histogram = {}
-    for start in range(0, trials, per_chunk):
-        count = min(per_chunk, trials - start)
-        # Trial i draws from stream (seed, i), so chunking cannot change a report.
-        # The chunk's matrices are freed before the next chunk is drawn.
-        with np.errstate(over="ignore", invalid="ignore"):
-            stack = draw(islice(streams, count), count)
-        if not np.isfinite(stack).all():
-            raise ValueError(f"a trial's {drawn} is not finite")
-        ranks = tol.rank_of(_singular_values(stack))
-        for r in ranks.tolist():
-            histogram[r] = histogram.get(r, 0) + 1
+    for start in range(0, trials, per_round):
+        stacks = []
+        # Trial i draws from stream (seed, i), so neither chunks nor CPUs can change
+        # a report. A round's chunks are freed before the next round is drawn.
+        for first in range(start, min(start + per_round, trials), per_chunk):
+            count = min(per_chunk, trials - first)
+            with np.errstate(over="ignore", invalid="ignore"):
+                stacks.append(draw(islice(streams, count), count))
+            if not np.isfinite(stacks[-1]).all():
+                raise ValueError(f"a trial's {drawn} is not finite")
+        for sigma in _decompose(stacks):
+            for r in tol.rank_of(sigma).tolist():
+                histogram[r] = histogram.get(r, 0) + 1
     estimated = max(histogram)
     if target_rank is None:
         agreement = histogram[estimated]

@@ -666,7 +666,7 @@ def system_from_terms(
     Exponent tuples, of ints or numpy integers (another type is a TypeError), align with
     each equation's symbols in ``structure.rows()``: sorted variable indices, then sorted derived names.
     """
-    degree = check_count(degree, "degree", 0)
+    degree, seed = check_count(degree, "degree", 0), None if seed is None else _index(seed, "seed")
     plan = member_plan(structure, degree)
     if len(terms) != structure.num_equations:
         raise StructureError(

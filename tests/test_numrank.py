@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -407,7 +410,7 @@ class TestOneCallPerTrial:
     def test_unknown_distribution_refused_before_any_trial(self, monkeypatch):
         calls, chunks = [], []
         self._counted_streams(monkeypatch, calls)
-        monkeypatch.setattr(numrank, "_singular_values", chunks.append)
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs: chunks.append(a))
         with pytest.raises(ValueError, match="^distribution must be 'uniform' or 'normal', "
                                              "got 'cauchy'$"):
             generic_rank_randomized(get_dataset("cep3").structure, trials=5,
@@ -418,13 +421,15 @@ class TestOneCallPerTrial:
     def test_matrix_space_trials_bit_exact(self, per_chunk, monkeypatch):
         flat = np.array(_BASIS).reshape(len(_BASIS), -1)
         chunks = []
-        singular_values = numrank._singular_values
+        decompose = numrank._decompose
 
-        def spy(stack):
-            chunks.append(stack.copy())
-            return singular_values(stack)
+        # The caller hands over each round's chunks in trial order; the SVDs
+        # themselves may run in any order on helper threads.
+        def spy(stacks):
+            chunks.extend(stack.copy() for stack in stacks)
+            return decompose(stacks)
 
-        monkeypatch.setattr(numrank, "_singular_values", spy)
+        monkeypatch.setattr(numrank, "_decompose", spy)
         if per_chunk is not None:
             monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * flat.shape[1] * per_chunk)
         matrix_space_rank(_BASIS, trials=40, seed=9)
@@ -434,6 +439,144 @@ class TestOneCallPerTrial:
             rng = reference_stream(9, i)
             expected = np.dot(rng.uniform(-1.0, 1.0, len(_BASIS))[np.newaxis, :], flat)
             assert matrix.tobytes() == expected.reshape(2, 3).tobytes()
+
+
+class TestConcurrentChunks:
+    """One chunk per CPU is decomposed at once; reports and threads stay as with one CPU."""
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(numrank.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    @staticmethod
+    def _started(monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        return started
+
+    @pytest.mark.parametrize("per_chunk", [1, 7, None])
+    def test_reports_do_not_depend_on_cpus(self, per_chunk, monkeypatch):
+        for entries, run in TestStackedTrials._runs():
+            if per_chunk is not None:
+                monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * per_chunk)
+            self._cpus(monkeypatch, 1)
+            expected = run()
+            for n in (2, 3):
+                self._cpus(monkeypatch, n)
+                report = run()
+                assert report == expected
+                # Ranks are tallied in chunk order, so even the dict order agrees.
+                assert list(report.rank_histogram.items()) == list(expected.rank_histogram.items())
+                assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+            monkeypatch.undo()
+
+    def test_more_threads_than_cores_with_short_switches(self, monkeypatch):
+        # Each thread writes only its own slot of the results; a lost or
+        # misplaced one would change the histogram or its order.
+        for entries, run in TestStackedTrials._runs():
+            monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * 3)
+            self._cpus(monkeypatch, 1)
+            expected = run()
+            self._cpus(monkeypatch, 8)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                report = run()
+            finally:
+                sys.setswitchinterval(interval)
+            assert list(report.rank_histogram.items()) == list(expected.rank_histogram.items())
+            assert report == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_thread_outlives_a_call(self, n, monkeypatch):
+        self._cpus(monkeypatch, n)
+        started = self._started(monkeypatch)
+        for entries, run in TestStackedTrials._runs():
+            monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * 7)
+            before = threading.active_count()
+            run()
+            assert threading.active_count() == before
+        # 40 trials in chunks of 7 are 6 chunks: rounds of n chunks start n - 1 helpers each.
+        assert len(started) == 3 * (0 if n == 1 else 6 - math.ceil(6 / n))
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_one_cpu_takes_one_svd_call_per_chunk_in_the_caller(self, monkeypatch):
+        self._cpus(monkeypatch, 1)
+        started = self._started(monkeypatch)
+        svd, threads = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            threads.append(threading.current_thread())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        for entries, run in TestStackedTrials._runs():
+            monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * 7)
+            threads.clear()
+            run()
+            assert threads == [threading.current_thread()] * 6
+        assert started == []
+
+    def test_a_one_chunk_run_starts_no_thread(self, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        started = self._started(monkeypatch)
+        for entries, run in TestStackedTrials._runs():
+            monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * 40)
+            run()
+        assert started == []
+
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        rounds, decompose = [], numrank._decompose
+
+        def spy(stacks):
+            rounds.append(len(stacks))
+            return decompose(stacks)
+
+        monkeypatch.setattr(numrank, "_decompose", spy)
+        monkeypatch.delattr(numrank.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * 6 * 7)
+        for cpu_count, expected in [(4, [4, 2]), (None, [1] * 6)]:
+            monkeypatch.setattr(numrank.os, "cpu_count", lambda: cpu_count)
+            rounds.clear()
+            matrix_space_rank(_BASIS, trials=40, seed=3)
+            assert rounds == expected
+
+    def test_helper_error_surfaces_unchanged(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+        pattern = get_dataset("sole26").structure
+        monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * member_plan(pattern, 2).entries * 7)
+        svd, error = np.linalg.svd, np.linalg.LinAlgError("SVD did not converge")
+
+        def failing(a, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            certify_acr(pattern, trials=40, seed=3)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_first_error_in_chunk_order_wins(self, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * 6 * 7)
+        errors = {}
+
+        def failing(a, *args, **kwargs):
+            raise errors.setdefault(threading.current_thread(), np.linalg.LinAlgError())
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            matrix_space_rank(_BASIS, trials=40, seed=3)
+        assert info.value is errors[threading.main_thread()]
+        assert len(errors) == 3
 
 
 class TestRankMaximizerSweep:

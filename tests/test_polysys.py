@@ -795,6 +795,24 @@ class TestSerialization:
         with pytest.raises(StructureError, match=r"^equation 1: exponent vector \(3, 0\) is not"):
             system_from_terms(p, 2, [{(np.int64(3), 0): 1.0}])
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), 3, -4, 2**70, None])
+    def test_an_integer_seed_is_written_and_read_back(self, seed, tmp_path):
+        # np.int64(3) was kept as given, and json.dumps of the system raised.
+        p = get_dataset("xy").structure
+        system = system_from_terms(p, 1, [{(1, 0): 2.0}], seed=seed)
+        assert system.seed == seed and type(system.seed) is type(None if seed is None else 3)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system.to_json_dict()))
+        back = formats.parse_input(str(path))
+        assert back.seed == seed and back.to_json_dict() == system.to_json_dict()
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, "3", True, False, [3], np.array([3, 4])])
+    def test_a_seed_that_is_no_integer_is_refused(self, seed):
+        # 2.5 was kept and written, and the system reader then refused the file.
+        p = get_dataset("xy").structure
+        with pytest.raises(TypeError, match=rf"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            system_from_terms(p, 1, [{(1, 0): 2.0}], seed=seed)
+
     @pytest.mark.parametrize("terms, error", [
         ({(0, 2): 1e308, (1, 1, 1): 1.0}, ParseError),
         ({(1, 1, 1): 1.0, (0, 2): 1e308}, StructureError),
