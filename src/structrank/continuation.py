@@ -13,7 +13,7 @@ perturbing the right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -58,6 +58,25 @@ def _norm(v):
     v = v.ravel()
     square = v.dot(v)
     return math.hypot(*v) if square == math.inf else math.sqrt(square)
+
+
+def _json_fields(report, **renamed):
+    """A report's fields as JSON values, in field order; ``renamed`` maps a field to its key or None.
+
+    An array is written as its list, a dict with str keys in key order, any other value as it is.
+    """
+    out = {}
+    for field in fields(report):
+        key = renamed.get(field.name, field.name)
+        if key is None:
+            continue
+        value = getattr(report, field.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, dict):
+            value = {str(k): v for k, v in sorted(value.items())}
+        out[key] = value
+    return out
 
 
 def _evaluate_start(system, p):
@@ -192,34 +211,9 @@ class SolutionBranch:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self):
-        return {
-            "base_point": [float(v) for v in self.base_point],
-            "target": [float(v) for v in self.target],
-            "rank": self.rank,
-            "closed": self.closed,
-            "residual_tol": self.residual_tol,
-            "max_step": self.max_step,
-            "points": [
-                {
-                    "x": [float(v) for v in bp.point],
-                    "residual": bp.residual,
-                    "rank": bp.rank,
-                    "tangent": [float(v) for v in bp.tangent],
-                    "step_size": bp.step_size,
-                    "corrector_iterations": bp.corrector_iterations,
-                }
-                for bp in self.points
-            ],
-            "events": [
-                {
-                    "kind": ev.kind,
-                    "direction": ev.direction,
-                    "detail": ev.detail,
-                    "location": None if ev.location is None else [float(v) for v in ev.location],
-                }
-                for ev in self.events
-            ],
-        }
+        return {**_json_fields(self, points=None, events=None),
+                "points": [_json_fields(bp, point="x", kernel=None) for bp in self.points],
+                "events": [_json_fields(ev) for ev in self.events]}
 
 
 def _trace_direction(system, start, direction, start_tangent, target, rank0, step, budget,
@@ -353,21 +347,7 @@ class ManifoldProbeReport:
     corrector_failures: int
 
     def to_json_dict(self):
-        return {
-            "base_point": [float(v) for v in self.base_point],
-            "rank": self.rank,
-            "dimension": self.dimension,
-            "samples_requested": self.samples_requested,
-            "samples_accepted": self.samples_accepted,
-            "histogram": {str(k): v for k, v in sorted(self.rank_histogram.items())},
-            "rank_drop_found": self.rank_drop_found,
-            "drop_point": None if self.drop_point is None else [float(v) for v in self.drop_point],
-            "drop_rank": self.drop_rank,
-            "min_significant_sigma": self.min_significant_sigma,
-            "isolated_confirmed": self.isolated_confirmed,
-            "returned_count": self.returned_count,
-            "corrector_failures": self.corrector_failures,
-        }
+        return _json_fields(self, rank_histogram="histogram")
 
 
 def _sigma_significant(sigma, rank0):
@@ -540,13 +520,7 @@ class PerturbationProbe:
     starts_tried: int
 
     def to_json_dict(self):
-        return {
-            "delta": [float(v) for v in self.delta],
-            "solved": self.solved,
-            "solution": None if self.solution is None else [float(v) for v in self.solution],
-            "residual_floor": self.residual_floor,
-            "starts_tried": self.starts_tried,
-        }
+        return _json_fields(self)
 
 
 @np.errstate(over="ignore")

@@ -44,8 +44,9 @@ __all__ = [
 MAX_PLAN_ENTRIES = 10_000_000
 
 def check_seed(seed):
-    """An integer ``seed`` (not a bool) as an int by the count rule from 0; another as given."""
-    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+    """An integer ``seed`` (not a bool) or None by the count rule from 0; another as given."""
+    # The rule refuses None: SeedSequence(None) would seed from OS entropy, unrecorded.
+    if seed is None or isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         return check_count(seed, "seed", 0)
     return seed  # a sequence, or True, as SeedSequence takes them
 
@@ -316,17 +317,17 @@ class _MemberPlan:
     (``_powers``), where power p of coordinate c sits at c * (top + 1) + p.
     A member's table runs to top ``degree`` (``powers``), and ``factors``
     indexes it: every bucket's partial columns side by side, symbol-major,
-    as its first ``num_partial_monomials`` columns, then every bucket's
-    value columns. A column holds the factors of its monomial's positive
-    exponents in symbol order, padded below them with index 0, the first
-    coordinate's power 0, which is exactly 1.0. A monomial has at most ``degree`` positive
-    exponents, so ``factors`` has min(degree, widest S) rows, and a partial
-    column fills at most the first min(degree - 1, widest S). Trials need
-    no values, and their partials no power ``degree``: their table runs to
-    top degree - 1, and ``trial_factors`` holds those first rows of the
-    partial columns, laid out on it. One gather over an index leaves every
-    monomial it covers, and ``order`` takes the values, computed bucket by
-    bucket, from the kernel's results in equation order.
+    then every bucket's value columns. A column holds the factors of its
+    monomial's positive exponents in symbol order, padded below them with
+    index 0, the first coordinate's power 0, which is exactly 1.0. A
+    monomial has at most ``degree`` positive exponents, so ``factors`` has
+    min(degree, widest S) rows, and a partial column fills at most the
+    first min(degree - 1, widest S). Trials need no values, and their
+    partials no power ``degree``: their table runs to top degree - 1, and
+    ``trial_factors`` holds those first rows of the partial columns, laid
+    out on it. One gather over an index leaves every monomial it covers,
+    and ``order`` takes the values, computed bucket by bucket, from the
+    kernel's results in equation order.
 
     ``variables`` writes every variable partial onto the flat Jacobian
     (weight 1, each target once); each ``chain`` layer k then adds the
@@ -334,8 +335,8 @@ class _MemberPlan:
     ``entries`` bounds the float64 values one member occupies in
     ``stacked_jacobians``: its Jacobian, its coefficients, its table of
     powers or its gather of partial monomial factors, which it counts as
-    the widest S times ``num_partial_monomials``, more than a trial gathers
-    (see ``member_plan``).
+    the widest S times the number of partial columns, more than a trial
+    gathers (see ``member_plan``).
     """
 
     offsets: np.ndarray  # (M + 1,)
@@ -344,7 +345,6 @@ class _MemberPlan:
     derived: tuple  # per derived name: (support, weights)
     factors: np.ndarray  # (min(degree, widest S), sum of G*S*R + G*K)
     trial_factors: np.ndarray  # (min(degree - 1, widest S), sum of G*S*R)
-    num_partial_monomials: int  # sum of G*S*R
     buckets: tuple[_Bucket, ...]
     order: np.ndarray  # (M,) kernel result slot of equation e's value
     num_slots: int
@@ -471,7 +471,6 @@ def member_plan(structure, degree) -> _MemberPlan:
         derived=derived,
         factors=factors,
         trial_factors=trials - trials // (degree + 1),
-        num_partial_monomials=num_partials,
         buckets=tuple(buckets),
         order=slot + np.argsort(np.concatenate([b.equations for b in buckets])),
         num_slots=slot,

@@ -180,6 +180,14 @@ def test_a_negative_seed_is_refused_naming_it(call, seed):
         SEEDED[call](seed)
 
 
+@pytest.mark.parametrize("call", SEEDED)
+def test_a_none_seed_is_refused_naming_it(call):
+    # None once went to SeedSequence, which seeds from OS entropy: two calls drew
+    # two different members or reports, each recording the seed None.
+    with pytest.raises(TypeError, match=r"^seed must be an integer, got None$"):
+        SEEDED[call](None)
+
+
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(5)])
 @pytest.mark.parametrize("call", STORED)
 def test_a_numpy_integer_seed_is_stored_as_int(call, seed):

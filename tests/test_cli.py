@@ -837,6 +837,13 @@ class TestDeclaredFlagsAndFormats:
         assert captured.err == ("error: --delta runs the perturbation probe, which does not "
                                 f"use {flags}\n")
 
+    def test_delta_of_the_wrong_length_is_input_error(self, capsys):
+        argv = ["probe", "--dataset", "eqcep1", "--from", "1,1,1", "--delta", "0.1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --delta must have 3 components, got 1\n"
+
     @pytest.mark.parametrize("subcommand", ["trace", "probe"])
     @pytest.mark.parametrize("source, origin", [
         (["--dataset", "eqcep1", "--from", "1,1,1"], "dataset eqcep1 (bundled system)"),

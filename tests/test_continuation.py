@@ -211,6 +211,21 @@ class TestManifoldProbe:
         assert report.drop_rank == 0
         assert np.abs(report.drop_point).max() <= 10.0
 
+    def test_a_walk_that_lands_on_the_drop_stops_without_a_hunt(self, monkeypatch, capsys):
+        # On x1*x2 = 0 from (1, 0) with seed 1, the ninth accepted sample lands
+        # next to the origin, where DF vanishes: the walk ends there, unhunted.
+        hunts = []
+        monkeypatch.setattr(continuation, "_hunt_rank_drop", lambda *args: hunts.append(args))
+        report = manifold_probe(get_dataset("xy").system, (1.0, 0.0), samples=50, seed=1)
+        assert hunts == []
+        assert (report.samples_accepted, report.rank_histogram) == (9, {1: 8, 0: 1})
+        assert (report.rank_drop_found, report.drop_rank) == (True, 0)
+        assert report.drop_point.tolist() == [5.551115123125783e-17, 0.0]
+        assert main(["probe", "--dataset", "xy", "--from", "1,0", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.endswith(
+            "samples accepted: 9/50 (seed 1)\nrank drop found: rank 0 at (5.551e-17, 0)\n")
+        assert hunts == []
+
     def test_exceptional_base_point_walks_with_base_kernel(self):
         # DF(0, 0) of x1*x2 is zero, so the base kernel is 2-D while every
         # sample off the origin has rank 1 and a 1-D kernel.
@@ -495,6 +510,61 @@ class TestPerturbationProbe:
         # fragility verdict with no evidence behind it.
         with pytest.raises(ValueError, match="delta must be finite"):
             perturbation_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], [bad, 0.0, 0.0])
+
+
+def plain_values(tree):
+    """The values in ``tree`` other than a str-keyed dict, list, float, int, bool, str or None."""
+    found, stack = [], [tree]
+    while stack:
+        value = stack.pop()
+        if type(value) is dict and all(type(k) is str for k in value):
+            stack.extend(value.values())
+        elif type(value) is list:
+            stack.extend(value)
+        elif type(value) not in (float, int, bool, str, type(None)):
+            found.append(value)
+    return found
+
+
+class TestJsonFields:
+    # A report's JSON is its fields: a field added to one of these classes
+    # must fail here rather than change a schema unnoticed.
+    TRACE = ["base_point", "target", "rank", "closed", "residual_tol", "max_step", "points",
+             "events"]
+    POINT = ["x", "residual", "rank", "tangent", "step_size", "corrector_iterations"]
+    EVENT = ["kind", "direction", "detail", "location"]
+    PROBE = ["base_point", "rank", "dimension", "samples_requested", "samples_accepted",
+             "histogram", "rank_drop_found", "drop_point", "drop_rank", "min_significant_sigma",
+             "isolated_confirmed", "returned_count", "corrector_failures"]
+    PERTURBATION = ["delta", "solved", "solution", "residual_floor", "starts_tried"]
+
+    def test_trace(self):
+        branch = trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], max_points=5)
+        out = branch.to_json_dict()
+        assert list(out) == self.TRACE
+        assert [list(point) for point in out["points"]] == [self.POINT] * 5
+        assert [list(event) for event in out["events"]] == [self.EVENT] * 2
+        assert plain_values(out) == []
+
+    @pytest.mark.parametrize("system, p, dimension", [
+        (get_dataset("eqcep1").system, [1.0, 1.0, 1.0], 1),
+        (get_dataset("xy").system, [1.0, 0.0], 1),
+        (identity_system(), [0.3, -0.2, 0.7], 0),
+    ], ids=["walk", "drop", "isolated"])
+    def test_manifold_probe(self, system, p, dimension):
+        report = manifold_probe(system, p, samples=5, seed=0)
+        assert report.dimension == dimension
+        out = report.to_json_dict()
+        assert list(out) == self.PROBE
+        assert plain_values(out) == []
+
+    @pytest.mark.parametrize("delta, solved", [([0.0, 0.0, 0.0], True), ([0.0, 0.1, 0.0], False)])
+    def test_perturbation_probe(self, delta, solved):
+        probe = perturbation_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], delta)
+        assert probe.solved is solved
+        out = probe.to_json_dict()
+        assert list(out) == self.PERTURBATION
+        assert plain_values(out) == []
 
 
 def interior_corrections(path):

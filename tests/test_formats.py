@@ -356,6 +356,11 @@ class TestPatternMatrixFiles:
         path.write_text("..*\n..*\n***\n")
         assert parse_structure(path) == get_dataset("cep3").structure
 
+    def test_an_empty_row_between_slashes_is_skipped(self, tmp_path):
+        path = tmp_path / "p.pattern"
+        path.write_text("*0//0*\n")
+        assert parse_structure(path) == StructurePattern.from_rows([{0}, {1}])
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "p.pattern"
         path.write_text("0*\n***\n")

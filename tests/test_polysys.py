@@ -542,8 +542,8 @@ class TestPlanSize:
         # fewer; a column holds one factor per positive exponent.
         widest = max(map(len, structure.rows()))
         assert plan.factors.shape == (min(degree, widest), plan.factors.shape[1])
-        assert plan.trial_factors.shape == (max(min(degree - 1, widest), 0),
-                                            plan.num_partial_monomials)
+        partials = sum(len(b.equations) * b.table.rows.size for b in plan.buckets)
+        assert plan.trial_factors.shape == (max(min(degree - 1, widest), 0), partials)
         # The index, the trials' index, a stacked trial's gather through it,
         # and the dense exponents each monomial table's build makes, twice over.
         gather = plan.trial_factors.size
@@ -661,7 +661,7 @@ class TestVectorizedKernel:
         # without x^3: 1.0, x and x^2 of each coordinate.
         ((powers, factors),) = gathers
         assert factors is plan.trial_factors
-        partials = plan.factors[:, :plan.num_partial_monomials]
+        partials = plan.factors[:, :plan.trial_factors.shape[1]]
         assert (partials[2:] == 0).all()
         # The member's table of x^0..x^3 gives the same factors through its index.
         points = powers[:, 1::3]
