@@ -433,7 +433,8 @@ def _system_from_json_dict(data, path=None):
             spelled[exponents] = key
         terms.append({exponents: float(eq[key]) for exponents, key in spelled.items()})
     seed = data.get("seed")
-    _expect(seed is None or _is_int(seed), "'seed' must be an integer or null", path, "seed")
+    _expect(seed is None or _is_int(seed) and seed >= 0, "'seed' must be an integer >= 0 or null",
+            path, "seed")
     distribution = data.get("distribution", "explicit")
     _expect(isinstance(distribution, str), "'distribution' must be a string", path,
             "distribution")

@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 # Trials are drawn in chunks whose float64 stack stays under this many bytes;
-# one chunk per CPU is held and decomposed at once.
+# each thread holds one chunk at a time, so a run holds one chunk per CPU at most.
 CHUNK_BYTES = 1 << 20
 
 
@@ -85,29 +85,6 @@ def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return tol.rank_of(np.linalg.svd(a, compute_uv=False))
-
-
-def _decompose(stacks):
-    """Singular values of each stack at once: the first in the caller, each other in a thread."""
-    out = [None] * len(stacks)
-
-    def run(i):
-        try:
-            out[i] = np.linalg.svd(stacks[i], compute_uv=False)
-        except BaseException as exc:
-            out[i] = exc
-    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, len(stacks))]
-    try:
-        for helper in helpers:
-            helper.start()
-        run(0)
-    finally:
-        for helper in filter(threading.Thread.is_alive, helpers):
-            helper.join()
-    for sigma in out:
-        if isinstance(sigma, BaseException):
-            raise sigma
-    return out
 
 
 @dataclass(frozen=True)
@@ -161,28 +138,77 @@ def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
     ``draw(rngs, count)`` takes ``count`` streams, one at a time, and returns
     one ``drawn`` matrix per stream, stacked; ``entries`` bounds the float64
     values one trial occupies. The streams are seeded in bulk once for the
-    run; chunks of trials, sized to CHUNK_BYTES, are drawn one per CPU with overflow silent
-    and refused unless finite, then take one SVD call each at once (``_decompose``).
+    run. Trials are drawn in chunks sized to CHUNK_BYTES, with overflow
+    silent, and a chunk that is not finite is refused. The caller and one
+    helper thread per further CPU each take the next chunk in trial order,
+    draw it under a lock and decompose it with one SVD call, so one chunk's
+    draw overlaps another's SVD. The caller tallies ranks in chunk order, and
+    once every helper is joined it re-raises the first failure in chunk order.
     """
     trials, seed = check_count(trials, "trials"), check_seed(seed)
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    per_round = per_chunk * len(cpus)
     streams = seeded_streams(seed, 0, trials)
-    histogram = {}
-    for start in range(0, trials, per_round):
-        stacks = []
-        # Trial i draws from stream (seed, i), so neither chunks nor CPUs can change
-        # a report. A round's chunks are freed before the next round is drawn.
-        for first in range(start, min(start + per_round, trials), per_chunk):
-            count = min(per_chunk, trials - first)
-            with np.errstate(over="ignore", invalid="ignore"):
-                stacks.append(draw(islice(streams, count), count))
-            if not np.isfinite(stacks[-1]).all():
-                raise ValueError(f"a trial's {drawn} is not finite")
-        for sigma in _decompose(stacks):
-            for r in tol.rank_of(sigma).tolist():
+    # Each chunk's singular values until tallied, or the exception that ended it.
+    out = [None] * -(-trials // per_chunk)
+    lock, taken = threading.Lock(), 0
+
+    def step():
+        """Draw the next chunk, in trial order, and decompose it; False once none is left."""
+        nonlocal taken
+        with lock:
+            k = taken
+            if k == len(out):
+                return False
+            taken += 1
+            count = min(per_chunk, trials - k * per_chunk)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stack = draw(islice(streams, count), count)
+                if not np.isfinite(stack).all():
+                    raise ValueError(f"a trial's {drawn} is not finite")
+            except BaseException as exc:
+                out[k], taken = exc, len(out)
+                return False
+        try:
+            out[k] = np.linalg.svd(stack, compute_uv=False)
+        except BaseException as exc:
+            out[k] = exc
+            with lock:
+                taken = len(out)
+        return True
+
+    def helper():
+        while step():
+            pass
+
+    histogram, tallied = {}, 0
+
+    def tally():
+        nonlocal tallied
+        while tallied < len(out) and isinstance(out[tallied], np.ndarray):
+            for r in tol.rank_of(out[tallied]).tolist():
                 histogram[r] = histogram.get(r, 0) + 1
+            out[tallied] = None
+            tallied += 1
+
+    # Trial i draws from stream (seed, i), so neither chunks nor CPUs can change a
+    # report. Each thread holds one chunk at most, so at most one chunk per CPU is
+    # drawn and not yet decomposed; ranks are tallied here, in chunk order.
+    helpers = [threading.Thread(target=helper) for _ in range(min(len(cpus), len(out)) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        while step():
+            tally()
+    finally:
+        with lock:
+            taken = len(out)
+        for thread in helpers:
+            thread.join()
+    tally()
+    if tallied < len(out):
+        raise out[tallied]
     estimated = max(histogram)
     if target_rank is None:
         agreement = histogram[estimated]

@@ -578,6 +578,8 @@ class StructuredPolySystem:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", check_count(self.degree, "degree", 0))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_seed(self.seed))
         if len(self.equations) != self.structure.num_equations:
             raise StructureError(
                 f"structure has {self.structure.num_equations} equations, "

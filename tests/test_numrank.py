@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -369,6 +370,23 @@ _BASIS = [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
           [[0.5, -1.0, 3.0], [0.0, 7.0, -2.0]]]
 
 
+def _spy_draws(monkeypatch, seen):
+    """Pass each chunk the trial loop draws to ``seen``, in trial order.
+
+    The trial loop decomposes what ``seen`` returns, or the chunk itself for None.
+    """
+    run_trials = numrank._run_trials
+
+    def spy(draw, *args, **kwargs):
+        def drawn(rngs, count):
+            stack = draw(rngs, count)
+            replaced = seen(stack)
+            return stack if replaced is None else replaced
+        return run_trials(drawn, *args, **kwargs)
+
+    monkeypatch.setattr(numrank, "_run_trials", spy)
+
+
 class _CountedGenerator:
     """A generator whose method calls are logged by name."""
 
@@ -421,28 +439,25 @@ class TestOneCallPerTrial:
     def test_matrix_space_trials_bit_exact(self, per_chunk, monkeypatch):
         flat = np.array(_BASIS).reshape(len(_BASIS), -1)
         chunks = []
-        decompose = numrank._decompose
-
-        # The caller hands over each round's chunks in trial order; the SVDs
-        # themselves may run in any order on helper threads.
-        def spy(stacks):
-            chunks.extend(stack.copy() for stack in stacks)
-            return decompose(stacks)
-
-        monkeypatch.setattr(numrank, "_decompose", spy)
+        # Chunks are drawn one at a time in trial order, by whichever thread then
+        # decomposes them; three CPUs draw on helper threads too.
+        _spy_draws(monkeypatch, lambda stack: chunks.append(stack.copy()))
         if per_chunk is not None:
             monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * flat.shape[1] * per_chunk)
-        matrix_space_rank(_BASIS, trials=40, seed=9)
-        assert len(chunks) == (1 if per_chunk is None else math.ceil(40 / per_chunk))
-        # The per-trial reference: a fresh generator for each trial's stream.
-        for i, matrix in enumerate(np.concatenate(chunks)):
-            rng = reference_stream(9, i)
-            expected = np.dot(rng.uniform(-1.0, 1.0, len(_BASIS))[np.newaxis, :], flat)
-            assert matrix.tobytes() == expected.reshape(2, 3).tobytes()
+        for cpus in (1, 3):
+            monkeypatch.setattr(numrank.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            chunks.clear()
+            matrix_space_rank(_BASIS, trials=40, seed=9)
+            assert len(chunks) == (1 if per_chunk is None else math.ceil(40 / per_chunk))
+            # The per-trial reference: a fresh generator for each trial's stream.
+            for i, matrix in enumerate(np.concatenate(chunks)):
+                rng = reference_stream(9, i)
+                expected = np.dot(rng.uniform(-1.0, 1.0, len(_BASIS))[np.newaxis, :], flat)
+                assert matrix.tobytes() == expected.reshape(2, 3).tobytes()
 
 
 class TestConcurrentChunks:
-    """One chunk per CPU is decomposed at once; reports and threads stay as with one CPU."""
+    """One thread per CPU draws and decomposes chunks; reports stay as with one CPU."""
 
     @staticmethod
     def _cpus(monkeypatch, n):
@@ -496,14 +511,23 @@ class TestConcurrentChunks:
     def test_no_thread_outlives_a_call(self, n, monkeypatch):
         self._cpus(monkeypatch, n)
         started = self._started(monkeypatch)
+        # Rank decisions stay on the caller's thread, whichever thread decomposed.
+        deciders, rank_of = set(), RankTolerance.rank_of
+
+        def spy(tol, sigma):
+            deciders.add(threading.current_thread())
+            return rank_of(tol, sigma)
+
+        monkeypatch.setattr(RankTolerance, "rank_of", spy)
         for entries, run in TestStackedTrials._runs():
             monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * 7)
             before = threading.active_count()
             run()
             assert threading.active_count() == before
-        # 40 trials in chunks of 7 are 6 chunks: rounds of n chunks start n - 1 helpers each.
-        assert len(started) == 3 * (0 if n == 1 else 6 - math.ceil(6 / n))
+        # 40 trials in chunks of 7 are 6 chunks: each call starts n - 1 helpers.
+        assert len(started) == 3 * (n - 1)
         assert not any(thread.is_alive() for thread in started)
+        assert deciders == {threading.current_thread()}
 
     def test_one_cpu_takes_one_svd_call_per_chunk_in_the_caller(self, monkeypatch):
         self._cpus(monkeypatch, 1)
@@ -531,20 +555,15 @@ class TestConcurrentChunks:
         assert started == []
 
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch):
-        rounds, decompose = [], numrank._decompose
-
-        def spy(stacks):
-            rounds.append(len(stacks))
-            return decompose(stacks)
-
-        monkeypatch.setattr(numrank, "_decompose", spy)
+        started = self._started(monkeypatch)
         monkeypatch.delattr(numrank.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * 6 * 7)
-        for cpu_count, expected in [(4, [4, 2]), (None, [1] * 6)]:
+        # Six chunks: four CPUs start three helpers, and an unknown count is one CPU.
+        for cpu_count, expected in [(4, 3), (None, 0)]:
             monkeypatch.setattr(numrank.os, "cpu_count", lambda: cpu_count)
-            rounds.clear()
+            started.clear()
             matrix_space_rank(_BASIS, trials=40, seed=3)
-            assert rounds == expected
+            assert len(started) == expected
 
     def test_helper_error_surfaces_unchanged(self, monkeypatch):
         self._cpus(monkeypatch, 2)
@@ -555,6 +574,7 @@ class TestConcurrentChunks:
         def failing(a, *args, **kwargs):
             if threading.current_thread() is not threading.main_thread():
                 raise error
+            time.sleep(0.005)  # the helper takes a chunk while the caller decomposes
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", failing)
@@ -567,16 +587,87 @@ class TestConcurrentChunks:
     def test_first_error_in_chunk_order_wins(self, monkeypatch):
         self._cpus(monkeypatch, 3)
         monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * 6 * 7)
-        errors = {}
+        drawn, errors, later = [], {}, threading.Event()
+        _spy_draws(monkeypatch, drawn.append)
 
         def failing(a, *args, **kwargs):
-            raise errors.setdefault(threading.current_thread(), np.linalg.LinAlgError())
+            k = next(k for k, stack in enumerate(drawn) if stack is a)
+            error = errors.setdefault(k, np.linalg.LinAlgError(f"chunk {k}"))
+            if k:
+                later.set()
+            else:
+                later.wait(timeout=10)  # chunk 0 fails after a later chunk has
+            raise error
 
         monkeypatch.setattr(np.linalg, "svd", failing)
+        before = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError) as info:
             matrix_space_rank(_BASIS, trials=40, seed=3)
-        assert info.value is errors[threading.main_thread()]
-        assert len(errors) == 3
+        assert later.is_set() and len(errors) > 1
+        assert info.value is errors[0]
+        assert threading.active_count() == before
+
+    def test_an_earlier_svd_error_wins_over_a_later_non_finite_draw(self, monkeypatch):
+        # Chunk 1 drawn non-finite once raised before chunk 0 was decomposed.
+        self._cpus(monkeypatch, 2)
+        monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * 6 * 7)
+        drawn, later = [], threading.Event()
+        error = np.linalg.LinAlgError("SVD did not converge")
+
+        def poisoned(stack):
+            drawn.append(stack)
+            if len(drawn) == 2:
+                later.set()
+                return stack * np.inf
+
+        _spy_draws(monkeypatch, poisoned)
+        svd = np.linalg.svd
+
+        def failing(a, *args, **kwargs):
+            if a is drawn[0]:
+                later.wait(timeout=10)
+                raise error
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        started = self._started(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError) as info:
+            matrix_space_rank(_BASIS, trials=40, seed=3)
+        assert info.value is error and later.is_set()
+        assert len(started) == 1 and not started[0].is_alive()
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_at_most_one_chunk_per_cpu_is_live(self, n, monkeypatch):
+        self._cpus(monkeypatch, n)
+        lock, live, peak = threading.Lock(), [0], [0]
+
+        def drawn(stack):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+
+        _spy_draws(monkeypatch, drawn)
+        svd = np.linalg.svd
+
+        def decomposed(a, *args, **kwargs):
+            time.sleep(0.005)  # a slow SVD lets every thread draw and hold its chunk
+            try:
+                return svd(a, *args, **kwargs)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(np.linalg, "svd", decomposed)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for entries, run in TestStackedTrials._runs():
+                monkeypatch.setattr(numrank, "CHUNK_BYTES", 8 * entries * 3)
+                run()
+                assert live == [0]
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 < peak[0] <= n
 
 
 class TestRankMaximizerSweep:

@@ -795,7 +795,7 @@ class TestSerialization:
         with pytest.raises(StructureError, match=r"^equation 1: exponent vector \(3, 0\) is not"):
             system_from_terms(p, 2, [{(np.int64(3), 0): 1.0}])
 
-    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), 3, -4, 2**70, None])
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), 3, 2**70, None])
     def test_an_integer_seed_is_written_and_read_back(self, seed, tmp_path):
         # np.int64(3) was kept as given, and json.dumps of the system raised.
         p = get_dataset("xy").structure
@@ -805,6 +805,31 @@ class TestSerialization:
         path.write_text(json.dumps(system.to_json_dict()))
         back = formats.parse_input(str(path))
         assert back.seed == seed and back.to_json_dict() == system.to_json_dict()
+
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3)])
+    def test_a_constructed_system_stores_an_integer_seed_as_int(self, seed):
+        # The constructor kept np.int64(3), and json.dumps of the system raised.
+        member = sample_system(get_dataset("xy").structure, degree=1, seed=0)
+        system = StructuredPolySystem(member.structure, 1, member.equations, seed=seed)
+        assert type(system.seed) is int
+        assert json.loads(json.dumps(system.to_json_dict()))["seed"] == 3
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-4)])
+    def test_a_negative_seed_is_refused_naming_it(self, seed, tmp_path):
+        # Each was stored: no member could have been sampled from it.
+        member = sample_system(get_dataset("xy").structure, degree=1, seed=0)
+        message = rf"^seed must be >= 0, got {int(seed)}$"
+        with pytest.raises(ValueError, match=message):
+            StructuredPolySystem(member.structure, 1, member.equations, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            system_from_terms(member.structure, 1, [{(1, 0): 2.0}], seed=seed)
+        data = member.to_json_dict() | {"seed": int(seed)}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as raised:
+            formats.parse_input(str(path))
+        assert raised.value.where == "seed"
+        assert raised.value.message == "'seed' must be an integer >= 0 or null"
 
     @pytest.mark.parametrize("seed", [2.5, 3.0, "3", True, False, [3], np.array([3, 4])])
     def test_a_seed_that_is_no_integer_is_refused(self, seed):
