@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import WrongDimensionError
 from .formats import check_basis_size
-from .numrank import RankTolerance
-from .polysys import JacobianEvaluation, StructuredPolySystem, check_seed, seeded_rng
+from .numrank import RankTolerance, check_tolerance
+from .polysys import JacobianEvaluation, StructuredPolySystem, seeded_rng
 from .structure import check_count, check_positive
 
 __all__ = [
@@ -112,6 +112,7 @@ class LocalDimension:
 
 
 def local_dimension(system: StructuredPolySystem, p, tol: RankTolerance = RankTolerance()) -> LocalDimension:
+    tol = check_tolerance(tol)
     rank, kernel, _ = _svd_analysis(_evaluate_start(system, p), tol)
     return LocalDimension(dimension=system.num_variables - rank, rank=rank, kernel=kernel)
 
@@ -284,7 +285,7 @@ def trace_curve(
     and has the same numeric rank as p.
     """
     step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
-    max_points = check_count(max_points, "max_points")
+    max_points, tol = check_count(max_points, "max_points"), check_tolerance(tol)
     p = np.asarray(p, dtype=np.float64)
     jac0 = _evaluate_start(system, p)
     target = jac0.residual_target
@@ -423,7 +424,8 @@ def manifold_probe(
     evidence that p is exceptional. For dimension 0 the probe checks that
     the corrector returns to p from nearby perturbations (isolated point).
     """
-    samples, seed = check_count(samples, "samples"), check_seed(seed)
+    samples, seed = check_count(samples, "samples"), check_count(seed, "seed", 0)
+    tol = check_tolerance(tol)
     step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
     p = np.asarray(p, dtype=np.float64)
     jac0 = _evaluate_start(system, p)
@@ -547,7 +549,7 @@ def perturbation_probe(
         raise ValueError(f"delta must be finite, got {[float(v) for v in delta]}")
     at_p = _evaluate_start(system, p)
     target = at_p.residual_target + delta
-    rng = seeded_rng(check_seed(seed))
+    rng = seeded_rng(check_count(seed, "seed", 0))
     starts = [at_p] + [
         p + rng.uniform(-RESTART_SCALE, RESTART_SCALE, p.size) for _ in range(PERTURBATION_RESTARTS)
     ]

@@ -41,6 +41,7 @@ MAX_JACOBIAN_ENTRIES = 10_000_000
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*(<->|->)\s*(\d+)\s*$")
 _EXPONENTS_RE = re.compile(r"([0-9]+(,[0-9]+)*)?")
 _HEADER_RE = re.compile(r"^\s*(selfloops|nodes)\s*:\s*(\S+)\s*$", re.IGNORECASE)
+_DOT_ID_RE = re.compile(r"[A-Za-z0-9_]+")
 _EQUATION_FIELDS = frozenset({"name", "vars", "derived"})
 
 
@@ -446,6 +447,11 @@ def _system_from_json_dict(data, path=None):
         raise ParseError(exc.message, path=path) from None
 
 
+def _dot_string(text):
+    """``text`` as a DOT quoted string, with backslash, double quote and newline escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
 def to_dot(structure) -> str:
     """Render a structure or graph in DOT for external visualization."""
     lines = ["digraph system {"]
@@ -459,15 +465,18 @@ def to_dot(structure) -> str:
     elif isinstance(structure, GeneralizedStructure):
         for v in range(structure.num_variables):
             lines.append(f'  x{v + 1} [shape=circle, label="x{v + 1}"];')
+        # A derived name that is not a bare DOT ID, as "a b", makes a quoted one.
+        ids = {d.name: f"d_{d.name}" if _DOT_ID_RE.fullmatch(d.name) else _dot_string(f"d_{d.name}")
+               for d in structure.derived}
         for spec in structure.derived:
-            lines.append(f'  d_{spec.name} [shape=diamond, label="{spec.name}"];')
+            lines.append(f'  {ids[spec.name]} [shape=diamond, label={_dot_string(spec.name)}];')
             for i, c in spec.coefficients:
-                lines.append(f'  x{i + 1} -> d_{spec.name} [label="{c:g}"];')
+                lines.append(f'  x{i + 1} -> {ids[spec.name]} [label="{c:g}"];')
         for e, row in enumerate(structure.rows()):
             lines.append(f'  f{e + 1} [shape=box, label="f{e + 1}"];')
             # In-edges keep the str order of 0-based indices and names: x11 before x2.
             for sym in sorted(row, key=str):
-                src = f"d_{sym}" if isinstance(sym, str) else f"x{sym + 1}"
+                src = ids[sym] if isinstance(sym, str) else f"x{sym + 1}"
                 lines.append(f"  {src} -> f{e + 1};")
     elif structure.is_square():
         return to_dot(graph_from_pattern(structure, include_diagonal=False))

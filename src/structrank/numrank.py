@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, check_seed, draw_members, member_plan, seeded_streams, stacked_jacobians,
+    StructuredPolySystem, draw_members, member_plan, seeded_streams, stacked_jacobians,
 )
 from .structural import structural_rank
 from .structure import GeneralizedStructure, StructurePattern, check_count, check_real
@@ -77,9 +77,16 @@ class RankTolerance:
         return int(np.count_nonzero(sigma > cutoff))
 
 
+def check_tolerance(tol):
+    """``tol`` when it is a RankTolerance; anything else is a TypeError naming it."""
+    if not isinstance(tol, RankTolerance):
+        raise TypeError(f"tol must be a RankTolerance, got {tol!r}")
+    return tol
+
+
 def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
     """Number of singular values above the tolerance cutoff."""
-    a = np.asarray(matrix, dtype=np.float64)
+    tol, a = check_tolerance(tol), np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
     if not np.isfinite(a).all():
@@ -145,7 +152,8 @@ def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
     draw overlaps another's SVD. The caller tallies ranks in chunk order, and
     once every helper is joined it re-raises the first failure in chunk order.
     """
-    trials, seed = check_count(trials, "trials"), check_seed(seed)
+    trials, seed = check_count(trials, "trials"), check_count(seed, "seed", 0)
+    tol = check_tolerance(tol)
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     streams = seeded_streams(seed, 0, trials)

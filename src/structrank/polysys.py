@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError, StructureError
 from .formats import _system_from_json_dict, check_jacobian_size, structure_to_json_dict
-from .structure import GeneralizedStructure, StructurePattern, _index, check_count
+from .structure import GeneralizedStructure, StructurePattern, _index, check_count, check_real
 
 __all__ = [
     "PolyEquation",
@@ -43,16 +43,8 @@ __all__ = [
 # before any table or index is built.
 MAX_PLAN_ENTRIES = 10_000_000
 
-def check_seed(seed):
-    """An integer ``seed`` (not a bool) or None by the count rule from 0; another as given."""
-    # The rule refuses None: SeedSequence(None) would seed from OS entropy, unrecorded.
-    if seed is None or isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
-        return check_count(seed, "seed", 0)
-    return seed  # a sequence, or True, as SeedSequence takes them
-
-
 def seeded_rng(seed) -> np.random.Generator:
-    """The platform-independent PCG64 stream of ``seed``."""
+    """The platform-independent PCG64 stream of ``seed``, an int >= 0."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
@@ -77,18 +69,6 @@ def _hash_constants(init, mult, first, count):
 
 # generate_state(4, uint64) hashes the pool twice round into 8 words.
 _OUTPUT_XOR, _OUTPUT_MULT = _hash_constants(_INIT_B, _MULT_B, 0, 8)
-
-
-def _entropy_words(entropy):
-    """The number of 32-bit words SeedSequence makes of ``entropy``, ints nested to any depth."""
-    words, stack = 0, [entropy]
-    while stack:
-        entropy = stack.pop()
-        if isinstance(entropy, (int, np.integer)):
-            words += max(1, -(-int(entropy).bit_length() // 32))
-        else:
-            stack.extend(entropy)
-    return words
 
 
 def _seed_words(pool, calls, start, stop):
@@ -119,16 +99,16 @@ def seeded_streams(seed, start, stop):
     """Trial i's stream, SeedSequence(seed, spawn_key=(i,)) -> PCG64, for i in range(start, stop).
 
     Yields one Generator, re-seeded for each i, so each stream must be drawn
-    from before the next is taken. ``SeedSequence(seed)`` gives the pool
-    that the run entropy leaves; the seed words of up to _SEED_BLOCK spawn
+    from before the next is taken. ``SeedSequence(seed)``, of an int seed
+    >= 0, gives the pool its words leave; the seed words of up to _SEED_BLOCK spawn
     keys come from one vectorized pass, and PCG64's two-step seeding runs
     in Python integers, so every draw is byte for byte that of a generator
     built for the one stream.
     """
     sequence = np.random.SeedSequence(seed)
     # Hash calls made so far: 4 to fill the pool, 12 to cross-mix it, and 4
-    # for each run-entropy word past the pool size.
-    calls = 16 + 4 * max(0, _entropy_words(sequence.entropy) - 4)
+    # for each 32-bit word of the seed past the pool size.
+    calls = 16 + 4 * max(0, -(-seed.bit_length() // 32) - 4)
     generator = np.random.Generator(np.random.PCG64(sequence))
     bit_generator = generator.bit_generator
     for block in range(start, stop, _SEED_BLOCK):
@@ -578,8 +558,8 @@ class StructuredPolySystem:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", check_count(self.degree, "degree", 0))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", check_seed(self.seed))
+        if self.seed is not None:  # None labels an explicit system
+            object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
         if len(self.equations) != self.structure.num_equations:
             raise StructureError(
                 f"structure has {self.structure.num_equations} equations, "
@@ -667,7 +647,7 @@ def system_from_terms(
     Exponent tuples, of ints or numpy integers (another type is a TypeError), align with
     each equation's symbols in ``structure.rows()``: sorted variable indices, then sorted derived names.
     """
-    degree, seed = check_count(degree, "degree", 0), None if seed is None else _index(seed, "seed")
+    degree = check_count(degree, "degree", 0)
     plan = member_plan(structure, degree)
     if len(terms) != structure.num_equations:
         raise StructureError(
@@ -732,7 +712,6 @@ def sample_system(
     degree: int = 2,
     seed: int = 0,
     distribution: str = "uniform",
-    allow_constant: bool = False,
 ) -> StructuredPolySystem:
     """Draw a random member of the structured space.
 
@@ -741,7 +720,7 @@ def sample_system(
     (structure, degree, seed, distribution); the generator is PCG64, which is
     platform independent.
     """
-    degree, seed = check_count(degree, "degree", 0 if allow_constant else 1), check_seed(seed)
+    degree, seed = check_count(degree, "degree"), check_count(seed, "seed", 0)
     plan = member_plan(structure, degree)
     flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
     return _member(structure, degree, flat, seed, distribution)
@@ -766,6 +745,7 @@ def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem
     graded monomial order lets a lower-degree system embed into a
     higher-degree table by zero padding.
     """
+    a, b = check_real(a, "a"), check_real(b, "b")
     if f.structure != g.structure:
         raise StructureError("cannot combine systems with different structures")
     degree = max(f.degree, g.degree)

@@ -6,7 +6,9 @@ from math import comb
 
 import numpy as np
 
-from structrank.polysys import JacobianEvaluation, PolyEquation
+from structrank.polysys import (
+    JacobianEvaluation, PolyEquation, _member, draw_members, member_plan, seeded_rng,
+)
 from structrank.structural import RankReport
 from structrank.structure import GeneralizedStructure
 
@@ -150,6 +152,17 @@ def reference_draw(structure, degree, rng, distribution):
             coefficients = rng.standard_normal(size)
         equations.append(PolyEquation(symbols, degree, coefficients))
     return equations
+
+
+def random_member(structure, degree, seed=0, distribution="uniform"):
+    """The member ``sample_system`` draws, at any degree >= 0.
+
+    Sampling refuses degree 0, whose members are constant; the kernel tests
+    draw those here, by the same steps.
+    """
+    plan = member_plan(structure, degree)
+    flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
+    return _member(structure, degree, flat, seed, distribution)
 
 
 def reference_exponents(num_symbols, degree):

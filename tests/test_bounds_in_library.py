@@ -10,20 +10,25 @@ flag to the message of the library check it hands its value to.
 
 import ast
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from structrank import (
-    DerivedVariableSpec, RankTolerance, certify_acr, generic_rank_randomized, manifold_probe,
-    matrix_space_rank, perturbation_probe, sample_system, trace_curve,
+    DerivedVariableSpec, ParseError, RankTolerance, StructuredPolySystem, certify_acr, combine,
+    generic_rank_randomized, local_dimension, manifold_probe, matrix_space_rank, numeric_rank,
+    perturbation_probe, sample_system, system_from_terms, trace_curve,
 )
 from structrank import continuation, numrank, polysys
 from structrank.cli import _FLAGS
 from structrank.cli import main as cli_main
 from structrank.datasets import get_dataset
+from structrank.formats import parse_input
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "structrank" / "cli.py"
 
@@ -91,6 +96,8 @@ CALLS = {
     ("RankTolerance", "relative_threshold"): lambda v: RankTolerance(relative_threshold=v),
     ("RankTolerance", "absolute_floor"): lambda v: RankTolerance(absolute_floor=v),
     ("DerivedVariableSpec", "weight"): lambda v: DerivedVariableSpec("z", [(0, v)]),
+    ("combine", "a"): lambda v: combine(v, EQCEP1, 1.0, EQCEP1),
+    ("combine", "b"): lambda v: combine(1.0, EQCEP1, v, EQCEP1),
 }
 COUNTS = {"trials", "samples", "max_points", "degree"}
 
@@ -118,6 +125,42 @@ def test_a_bad_count_or_real_is_refused_naming_it(call, argument, value, monkeyp
         with pytest.raises((TypeError, ValueError)) as raised:
             CALLS[call, argument](value)
     assert argument in str(raised.value)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ("a", 1, "a must be a real number, got 'a'"),
+    (1, np.array([2.0]), "b must be a real number, got array([2.])"),
+])
+def test_combine_names_a_scalar_that_is_not_real(a, b, message):
+    # combine("a", f, 1, g) once ended in numpy's UFuncTypeError, which names no argument.
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        combine(a, EQCEP1, b, EQCEP1)
+
+
+# Each library call that takes a rank tolerance, with a small request.
+TOLERANT = {
+    "numeric_rank": lambda tol: numeric_rank(np.eye(2), tol),
+    "certify_acr": lambda tol: certify_acr(CEP3, trials=3, tol=tol),
+    "generic_rank_randomized": lambda tol: generic_rank_randomized(CEP3, trials=3, tol=tol),
+    "matrix_space_rank": lambda tol: matrix_space_rank([np.eye(2)], trials=3, tol=tol),
+    "local_dimension": lambda tol: local_dimension(EQCEP1, AT, tol),
+    "trace_curve": lambda tol: trace_curve(EQCEP1, AT, tol=tol),
+    "manifold_probe": lambda tol: manifold_probe(EQCEP1, AT, samples=3, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", ["x", None, 1e-8])
+@pytest.mark.parametrize("call", TOLERANT)
+def test_a_tolerance_that_is_no_rank_tolerance_is_refused_before_any_work(call, tol, monkeypatch):
+    # certify_acr(tol="x") once ran every trial, then ended in AttributeError:
+    # "'str' object has no attribute 'rank_of'".
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{call} started work with tol={tol!r}")
+
+    monkeypatch.setattr(numrank, "seeded_streams", no_work)
+    monkeypatch.setattr(continuation, "_evaluate_start", no_work)
+    with pytest.raises(TypeError, match=rf"^tol must be a RankTolerance, got {re.escape(repr(tol))}$"):
+        TOLERANT[call](tol)
 
 
 # A numeric flag, a bad value for it, and the library call its value goes to.
@@ -160,7 +203,7 @@ def test_a_flag_is_refused_with_its_library_message(flag, argv, text, call, caps
     assert capsys.readouterr().err.endswith(f": error: argument {flag}: {library.value}\n")
 
 
-# Each library call that takes a seed, with a small request.
+# Each library call that draws from a seed, with a small request.
 SEEDED = {
     "certify_acr": lambda seed: certify_acr(CEP3, trials=3, seed=seed),
     "generic_rank_randomized": lambda seed: generic_rank_randomized(CEP3, trials=3, seed=seed),
@@ -169,15 +212,33 @@ SEEDED = {
     "manifold_probe": lambda seed: manifold_probe(EQCEP1, AT, samples=3, seed=seed),
     "perturbation_probe": lambda seed: perturbation_probe(EQCEP1, AT, [1e-3] * 3, seed=seed),
 }
-STORED = ["certify_acr", "generic_rank_randomized", "matrix_space_rank", "sample_system"]
+# The two that build an explicit system, where the seed None labels a system no seed drew.
+LABELLED = {
+    "system_from_terms": lambda seed: system_from_terms(CEP3, 1, [{}, {}, {}], seed=seed),
+    "StructuredPolySystem": lambda seed: StructuredPolySystem(
+        CEP3, 1, sample_system(CEP3, 1).equations, seed=seed),
+}
+ALL_SEEDED = {**SEEDED, **LABELLED}
+STORED = ["certify_acr", "generic_rank_randomized", "matrix_space_rank", "sample_system",
+          *LABELLED]
 
 
 @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
-@pytest.mark.parametrize("call", SEEDED)
+@pytest.mark.parametrize("call", ALL_SEEDED)
 def test_a_negative_seed_is_refused_naming_it(call, seed):
     # Each once ended in numpy's unnamed "expected non-negative integer".
     with pytest.raises(ValueError, match=rf"^seed must be >= 0, got {int(seed)}$"):
-        SEEDED[call](seed)
+        ALL_SEEDED[call](seed)
+
+
+@pytest.mark.parametrize("seed", [True, [1, 2], (7,), 2.5, np.array([3])])
+@pytest.mark.parametrize("call", ALL_SEEDED)
+def test_a_seed_that_is_no_integer_is_refused_naming_it(call, seed):
+    # A sequence or True once went to SeedSequence as given: seed=True drew
+    # seed 1's streams and recorded "seed": true, and a sampled system with
+    # seed [1, 2] wrote a file that the system reader refused.
+    with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        ALL_SEEDED[call](seed)
 
 
 @pytest.mark.parametrize("call", SEEDED)
@@ -188,16 +249,34 @@ def test_a_none_seed_is_refused_naming_it(call):
         SEEDED[call](None)
 
 
+@pytest.mark.parametrize("call", LABELLED)
+def test_a_none_seed_labels_an_explicit_system(call):
+    assert LABELLED[call](None).seed is None
+
+
 @pytest.mark.parametrize("seed", [np.int64(3), np.uint8(5)])
 @pytest.mark.parametrize("call", STORED)
 def test_a_numpy_integer_seed_is_stored_as_int(call, seed):
     # The report or system once kept the numpy integer, which JSON cannot write.
-    out = SEEDED[call](seed)
+    out = ALL_SEEDED[call](seed)
     assert type(out.seed) is int
-    assert json.dumps(out.to_json_dict()) == json.dumps(SEEDED[call](int(seed)).to_json_dict())
+    assert json.dumps(out.to_json_dict()) == json.dumps(ALL_SEEDED[call](int(seed)).to_json_dict())
 
 
-@pytest.mark.parametrize("seed", [True, [1, 2**40], (7,)])
-@pytest.mark.parametrize("call", STORED)
-def test_a_sequence_or_true_seed_is_kept_as_given(call, seed):
-    assert SEEDED[call](seed).seed is seed
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-2**70, 2**200) | st.sampled_from(
+    [True, False, 2.0, "3", [1, 2], [], np.int64(2**62), np.uint8(5), np.int16(-2)]))
+def test_sampling_and_the_system_reader_take_the_same_seeds(seed, tmp_path_factory):
+    # The reader also takes null, the label of an explicit system, which sampling refuses.
+    path = tmp_path_factory.mktemp("seed") / "system.json"
+    written = seed.item() if isinstance(seed, np.generic) else seed
+    try:
+        system = sample_system(CEP3, 1, seed=seed)
+    except (TypeError, ValueError):
+        path.write_text(json.dumps({**sample_system(CEP3, 1).to_json_dict(), "seed": written}))
+        with pytest.raises(ParseError, match="'seed' must be an integer >= 0 or null"):
+            parse_input(path)
+    else:
+        assert system.seed == written
+        path.write_text(json.dumps(system.to_json_dict()))
+        assert parse_input(path).to_json_dict() == system.to_json_dict()

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from structrank.cli import main
 from structrank.datasets import get_dataset
 from structrank.formats import parse_basis, parse_input
 from structrank.polysys import StructuredPolySystem
+from structrank.structure import DerivedVariableSpec
 
 
 CEP_JSON = {
@@ -446,6 +448,34 @@ class TestDotExport:
         dot = to_dot(get_dataset("example5").structure)
         assert "d_z" in dot
         assert 'x2 -> d_z [label="2"];' in dot
+
+    # A DOT token: a quoted string with its escapes, an ID, an edge or punctuation.
+    TOKEN = re.compile(r'\s*("(?:[^"\\]|\\.)*"|\w+|->|[\[\]{};=,])')
+
+    @pytest.mark.parametrize("name", ["a b", 'z"; x1 -> x2; "q', "back\\slash", "new\nline"])
+    def test_a_derived_name_that_is_no_identifier_is_quoted(self, name):
+        # Written bare, "a b" made the node d_a and a stray b, and the second
+        # name closed its label and added the edge x1 -> x2.
+        structure = GeneralizedStructure(2, (frozenset({name}), frozenset({0})),
+                                         (DerivedVariableSpec(name, ((0, 1.0), (1, 2.0))),))
+        dot, tokens, at = to_dot(structure), [], 0
+        while dot[at:].strip():
+            match = self.TOKEN.match(dot, at)
+            assert match, f"no DOT token at {dot[at:]!r}"
+            tokens.append(match[1])
+            at = match.end()
+
+        def text(token):
+            if not token.startswith('"'):
+                return token
+            return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], token[1:-1])
+
+        node = f"d_{name}"
+        edges = [(text(tokens[k - 1]), text(tokens[k + 1]))
+                 for k, token in enumerate(tokens) if token == "->"]
+        assert edges == [("x1", node), ("x2", node), (node, "f1"), ("x1", "f2")]
+        labels = [text(tokens[k + 2]) for k, token in enumerate(tokens) if token == "label"]
+        assert name in labels
 
 
 class TestOtherPayloads:

@@ -1,8 +1,8 @@
 """Library code does not recurse on its input.
 
 Python's recursion limit, about a thousand frames, must not decide whether
-an input is answered: a seed nested a thousand deep, or an equation over a
-thousand symbols, once raised RecursionError. This scan keeps every
+an input is answered: an equation over a thousand symbols, or a matching
+along a five-thousand-row chain, once raised RecursionError. This scan keeps every
 function in ``src/`` from calling itself by name. The one exception is
 ``formats.to_dot``, which draws a square pattern as its graph: one level,
 whatever the input.

@@ -308,8 +308,8 @@ class TestStackedTrials:
             assert run() == expected
             monkeypatch.undo()
 
-    # A sequence seed, as SeedSequence takes it, is one of the run's inputs.
-    @pytest.mark.parametrize("seed", [3, [1, 2**40]])
+    # A seed of more than four 32-bit words takes more hash calls before the spawn keys.
+    @pytest.mark.parametrize("seed", [3, 2**130 + 2**40])
     @pytest.mark.parametrize("per_chunk", [None, 1, 7])
     def test_bulk_seeding_matches_per_trial_generators(self, per_chunk, seed, monkeypatch):
         # The per-trial path: a fresh generator for each trial's stream.
