@@ -13,14 +13,14 @@ perturbing the right-hand side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import WrongDimensionError
 from .formats import check_basis_size
-from .numrank import RankTolerance, check_tolerance
+from .numrank import RankTolerance, _json_fields, check_tolerance
 from .polysys import JacobianEvaluation, StructuredPolySystem, seeded_rng
 from .structure import check_count, check_positive
 
@@ -58,25 +58,6 @@ def _norm(v):
     v = v.ravel()
     square = v.dot(v)
     return math.hypot(*v) if square == math.inf else math.sqrt(square)
-
-
-def _json_fields(report, **renamed):
-    """A report's fields as JSON values, in field order; ``renamed`` maps a field to its key or None.
-
-    An array is written as its list, a dict with str keys in key order, any other value as it is.
-    """
-    out = {}
-    for field in fields(report):
-        key = renamed.get(field.name, field.name)
-        if key is None:
-            continue
-        value = getattr(report, field.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, dict):
-            value = {str(k): v for k, v in sorted(value.items())}
-        out[key] = value
-    return out
 
 
 def _evaluate_start(system, p):
@@ -539,6 +520,7 @@ def perturbation_probe(
     (not proof) that the perturbed system is unsolvable; for robust ones the
     implicit function theorem predicts a nearby solution for small delta.
     """
+    seed = check_count(seed, "seed", 0)
     p = np.asarray(p, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (system.num_equations,):
@@ -549,7 +531,7 @@ def perturbation_probe(
         raise ValueError(f"delta must be finite, got {[float(v) for v in delta]}")
     at_p = _evaluate_start(system, p)
     target = at_p.residual_target + delta
-    rng = seeded_rng(check_count(seed, "seed", 0))
+    rng = seeded_rng(seed)
     starts = [at_p] + [
         p + rng.uniform(-RESTART_SCALE, RESTART_SCALE, p.size) for _ in range(PERTURBATION_RESTARTS)
     ]

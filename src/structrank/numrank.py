@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 
 import numpy as np
@@ -39,6 +39,28 @@ __all__ = [
 CHUNK_BYTES = 1 << 20
 
 
+def _json_fields(report, *, omit_none=False, **renamed):
+    """A report's fields as JSON values, in field order; ``renamed`` maps a field to its key or None.
+
+    An array is written as its list, a dict with str keys in key order, a value with its own
+    ``to_json_dict`` through that method and any other value as it is; ``omit_none`` leaves
+    out a field that is None.
+    """
+    out = {}
+    for field in fields(report):
+        key, value = renamed.get(field.name, field.name), getattr(report, field.name)
+        if key is None or (omit_none and value is None):
+            continue
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, dict):
+            value = {str(k): v for k, v in sorted(value.items())}
+        elif hasattr(value, "to_json_dict"):
+            value = value.to_json_dict()
+        out[key] = value
+    return out
+
+
 @dataclass(frozen=True)
 class RankTolerance:
     """Singular-value cutoff: sigma > max(relative * sigma_1, floor); both are floats."""
@@ -57,10 +79,7 @@ class RankTolerance:
         object.__setattr__(self, "absolute_floor", floor)
 
     def to_json_dict(self):
-        return {
-            "relative_threshold": self.relative_threshold,
-            "absolute_floor": self.absolute_floor,
-        }
+        return _json_fields(self)
 
     def rank_of(self, sigma):
         """Number of singular values above the cutoff, descending along the last axis.
@@ -84,9 +103,17 @@ def check_tolerance(tol):
     return tol
 
 
+def _real_array(value, what):
+    """``value`` as a float64 array; a complex or text array is a TypeError naming ``what``."""
+    a = np.asarray(value)
+    if a.dtype.kind in "cUS":  # a cast would drop the imaginary part or parse the text
+        raise TypeError(f"{what} must hold real numbers, got an array of dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:
     """Number of singular values above the tolerance cutoff."""
-    tol, a = check_tolerance(tol), np.asarray(matrix, dtype=np.float64)
+    tol, a = check_tolerance(tol), _real_array(matrix, "matrix")
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
     if not np.isfinite(a).all():
@@ -121,21 +148,9 @@ class CertificationReport:
         return self.agreement_count / self.trials
 
     def to_json_dict(self):
-        d = {
-            "trials": self.trials,
-            "estimated_rank": self.estimated_rank,
-            "agreement_count": self.agreement_count,
-            "agreement_rate": self.agreement_rate,
-            "histogram": {str(k): v for k, v in sorted(self.rank_histogram.items())},
-            "seed": self.seed,
-            "tolerance": self.tolerance.to_json_dict(),
-        }
-        for key in ("degree", "distribution", "point_domain", "target_rank",
-                    "pass_threshold", "passed"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
+        """The fields, ``rank_histogram`` as ``histogram`` and unset ones left out, and the rate."""
+        return {**_json_fields(self, omit_none=True, rank_histogram="histogram"),
+                "agreement_rate": self.agreement_rate}
 
 
 def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
@@ -329,7 +344,7 @@ def matrix_space_rank(
     almost every member of a matrix subspace attains the subspace maximum, so
     the histogram exposes the measure-zero failure set empirically.
     """
-    mats = [np.asarray(b, dtype=np.float64) for b in basis]
+    mats = [_real_array(b, "basis") for b in basis]
     if not mats:
         raise ValueError("basis must be nonempty")
     shape = mats[0].shape
@@ -367,6 +382,7 @@ def rank_maximizer_sweep(
     """
     if system.structure != maximizer.structure:
         raise StructureError("sweep requires systems sharing one structure")
+    tol, grid = check_tolerance(tol), [check_real(c, "c_grid") for c in c_grid]
     jf = system.jacobian(x).matrix
     jm = maximizer.jacobian(x).matrix
-    return [(float(c), numeric_rank(jf + float(c) * jm, tol)) for c in c_grid]
+    return [(c, numeric_rank(jf + c * jm, tol)) for c in grid]

@@ -648,6 +648,7 @@ def system_from_terms(
     each equation's symbols in ``structure.rows()``: sorted variable indices, then sorted derived names.
     """
     degree = check_count(degree, "degree", 0)
+    seed = seed if seed is None else check_count(seed, "seed", 0)  # None labels an explicit system
     plan = member_plan(structure, degree)
     if len(terms) != structure.num_equations:
         raise StructureError(

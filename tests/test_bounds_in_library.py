@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from structrank import (
     DerivedVariableSpec, ParseError, RankTolerance, StructuredPolySystem, certify_acr, combine,
     generic_rank_randomized, local_dimension, manifold_probe, matrix_space_rank, numeric_rank,
-    perturbation_probe, sample_system, system_from_terms, trace_curve,
+    perturbation_probe, rank_maximizer_sweep, sample_system, system_from_terms, trace_curve,
 )
 from structrank import continuation, numrank, polysys
 from structrank.cli import _FLAGS
@@ -79,6 +79,8 @@ def test_scan_finds_bound_names(source, expected, tmp_path):
 CEP3 = get_dataset("cep3").structure
 EQCEP1 = get_dataset("eqcep1").system
 AT = (1.0, 1.0, 1.0)
+# Two members of cep3 for rank_maximizer_sweep.
+F, G = sample_system(CEP3, seed=0), sample_system(CEP3, seed=1)
 
 CALLS = {
     ("certify_acr", "trials"): lambda v: certify_acr(CEP3, trials=v),
@@ -98,6 +100,7 @@ CALLS = {
     ("DerivedVariableSpec", "weight"): lambda v: DerivedVariableSpec("z", [(0, v)]),
     ("combine", "a"): lambda v: combine(v, EQCEP1, 1.0, EQCEP1),
     ("combine", "b"): lambda v: combine(1.0, EQCEP1, v, EQCEP1),
+    ("rank_maximizer_sweep", "c_grid"): lambda v: rank_maximizer_sweep(F, G, AT, [0.5, v]),
 }
 COUNTS = {"trials", "samples", "max_points", "degree"}
 
@@ -112,14 +115,17 @@ def test_a_bad_count_or_real_is_refused_naming_it(call, argument, value, monkeyp
     # step=True traced with max_step true and step="1" ended in numpy's unnamed
     # "ufunc 'isfinite' not supported". A complex step was once cast to a float with
     # a ComplexWarning, and step=np.array([1.0, 2.0]) ended in numpy's unnamed
-    # "only 0-dimensional arrays can be converted to Python scalars".
+    # "only 0-dimensional arrays can be converted to Python scalars". Each value
+    # of rank_maximizer_sweep's c_grid once went through float(c): True swept
+    # c = 1.0 and "1" c = 1.0, after both Jacobians were evaluated.
     def no_report(*args, **kwargs):
-        raise AssertionError(f"{call} built a report for {argument}={value!r}")
+        raise AssertionError(f"{call} built a report or Jacobian for {argument}={value!r}")
 
     for module, report in ((numrank, "CertificationReport"), (polysys, "StructuredPolySystem"),
                            (continuation, "SolutionBranch"),
                            (continuation, "ManifoldProbeReport")):
         monkeypatch.setattr(module, report, no_report)
+    monkeypatch.setattr(type(F), "jacobian", no_report)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises((TypeError, ValueError)) as raised:
@@ -146,6 +152,7 @@ TOLERANT = {
     "local_dimension": lambda tol: local_dimension(EQCEP1, AT, tol),
     "trace_curve": lambda tol: trace_curve(EQCEP1, AT, tol=tol),
     "manifold_probe": lambda tol: manifold_probe(EQCEP1, AT, samples=3, tol=tol),
+    "rank_maximizer_sweep": lambda tol: rank_maximizer_sweep(F, G, AT, [], tol),
 }
 
 
@@ -159,8 +166,14 @@ def test_a_tolerance_that_is_no_rank_tolerance_is_refused_before_any_work(call, 
 
     monkeypatch.setattr(numrank, "seeded_streams", no_work)
     monkeypatch.setattr(continuation, "_evaluate_start", no_work)
+    monkeypatch.setattr(polysys.StructuredPolySystem, "jacobian", no_work)
     with pytest.raises(TypeError, match=rf"^tol must be a RankTolerance, got {re.escape(repr(tol))}$"):
         TOLERANT[call](tol)
+
+
+def test_a_sweep_takes_numpy_and_int_grid_values_as_floats():
+    swept = rank_maximizer_sweep(F, G, AT, [np.float32(0.5), np.int64(2), 3])
+    assert [(type(c), c) for c, _ in swept] == [(float, 0.5), (float, 2.0), (float, 3.0)]
 
 
 # A numeric flag, a bad value for it, and the library call its value goes to.
@@ -239,6 +252,31 @@ def test_a_seed_that_is_no_integer_is_refused_naming_it(call, seed):
     # seed [1, 2] wrote a file that the system reader refused.
     with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
         ALL_SEEDED[call](seed)
+
+
+# Calls whose other arguments are bad as well: the seed is refused before them.
+SEED_FIRST = {
+    "perturbation_probe-point": lambda seed: perturbation_probe(
+        EQCEP1, (1.0, 1.0, 1.0, 1.0), [0.0] * 3, seed=seed),
+    "perturbation_probe-delta": lambda seed: perturbation_probe(EQCEP1, AT, [0.0] * 2, seed=seed),
+    "system_from_terms": lambda seed: system_from_terms(CEP3, 1, [{(5,): 1.0}], seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    (True, TypeError, "seed must be an integer, got True"),
+    (-1, ValueError, "seed must be >= 0, got -1"),
+], ids=["True", "-1"])
+@pytest.mark.parametrize("call", SEED_FIRST)
+def test_a_bad_seed_is_refused_before_any_work(call, seed, error, message, monkeypatch):
+    # perturbation_probe(eqcep1, (1, 1, 1, 1), [0, 0, 0], seed=True) once reported
+    # the point's shape, and system_from_terms reported its terms before the seed.
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{call} started work with seed={seed!r}")
+
+    monkeypatch.setattr(continuation, "_evaluate_start", no_work)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        SEED_FIRST[call](seed)
 
 
 @pytest.mark.parametrize("call", SEEDED)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 import warnings
 from pathlib import Path
@@ -11,18 +12,22 @@ from numpy.testing import assert_allclose
 
 from structrank import (
     ParseError,
+    RankTolerance,
     StructuredPolySystem,
     StructurePattern,
     WrongDimensionError,
+    certify_acr,
+    generic_rank_randomized,
     local_dimension,
     manifold_probe,
+    matrix_space_rank,
     perturbation_probe,
     sample_system,
     structural_rank,
     system_from_terms,
     trace_curve,
 )
-from structrank import continuation, formats
+from structrank import continuation, formats, numrank
 from structrank.cli import main
 from structrank.continuation import _gauss_newton
 from structrank.datasets import get_dataset
@@ -565,6 +570,67 @@ class TestJsonFields:
         out = probe.to_json_dict()
         assert list(out) == self.PERTURBATION
         assert plain_values(out) == []
+
+
+# Every report class with a to_json_dict in numrank and continuation, found by scan,
+# so that a new report is held to the rule below as soon as it exists.
+REPORTS = {
+    name: cls for module in (numrank, continuation) for name, cls in vars(module).items()
+    if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    and hasattr(cls, "to_json_dict")
+}
+# Each report's examples; a certification report with and without its optional fields.
+EXAMPLES = {
+    "RankTolerance": lambda: [RankTolerance(), RankTolerance(0.2, 0.01)],
+    "CertificationReport": lambda: [
+        certify_acr(get_dataset("cep3").structure, trials=5),
+        generic_rank_randomized(get_dataset("example5").structure, trials=5),
+        matrix_space_rank([np.eye(2)], trials=5),
+    ],
+    "SolutionBranch": lambda: [
+        trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], max_points=5)],
+    "ManifoldProbeReport": lambda: [
+        manifold_probe(get_dataset("xy").system, [1.0, 0.0], samples=5, seed=0),
+        manifold_probe(identity_system(), [0.3, -0.2, 0.7], samples=5, seed=0),
+    ],
+    "PerturbationProbe": lambda: [
+        perturbation_probe(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], delta)
+        for delta in ([0.0, 0.0, 0.0], [0.0, 0.1, 0.0])],
+}
+# How JSON keys follow from fields: a field's key when renamed (None: left out),
+# keys written beside the fields, and the reports that leave out an unset (None) field.
+RENAMED = {
+    "CertificationReport": {"rank_histogram": "histogram"},
+    "ManifoldProbeReport": {"rank_histogram": "histogram"},
+    "BranchPoint": {"point": "x", "kernel": None},
+}
+ADDED = {"CertificationReport": {"agreement_rate"}}
+UNSET_LEFT_OUT = {"CertificationReport"}
+
+
+def json_keys(report):
+    """The keys ``report``'s JSON should have, by RENAMED, ADDED and UNSET_LEFT_OUT."""
+    name = type(report).__name__
+    renamed = RENAMED.get(name, {})
+    keys = {renamed.get(field.name, field.name) for field in dataclasses.fields(report)
+            if not (name in UNSET_LEFT_OUT and getattr(report, field.name) is None)}
+    return keys - {None} | ADDED.get(name, set())
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_a_reports_json_keys_are_its_fields(name):
+    # A field added to a report must reach its JSON, through the one writer
+    # numrank._json_fields and not through a second, hand-written dict.
+    assert name in EXAMPLES, f"{name} has a to_json_dict but no example here"
+    assert "_json_fields(" in inspect.getsource(REPORTS[name].to_json_dict)
+    for report in EXAMPLES[name]():
+        out = report.to_json_dict()
+        assert set(out) == json_keys(report)
+        assert plain_values(out) == []
+        for field in dataclasses.fields(report):  # a branch's points and events
+            items = getattr(report, field.name)
+            if isinstance(items, tuple) and items and dataclasses.is_dataclass(items[0]):
+                assert [set(d) for d in out[field.name]] == [json_keys(i) for i in items]
 
 
 def interior_corrections(path):

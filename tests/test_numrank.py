@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -268,6 +269,82 @@ class TestMatrixSpaceRank:
     def test_empty_basis(self):
         with pytest.raises(ValueError):
             matrix_space_rank([], trials=5)
+
+
+# Arrays whose cast to float64 would drop an imaginary part or parse text.
+NOT_REAL = {
+    "complex": (np.array([[1j, 0], [0, 1]]), "complex128"),
+    "complex64": (np.eye(2, dtype=np.complex64), "complex64"),
+    "complex list": ([[1j, 0], [0, 1]], "complex128"),
+    "str": (np.array([["1", "0"], ["0", "1"]]), "<U1"),
+    "bytes": (np.array([[b"1", b"0"], [b"0", b"1"]]), "|S1"),
+}
+
+
+class TestRealMatrices:
+    # numeric_rank([[1j, 0], [0, 1]]) once returned 1 after a ComplexWarning, a
+    # basis of two diagonal 1j matrices once had rank 0, and a matrix of digit
+    # strings once had its strings parsed.
+    @pytest.mark.parametrize("case", NOT_REAL)
+    def test_numeric_rank_refuses_a_matrix_that_is_not_real(self, case):
+        matrix, dtype = NOT_REAL[case]
+        message = f"matrix must hold real numbers, got an array of dtype {dtype}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            numeric_rank(matrix)
+
+    @pytest.mark.parametrize("case", NOT_REAL)
+    def test_matrix_space_rank_refuses_a_basis_that_is_not_real(self, case, monkeypatch):
+        matrix, dtype = NOT_REAL[case]
+        monkeypatch.setattr(numrank, "seeded_streams", None)  # refused before any trial
+        message = f"basis must hold real numbers, got an array of dtype {dtype}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            matrix_space_rank([np.eye(2), matrix], trials=5)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float32])
+    def test_bool_int_and_float_matrices_convert(self, dtype):
+        diagonal = [np.diag([1, 0]).astype(dtype), np.diag([0, 1]).astype(dtype)]
+        assert numeric_rank(np.eye(3, dtype=dtype)) == 3
+        assert matrix_space_rank(diagonal, trials=5).estimated_rank == 2
+
+
+DEFAULT_TOL = {"relative_threshold": 1e-08, "absolute_floor": 1e-12}
+
+
+class TestReportJson:
+    # Each report's JSON as the hand-written to_json_dict wrote it before the
+    # reports shared one field writer; the command line sorts keys, so only
+    # the keys and values are pinned, not their order.
+    CASES = {
+        "certify_acr": (lambda: certify_acr(get_dataset("cep3").structure, trials=50, seed=1), {
+            "trials": 50, "estimated_rank": 2, "agreement_count": 50, "agreement_rate": 1.0,
+            "histogram": {"2": 50}, "seed": 1, "tolerance": DEFAULT_TOL, "degree": 2,
+            "distribution": "uniform", "point_domain": "uniform[-1,1]^N", "target_rank": 2,
+            "pass_threshold": 0.99, "passed": True}),
+        "generic_rank_randomized": (
+            lambda: generic_rank_randomized(get_dataset("example5").structure, trials=40, seed=2), {
+                "trials": 40, "estimated_rank": 3, "agreement_count": 40, "agreement_rate": 1.0,
+                "histogram": {"3": 40}, "seed": 2, "tolerance": DEFAULT_TOL, "degree": 2,
+                "distribution": "uniform", "point_domain": "uniform[-1,1]^N"}),
+        "matrix_space_rank": (
+            lambda: matrix_space_rank([[[1, 0], [0, 0]], [[0, 1], [1, 0]]], trials=30, seed=3), {
+                "trials": 30, "estimated_rank": 2, "agreement_count": 30, "agreement_rate": 1.0,
+                "histogram": {"2": 30}, "seed": 3, "tolerance": DEFAULT_TOL,
+                "distribution": "uniform", "point_domain": "coefficients uniform[-1,1]"}),
+        "normal": (lambda: generic_rank_randomized(
+            get_dataset("jakstat").structure, trials=20, degree=3, seed=0, distribution="normal",
+            tol=RankTolerance(0.2, 0.01)), {
+                "trials": 20, "estimated_rank": 9, "agreement_count": 1, "agreement_rate": 0.05,
+                "histogram": {"5": 6, "6": 7, "7": 5, "8": 1, "9": 1}, "seed": 0,
+                "tolerance": {"relative_threshold": 0.2, "absolute_floor": 0.01}, "degree": 3,
+                "distribution": "normal", "point_domain": "uniform[-1,1]^N"}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_certification_report(self, case):
+        run, expected = self.CASES[case]
+        report = run()
+        assert report.to_json_dict() == expected
+        assert report.tolerance.to_json_dict() == expected["tolerance"]
 
 
 class TestStackedTrials:
