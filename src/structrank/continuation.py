@@ -77,10 +77,20 @@ def _evaluate_start(system, p):
 
 def _svd_analysis(jac, tol):
     """(numeric rank, orthonormal kernel rows, singular values) of an evaluated DF."""
-    check_basis_size(jac.matrix.shape[1])
     _, sigma, vt = np.linalg.svd(jac.matrix, full_matrices=True)
     rank = tol.rank_of(sigma)
     return rank, vt[rank:], sigma
+
+
+def _analyse_start(system, p, tol):
+    """(evaluation, rank, kernel rows, singular values) at the start point p of an analysis.
+
+    Every later point of the analysis has p's N variables, so the bound on
+    the SVD's N x N basis is checked here, once per call.
+    """
+    jac = _evaluate_start(system, p)
+    check_basis_size(system.num_variables)
+    return (jac, *_svd_analysis(jac, tol))
 
 
 @dataclass(frozen=True)
@@ -93,8 +103,7 @@ class LocalDimension:
 
 
 def local_dimension(system: StructuredPolySystem, p, tol: RankTolerance = RankTolerance()) -> LocalDimension:
-    tol = check_tolerance(tol)
-    rank, kernel, _ = _svd_analysis(_evaluate_start(system, p), tol)
+    _, rank, kernel, _ = _analyse_start(system, p, check_tolerance(tol))
     return LocalDimension(dimension=system.num_variables - rank, rank=rank, kernel=kernel)
 
 
@@ -267,10 +276,8 @@ def trace_curve(
     """
     step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
     max_points, tol = check_count(max_points, "max_points"), check_tolerance(tol)
-    p = np.asarray(p, dtype=np.float64)
-    jac0 = _evaluate_start(system, p)
-    target = jac0.residual_target
-    rank0, kernel0, _ = _svd_analysis(jac0, tol)
+    jac0, rank0, kernel0, _ = _analyse_start(system, p, tol)
+    p, target = jac0.point, jac0.residual_target
     dim = system.num_variables - rank0
     if dim != 1:
         raise WrongDimensionError(
@@ -408,16 +415,15 @@ def manifold_probe(
     samples, seed = check_count(samples, "samples"), check_count(seed, "seed", 0)
     tol = check_tolerance(tol)
     step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
-    p = np.asarray(p, dtype=np.float64)
-    jac0 = _evaluate_start(system, p)
-    target = jac0.residual_target
-    rank0, kernel, sigma0 = _svd_analysis(jac0, tol)
+    jac0, rank0, kernel, sigma0 = _analyse_start(system, p, tol)
+    p, target = jac0.point, jac0.residual_target
     dim = system.num_variables - rank0
     rng = seeded_rng(seed)
-
+    histogram, failures, accepted = {}, 0, 0
+    min_sigma = _sigma_significant(sigma0, rank0)
+    drop_point = drop_rank = isolated = returned = None
     if dim == 0:
         returned = 0
-        failures = 0
         for _ in range(samples):
             eta = rng.standard_normal(p.size)
             eta /= _norm(eta)
@@ -427,59 +433,47 @@ def manifold_probe(
                 failures += 1
             elif _norm(jac.point - p) <= 1e-6:
                 returned += 1
-        return ManifoldProbeReport(
-            base_point=p, rank=rank0, dimension=0,
-            samples_requested=samples, samples_accepted=samples - failures,
-            rank_histogram={rank0: samples - failures} if samples > failures else {},
-            rank_drop_found=False, drop_point=None, drop_rank=None,
-            min_significant_sigma=_sigma_significant(sigma0, rank0),
-            isolated_confirmed=(failures == 0 and returned == samples),
-            returned_count=returned, corrector_failures=failures,
-        )
-
-    histogram = {}
-    failures = 0
-    accepted = 0
-    x = p
-    min_sigma = _sigma_significant(sigma0, rank0)
-    argmin = (p, rank0, kernel)  # the lowest-sigma point, its rank and kernel rows
-    drop_point = None
-    drop_rank = None
-    for _ in range(samples):
-        direction = rng.standard_normal(dim) @ kernel
-        norm = _norm(direction)
-        if norm == 0.0:
-            failures += 1
-            continue
-        direction /= norm
-        for sign in (1.0, -1.0):
-            landed = _land(system, x + sign * step * direction, target, domain_radius, tol)
-            if landed is not None:
+        accepted = samples - failures
+        histogram = {rank0: accepted} if accepted else {}
+        isolated = failures == 0 and returned == samples
+    else:
+        x = p
+        argmin = (p, rank0, kernel)  # the lowest-sigma point, its rank and kernel rows
+        for _ in range(samples):
+            direction = rng.standard_normal(dim) @ kernel
+            norm = _norm(direction)
+            if norm == 0.0:
+                failures += 1
+                continue
+            direction /= norm
+            for sign in (1.0, -1.0):
+                landed = _land(system, x + sign * step * direction, target, domain_radius, tol)
+                if landed is not None:
+                    break
+            else:
+                failures += 1
+                continue
+            jac, rank, k, sigma = landed
+            histogram[rank] = histogram.get(rank, 0) + 1
+            accepted += 1
+            value = _sigma_significant(sigma, rank0)
+            if value < min_sigma:
+                min_sigma, argmin = value, (jac.point, rank, k)
+            if rank < rank0:
+                drop_point, drop_rank = jac.point, rank
                 break
-        else:
-            failures += 1
-            continue
-        jac, rank, k, sigma = landed
-        histogram[rank] = histogram.get(rank, 0) + 1
-        accepted += 1
-        value = _sigma_significant(sigma, rank0)
-        if value < min_sigma:
-            min_sigma, argmin = value, (jac.point, rank, k)
-        if rank < rank0:
-            drop_point, drop_rank = jac.point, rank
-            break
-        if rank == rank0:
-            # The walk steps along the base kernel's dimension; a sample
-            # at a higher rank (p exceptional) is counted, not walked from.
-            x, kernel = jac.point, k
-    # No rank lies below 0, so a base rank of 0 leaves nothing to hunt.
-    if drop_point is None and accepted > 0 and rank0 > 0:
-        hx, hrank, hsigma = _hunt_rank_drop(
-            system, *argmin, min_sigma, target, rank0, step, tol, domain_radius, rng
-        )
-        min_sigma = min(min_sigma, hsigma)
-        if hrank < rank0:
-            drop_point, drop_rank = hx, hrank
+            if rank == rank0:
+                # The walk steps along the base kernel's dimension; a sample
+                # at a higher rank (p exceptional) is counted, not walked from.
+                x, kernel = jac.point, k
+        # No rank lies below 0, so a base rank of 0 leaves nothing to hunt.
+        if drop_point is None and accepted > 0 and rank0 > 0:
+            hx, hrank, hsigma = _hunt_rank_drop(
+                system, *argmin, min_sigma, target, rank0, step, tol, domain_radius, rng
+            )
+            min_sigma = min(min_sigma, hsigma)
+            if hrank < rank0:
+                drop_point, drop_rank = hx, hrank
     return ManifoldProbeReport(
         base_point=p, rank=rank0, dimension=dim,
         samples_requested=samples, samples_accepted=accepted,
@@ -487,7 +481,7 @@ def manifold_probe(
         rank_drop_found=drop_point is not None,
         drop_point=drop_point, drop_rank=drop_rank,
         min_significant_sigma=min_sigma,
-        isolated_confirmed=None, returned_count=None,
+        isolated_confirmed=isolated, returned_count=returned,
         corrector_failures=failures,
     )
 
@@ -537,15 +531,12 @@ def perturbation_probe(
     ]
     best_rn = np.inf
     for tried, x0 in enumerate(starts, 1):
-        jac, _, ok, rn = _gauss_newton(system, x0, target,
-                                       DEFAULT_RESIDUAL_TOL, PERTURBED_ITERATIONS)
-        if ok:
-            return PerturbationProbe(
-                delta=delta, solved=True, solution=jac.point,
-                residual_floor=rn, starts_tried=tried,
-            )
-        best_rn = min(best_rn, rn)
+        jac, _, solved, rn = _gauss_newton(system, x0, target,
+                                           DEFAULT_RESIDUAL_TOL, PERTURBED_ITERATIONS)
+        best_rn = min(best_rn, rn)  # a solve's residual is the lowest seen
+        if solved:
+            break
     return PerturbationProbe(
-        delta=delta, solved=False, solution=None,
+        delta=delta, solved=solved, solution=jac.point if solved else None,
         residual_floor=float(best_rn), starts_tried=tried,
     )

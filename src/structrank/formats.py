@@ -453,7 +453,12 @@ def _dot_string(text):
 
 
 def to_dot(structure) -> str:
-    """Render a structure or graph in DOT for external visualization."""
+    """Render a structure or graph in DOT for external visualization.
+
+    A square pattern is drawn as its graph.
+    """
+    if isinstance(structure, StructurePattern) and structure.is_square():
+        structure = graph_from_pattern(structure, include_diagonal=False)
     lines = ["digraph system {"]
     if isinstance(structure, SystemGraph):
         for k in range(structure.num_nodes):
@@ -478,8 +483,6 @@ def to_dot(structure) -> str:
             for sym in sorted(row, key=str):
                 src = ids[sym] if isinstance(sym, str) else f"x{sym + 1}"
                 lines.append(f"  {src} -> f{e + 1};")
-    elif structure.is_square():
-        return to_dot(graph_from_pattern(structure, include_diagonal=False))
     else:
         for v in range(structure.num_variables):
             lines.append(f'  x{v + 1} [shape=circle, label="x{v + 1}"];')

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, draw_members, member_plan, seeded_streams, stacked_jacobians,
+    StructuredPolySystem, check_distribution, draw_members, member_plan, seeded_streams,
+    stacked_jacobians,
 )
 from .structural import structural_rank
 from .structure import GeneralizedStructure, StructurePattern, check_count, check_real
@@ -103,11 +104,19 @@ def check_tolerance(tol):
     return tol
 
 
-def _real_array(value, what):
-    """``value`` as a float64 array; a complex or text array is a TypeError naming ``what``."""
+def _real_array(value, what, at=()):
+    """``value``, which is ``what[at]``, as a float64 array; a complex or text array is a TypeError.
+
+    Each entry of an object array is held to the real rule, so None is a
+    TypeError naming the entry's index in ``what``, and a Fraction or an int
+    past int64 converts.
+    """
     a = np.asarray(value)
     if a.dtype.kind in "cUS":  # a cast would drop the imaginary part or parse the text
         raise TypeError(f"{what} must hold real numbers, got an array of dtype {a.dtype}")
+    if a.dtype == object:
+        return np.array([check_real(v, f"{what} entry {(*at, *i)}") for i, v in np.ndenumerate(a)],
+                        dtype=np.float64).reshape(a.shape)
     return a.astype(np.float64, copy=False)
 
 
@@ -153,6 +162,11 @@ class CertificationReport:
                 "agreement_rate": self.agreement_rate}
 
 
+def _trial_arguments(trials, seed, tol):
+    """``(trials, seed, tol)`` held to the count, seed and tolerance rules, in that order."""
+    return check_count(trials, "trials"), check_count(seed, "seed", 0), check_tolerance(tol)
+
+
 def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
                 pass_threshold=None, **extra):
     """Rank histogram of the drawn matrices over the per-trial streams, as a report.
@@ -166,9 +180,9 @@ def _run_trials(draw, entries, trials, seed, tol, *, drawn, target_rank=None,
     draw it under a lock and decompose it with one SVD call, so one chunk's
     draw overlaps another's SVD. The caller tallies ranks in chunk order, and
     once every helper is joined it re-raises the first failure in chunk order.
+    Callers check ``trials``, ``seed`` and ``tol`` (``_trial_arguments``)
+    before they build ``draw``.
     """
-    trials, seed = check_count(trials, "trials"), check_count(seed, "seed", 0)
-    tol = check_tolerance(tol)
     per_chunk = max(1, CHUNK_BYTES // (8 * max(entries, 1)))
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
     streams = seeded_streams(seed, 0, trials)
@@ -269,6 +283,28 @@ def _member_jacobians(structure, degree, distribution):
     return draw, plan.entries
 
 
+def _member_trials(structure, trials, degree, seed, tol, distribution, pass_threshold=None, *,
+                   certify=False):
+    """The trial run of both member estimators, which certifies the structural rank if ``certify``.
+
+    Every argument is checked before the member plan, the matching or any
+    stream is built: trials, seed and tol, then degree, distribution and
+    pass_threshold.
+    """
+    if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
+        raise TypeError(f"expected a structure, got {type(structure).__name__}")
+    trials, seed, tol = _trial_arguments(trials, seed, tol)
+    degree, distribution = check_count(degree, "degree"), check_distribution(distribution)
+    if certify:
+        pass_threshold = check_pass_threshold(pass_threshold)
+    draw, entries = _member_jacobians(structure, degree, distribution)
+    return _run_trials(
+        draw, entries, trials, seed, tol, drawn="Jacobian",
+        target_rank=structural_rank(structure) if certify else None, pass_threshold=pass_threshold,
+        degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
+    )
+
+
 def generic_rank_randomized(
     structure,
     trials: int = 200,
@@ -283,13 +319,7 @@ def generic_rank_randomized(
     [-1, 1]^N, then takes the numeric rank of the Jacobian. Works for
     generalized structures, where the matching bound overestimates.
     """
-    if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
-        raise TypeError(f"expected a structure, got {type(structure).__name__}")
-    degree = check_count(degree, "degree")
-    return _run_trials(
-        *_member_jacobians(structure, degree, distribution), trials, seed, tol, drawn="Jacobian",
-        degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
-    )
+    return _member_trials(structure, trials, degree, seed, tol, distribution)
 
 
 def check_pass_threshold(value):
@@ -317,19 +347,14 @@ def certify_acr(
     systems and points form null sets, so disagreements should be rare and
     tolerance-induced.
     """
-    pass_threshold = check_pass_threshold(pass_threshold)
     if isinstance(pattern, GeneralizedStructure):
         raise StructureError(
             "certification against the matching rank needs a plain pattern; "
             "generalized structures have no exact combinatorial rank, so use "
             "generic-rank (generic_rank_randomized) for derived-variable systems"
         )
-    degree = check_count(degree, "degree")
-    return _run_trials(
-        *_member_jacobians(pattern, degree, distribution), trials, seed, tol, drawn="Jacobian",
-        target_rank=structural_rank(pattern), pass_threshold=pass_threshold,
-        degree=degree, distribution=distribution, point_domain="uniform[-1,1]^N",
-    )
+    return _member_trials(pattern, trials, degree, seed, tol, distribution, pass_threshold,
+                          certify=True)
 
 
 def matrix_space_rank(
@@ -344,12 +369,13 @@ def matrix_space_rank(
     almost every member of a matrix subspace attains the subspace maximum, so
     the histogram exposes the measure-zero failure set empirically.
     """
-    mats = [_real_array(b, "basis") for b in basis]
+    mats = [_real_array(b, "basis", (k,)) for k, b in enumerate(basis)]
     if not mats:
         raise ValueError("basis must be nonempty")
     shape = mats[0].shape
     if any(m.shape != shape for m in mats) or len(shape) != 2:
         raise ValueError("basis matrices must share one 2-D shape")
+    trials, seed, tol = _trial_arguments(trials, seed, tol)
     flat = np.stack(mats).reshape(len(mats), -1)
 
     def draw(rngs, count):

@@ -574,6 +574,12 @@ class StructuredPolySystem:
                     f"equation {e + 1} has degree {eq.degree}, the system {self.degree}"
                 )
         coefficients = np.concatenate([eq.coefficients for eq in self.equations])
+        with np.errstate(over="ignore"):
+            scaled = coefficients * self.degree  # bounds every partial's coefficient
+        if not np.isfinite(scaled).all():
+            for e, eq in enumerate(self.equations):
+                for exps, c in eq.term_dict().items():
+                    _check_partial(e, exps, c, self.degree)
         object.__setattr__(self, "_plan", plan)
         dots = [dot for bucket in plan.buckets for dot in bucket.operands(coefficients)]
         object.__setattr__(self, "_dots", dots)
@@ -629,6 +635,19 @@ class StructuredPolySystem:
         return _system_from_json_dict(d)
 
 
+def _check_partial(e, exps, c, degree):
+    """Raise ParseError when a partial of the term c * x^exps of equation e (from 0) overflows.
+
+    A partial's coefficient is c times an exponent, at most the degree. A c
+    that is not finite itself is left to PolyEquation, which names it.
+    """
+    if not isfinite(c * degree) and isfinite(c):
+        top = max(exps, default=0)
+        if not isfinite(c * top):
+            raise ParseError(f"equation {e + 1}: coefficient {c!r} of exponent vector "
+                             f"{exps} times its exponent {top} is not finite")
+
+
 def _member(structure, degree, flat, seed=None, distribution="explicit"):
     """The member whose coefficients ``flat`` are laid out by ``member_plan``."""
     plan = member_plan(structure, degree)
@@ -667,16 +686,17 @@ def system_from_terms(
                     f"equation {e + 1}: exponent vector {exps} is not a monomial "
                     f"of degree <= {degree} over its {len(symbols)} symbols"
                 )
-            # A partial derivative's coefficient is c times an exponent, at most
-            # the degree; PolyEquation refuses a c that is not finite itself.
             c = float(c)
-            if not isfinite(c * degree) and isfinite(c):
-                top = max(exps, default=0)
-                if not isfinite(c * top):
-                    raise ParseError(f"equation {e + 1}: coefficient {c!r} of exponent vector "
-                                     f"{exps} times its exponent {top} is not finite")
+            _check_partial(e, exps, c, degree)  # here, so the first refused term is named
             flat[start + i] = c
     return _member(structure, degree, flat, seed, distribution)
+
+
+def check_distribution(distribution):
+    """``distribution`` when it names a coefficient law a member can be drawn from; else ValueError."""
+    if distribution not in ("uniform", "normal"):
+        raise ValueError(f"distribution must be 'uniform' or 'normal', got {distribution!r}")
+    return distribution
 
 
 def draw_members(rngs, count, num_coefficients, distribution, num_points=0):
@@ -691,8 +711,7 @@ def draw_members(rngs, count, num_coefficients, distribution, num_points=0):
     doubling is exact and -1 + 2u is rounded once either way, so every
     value is the one ``Generator.uniform(-1.0, 1.0)`` returns, bit for bit.
     """
-    if distribution not in ("uniform", "normal"):
-        raise ValueError(f"distribution must be 'uniform' or 'normal', got {distribution!r}")
+    check_distribution(distribution)
     draws = np.empty((count, num_coefficients + num_points))
     if distribution == "uniform":
         for row, rng in zip(draws, rngs):
@@ -722,6 +741,7 @@ def sample_system(
     platform independent.
     """
     degree, seed = check_count(degree, "degree"), check_count(seed, "seed", 0)
+    check_distribution(distribution)
     plan = member_plan(structure, degree)
     flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
     return _member(structure, degree, flat, seed, distribution)

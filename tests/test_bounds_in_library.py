@@ -11,6 +11,7 @@ flag to the message of the library check it hands its value to.
 import ast
 import json
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -169,6 +170,50 @@ def test_a_tolerance_that_is_no_rank_tolerance_is_refused_before_any_work(call, 
     monkeypatch.setattr(polysys.StructuredPolySystem, "jacobian", no_work)
     with pytest.raises(TypeError, match=rf"^tol must be a RankTolerance, got {re.escape(repr(tol))}$"):
         TOLERANT[call](tol)
+
+
+# One bad argument each for the calls that draw members: (call, argument).
+DRAWING = {
+    "certify_acr-trials=0": (lambda: certify_acr(CEP3, trials=0), "trials"),
+    "certify_acr-trials=True": (lambda: certify_acr(CEP3, trials=True), "trials"),
+    "certify_acr-seed": (lambda: certify_acr(CEP3, trials=3, seed=-1), "seed"),
+    "certify_acr-tol": (lambda: certify_acr(CEP3, trials=3, tol="x"), "tol"),
+    "certify_acr-degree": (lambda: certify_acr(CEP3, trials=3, degree=0), "degree"),
+    "certify_acr-distribution": (lambda: certify_acr(CEP3, trials=3, distribution="bogus"),
+                                 "distribution"),
+    "certify_acr-pass_threshold": (lambda: certify_acr(CEP3, trials=3, pass_threshold=1.5),
+                                   "pass_threshold"),
+    "generic_rank_randomized-trials": (lambda: generic_rank_randomized(CEP3, trials=0), "trials"),
+    "generic_rank_randomized-seed": (lambda: generic_rank_randomized(CEP3, trials=3, seed=-1),
+                                     "seed"),
+    "generic_rank_randomized-tol": (lambda: generic_rank_randomized(CEP3, trials=3, tol="x"),
+                                    "tol"),
+    "generic_rank_randomized-degree": (lambda: generic_rank_randomized(CEP3, trials=3, degree=0),
+                                       "degree"),
+    "generic_rank_randomized-distribution": (
+        lambda: generic_rank_randomized(CEP3, trials=3, distribution="bogus"), "distribution"),
+    "sample_system-degree": (lambda: sample_system(CEP3, degree=0), "degree"),
+    "sample_system-seed": (lambda: sample_system(CEP3, seed=-1), "seed"),
+    "sample_system-distribution": (lambda: sample_system(CEP3, distribution="bogus"),
+                                   "distribution"),
+}
+
+
+@pytest.mark.parametrize("call", DRAWING)
+def test_a_call_that_draws_members_refuses_a_bad_argument_before_any_work(call, monkeypatch):
+    # certify_acr(cep3, trials=0) once ran the matching and built the member plan
+    # before it refused trials, and a bad distribution was refused only inside the
+    # first draw, after the streams were seeded and a helper thread had started.
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{call} started work")
+
+    for module, name in ((numrank, "structural_rank"), (numrank, "member_plan"),
+                         (polysys, "member_plan"), (numrank, "seeded_streams")):
+        monkeypatch.setattr(module, name, no_work)
+    monkeypatch.setattr(threading.Thread, "start", no_work)
+    run, argument = DRAWING[call]
+    with pytest.raises((TypeError, ValueError), match=f"^{argument} must "):
+        run()
 
 
 def test_a_sweep_takes_numpy_and_int_grid_values_as_floats():

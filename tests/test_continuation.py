@@ -87,6 +87,26 @@ class TestLocalDimension:
             call(sys, np.linspace(-0.5, 0.5, 6))
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("call", [
+        lambda: local_dimension(get_dataset("eqcep1").system, [1.0, 1.0, 1.0]),
+        lambda: trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0], max_points=40),
+        lambda: manifold_probe(sample_system(get_dataset("sole26").structure, degree=2, seed=0),
+                               [0.1] * 26, samples=5),
+        lambda: manifold_probe(sample_system(get_dataset("robust4").structure, degree=2, seed=0),
+                               [0.1, 0.2, 0.3, 0.4], samples=5),
+    ], ids=["local_dimension", "trace_curve", "manifold_probe", "manifold_probe-isolated"])
+    def test_the_basis_bound_is_checked_once_per_call(self, call, monkeypatch):
+        # Every landed point has the start's N variables; the bound was checked
+        # before each of their SVDs.
+        checked, analysed = [], []
+        svd_analysis = continuation._svd_analysis
+        monkeypatch.setattr(continuation, "check_basis_size",
+                            lambda n: checked.append(n) or formats.check_basis_size(n))
+        monkeypatch.setattr(continuation, "_svd_analysis",
+                            lambda jac, tol: analysed.append(jac) or svd_analysis(jac, tol))
+        call()
+        assert len(checked) == 1 and len(analysed) >= 1
+
     def test_consistent_with_structural_rank_at_random_points(self):
         pattern = get_dataset("trophic5").structure
         sys = sample_system(pattern, degree=2, seed=0)

@@ -64,6 +64,18 @@ CASES = {
                            "--delta", "0,0.1,0"],
     "probe-eqcep1-delta-json": ["probe", "--dataset", "eqcep1", "--from", "1,1,1",
                                 "--delta", "0,0.1,0", "-o", "json"],
+    # Solved perturbation probes: on a later start, on the last start, and
+    # on the first start of an M < N system. A point that starts with a
+    # minus needs the --from= form.
+    "probe-robust4-delta-solved": ["probe", "--dataset", "robust4",
+                                   "--from=-0.48,-0.4,0.63,-0.82", "--delta", "1,0,0,0",
+                                   "--seed", "2"],
+    "probe-twogene-delta-solved-json": ["probe", "--dataset", "twogene",
+                                        "--from=-0.48,-0.4,0.63,-0.82", "--delta", "0.3,0,0,0",
+                                        "--seed", "2", "-o", "json"],
+    "probe-robotarm-delta-json": ["probe", "--dataset", "robotarm",
+                                  "--from", "0.1,0.2,0.3,0.4,0.5,0.6", "--delta", "0.01,0,0",
+                                  "-o", "json"],
     # 13 variables and five derived names: symbol order past x9, names that
     # sort by code point (Z2 < alpha < b10 < b9 < z), and an empty equation.
     "show-wide-derived": ["show", "{wide_derived}"],

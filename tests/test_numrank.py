@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,6 +300,26 @@ class TestRealMatrices:
         message = f"basis must hold real numbers, got an array of dtype {dtype}"
         with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             matrix_space_rank([np.eye(2), matrix], trials=5)
+
+    # An object array's None once became NaN: "matrix has non-finite entries".
+    @pytest.mark.parametrize("entry", [None, "1", 1j, True])
+    def test_an_object_entry_that_is_not_real_is_named(self, entry):
+        message = f"matrix entry (1, 0) must be a real number, got {entry!r}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            numeric_rank(np.array([[1.0, 0.0], [entry, 1.0]], dtype=object))
+
+    def test_an_object_basis_entry_is_named_with_its_matrix(self, monkeypatch):
+        monkeypatch.setattr(numrank, "seeded_streams", None)  # refused before any trial
+        message = "basis entry (1, 0, 1) must be a real number, got None"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            matrix_space_rank([np.eye(2), [[1, None], [0, 1]]], trials=5)
+
+    def test_fraction_and_large_int_entries_convert(self):
+        matrix = [[Fraction(1, 3), 0], [0, 2**64]]
+        assert numeric_rank(matrix, RankTolerance(1e-30)) == 2
+        assert numeric_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+        basis = [[[2**64, 0], [0, 0]], [[0, 0], [0, Fraction(3, 2) * 2**64]]]
+        assert matrix_space_rank(basis, trials=5).estimated_rank == 2
 
     @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint64, np.float32])
     def test_bool_int_and_float_matrices_convert(self, dtype):

@@ -870,6 +870,23 @@ class TestSerialization:
                 r"times its exponent 2 is not finite$")):
             system_from_terms(p, 2, [{(1, 0): 1.0, (0, 2): coefficient}])
 
+    def test_a_combination_whose_partial_overflows_is_refused_without_a_warning(self):
+        # The sum 1e308 is finite, but its partial 2e308 is not: combine once built
+        # the member after an overflow warning, with DF = [[inf]] at every point.
+        f = system_from_terms(StructurePattern.from_rows([[0]]), 2, [{(2,): 5e307}])
+        with pytest.raises(ParseError, match=(
+                r"^equation 1: coefficient 1e\+308 of exponent vector \(2,\) "
+                r"times its exponent 2 is not finite$")):
+            combine(1.0, f, 1.0, f)
+
+    def test_a_system_whose_partial_overflows_is_refused_by_its_constructor(self):
+        # The member of 1e308 x^2 was built, and local_dimension then blamed the point.
+        equation = PolyEquation((0,), 2, [0.0, 0.0, 1e308])
+        with pytest.raises(ParseError, match=(
+                r"^equation 1: coefficient 1e\+308 of exponent vector \(2,\) "
+                r"times its exponent 2 is not finite$")):
+            StructuredPolySystem(StructurePattern.from_rows([[0]]), 2, (equation,))
+
     def test_largest_coefficient_with_a_finite_partial_accepted(self):
         p = get_dataset("xy").structure
         big = np.finfo(np.float64).max
