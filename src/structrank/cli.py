@@ -377,7 +377,7 @@ def _cmd_datasets(request):
                 "title": d.title,
                 "M": d.structure.num_equations,
                 "N": d.structure.num_variables,
-                "self_loops": d.self_loops,
+                "self_loops": False,  # no dataset adds self-loops by policy
                 "expected_rank": d.expected_rank,
                 "has_system": d.has_system,
             }

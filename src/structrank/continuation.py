@@ -21,7 +21,7 @@ import numpy as np
 from .errors import WrongDimensionError
 from .formats import check_basis_size
 from .numrank import RankTolerance, _json_fields, check_tolerance
-from .polysys import JacobianEvaluation, StructuredPolySystem, seeded_rng
+from .polysys import JacobianEvaluation, StructuredPolySystem, check_system, seeded_rng
 from .structure import check_count, check_positive
 
 __all__ = [
@@ -103,6 +103,7 @@ class LocalDimension:
 
 
 def local_dimension(system: StructuredPolySystem, p, tol: RankTolerance = RankTolerance()) -> LocalDimension:
+    system = check_system(system)
     _, rank, kernel, _ = _analyse_start(system, p, check_tolerance(tol))
     return LocalDimension(dimension=system.num_variables - rank, rank=rank, kernel=kernel)
 
@@ -160,7 +161,6 @@ class BranchPoint:
     point: np.ndarray
     residual: float
     rank: int
-    kernel: np.ndarray  # (N - rank, N)
     tangent: np.ndarray  # unit predictor direction at this point
     step_size: float
     corrector_iterations: int
@@ -189,9 +189,6 @@ class SolutionBranch:
     residual_tol: float
     max_step: float
 
-    def coordinates(self):
-        return np.array([bp.point for bp in self.points])
-
     def to_csv(self):
         n = self.base_point.size
         header = ",".join(f"x{i + 1}" for i in range(n)) + ",residual,rank"
@@ -203,7 +200,7 @@ class SolutionBranch:
 
     def to_json_dict(self):
         return {**_json_fields(self, points=None, events=None),
-                "points": [_json_fields(bp, point="x", kernel=None) for bp in self.points],
+                "points": [_json_fields(bp, point="x") for bp in self.points],
                 "events": [_json_fields(ev) for ev in self.events]}
 
 
@@ -245,7 +242,7 @@ def _trace_direction(system, start, direction, start_tangent, target, rank0, ste
         if float(new_tangent @ tangent) < 0.0:
             new_tangent = -new_tangent
         points.append(BranchPoint(
-            point=cx, residual=rn, rank=rank, kernel=kernel,
+            point=cx, residual=rn, rank=rank,
             tangent=new_tangent, step_size=h, corrector_iterations=iters,
         ))
         traveled += advance
@@ -274,6 +271,7 @@ def trace_curve(
     satisfies the residual bound, lies within ``step`` of its predecessor,
     and has the same numeric rank as p.
     """
+    system = check_system(system)
     step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
     max_points, tol = check_count(max_points, "max_points"), check_tolerance(tol)
     jac0, rank0, kernel0, _ = _analyse_start(system, p, tol)
@@ -285,7 +283,7 @@ def trace_curve(
         )
     tangent0 = kernel0[0]
     base = BranchPoint(
-        point=p, residual=0.0, rank=rank0, kernel=kernel0,
+        point=p, residual=0.0, rank=rank0,
         tangent=tangent0, step_size=0.0, corrector_iterations=0,
     )
     forward, events, closed = _trace_direction(
@@ -412,6 +410,7 @@ def manifold_probe(
     evidence that p is exceptional. For dimension 0 the probe checks that
     the corrector returns to p from nearby perturbations (isolated point).
     """
+    system = check_system(system)
     samples, seed = check_count(samples, "samples"), check_count(seed, "seed", 0)
     tol = check_tolerance(tol)
     step, domain_radius = map(check_positive, (step, domain_radius), ("step", "domain_radius"))
@@ -514,7 +513,7 @@ def perturbation_probe(
     (not proof) that the perturbed system is unsolvable; for robust ones the
     implicit function theorem predicts a nearby solution for small delta.
     """
-    seed = check_count(seed, "seed", 0)
+    system, seed = check_system(system), check_count(seed, "seed", 0)
     p = np.asarray(p, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape != (system.num_equations,):

@@ -1,8 +1,10 @@
 """Built-in structures and systems from ecology, systems biology, and robotics.
 
-Each dataset records its self-loop policy and, where the source states one,
-the expected generic rank, so the test suite can cross-check the bundled
-transcriptions against the published numbers.
+Each dataset records, where the source states one, the expected generic
+rank, so the test suite can cross-check the bundled transcriptions against
+the published numbers. The class and solution dimension follow from that
+rank and the shape. No dataset adds self-loops by policy: a
+self-dependency is written into its rows where the model has one.
 """
 
 from __future__ import annotations
@@ -29,10 +31,7 @@ class Dataset:
     title: str
     structure: StructurePattern | GeneralizedStructure
     source: str
-    self_loops: bool
     expected_rank: int | None = None
-    expected_class: str | None = None
-    expected_dimension: int | None = None
     system_terms: tuple | None = None
 
     @property
@@ -111,10 +110,7 @@ def _build():
             structure=_CEP3,
             source="competitive exclusion principle; predator growth depends only "
                    "on the shared prey density",
-            self_loops=False,
             expected_rank=2,
-            expected_class="fragile",
-            expected_dimension=1,
         ),
         Dataset(
             name="robust4",
@@ -122,10 +118,7 @@ def _build():
             structure=_rows([[3, 4], [3, 4], [1, 2, 3], [1, 2]]),
             source="competitive-exclusion web extended with a fourth species so "
                    "the dependency matrix is generically nonsingular",
-            self_loops=False,
             expected_rank=4,
-            expected_class="robust",
-            expected_dimension=0,
         ),
         Dataset(
             name="example5",
@@ -135,9 +128,7 @@ def _build():
                    "combination z = a*x1 + b*x2 (a=1, b=2); the predator rows of "
                    "the Jacobian are proportional, so the generic rank is 3, below "
                    "the expanded-pattern bound of 4",
-            self_loops=False,
             expected_rank=3,
-            expected_class="fragile",
         ),
         Dataset(
             name="eqcep1",
@@ -145,10 +136,7 @@ def _build():
             structure=_CEP3,
             source="the polynomial instance (x3^2, x3^4 + 1, x1^2 - x2 + x3^4); "
                    "its level sets are parabolas",
-            self_loops=False,
             expected_rank=2,
-            expected_class="fragile",
-            expected_dimension=1,
             system_terms=_EQCEP1,
         ),
         Dataset(
@@ -157,10 +145,7 @@ def _build():
             structure=_rows([[1, 2, 3], [4, 5, 6], [1, 2, 3, 4, 5, 6]]),
             source="length constraints on an elbow u1 and wrist u2 with pinned "
                    "shoulder and hand; three equations in six unknowns",
-            self_loops=False,
             expected_rank=3,
-            expected_class="robust",
-            expected_dimension=3,
         ),
         Dataset(
             name="twogene",
@@ -169,10 +154,7 @@ def _build():
             source="mRNA/protein equilibrium model of two mutually regulating "
                    "genes (Chesi 2008); self-dependencies are part of the model "
                    "equations, not policy-added",
-            self_loops=False,
             expected_rank=4,
-            expected_class="robust",
-            expected_dimension=0,
         ),
         Dataset(
             name="jakstat",
@@ -194,20 +176,14 @@ def _build():
             source="steady states of the IL13-induced JaK/Stat pathway, "
                    "model MedB-1 (Raia et al. 2011); node 12 is CD274mRNA; "
                    "self-dependencies are part of the model equations",
-            self_loops=False,
             expected_rank=11,
-            expected_class="fragile",
-            expected_dimension=1,
         ),
         Dataset(
             name="trophic5",
             title="Trophic web: three predators, two prey",
             structure=_TROPHIC5,
             source="bipartite predator/prey web with no intralevel interactions",
-            self_loops=False,
             expected_rank=4,
-            expected_class="fragile",
-            expected_dimension=1,
         ),
         Dataset(
             name="trophic5plus",
@@ -215,10 +191,7 @@ def _build():
             structure=_TROPHIC5.with_entry(1, 0),
             source="the trophic web with one added interaction, species 1 "
                    "appearing in the equation of species 2",
-            self_loops=False,
             expected_rank=5,
-            expected_class="robust",
-            expected_dimension=0,
         ),
         Dataset(
             name="sole26",
@@ -226,10 +199,7 @@ def _build():
             structure=_undirected(26, _SOLE26_LINKS),
             source="food web proposed by Sole and Montoya (2001); links "
                    "transcribed as bidirectional with no self-dependencies",
-            self_loops=False,
             expected_rank=20,
-            expected_class="fragile",
-            expected_dimension=6,
         ),
         Dataset(
             name="xy",
@@ -237,10 +207,7 @@ def _build():
             structure=_XY_PATTERN,
             source="F(x1, x2) = x1*x2; level sets are hyperbola branches except "
                    "through the axes, where the solution set is not a manifold",
-            self_loops=False,
             expected_rank=1,
-            expected_class="robust",
-            expected_dimension=1,
             system_terms=_XY,
         ),
     ]

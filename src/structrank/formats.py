@@ -282,6 +282,9 @@ def _parse_pattern_matrix(path):
     if not rows:
         raise ParseError("empty pattern", path=path)
     width = len(rows[0][1])
+    if width > MAX_VARIABLES:
+        raise ParseError(f"row width {width} exceeds the bound of {MAX_VARIABLES}",
+                         path=path, line=rows[0][0])
     for lineno, chunk in rows:
         if len(chunk) != width:
             raise ParseError(

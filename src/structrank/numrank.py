@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, check_distribution, draw_members, member_plan, seeded_streams,
-    stacked_jacobians,
+    StructuredPolySystem, check_distribution, check_system, draw_members, member_plan,
+    seeded_streams, stacked_jacobians,
 )
 from .structural import structural_rank
-from .structure import GeneralizedStructure, StructurePattern, check_count, check_real
+from .structure import (
+    GeneralizedStructure, StructurePattern, check_count, check_real, check_structure,
+)
 
 __all__ = [
     "RankTolerance",
@@ -291,8 +293,7 @@ def _member_trials(structure, trials, degree, seed, tol, distribution, pass_thre
     stream is built: trials, seed and tol, then degree, distribution and
     pass_threshold.
     """
-    if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
-        raise TypeError(f"expected a structure, got {type(structure).__name__}")
+    structure = check_structure(structure)
     trials, seed, tol = _trial_arguments(trials, seed, tol)
     degree, distribution = check_count(degree, "degree"), check_distribution(distribution)
     if certify:
@@ -406,6 +407,7 @@ def rank_maximizer_sweep(
     Differentiation is linear, so the sweep combines the two Jacobians
     directly instead of building each combined system.
     """
+    system, maximizer = check_system(system), check_system(maximizer, "maximizer")
     if system.structure != maximizer.structure:
         raise StructureError("sweep requires systems sharing one structure")
     tol, grid = check_tolerance(tol), [check_real(c, "c_grid") for c in c_grid]

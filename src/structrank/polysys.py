@@ -22,7 +22,9 @@ import numpy as np
 
 from .errors import ParseError, StructureError
 from .formats import _system_from_json_dict, check_jacobian_size, structure_to_json_dict
-from .structure import GeneralizedStructure, StructurePattern, _index, check_count, check_real
+from .structure import (
+    GeneralizedStructure, StructurePattern, _index, check_count, check_real, check_structure,
+)
 
 __all__ = [
     "PolyEquation",
@@ -557,6 +559,7 @@ class StructuredPolySystem:
     distribution: str = "explicit"
 
     def __post_init__(self):
+        check_structure(self.structure)
         object.__setattr__(self, "degree", check_count(self.degree, "degree", 0))
         if self.seed is not None:  # None labels an explicit system
             object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
@@ -635,6 +638,13 @@ class StructuredPolySystem:
         return _system_from_json_dict(d)
 
 
+def check_system(system, what="system"):
+    """``system`` when it is a StructuredPolySystem; anything else is a TypeError naming ``what``."""
+    if not isinstance(system, StructuredPolySystem):
+        raise TypeError(f"{what} must be a StructuredPolySystem, got {type(system).__name__}")
+    return system
+
+
 def _check_partial(e, exps, c, degree):
     """Raise ParseError when a partial of the term c * x^exps of equation e (from 0) overflows.
 
@@ -666,7 +676,7 @@ def system_from_terms(
     Exponent tuples, of ints or numpy integers (another type is a TypeError), align with
     each equation's symbols in ``structure.rows()``: sorted variable indices, then sorted derived names.
     """
-    degree = check_count(degree, "degree", 0)
+    structure, degree = check_structure(structure), check_count(degree, "degree", 0)
     seed = seed if seed is None else check_count(seed, "seed", 0)  # None labels an explicit system
     plan = member_plan(structure, degree)
     if len(terms) != structure.num_equations:
@@ -740,6 +750,7 @@ def sample_system(
     (structure, degree, seed, distribution); the generator is PCG64, which is
     platform independent.
     """
+    structure = check_structure(structure)
     degree, seed = check_count(degree, "degree"), check_count(seed, "seed", 0)
     check_distribution(distribution)
     plan = member_plan(structure, degree)
@@ -766,6 +777,7 @@ def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem
     graded monomial order lets a lower-degree system embed into a
     higher-degree table by zero padding.
     """
+    f, g = check_system(f, "f"), check_system(g, "g")
     a, b = check_real(a, "a"), check_real(b, "b")
     if f.structure != g.structure:
         raise StructureError("cannot combine systems with different structures")

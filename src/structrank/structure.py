@@ -288,7 +288,7 @@ class GeneralizedStructure:
     ``dependencies`` lists, per equation, the original variable indices (int)
     and derived-variable names (str) the equation may use. ``rows()`` orders
     them once, the order of every member and system file: sorted ints, then
-    sorted names. The pattern over original variables only is ``base``.
+    sorted names.
     """
 
     num_variables: int
@@ -328,16 +328,12 @@ class GeneralizedStructure:
         """Per-equation symbols: sorted variable indices, then sorted derived names (not a copy)."""
         return self._rows
 
-    def equation_symbols(self, e):
-        """Symbols equation ``e`` may use: variable indices, then derived names."""
-        return self._rows[e]
 
-    @property
-    def base(self):
-        """The pattern of each equation's original variables, built on each access."""
-        return StructurePattern.from_rows(
-            [[s for s in row if not isinstance(s, str)] for row in self._rows], self.num_variables
-        )
+def check_structure(structure):
+    """``structure`` when it is a StructurePattern or GeneralizedStructure; else a TypeError."""
+    if not isinstance(structure, (StructurePattern, GeneralizedStructure)):
+        raise TypeError(f"expected a structure, got {type(structure).__name__}")
+    return structure
 
 
 def pattern_from_graph(g: SystemGraph) -> StructurePattern:

@@ -142,7 +142,7 @@ def reference_draw(structure, degree, rng, distribution):
     equations = []
     for e in range(structure.num_equations):
         if isinstance(structure, GeneralizedStructure):
-            symbols = structure.equation_symbols(e)
+            symbols = structure.rows()[e]
         else:
             symbols = tuple(structure.row(e))
         size = comb(len(symbols) + degree, degree)

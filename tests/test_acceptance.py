@@ -108,7 +108,7 @@ def test_criterion_5_quartic_parabola_trace():
     start = time.perf_counter()
     branch = trace_curve(sys, [1.0, 1.0, 1.0], step=0.05, max_points=400)
     elapsed = time.perf_counter() - start
-    pts = branch.coordinates()
+    pts = np.array([bp.point for bp in branch.points])
     target = np.array([1.0, 2.0, 1.0])
     parabola_err = np.abs(pts[:, 1] - pts[:, 0] ** 2).max()
     plane_err = np.abs(pts[:, 2] - 1.0).max()
@@ -135,7 +135,7 @@ def test_criterion_5_quartic_parabola_trace():
 def test_criterion_6_product_system_hyperbola_and_axes():
     xy = get_dataset("xy").system
     branch = trace_curve(xy, [1.0, 1.0], step=0.05, max_points=400)
-    pts = branch.coordinates()
+    pts = np.array([bp.point for bp in branch.points])
     hyperbola_err = np.abs(pts[:, 0] * pts[:, 1] - 1.0).max()
     probe = manifold_probe(xy, [1.0, 0.0], samples=50, seed=0)
     in_box = probe.drop_point is not None and np.abs(probe.drop_point).max() <= 10.0

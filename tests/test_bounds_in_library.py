@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from structrank import (
-    DerivedVariableSpec, ParseError, RankTolerance, StructuredPolySystem, certify_acr, combine,
+    DerivedVariableSpec, ParseError, RankTolerance, StructuredPolySystem, SystemGraph,
+    certify_acr, combine,
     generic_rank_randomized, local_dimension, manifold_probe, matrix_space_rank, numeric_rank,
     perturbation_probe, rank_maximizer_sweep, sample_system, system_from_terms, trace_curve,
 )
@@ -122,10 +123,10 @@ def test_a_bad_count_or_real_is_refused_naming_it(call, argument, value, monkeyp
     def no_report(*args, **kwargs):
         raise AssertionError(f"{call} built a report or Jacobian for {argument}={value!r}")
 
-    for module, report in ((numrank, "CertificationReport"), (polysys, "StructuredPolySystem"),
-                           (continuation, "SolutionBranch"),
+    for module, report in ((numrank, "CertificationReport"), (continuation, "SolutionBranch"),
                            (continuation, "ManifoldProbeReport")):
         monkeypatch.setattr(module, report, no_report)
+    monkeypatch.setattr(StructuredPolySystem, "__post_init__", no_report)
     monkeypatch.setattr(type(F), "jacobian", no_report)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -363,3 +364,56 @@ def test_sampling_and_the_system_reader_take_the_same_seeds(seed, tmp_path_facto
         assert system.seed == written
         path.write_text(json.dumps(system.to_json_dict()))
         assert parse_input(path).to_json_dict() == system.to_json_dict()
+
+
+# The three system builders, each with another argument bad as well: the
+# structure is refused before it.
+BUILDERS = {
+    "sample_system": lambda structure: sample_system(structure, degree=0),
+    "system_from_terms": lambda structure: system_from_terms(structure, -1, [{}]),
+    "StructuredPolySystem": lambda structure: StructuredPolySystem(
+        structure, True, EQCEP1.equations),
+}
+
+
+@pytest.mark.parametrize("structure", [[[0]], [[2], [2], [0, 1, 2]], SystemGraph(2, {(0, 1)}),
+                                       "x", None], ids=["list", "rows", "graph", "str", "None"])
+@pytest.mark.parametrize("call", BUILDERS)
+def test_a_builder_refuses_anything_but_a_structure_first(call, structure):
+    # sample_system([[0]], degree=2) once ended in "TypeError: unhashable type: 'list'"
+    # from the member-plan cache, and StructuredPolySystem in an AttributeError.
+    message = f"expected a structure, got {type(structure).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        BUILDERS[call](structure)
+
+
+# Each library call that takes a system, and the name its system argument goes by.
+SYSTEM_CALLS = {
+    "local_dimension": (lambda system: local_dimension(system, AT), "system"),
+    "trace_curve": (lambda system: trace_curve(system, AT, step=0), "system"),
+    "manifold_probe": (lambda system: manifold_probe(system, AT, samples=0), "system"),
+    "perturbation_probe": (lambda system: perturbation_probe(system, AT, [0.0], seed=-1),
+                           "system"),
+    "rank_maximizer_sweep-system": (lambda system: rank_maximizer_sweep(system, G, AT, ["x"]),
+                                    "system"),
+    "rank_maximizer_sweep-maximizer": (lambda system: rank_maximizer_sweep(F, system, AT, [0.5]),
+                                       "maximizer"),
+    "combine-f": (lambda system: combine("a", system, 1.0, EQCEP1), "f"),
+    "combine-g": (lambda system: combine(1.0, EQCEP1, "b", system), "g"),
+}
+
+
+@pytest.mark.parametrize("system", ["x", None, CEP3], ids=["str", "None", "structure"])
+@pytest.mark.parametrize("call", SYSTEM_CALLS)
+def test_a_system_that_is_no_system_is_refused_naming_it(call, system, monkeypatch):
+    # local_dimension("x", [1.0]) once ended in AttributeError: "'str' object has
+    # no attribute 'jacobian'", and combine(1.0, "x", 1.0, "y") on "structure".
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{call} started work with system={system!r}")
+
+    monkeypatch.setattr(continuation, "_evaluate_start", no_work)
+    monkeypatch.setattr(polysys.StructuredPolySystem, "jacobian", no_work)
+    build, name = SYSTEM_CALLS[call]
+    message = f"{name} must be a StructuredPolySystem, got {type(system).__name__}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build(system)

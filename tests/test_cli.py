@@ -354,15 +354,17 @@ class TestErrorHandling:
          ' "equations": [{}]}', "structure.variables: 'variables' must be at most 10"),
         ("nodes: 11\n1 -> 2\n", "11 nodes exceed the bound of 10"),
         ("1 -> 11\n", "11 nodes exceed the bound of 10"),
-    ], ids=["structure", "system", "edges-header", "edges-index"])
+        ("*" * 11 + "\n", "line 1: row width 11 exceeds the bound of 10"),
+    ], ids=["structure", "system", "edges-header", "edges-index", "pattern"])
     def test_dimension_beyond_the_bound_is_input_error(self, text, message, tmp_path, capsys,
                                                        monkeypatch):
         monkeypatch.setattr(formats, "MAX_VARIABLES", 10)
-        path = tmp_path / ("wide.edges" if "->" in text else "wide.json")
+        suffix = ".edges" if "->" in text else ".pattern" if text.startswith("*") else ".json"
+        path = tmp_path / ("wide" + suffix)
         path.write_text(text)
         assert main(["rank", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
-        path.write_text(text.replace("11", "10"))
+        path.write_text(text.replace("11", "10").replace("*" * 11, "*" * 10))
         assert main(["rank", str(path)]) == 0
 
     def test_huge_variable_count_is_refused_before_matching(self, tmp_path, capsys,

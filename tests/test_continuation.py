@@ -43,6 +43,10 @@ def ellipse_system():
     return system_from_terms(pattern, 2, [{(2, 0): 1.0, (0, 2): 2.0}])
 
 
+def coordinates(branch):
+    return np.array([bp.point for bp in branch.points])
+
+
 def identity_system(n=3):
     pattern = StructurePattern.from_rows([{i} for i in range(n)])
     return system_from_terms(pattern, 1, [{(1,): 1.0} for _ in range(n)])
@@ -123,7 +127,7 @@ class TestTraceCurve:
     def test_parabola_branch(self):
         sys = get_dataset("eqcep1").system
         branch = trace_curve(sys, [1.0, 1.0, 1.0], step=0.05, max_points=200)
-        pts = branch.coordinates()
+        pts = coordinates(branch)
         assert np.abs(pts[:, 1] - pts[:, 0] ** 2).max() <= 1e-6
         assert np.abs(pts[:, 2] - 1.0).max() <= 1e-6
         assert all(bp.residual <= 1e-8 for bp in branch.points)
@@ -140,14 +144,14 @@ class TestTraceCurve:
     def test_consecutive_points_within_step(self):
         sys = get_dataset("eqcep1").system
         branch = trace_curve(sys, [1.0, 1.0, 1.0], step=0.05, max_points=150)
-        pts = branch.coordinates()
+        pts = coordinates(branch)
         gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         assert gaps.max() <= 0.05 + 1e-12
 
     def test_hyperbola_stays_on_level_set_and_off_axes(self):
         xy = get_dataset("xy").system
         branch = trace_curve(xy, [1.0, 1.0], step=0.05, max_points=400)
-        pts = branch.coordinates()
+        pts = coordinates(branch)
         assert np.abs(pts[:, 0] * pts[:, 1] - 1.0).max() <= 1e-6
         assert pts[:, 0].min() > 0.0
         assert {ev.kind for ev in branch.events} == {"domain-exit"}
@@ -169,7 +173,7 @@ class TestTraceCurve:
         first = trace_curve(ellipse_system(), [1.0, 1.0], step=step, max_points=400)
         q = first.points[len(first.points) // 3].point
         second = trace_curve(ellipse_system(), q, step=step, max_points=400)
-        assert hausdorff_distance(first.coordinates(), second.coordinates()) <= 2 * step
+        assert hausdorff_distance(coordinates(first), coordinates(second)) <= 2 * step
 
     def test_point_budget_respected(self):
         branch = trace_curve(get_dataset("eqcep1").system, [1.0, 1.0, 1.0],

@@ -1,3 +1,6 @@
+from itertools import dropwhile, takewhile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from structrank import (
     generic_rank_randomized,
 )
 from structrank.datasets import DATASETS, dataset_names, get_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPECTED_NAMES = {
     "cep3", "robust4", "example5", "eqcep1", "robotarm", "twogene",
@@ -29,22 +34,44 @@ def test_every_dataset_has_provenance():
     for dataset in DATASETS.values():
         assert dataset.source
         assert dataset.title
-        assert isinstance(dataset.self_loops, bool)
+
+
+def readme_datasets():
+    """The README's "Bundled datasets" table: {name: (size, rank, class)}, as written."""
+    lines = (ROOT / "README.md").read_text().split("## Bundled datasets", 1)[1].splitlines()
+    lines = dropwhile(lambda line: not line.startswith("|"), lines)  # up to the table
+    table = list(takewhile(lambda line: line.startswith("|"), lines))  # and no further
+    return {cells[0]: (cells[1], int(cells[2]), cells[3])
+            for line in table[2:]  # past the header and its rule
+            for cells in [[c.strip() for c in line.strip("|").split("|")]]}
+
+
+def test_readme_lists_every_dataset():
+    assert set(readme_datasets()) == EXPECTED_NAMES
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
 def test_published_ranks_and_classes(name):
+    """The README's size, rank and class follow from the shape and ``expected_rank``.
+
+    The class is robust iff the rank is M; the library's computation
+    (``classify``, or sampled members for a derived-variable structure)
+    must give the same rank, class and solution dimension N - rank.
+    """
     dataset = get_dataset(name)
+    size, rank, published_class = readme_datasets()[name]
+    m, n = dataset.structure.num_equations, dataset.structure.num_variables
+    assert size == f"{m}x{n}"
+    assert rank == dataset.expected_rank
+    assert published_class == ("robust" if rank == m else "fragile")
     if isinstance(dataset.structure, GeneralizedStructure):
         report = generic_rank_randomized(dataset.structure, trials=100, seed=0)
-        assert report.estimated_rank == dataset.expected_rank
+        assert report.estimated_rank == rank
         return
     report = classify(dataset.structure)
-    assert report.structural_rank == dataset.expected_rank
-    if dataset.expected_class is not None:
-        assert report.classification == dataset.expected_class
-    if dataset.expected_dimension is not None:
-        assert report.solution_dimension == dataset.expected_dimension
+    assert report.structural_rank == rank
+    assert report.classification == published_class
+    assert report.solution_dimension == n - rank
 
 
 def test_concrete_systems_match_their_patterns():

@@ -382,6 +382,14 @@ class TestPatternMatrixFiles:
             parse_structure(path)
         assert (raised.value.path, raised.value.message) == (path, "empty pattern")
 
+    def test_a_row_past_the_bound_names_its_file_and_line(self, tmp_path):
+        path = tmp_path / "p.pattern"
+        path.write_text("# one row of 1,000,001 entries\n" + "*" * 1_000_001 + "\n")
+        with pytest.raises(ParseError) as raised:
+            parse_structure(path)
+        assert (raised.value.path, raised.value.line, raised.value.message) == (
+            path, 2, "row width 1000001 exceeds the bound of 1000000")
+
 
 class TestFormatDetection:
     def test_sniffs_json_without_extension(self, tmp_path):

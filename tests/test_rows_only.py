@@ -3,11 +3,11 @@
 A ``StructurePattern`` is stored as sorted row tuples, and ``allowed``
 builds a frozenset of (equation, variable) pairs on every access. A
 ``GeneralizedStructure`` decides each equation's symbol order once, when it
-is built; ``dependencies`` is its unordered constructor argument and
-``base`` a pattern built on every access. These scans keep every module of
-``src/`` but ``structure.py`` on ``rows()``, ``row(e)`` and ``derived``, so
-no library path pays for a set or decides a symbol order of its own, and
-keep the member and CLI readers from branching on the kind of structure.
+is built; ``dependencies`` is its unordered constructor argument. These
+scans keep every module of ``src/`` but ``structure.py`` on ``rows()``,
+``row(e)`` and ``derived``, so no library path pays for a set or decides a
+symbol order of its own, and keep the member and CLI readers from
+branching on the kind of structure.
 Within ``structure.py``, only the one entry check, ``_store``, assigns a
 structure's rows, so every constructor keeps one rule for its entries.
 """
@@ -82,9 +82,8 @@ def test_only_structure_reads_allowed():
 
 
 def test_only_structure_reads_equations_past_rows():
-    found = reads_outside_structure({"dependencies", "base", "equation_symbols"})
-    assert found == [], ("dependencies, base or equation_symbols read outside structure.py:\n"
-                         + "\n".join(found))
+    found = reads_outside_structure({"dependencies"})
+    assert found == [], "dependencies read outside structure.py:\n" + "\n".join(found)
 
 
 def test_only_the_entry_check_stores_rows():
@@ -112,16 +111,15 @@ def test_scan_finds_allowed_reads(source, expected, tmp_path):
 
 @pytest.mark.parametrize("source, expected", [
     ("rows = gs.dependencies\n", [1]),
-    ("p = structure.base.rows()\n", [1]),
-    ("rows = list(map(\n    gs.equation_symbols, range(m)))\n", [2]),
-    ("symbols = gs.equation_symbols(0)\n", [1]),
+    ("rows = list(map(\n    sorted, gs.dependencies))\n", [2]),
+    ("symbols = structure.dependencies[0]\n", [1]),
     # Keyword arguments and local names are not reads of a structure.
-    ("gs = GeneralizedStructure(3, dependencies=deps, derived=())\nbase = 1\n", []),
+    ("gs = GeneralizedStructure(3, dependencies=deps, derived=())\ndependencies = 1\n", []),
 ])
 def test_scan_finds_equation_reads(source, expected, tmp_path):
     path = tmp_path / "module.py"
     path.write_text(source)
-    assert attribute_reads(path, {"dependencies", "base", "equation_symbols"}) == expected
+    assert attribute_reads(path, {"dependencies"}) == expected
 
 
 @pytest.mark.parametrize("source, expected", [
