@@ -19,9 +19,8 @@ from itertools import product
 import numpy as np
 
 from .errors import WrongDimensionError
-from .formats import check_basis_size
 from .numrank import RankTolerance, _json_fields, check_tolerance
-from .polysys import JacobianEvaluation, StructuredPolySystem, check_system, seeded_rng
+from .polysys import JacobianEvaluation, StructuredPolySystem, check_basis_size, check_system, seeded_rng
 from .structure import check_count, check_positive
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Reading and writing structures: JSON files, edge lists, pattern matrices, DOT.
+"""Reading and writing structures and systems: JSON files, edge lists, pattern matrices, DOT.
 
 All file formats use 1-based equation/variable indices; the in-memory types
 are 0-based. JSON schemas reject unknown fields so typos surface instead of
@@ -31,12 +31,6 @@ __all__ = [
     "structure_from_json_dict",
     "to_dot",
 ]
-
-# The most Jacobian entries (equations times variables) a numeric analysis
-# takes on. Members build dense M x N Jacobians, 8 bytes an entry, so
-# ``polysys.member_plan`` refuses a larger structure before any member is
-# built; continuation holds the N x N basis of a full SVD to it too.
-MAX_JACOBIAN_ENTRIES = 10_000_000
 
 _EDGE_RE = re.compile(r"^\s*(\d+)\s*(<->|->)\s*(\d+)\s*$")
 _EXPONENTS_RE = re.compile(r"([0-9]+(,[0-9]+)*)?")
@@ -84,22 +78,6 @@ def _is_finite_number(value):
     # JSON numbers such as 1e400 parse to inf, and huge integers overflow a float.
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
-
-
-def check_jacobian_size(structure, path=None, where=None):
-    """Raise ParseError when the M x N Jacobians of ``structure`` exceed MAX_JACOBIAN_ENTRIES."""
-    m, n = structure.num_equations, structure.num_variables
-    _expect(m * n <= MAX_JACOBIAN_ENTRIES,
-            f"{m} equations x {n} variables make {m * n} Jacobian entries, more than the "
-            f"bound of {MAX_JACOBIAN_ENTRIES} (formats.MAX_JACOBIAN_ENTRIES)", path, where)
-
-
-def check_basis_size(n):
-    """Raise ParseError when a full SVD's N x N basis, N = ``n``, exceeds MAX_JACOBIAN_ENTRIES."""
-    if n * n > MAX_JACOBIAN_ENTRIES:  # runs before every SVD: format only on failure
-        raise ParseError(f"{n} variables make {n * n} entries in the N x N basis of a full SVD, "
-                         f"more than the bound of {MAX_JACOBIAN_ENTRIES} "
-                         "(formats.MAX_JACOBIAN_ENTRIES)")
 
 
 def structure_from_json_dict(data, path=None):
@@ -383,6 +361,19 @@ def parse_basis(path):
     return basis
 
 
+def _system_to_json_dict(system):
+    """The system file of ``system``; a call spells each exponent vector's key "e1,...,eS" once."""
+    terms = [eq.term_dict() for eq in system.equations]
+    keys = {exps: ",".join(map(str, exps)) for exps in set().union(*terms)}
+    return {
+        "structure": structure_to_json_dict(system.structure),
+        "degree": system.degree,
+        "seed": system.seed,
+        "distribution": system.distribution,
+        "equations": [{keys[exps]: c for exps, c in sorted(row.items())} for row in terms],
+    }
+
+
 def _system_from_json_dict(data, path=None):
     """Build a polynomial system from the system file schema.
 
@@ -393,7 +384,7 @@ def _system_from_json_dict(data, path=None):
     for the constant term, and its values finite coefficients.
     """
     # numpy: only for system files
-    from .polysys import check_plan_size, system_from_terms
+    from .polysys import check_jacobian_size, check_plan_size, system_from_terms
 
     _expect(isinstance(data, dict), "top level must be an object", path, "$")
     _check_keys(data, {"structure", "degree", "seed", "distribution", "equations"}, path, "$")

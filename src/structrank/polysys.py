@@ -21,7 +21,6 @@ from math import comb, isfinite
 import numpy as np
 
 from .errors import ParseError, StructureError
-from .formats import _system_from_json_dict, check_jacobian_size, structure_to_json_dict
 from .structure import (
     GeneralizedStructure, StructurePattern, _index, check_count, check_real, check_structure,
 )
@@ -44,6 +43,9 @@ __all__ = [
 # faster than M x N, which grows as S^2, so a plan over the bound is refused
 # before any table or index is built.
 MAX_PLAN_ENTRIES = 10_000_000
+# The most Jacobian entries M x N a numeric analysis takes on: members build dense
+# M x N Jacobians, 8 bytes an entry, and continuation the N x N basis of a full SVD.
+MAX_JACOBIAN_ENTRIES = 10_000_000
 
 def seeded_rng(seed) -> np.random.Generator:
     """The platform-independent PCG64 stream of ``seed``, an int >= 0."""
@@ -160,11 +162,6 @@ class _MonomialTable:
     def index(self):
         """Each row of ``exponents`` as a tuple of ints, in order, mapped to its row number."""
         return {exps: i for i, exps in enumerate(map(tuple, self.exponents.tolist()))}
-
-    @cached_property
-    def file_keys(self):
-        """Each exponent tuple of ``index`` mapped to its system-file key, "e1,...,eS"."""
-        return {exps: ",".join(map(str, exps)) for exps in self.index}
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -363,6 +360,22 @@ def plan_entries(structure, degree):
             + 2 * max(min(degree - 1, widest), 0) * partials + tables)
 
 
+def check_jacobian_size(structure, path=None, where=None):
+    """Raise ParseError when the M x N Jacobians of ``structure`` exceed MAX_JACOBIAN_ENTRIES."""
+    m, n = structure.num_equations, structure.num_variables
+    if m * n > MAX_JACOBIAN_ENTRIES:
+        raise ParseError(f"{m} equations x {n} variables make {m * n} Jacobian entries, more than "
+                         f"the bound of {MAX_JACOBIAN_ENTRIES} (polysys.MAX_JACOBIAN_ENTRIES)",
+                         path=path, where=where)
+
+
+def check_basis_size(n):
+    """Raise ParseError when a full SVD's N x N basis, N = ``n``, exceeds MAX_JACOBIAN_ENTRIES."""
+    if n * n > MAX_JACOBIAN_ENTRIES:
+        raise ParseError(f"{n} variables make {n * n} entries in the N x N basis of a full SVD, more "
+                         f"than the bound of {MAX_JACOBIAN_ENTRIES} (polysys.MAX_JACOBIAN_ENTRIES)")
+
+
 def check_plan_size(structure, degree):
     """Raise as the count rule does for a degree, or ParseError over the Jacobian or plan bound."""
     degree = check_count(degree, "degree", 0)
@@ -375,13 +388,18 @@ def check_plan_size(structure, degree):
             f"(polysys.MAX_PLAN_ENTRIES)")
 
 
-@lru_cache(maxsize=32, typed=True)
 def member_plan(structure, degree) -> _MemberPlan:
     """The layout of every member at ``degree``, built once and shared by all of them.
 
     The plan is cached per (structure, degree); callers must not modify it.
-    ``check_plan_size`` refuses a negative degree or a bound exceeded before anything is built.
+    ``check_structure`` refuses a non-structure before the cache hashes it, and
+    ``check_plan_size`` a negative degree or a bound exceeded before anything is built.
     """
+    return _cached_plan(check_structure(structure), degree)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _cached_plan(structure, degree) -> _MemberPlan:
     check_plan_size(structure, degree)
     n, rows = structure.num_variables, structure.rows()
     specs = {spec.name: spec for spec in structure.derived}
@@ -621,20 +639,16 @@ class StructuredPolySystem:
         return JacobianEvaluation(point=x, matrix=J, residual_target=values)
 
     def to_json_dict(self):
-        return {
-            "structure": structure_to_json_dict(self.structure),
-            "degree": self.degree,
-            "seed": self.seed,
-            "distribution": self.distribution,
-            "equations": [
-                {keys[exps]: coeff for exps, coeff in sorted(eq.term_dict().items())}
-                for eq in self.equations for keys in (eq.table.file_keys,)
-            ],
-        }
+        """The system file's dict; ``formats`` owns the format and loads only when it is used."""
+        from .formats import _system_to_json_dict
+
+        return _system_to_json_dict(self)
 
     @classmethod
     def from_json_dict(cls, d):
         """Inverse of ``to_json_dict``, with the checks of a system file."""
+        from .formats import _system_from_json_dict
+
         return _system_from_json_dict(d)
 
 

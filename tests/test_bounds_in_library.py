@@ -366,13 +366,14 @@ def test_sampling_and_the_system_reader_take_the_same_seeds(seed, tmp_path_facto
         assert parse_input(path).to_json_dict() == system.to_json_dict()
 
 
-# The three system builders, each with another argument bad as well: the
-# structure is refused before it.
+# The three system builders and the member plan, each with another argument bad
+# as well: the structure is refused before it.
 BUILDERS = {
     "sample_system": lambda structure: sample_system(structure, degree=0),
     "system_from_terms": lambda structure: system_from_terms(structure, -1, [{}]),
     "StructuredPolySystem": lambda structure: StructuredPolySystem(
         structure, True, EQCEP1.equations),
+    "member_plan": lambda structure: polysys.member_plan(structure, -1),
 }
 
 
@@ -381,7 +382,8 @@ BUILDERS = {
 @pytest.mark.parametrize("call", BUILDERS)
 def test_a_builder_refuses_anything_but_a_structure_first(call, structure):
     # sample_system([[0]], degree=2) once ended in "TypeError: unhashable type: 'list'"
-    # from the member-plan cache, and StructuredPolySystem in an AttributeError.
+    # from the member-plan cache, and StructuredPolySystem in an AttributeError; so
+    # did member_plan itself, given a list or a str.
     message = f"expected a structure, got {type(structure).__name__}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         BUILDERS[call](structure)

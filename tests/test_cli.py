@@ -393,9 +393,9 @@ class TestErrorHandling:
             raise AssertionError("a monomial table was built")
 
         # Plans are cached, and a cached plan met the bound when it was built.
-        polysys.member_plan.cache_clear()
+        polysys._cached_plan.cache_clear()
         monkeypatch.setattr(polysys, "_monomial_table", refuse)
-        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 11)
+        monkeypatch.setattr(polysys, "MAX_JACOBIAN_ENTRIES", 11)
         structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
         path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
         path.write_text(json.dumps(structure))
@@ -405,10 +405,10 @@ class TestErrorHandling:
         where = f"{system}: structure" if "{system}" in argv else str(path)
         assert capsys.readouterr().err == (
             f"error: {where}: 3 equations x 4 variables make 12 Jacobian entries, more than "
-            "the bound of 11 (formats.MAX_JACOBIAN_ENTRIES)\n")
+            "the bound of 11 (polysys.MAX_JACOBIAN_ENTRIES)\n")
 
     def test_jacobian_at_the_bound_runs(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 12)
+        monkeypatch.setattr(polysys, "MAX_JACOBIAN_ENTRIES", 12)
         path = tmp_path / "wide.json"
         path.write_text('{"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]},'
                         ' {"vars": [4]}]}')
@@ -430,7 +430,7 @@ class TestErrorHandling:
         # through it, and twice the monomial tables of 2 symbols
         # (2 * (10 + 2 * 6)) and 1 (3 + 4).
         # Plans are cached, and a cached plan met the bound when it was built.
-        polysys.member_plan.cache_clear()
+        polysys._cached_plan.cache_clear()
         monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 245)
         structure = {"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]}, {"vars": [4]}]}
         path, system = tmp_path / "wide.json", tmp_path / "wide-system.json"
@@ -450,7 +450,7 @@ class TestErrorHandling:
         # (2 positive exponents by 2 * 3 + 6 columns, then 2 * (2 + 3)), a
         # trials' index of 1 x 10 partial columns, a gather through it, and
         # twice the tables of 2 symbols (2 * (6 + 2 * 3)) and 1 (2 + 3).
-        polysys.member_plan.cache_clear()
+        polysys._cached_plan.cache_clear()
         monkeypatch.setattr(polysys, "MAX_PLAN_ENTRIES", 121)
         path = tmp_path / "wide.json"
         path.write_text('{"variables": 4, "equations": [{"vars": [1, 2]}, {"vars": [3]},'
@@ -488,21 +488,21 @@ class TestErrorHandling:
 
         # 3 x 6 Jacobians fit a bound of 20 entries; their 6 x 6 SVD basis does not.
         monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
-        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        monkeypatch.setattr(polysys, "MAX_JACOBIAN_ENTRIES", 20)
         path = tmp_path / "arm.json"
         path.write_text(json.dumps(formats.structure_to_json_dict(
             get_dataset("robotarm").structure)))
         assert main([a.format(path=path) for a in argv]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: 6 variables make 36 entries in the N x N basis of a full SVD, "
-            "more than the bound of 20 (formats.MAX_JACOBIAN_ENTRIES)\n")
+            "more than the bound of 20 (polysys.MAX_JACOBIAN_ENTRIES)\n")
 
     def test_perturbation_probe_takes_no_svd_and_no_basis_bound(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an SVD was taken")
 
         monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
-        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        monkeypatch.setattr(polysys, "MAX_JACOBIAN_ENTRIES", 20)
         path = tmp_path / "arm.json"
         path.write_text(json.dumps(formats.structure_to_json_dict(
             get_dataset("robotarm").structure)))

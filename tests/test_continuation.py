@@ -27,7 +27,7 @@ from structrank import (
     system_from_terms,
     trace_curve,
 )
-from structrank import continuation, formats, numrank
+from structrank import continuation, numrank, polysys
 from structrank.cli import main
 from structrank.continuation import _gauss_newton
 from structrank.datasets import get_dataset
@@ -84,10 +84,10 @@ class TestLocalDimension:
         sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=1)
         # 3 x 6 Jacobians fit a bound of 20 entries; their 6 x 6 SVD basis does not.
         monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
-        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        monkeypatch.setattr(polysys, "MAX_JACOBIAN_ENTRIES", 20)
         with pytest.raises(ParseError, match=(
                 r"^6 variables make 36 entries in the N x N basis of a full SVD, more than "
-                r"the bound of 20 \(formats.MAX_JACOBIAN_ENTRIES\)$")) as info:
+                r"the bound of 20 \(polysys.MAX_JACOBIAN_ENTRIES\)$")) as info:
             call(sys, np.linspace(-0.5, 0.5, 6))
         assert isinstance(info.value, ValueError)
 
@@ -105,7 +105,7 @@ class TestLocalDimension:
         checked, analysed = [], []
         svd_analysis = continuation._svd_analysis
         monkeypatch.setattr(continuation, "check_basis_size",
-                            lambda n: checked.append(n) or formats.check_basis_size(n))
+                            lambda n: checked.append(n) or polysys.check_basis_size(n))
         monkeypatch.setattr(continuation, "_svd_analysis",
                             lambda jac, tol: analysed.append(jac) or svd_analysis(jac, tol))
         call()
@@ -525,7 +525,7 @@ class TestPerturbationProbe:
 
         sys = sample_system(get_dataset("robotarm").structure, degree=2, seed=1)
         monkeypatch.setattr(continuation.np.linalg, "svd", refuse)
-        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 20)
+        monkeypatch.setattr(polysys, "MAX_JACOBIAN_ENTRIES", 20)
         probe = perturbation_probe(sys, np.linspace(-0.5, 0.5, 6), [0.01, 0.0, 0.0], seed=0)
         assert probe.residual_floor >= 0.0
 

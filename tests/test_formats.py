@@ -18,10 +18,11 @@ from structrank import (
     pattern_from_graph,
     structure_from_json_dict,
     structure_to_json_dict,
+    system_from_terms,
     to_dot,
 )
 from structrank.cli import main
-from structrank.datasets import get_dataset
+from structrank.datasets import DATASETS, get_dataset
 from structrank.formats import parse_basis, parse_input
 from structrank.polysys import StructuredPolySystem
 from structrank.structure import DerivedVariableSpec
@@ -520,13 +521,15 @@ class TestOtherPayloads:
         with pytest.raises(ParseError, match=where):
             parse_basis(path)
 
-    def test_system_file_round_trip(self, tmp_path):
-        sys = get_dataset("eqcep1").system
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps(sys.to_json_dict()))
+    @pytest.mark.parametrize("name", [name for name, d in DATASETS.items() if d.has_system])
+    def test_system_file_round_trip(self, name, tmp_path):
+        system = get_dataset(name).system
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(system.to_json_dict()))
         back = parse_input(path)
-        assert back.structure == sys.structure
-        assert back.degree == sys.degree
+        assert back.to_json_dict() == system.to_json_dict()
+        for eq, ref in zip(back.equations, system.equations, strict=True):
+            assert eq.coefficients.tobytes() == ref.coefficients.tobytes()
 
     def test_input_holding_a_system_or_a_structure(self, tmp_path):
         system = get_dataset("eqcep1").system
@@ -615,3 +618,46 @@ class TestSystemFiles:
         path = tmp_path / "system.json"
         path.write_text(json.dumps(data))
         assert parse_input(path).evaluate([0.3, 0.4]).tolist() == [2.5]
+
+
+class TestSystemFileSpelling:
+    """``formats`` writes a system file's keys as its reader spells them."""
+
+    def test_the_written_file_is_pinned(self):
+        # The rows of example5, x1..x4 twice and the derived symbol z twice, and a
+        # row over no symbol, whose one monomial, the constant, is spelled "".
+        example5 = get_dataset("example5").structure
+        structure = GeneralizedStructure(4, [*example5.dependencies, ()], example5.derived)
+        system = system_from_terms(structure, 2, [
+            {(2, 0, 0, 0): -2.0, (0, 0, 0, 0): 1.5, (1, 0, 0, 1): 0.25},
+            {(0, 1, 1, 0): 3.0},
+            {(2,): 0.5, (0,): -1.0},
+            {(1,): 4.0},
+            {(): 7.0},
+        ])
+        expected = {
+            "structure": {
+                "variables": 4,
+                "equations": [
+                    {"name": "f1", "vars": [1, 2, 3, 4], "derived": []},
+                    {"name": "f2", "vars": [1, 2, 3, 4], "derived": []},
+                    {"name": "f3", "vars": [], "derived": ["z"]},
+                    {"name": "f4", "vars": [], "derived": ["z"]},
+                    {"name": "f5", "vars": [], "derived": []},
+                ],
+                "derived_vars": [{"name": "z", "coeffs": {"1": 1.0, "2": 2.0}}],
+                "self_loops": False,
+            },
+            "degree": 2,
+            "seed": None,
+            "distribution": "explicit",
+            "equations": [
+                {"0,0,0,0": 1.5, "1,0,0,1": 0.25, "2,0,0,0": -2.0},
+                {"0,1,1,0": 3.0},
+                {"0": -1.0, "2": 0.5},
+                {"1": 4.0},
+                {"": 7.0},
+            ],
+        }
+        # Compared as text, so the order of every key is pinned too.
+        assert json.dumps(system.to_json_dict()) == json.dumps(expected)

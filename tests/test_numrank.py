@@ -29,7 +29,7 @@ from structrank import (
 from structrank import numrank
 from structrank.datasets import get_dataset
 from structrank.numrank import _member_jacobians
-from structrank.polysys import member_plan, seeded_streams
+from structrank.polysys import _cached_plan, member_plan, seeded_streams
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure
 
 from oracles import reference_draw, reference_evaluation, reference_stream
@@ -173,7 +173,7 @@ class TestNumpyIntegerSymbols:
     def test_generalized_rank_and_plan_cache(self):
         # The two structures are equal and hash alike, so they share one
         # member_plan entry: the numpy one is planned first, then the int one.
-        member_plan.cache_clear()
+        _cached_plan.cache_clear()
         z = DerivedVariableSpec("z", ((0, 1.0), (1, 2.0)))
         for index in (np.int64(2), 2):
             gs = GeneralizedStructure(3, (frozenset({index}), frozenset({"z"})), (z,))

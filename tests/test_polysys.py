@@ -23,7 +23,8 @@ from structrank import (
 from structrank.datasets import DATASETS, get_dataset
 from structrank import formats, polysys
 from structrank.polysys import (
-    PolyEquation, _monomial_table, member_plan, seeded_rng, seeded_streams, stacked_jacobians,
+    PolyEquation, _cached_plan, _monomial_table, member_plan, seeded_rng, seeded_streams,
+    stacked_jacobians,
 )
 from structrank.structure import DerivedVariableSpec, GeneralizedStructure, StructurePattern
 
@@ -92,7 +93,7 @@ class TestMonomialTable:
     def test_a_table_keeps_only_what_member_plans_read(self):
         # A table kept its (K, S) exponents and (S, R, S) decremented ones,
         # 2.6 MB for this row and 331 MiB over the rows of widths 1..400.
-        member_plan.cache_clear()
+        _cached_plan.cache_clear()
         _monomial_table.cache_clear()
         structure = StructurePattern.from_rows([range(400)])
         sample_system(structure, degree=1, seed=0).jacobian(np.ones(400))
@@ -218,7 +219,7 @@ class TestDegreeType:
         # cold cache 2.0 raised an unnamed TypeError from math.comb, on a
         # warm one it passed and was recorded as 2.0.
         p = StructurePattern.from_rows([[0, 1], [1]])
-        member_plan.cache_clear()
+        _cached_plan.cache_clear()
         _monomial_table.cache_clear()
         if cache == "warm":
             sample_system(p, 1)
@@ -594,13 +595,13 @@ class TestPlanSize:
             raise AssertionError("a monomial table was built")
 
         # Plans are cached, and a cached plan met the bound when it was built.
-        member_plan.cache_clear()
+        _cached_plan.cache_clear()
         monkeypatch.setattr(polysys, "_monomial_table", refuse)
-        monkeypatch.setattr(formats, "MAX_JACOBIAN_ENTRIES", 11)
+        monkeypatch.setattr(polysys, "MAX_JACOBIAN_ENTRIES", 11)
         wide = StructurePattern.from_rows([{0, 1}, {2}, {3}])
         with pytest.raises(ParseError, match=(
                 r"^3 equations x 4 variables make 12 Jacobian entries, more than the bound "
-                r"of 11 \(formats.MAX_JACOBIAN_ENTRIES\)$")) as info:
+                r"of 11 \(polysys.MAX_JACOBIAN_ENTRIES\)$")) as info:
             call(wide)
         assert isinstance(info.value, ValueError) and info.value.path is None
 
