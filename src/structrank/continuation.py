@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import WrongDimensionError
 from .numrank import RankTolerance, _json_fields, check_tolerance
-from .polysys import JacobianEvaluation, StructuredPolySystem, check_basis_size, check_system, seeded_rng
+from .polysys import (
+    JacobianEvaluation, StructuredPolySystem, _real_array, check_basis_size, check_system, seeded_rng,
+)
 from .structure import check_count, check_positive
 
 __all__ = [
@@ -513,8 +515,7 @@ def perturbation_probe(
     implicit function theorem predicts a nearby solution for small delta.
     """
     system, seed = check_system(system), check_count(seed, "seed", 0)
-    p = np.asarray(p, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
+    delta = _real_array(delta, "delta")
     if delta.shape != (system.num_equations,):
         raise ValueError(
             f"delta must perturb the {system.num_equations} right-hand sides, got {delta.shape}"
@@ -522,7 +523,7 @@ def perturbation_probe(
     if not np.isfinite(delta).all():
         raise ValueError(f"delta must be finite, got {[float(v) for v in delta]}")
     at_p = _evaluate_start(system, p)
-    target = at_p.residual_target + delta
+    p, target = at_p.point, at_p.residual_target + delta
     rng = seeded_rng(seed)
     starts = [at_p] + [
         p + rng.uniform(-RESTART_SCALE, RESTART_SCALE, p.size) for _ in range(PERTURBATION_RESTARTS)

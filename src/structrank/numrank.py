@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import StructureError
 from .polysys import (
-    StructuredPolySystem, check_distribution, check_system, draw_members, member_plan,
-    seeded_streams, stacked_jacobians,
+    StructuredPolySystem, _real_array, check_distribution, check_system, draw_members,
+    member_plan, seeded_streams, stacked_jacobians,
 )
 from .structural import structural_rank
 from .structure import (
@@ -104,22 +104,6 @@ def check_tolerance(tol):
     if not isinstance(tol, RankTolerance):
         raise TypeError(f"tol must be a RankTolerance, got {tol!r}")
     return tol
-
-
-def _real_array(value, what, at=()):
-    """``value``, which is ``what[at]``, as a float64 array; a complex or text array is a TypeError.
-
-    Each entry of an object array is held to the real rule, so None is a
-    TypeError naming the entry's index in ``what``, and a Fraction or an int
-    past int64 converts.
-    """
-    a = np.asarray(value)
-    if a.dtype.kind in "cUS":  # a cast would drop the imaginary part or parse the text
-        raise TypeError(f"{what} must hold real numbers, got an array of dtype {a.dtype}")
-    if a.dtype == object:
-        return np.array([check_real(v, f"{what} entry {(*at, *i)}") for i, v in np.ndenumerate(a)],
-                        dtype=np.float64).reshape(a.shape)
-    return a.astype(np.float64, copy=False)
 
 
 def numeric_rank(matrix, tol: RankTolerance = RankTolerance()) -> int:

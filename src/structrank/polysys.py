@@ -46,6 +46,7 @@ MAX_PLAN_ENTRIES = 10_000_000
 # The most Jacobian entries M x N a numeric analysis takes on: members build dense
 # M x N Jacobians, 8 bytes an entry, and continuation the N x N basis of a full SVD.
 MAX_JACOBIAN_ENTRIES = 10_000_000
+_FLOAT64 = np.dtype(np.float64)
 
 def seeded_rng(seed) -> np.random.Generator:
     """The platform-independent PCG64 stream of ``seed``, an int >= 0."""
@@ -197,29 +198,16 @@ def _positive_factors(exponents, degree):
 
 @dataclass(frozen=True, eq=False)
 class PolyEquation:
-    """One polynomial over an equation's allowed symbols.
+    """One polynomial over an equation's allowed symbols: a view of part of a member.
 
     ``symbols`` lists variable indices (int) and derived names (str);
     ``coefficients`` aligns with the monomial table for
-    (len(symbols), degree).
+    (len(symbols), degree). ``StructuredPolySystem.equations`` builds these.
     """
 
     symbols: tuple
     degree: int
     coefficients: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "degree", check_count(self.degree, "degree", 0))
-        table = self.table
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.shape != (table.size,):
-            raise StructureError(
-                f"equation over {len(self.symbols)} symbols at degree {self.degree} "
-                f"needs {table.size} coefficients, got {coeffs.shape}"
-            )
-        if not np.isfinite(coeffs).all():
-            raise StructureError("polynomial coefficients must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def table(self):
@@ -561,18 +549,38 @@ def _evaluate(plan, points, dots, values):
     return _scatter(plan, results), (results.take(plan.order, axis=-1) if values else None)
 
 
+def _real_array(value, what, at=()):
+    """``value``, which is ``what[at]``, as a float64 array; a complex or text array is a TypeError.
+
+    Each entry of an object array is held to the real rule, so None is a
+    TypeError naming the entry's index in ``what``, and a Fraction or an int
+    past int64 converts. A float64 ndarray, as every iterate is, is returned as it is.
+    """
+    if type(value) is np.ndarray and value.dtype is _FLOAT64:
+        return value
+    a = np.asarray(value)
+    if a.dtype.kind in "cUS":  # a cast would drop the imaginary part or parse the text
+        raise TypeError(f"{what} must hold real numbers, got an array of dtype {a.dtype}")
+    if a.dtype == object:
+        return np.array([check_real(v, f"{what} entry {(*at, *i)}") for i, v in np.ndenumerate(a)],
+                        dtype=np.float64).reshape(a.shape)
+    return a.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class StructuredPolySystem:
     """A concrete polynomial system respecting a structure.
 
-    Immutable after construction; ``evaluate`` and ``jacobian`` are pure.
+    ``coefficients`` is the member's flat coefficient vector, laid out by
+    ``member_plan(structure, degree)``; the system keeps a read-only float64
+    copy. Immutable after construction; ``evaluate`` and ``jacobian`` are pure.
     Sampled systems are reconstructible bit-exactly from
     (structure, degree, seed, distribution).
     """
 
     structure: StructurePattern | GeneralizedStructure
     degree: int
-    equations: tuple[PolyEquation, ...]
+    coefficients: np.ndarray
     seed: int | None = None
     distribution: str = "explicit"
 
@@ -581,40 +589,45 @@ class StructuredPolySystem:
         object.__setattr__(self, "degree", check_count(self.degree, "degree", 0))
         if self.seed is not None:  # None labels an explicit system
             object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
-        if len(self.equations) != self.structure.num_equations:
-            raise StructureError(
-                f"structure has {self.structure.num_equations} equations, "
-                f"got {len(self.equations)} polynomials"
-            )
         plan = member_plan(self.structure, self.degree)
-        for e, (eq, symbols) in enumerate(zip(self.equations, self.structure.rows())):
-            if eq.symbols != symbols:
-                raise StructureError(f"equation {e + 1} does not match its structure row")
-            if eq.degree != self.degree:
-                raise StructureError(
-                    f"equation {e + 1} has degree {eq.degree}, the system {self.degree}"
-                )
-        coefficients = np.concatenate([eq.coefficients for eq in self.equations])
+        # A copy, so no later write by the caller can desync the vector from ``_dots``.
+        coefficients = np.array(_real_array(self.coefficients, "coefficients"))
+        if coefficients.shape != (plan.num_coefficients,):
+            raise StructureError(
+                f"a member of degree {self.degree} needs {plan.num_coefficients} coefficients, "
+                f"got an array of shape {coefficients.shape}"
+            )
+        if not np.isfinite(coefficients).all():
+            raise StructureError("polynomial coefficients must be finite")
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_plan", plan)
         with np.errstate(over="ignore"):
             scaled = coefficients * self.degree  # bounds every partial's coefficient
         if not np.isfinite(scaled).all():
             for e, eq in enumerate(self.equations):
                 for exps, c in eq.term_dict().items():
                     _check_partial(e, exps, c, self.degree)
-        object.__setattr__(self, "_plan", plan)
         dots = [dot for bucket in plan.buckets for dot in bucket.operands(coefficients)]
         object.__setattr__(self, "_dots", dots)
 
+    @cached_property
+    def equations(self) -> tuple[PolyEquation, ...]:
+        """One PolyEquation per equation, over its slice of ``coefficients``; built when first read."""
+        offsets = self._plan.offsets
+        return tuple(PolyEquation(row, self.degree, self.coefficients[offsets[e]:offsets[e + 1]])
+                     for e, row in enumerate(self.structure.rows()))
+
     @property
     def num_equations(self):
-        return len(self.equations)
+        return self.structure.num_equations
 
     @property
     def num_variables(self):
         return self.structure.num_variables
 
     def _check_point(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = _real_array(x, "point")
         if x.shape != (self.num_variables,):
             raise ValueError(
                 f"expected a point in R^{self.num_variables}, got shape {x.shape}"
@@ -663,23 +676,13 @@ def _check_partial(e, exps, c, degree):
     """Raise ParseError when a partial of the term c * x^exps of equation e (from 0) overflows.
 
     A partial's coefficient is c times an exponent, at most the degree. A c
-    that is not finite itself is left to PolyEquation, which names it.
+    that is not finite itself is left to the constructor, which refuses it.
     """
     if not isfinite(c * degree) and isfinite(c):
         top = max(exps, default=0)
         if not isfinite(c * top):
             raise ParseError(f"equation {e + 1}: coefficient {c!r} of exponent vector "
                              f"{exps} times its exponent {top} is not finite")
-
-
-def _member(structure, degree, flat, seed=None, distribution="explicit"):
-    """The member whose coefficients ``flat`` are laid out by ``member_plan``."""
-    plan = member_plan(structure, degree)
-    equations = tuple(
-        PolyEquation(symbols, degree, flat[start:stop])
-        for symbols, start, stop in zip(structure.rows(), plan.offsets[:-1], plan.offsets[1:])
-    )
-    return StructuredPolySystem(structure, degree, equations, seed=seed, distribution=distribution)
 
 
 def system_from_terms(
@@ -710,10 +713,11 @@ def system_from_terms(
                     f"equation {e + 1}: exponent vector {exps} is not a monomial "
                     f"of degree <= {degree} over its {len(symbols)} symbols"
                 )
-            c = float(c)
+            # A plain float, as the system-file reader passes, needs no check.
+            c = c if type(c) is float else check_real(c, f"equation {e + 1}: coefficient")
             _check_partial(e, exps, c, degree)  # here, so the first refused term is named
             flat[start + i] = c
-    return _member(structure, degree, flat, seed, distribution)
+    return StructuredPolySystem(structure, degree, flat, seed, distribution)
 
 
 def check_distribution(distribution):
@@ -769,7 +773,7 @@ def sample_system(
     check_distribution(distribution)
     plan = member_plan(structure, degree)
     flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
-    return _member(structure, degree, flat, seed, distribution)
+    return StructuredPolySystem(structure, degree, flat, seed, distribution)
 
 
 def stacked_jacobians(plan, coefficients, points) -> np.ndarray:
@@ -798,9 +802,9 @@ def combine(a: float, f: StructuredPolySystem, b: float, g: StructuredPolySystem
     degree = max(f.degree, g.degree)
     plan = member_plan(f.structure, degree)
     flat = np.zeros(plan.num_coefficients)
-    # A sum that is not finite is refused by PolyEquation, which names it.
+    # A sum that is not finite is refused by the constructor.
     with np.errstate(all="ignore"):
         for start, fe, ge in zip(plan.offsets, f.equations, g.equations):
             flat[start:start + fe.coefficients.size] += a * fe.coefficients
             flat[start:start + ge.coefficients.size] += b * ge.coefficients
-    return _member(f.structure, degree, flat, distribution="combination")
+    return StructuredPolySystem(f.structure, degree, flat, distribution="combination")

@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 
 from structrank.polysys import (
-    JacobianEvaluation, PolyEquation, _member, draw_members, member_plan, seeded_rng,
+    JacobianEvaluation, PolyEquation, StructuredPolySystem, draw_members, member_plan, seeded_rng,
 )
 from structrank.structural import RankReport
 from structrank.structure import GeneralizedStructure
@@ -162,7 +162,7 @@ def random_member(structure, degree, seed=0, distribution="uniform"):
     """
     plan = member_plan(structure, degree)
     flat = draw_members([seeded_rng(seed)], 1, plan.num_coefficients, distribution)[0]
-    return _member(structure, degree, flat, seed, distribution)
+    return StructuredPolySystem(structure, degree, flat, seed, distribution)
 
 
 def reference_exponents(num_symbols, degree):

@@ -103,6 +103,7 @@ CALLS = {
     ("combine", "a"): lambda v: combine(v, EQCEP1, 1.0, EQCEP1),
     ("combine", "b"): lambda v: combine(1.0, EQCEP1, v, EQCEP1),
     ("rank_maximizer_sweep", "c_grid"): lambda v: rank_maximizer_sweep(F, G, AT, [0.5, v]),
+    ("system_from_terms", "coefficient"): lambda v: system_from_terms(CEP3, 1, [{(1,): v}, {}, {}]),
 }
 COUNTS = {"trials", "samples", "max_points", "degree"}
 
@@ -119,7 +120,9 @@ def test_a_bad_count_or_real_is_refused_naming_it(call, argument, value, monkeyp
     # a ComplexWarning, and step=np.array([1.0, 2.0]) ended in numpy's unnamed
     # "only 0-dimensional arrays can be converted to Python scalars". Each value
     # of rank_maximizer_sweep's c_grid once went through float(c): True swept
-    # c = 1.0 and "1" c = 1.0, after both Jacobians were evaluated.
+    # c = 1.0 and "1" c = 1.0, after both Jacobians were evaluated. A coefficient of
+    # system_from_terms went through float(c) too: np.complex128(2j) became a zero
+    # term after a ComplexWarning, "1" read as 1.0 and None was refused unnamed.
     def no_report(*args, **kwargs):
         raise AssertionError(f"{call} built a report or Jacobian for {argument}={value!r}")
 
@@ -275,7 +278,7 @@ SEEDED = {
 LABELLED = {
     "system_from_terms": lambda seed: system_from_terms(CEP3, 1, [{}, {}, {}], seed=seed),
     "StructuredPolySystem": lambda seed: StructuredPolySystem(
-        CEP3, 1, sample_system(CEP3, 1).equations, seed=seed),
+        CEP3, 1, sample_system(CEP3, 1).coefficients, seed=seed),
 }
 ALL_SEEDED = {**SEEDED, **LABELLED}
 STORED = ["certify_acr", "generic_rank_randomized", "matrix_space_rank", "sample_system",
@@ -372,7 +375,7 @@ BUILDERS = {
     "sample_system": lambda structure: sample_system(structure, degree=0),
     "system_from_terms": lambda structure: system_from_terms(structure, -1, [{}]),
     "StructuredPolySystem": lambda structure: StructuredPolySystem(
-        structure, True, EQCEP1.equations),
+        structure, True, EQCEP1.coefficients),
     "member_plan": lambda structure: polysys.member_plan(structure, -1),
 }
 

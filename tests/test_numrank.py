@@ -19,12 +19,16 @@ from structrank import (
     SystemGraph,
     certify_acr,
     generic_rank_randomized,
+    local_dimension,
+    manifold_probe,
     matrix_space_rank,
     numeric_rank,
+    perturbation_probe,
     rank_maximizer_sweep,
     sample_system,
     structural_rank,
     system_from_terms,
+    trace_curve,
 )
 from structrank import numrank
 from structrank.datasets import get_dataset
@@ -282,6 +286,17 @@ NOT_REAL = {
 }
 
 
+EQCEP1 = get_dataset("eqcep1").system
+# Each call that evaluates a system at a point it is given.
+POINT_CALLS = {
+    "jacobian": lambda x: EQCEP1.jacobian(x),
+    "local_dimension": lambda x: local_dimension(EQCEP1, x),
+    "trace_curve": lambda x: trace_curve(EQCEP1, x),
+    "manifold_probe": lambda x: manifold_probe(EQCEP1, x),
+    "perturbation_probe": lambda x: perturbation_probe(EQCEP1, x, [0.0] * 3),
+}
+
+
 class TestRealMatrices:
     # numeric_rank([[1j, 0], [0, 1]]) once returned 1 after a ComplexWarning, a
     # basis of two diagonal 1j matrices once had rank 0, and a matrix of digit
@@ -326,6 +341,30 @@ class TestRealMatrices:
         diagonal = [np.diag([1, 0]).astype(dtype), np.diag([0, 1]).astype(dtype)]
         assert numeric_rank(np.eye(3, dtype=dtype)) == 3
         assert matrix_space_rank(diagonal, trials=5).estimated_rank == 2
+
+    # Each call once evaluated eqcep1 at (1, 1, 1) from 1+2j after a ComplexWarning
+    # and from "1" parsed as a number; None read as nan, which was refused
+    # only as "point has non-finite components".
+    @pytest.mark.parametrize("point, message", [
+        (np.array([1 + 2j, 1, 1]), "point must hold real numbers, got an array of dtype complex128"),
+        (["1", 1, 1], "point must hold real numbers, got an array of dtype <U21"),
+        ([None, 1, 1], "point entry (0,) must be a real number, got None"),
+    ], ids=["complex", "str", "None"])
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    def test_a_point_that_is_not_real_is_refused(self, call, point, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            POINT_CALLS[call](point)
+
+    # A delta of 0.1j was cast to 0 with a ComplexWarning and reported solved;
+    # the real delta (0, 0.1, 0) leaves a residual floor of 0.044.
+    @pytest.mark.parametrize("delta, message", [
+        (np.array([0, 0.1j, 0]), "delta must hold real numbers, got an array of dtype complex128"),
+        ([0, "0.1", 0], "delta must hold real numbers, got an array of dtype <U21"),
+        ([0, None, 0], "delta entry (1,) must be a real number, got None"),
+    ], ids=["complex", "str", "None"])
+    def test_a_delta_that_is_not_real_is_refused(self, delta, message):
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            perturbation_probe(EQCEP1, [1, 1, 1], delta)
 
 
 DEFAULT_TOL = {"relative_threshold": 1e-08, "absolute_floor": 1e-12}
