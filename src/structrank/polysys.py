@@ -46,7 +46,6 @@ MAX_PLAN_ENTRIES = 10_000_000
 # The most Jacobian entries M x N a numeric analysis takes on: members build dense
 # M x N Jacobians, 8 bytes an entry, and continuation the N x N basis of a full SVD.
 MAX_JACOBIAN_ENTRIES = 10_000_000
-_FLOAT64 = np.dtype(np.float64)
 
 def seeded_rng(seed) -> np.random.Generator:
     """The platform-independent PCG64 stream of ``seed``, an int >= 0."""
@@ -554,10 +553,8 @@ def _real_array(value, what, at=()):
 
     Each entry of an object array is held to the real rule, so None is a
     TypeError naming the entry's index in ``what``, and a Fraction or an int
-    past int64 converts. A float64 ndarray, as every iterate is, is returned as it is.
+    past int64 converts.
     """
-    if type(value) is np.ndarray and value.dtype is _FLOAT64:
-        return value
     a = np.asarray(value)
     if a.dtype.kind in "cUS":  # a cast would drop the imaginary part or parse the text
         raise TypeError(f"{what} must hold real numbers, got an array of dtype {a.dtype}")
@@ -713,8 +710,7 @@ def system_from_terms(
                     f"equation {e + 1}: exponent vector {exps} is not a monomial "
                     f"of degree <= {degree} over its {len(symbols)} symbols"
                 )
-            # A plain float, as the system-file reader passes, needs no check.
-            c = c if type(c) is float else check_real(c, f"equation {e + 1}: coefficient")
+            c = check_real(c, f"equation {e + 1}: coefficient")
             _check_partial(e, exps, c, degree)  # here, so the first refused term is named
             flat[start + i] = c
     return StructuredPolySystem(structure, degree, flat, seed, distribution)
